@@ -40,7 +40,8 @@ def run_tradeoff(scale, methods=METHODS, codecs=CODECS, seed: int = 0) -> list[d
     for method in methods:
         for codec in codecs:
             res = run_cell(
-                "cifar10", method, "label_skew_20", scale, seed=seed, codec=codec
+                "cifar10", method, "label_skew_20", scale, seed=seed,
+                fl_options={"codec": codec},
             )
             comm = res.algorithm.comm
             rows.append(

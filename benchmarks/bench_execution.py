@@ -56,7 +56,7 @@ def _time_cell(dataset: str, method: str, backend: str):
     t0 = time.perf_counter()
     result = run_cell(
         dataset, method, "label_skew_20", BENCH_SCALE, seed=0,
-        backend=backend, workers=WORKERS,
+        fl_options={"backend": backend, "workers": WORKERS},
     )
     return time.perf_counter() - t0, result
 
@@ -137,7 +137,7 @@ def _best_of(dataset: str, method: str, backend: str, reps: int = 3):
         t0 = time.perf_counter()
         result = run_cell(
             dataset, method, "label_skew_20", BENCH_SCALE, seed=0,
-            backend=backend,
+            fl_options={"backend": backend},
         )
         if rep > 0:  # rep 0 is an untimed warm-up (first-call allocation)
             best = min(best, time.perf_counter() - t0)

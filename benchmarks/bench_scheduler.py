@@ -54,10 +54,12 @@ def run_tradeoff(scale, methods=METHODS, seed: int = 0) -> list[dict]:
     for method in methods:
         sync_row = None
         for sched in SCHEDULERS:
+            fl_options = {"network": NETWORK, "scheduler": sched}
+            if sched == "semisync":
+                fl_options["over_select_frac"] = OVER_SELECT_FRAC
             res = run_cell(
                 "cifar10", method, "label_skew_20", scale, seed=seed,
-                network=NETWORK, scheduler=sched,
-                over_select_frac=OVER_SELECT_FRAC if sched == "semisync" else None,
+                fl_options=fl_options,
             )
             h = res.history
             row = {

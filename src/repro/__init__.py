@@ -21,7 +21,6 @@ Quickstart::
 """
 
 from repro.algorithms import (
-    ALGORITHMS,
     CFL,
     IFCA,
     PACFL,
@@ -59,7 +58,6 @@ __all__ = [
     "incorporate_newcomer",
     "incorporate_newcomers",
     "select_weights",
-    "ALGORITHMS",
     "build_algorithm",
     "Local",
     "FedAvg",

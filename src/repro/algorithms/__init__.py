@@ -3,7 +3,7 @@
 Each algorithm class registers itself (and its ``FLConfig.extra`` knobs)
 with the component registry via ``@register("algorithm", name, ...)`` in
 its own module (:mod:`repro.fl.registry`); importing this package loads
-them all, so ``ALGORITHMS`` below is derived, not hand-maintained.
+them all, so ``registry.classes("algorithm")`` lists every one.
 """
 
 from repro.algorithms.cfl import CFL
@@ -17,11 +17,6 @@ from repro.algorithms.pacfl import PACFL
 from repro.algorithms.perfedavg import PerFedAvg
 from repro.core.fedclust import FedClust  # noqa: F401 - registers "fedclust"
 from repro.fl import registry
-
-#: name → class, derived from the component registry (an import-time
-#: snapshot for introspection; ``build_algorithm`` reads the live
-#: registry so late registrations work too)
-ALGORITHMS = registry.classes("algorithm")
 
 
 def build_algorithm(name: str, fed, model_fn, config, seed: int = 0):
@@ -49,6 +44,5 @@ __all__ = [
     "Scaffold",
     "FedDyn",
     "ClusteredAlgorithm",
-    "ALGORITHMS",
     "build_algorithm",
 ]

@@ -230,17 +230,6 @@ def _validate_registry_flags(parser: argparse.ArgumentParser, args) -> None:
                     f"--{fam.name} {'|'.join(sorted(o.only_for))} "
                     f"(or set {fam.env})"
                 )
-    # cross-family conflict the per-option metadata cannot express
-    sched = args.scheduler or os.environ.get("REPRO_SCHEDULER", "sync").strip()
-    try:
-        sched_name = registry.spec_name("scheduler", sched or "sync")
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.deadline is not None and sched_name == "buffered":
-        parser.error(
-            "--deadline has no effect with the buffered scheduler (there "
-            "is no round barrier to enforce it at); use sync or semisync"
-        )
 
 
 def _registry_env(args) -> dict[str, str]:

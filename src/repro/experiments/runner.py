@@ -38,15 +38,6 @@ class CellResult:
         return self.history.final_accuracy()
 
 
-#: legacy per-subsystem ``run_cell`` keywords, kept as deprecation shims:
-#: each is equivalent to the same-named ``fl_options`` key (registry
-#: declarations in :mod:`repro.fl.registry`).
-_LEGACY_KWARGS = (
-    "backend", "workers", "codec", "topk_frac", "network", "deadline",
-    "scheduler", "buffer_size", "staleness_alpha", "over_select_frac",
-)
-
-
 def build_cell(
     dataset: str,
     method: str,
@@ -56,7 +47,7 @@ def build_cell(
     config_overrides: dict | None = None,
     extra_overrides: dict | None = None,
     fl_options: dict | None = None,
-    **legacy_options,
+    **unknown,
 ):
     """Construct one cell's ready-to-run algorithm without running it.
 
@@ -67,20 +58,19 @@ def build_cell(
     algorithm — are recorded in ``algo.checkpoint_meta``, so every
     checkpoint the run writes is self-describing and the ``resume`` CLI
     can reconstruct the cell from the file alone.
+
+    Engine knobs go in ``fl_options`` only; any other keyword raises a
+    ``TypeError`` that lists the ``fl_options`` keys.
     """
-    unknown = set(legacy_options) - set(_LEGACY_KWARGS)
     if unknown:
         raise TypeError(
             f"build_cell() got unexpected keyword arguments {sorted(unknown)}; "
             f"pass engine knobs via fl_options (known keys: "
             f"{sorted(registry.flat_option_targets())})"
         )
-    merged_options = dict(fl_options or {})
-    merged_options.update(
-        {k: v for k, v in legacy_options.items() if v is not None}
-    )
+    fl_options = dict(fl_options or {})
     overrides = dict(config_overrides or {})
-    option_fields, option_extras = registry.apply_options(merged_options)
+    option_fields, option_extras = registry.apply_options(fl_options)
     overrides.update(option_fields)
     fed = make_federation(dataset, setting, scale, seed=seed)
     model_fn = make_model_fn(dataset, fed, scale)
@@ -99,7 +89,7 @@ def build_cell(
         "seed": int(seed),
         "config_overrides": dict(config_overrides or {}),
         "extra_overrides": dict(extra_overrides or {}),
-        "fl_options": merged_options,
+        "fl_options": fl_options,
     }
     return algo
 
@@ -114,7 +104,7 @@ def run_cell(
     extra_overrides: dict | None = None,
     fl_options: dict | None = None,
     resume_from=None,
-    **legacy_options,
+    **unknown,
 ) -> CellResult:
     """Run one (dataset, method, setting) cell at the given scale.
 
@@ -132,15 +122,13 @@ def run_cell(
             option name (``{"topk_frac": 0.1, "net_mbps": 10.0,
             "prox_mu": 0.01}``) — any key a registered component
             declares (:func:`repro.fl.registry.apply_options`); unknown
-            keys raise with the known-key list.  This replaces the old
-            one-keyword-per-knob signature.
+            keys raise with the known-key list.
         resume_from: checkpoint path (or loaded
             :class:`~repro.fl.checkpoint.Checkpoint`) to resume from
             instead of starting at round 1; the cell configuration must
             match the checkpoint's fingerprint.
-        **legacy_options: deprecated per-knob shorthands (``backend=``,
-            ``codec=``, ``topk_frac=``, ...); still honoured, and they
-            win over ``fl_options`` like explicit keywords always did.
+        **unknown: rejected with a ``TypeError`` that points at
+            ``fl_options``.
 
     Returns:
         The completed :class:`CellResult`.
@@ -148,7 +136,7 @@ def run_cell(
     algo = build_cell(
         dataset, method, setting, scale, seed=seed,
         config_overrides=config_overrides, extra_overrides=extra_overrides,
-        fl_options=fl_options, **legacy_options,
+        fl_options=fl_options, **unknown,
     )
     logger.debug(
         "running cell %s/%s/%s seed=%d rounds=%d%s",
@@ -215,8 +203,8 @@ def run_methods(
 ) -> dict[str, list[CellResult]]:
     """Run several methods (each over ``seeds``) on one dataset/setting.
 
-    Extra keyword arguments (``config_overrides``, ``backend``,
-    ``workers``, ...) are forwarded to :func:`run_cell`.
+    Extra keyword arguments (``config_overrides``, ``extra_overrides``,
+    ``fl_options``) are forwarded to :func:`run_cell`.
     """
     out: dict[str, list[CellResult]] = {}
     for method in methods:

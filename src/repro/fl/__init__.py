@@ -14,7 +14,6 @@ from repro.fl.registry import (
     register,
 )
 from repro.fl.codecs import (
-    CODECS,
     Codec,
     Encoded,
     Fp16Codec,
@@ -26,7 +25,6 @@ from repro.fl.codecs import (
 from repro.fl.comm import MB, CommTracker
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
-    BACKENDS,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -34,7 +32,6 @@ from repro.fl.execution import (
     make_backend,
 )
 from repro.fl.network import (
-    NETWORKS,
     ClientLink,
     FlakyNetwork,
     HeterogeneousNetwork,
@@ -48,8 +45,6 @@ from repro.fl.network import (
 from repro.fl.fairness import FairnessReport, fairness_report
 from repro.fl.history import History, RoundRecord
 from repro.fl.population import (
-    KNOWN_POP_KEYS,
-    POPULATIONS,
     ChurnPopulation,
     GrowthPopulation,
     PopulationEvent,
@@ -60,8 +55,6 @@ from repro.fl.population import (
 )
 from repro.fl.sampling import sample_clients
 from repro.fl.scheduler import (
-    KNOWN_SCHED_KEYS,
-    SCHEDULERS,
     BufferedScheduler,
     Scheduler,
     SemiSyncScheduler,
@@ -100,7 +93,6 @@ __all__ = [
     "Fp16Codec",
     "Int8Codec",
     "TopKCodec",
-    "CODECS",
     "make_codec",
     "NetworkModel",
     "ClientLink",
@@ -109,21 +101,17 @@ __all__ = [
     "HeterogeneousNetwork",
     "StragglerNetwork",
     "FlakyNetwork",
-    "NETWORKS",
     "make_network",
     "resolve_deadline",
     "Scheduler",
     "SyncScheduler",
     "SemiSyncScheduler",
     "BufferedScheduler",
-    "SCHEDULERS",
-    "KNOWN_SCHED_KEYS",
     "make_scheduler",
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "BACKENDS",
     "make_backend",
     "PopulationModel",
     "PopulationEvent",
@@ -131,8 +119,6 @@ __all__ = [
     "ChurnPopulation",
     "GrowthPopulation",
     "TracePopulation",
-    "POPULATIONS",
-    "KNOWN_POP_KEYS",
     "make_population",
     "FairnessReport",
     "fairness_report",

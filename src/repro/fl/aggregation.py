@@ -77,8 +77,6 @@ __all__ = [
     "MultiKrumAggregator",
     "ClipAggregator",
     "WEIGHTED",
-    "AGGREGATORS",
-    "KNOWN_AGG_KEYS",
     "make_aggregator",
 ]
 
@@ -561,13 +559,6 @@ class ClipAggregator(Aggregator):
 #: ``run()`` always builds a fresh per-run instance via
 #: :func:`make_aggregator`.
 WEIGHTED = WeightedAggregator()
-
-#: name → class, derived from the component registry (kept for
-#: introspection/back-compat; the registry is the source of truth)
-AGGREGATORS = registry.classes("aggregator")
-
-#: the registry-derived ``agg_`` key set (``FLConfig.extra`` validation)
-KNOWN_AGG_KEYS = registry.known_prefix_keys("aggregator")
 
 
 def make_aggregator(config=None, aggregator: str | None = None) -> Aggregator:

@@ -81,8 +81,6 @@ __all__ = [
     "SignFlipAttack",
     "NoiseAttack",
     "ScaleAttack",
-    "ATTACKS",
-    "KNOWN_ATK_KEYS",
     "make_attack",
 ]
 
@@ -321,13 +319,6 @@ class ScaleAttack(AttackModel):
     def poison_params(self, algo, u, ref, key_idx):
         return ref + self.scale * (u.params - ref)
 
-
-#: name → class, derived from the component registry (kept for
-#: introspection/back-compat; the registry is the source of truth)
-ATTACKS = registry.classes("attack")
-
-#: the registry-derived ``atk_`` key set (``FLConfig.extra`` validation)
-KNOWN_ATK_KEYS = registry.known_prefix_keys("attack")
 
 
 def make_attack(

@@ -63,7 +63,6 @@ __all__ = [
     "Fp16Codec",
     "Int8Codec",
     "TopKCodec",
-    "CODECS",
     "make_codec",
 ]
 
@@ -441,10 +440,6 @@ class TopKCodec(Codec):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TopKCodec(frac={self.frac})"
 
-
-#: name → class, derived from the component registry (kept for
-#: introspection/back-compat; the registry is the source of truth)
-CODECS = registry.classes("codec")
 
 
 def make_codec(

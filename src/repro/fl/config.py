@@ -63,7 +63,8 @@ class FLConfig:
     #: per-round deadline in *simulated* seconds: clients whose simulated
     #: download + compute + upload exceeds it are cut off and the server
     #: aggregates the partial cohort.  ``None`` disables the deadline
-    #: (``REPRO_DEADLINE`` can still enable it globally).
+    #: (``REPRO_DEADLINE`` can still enable it globally).  The
+    #: ``buffered`` scheduler has no rounds to cut and rejects it.
     deadline: float | None = None
     #: control-loop scheduler (:mod:`repro.fl.scheduler`): ``"sync"``
     #: (the seed round loop), ``"semisync"`` (over-select, aggregate the

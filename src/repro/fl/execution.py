@@ -110,7 +110,6 @@ __all__ = [
     "CohortRunner",
     "ClientTrainSpec",
     "ClientEvalSpec",
-    "BACKENDS",
     "ClientSlots",
     "make_backend",
     "resolve_workers",
@@ -638,10 +637,6 @@ class CohortRunner(ExecutionBackend):
                 results[i] = float(accs[c])
         return results
 
-
-#: name → class, derived from the component registry (kept for
-#: introspection/back-compat; the registry is the source of truth)
-BACKENDS = registry.classes("backend")
 
 
 def make_backend(

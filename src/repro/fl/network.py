@@ -53,8 +53,6 @@ __all__ = [
     "HeterogeneousNetwork",
     "StragglerNetwork",
     "FlakyNetwork",
-    "NETWORKS",
-    "KNOWN_NET_KEYS",
     "make_network",
     "resolve_deadline",
 ]
@@ -275,14 +273,6 @@ class FlakyNetwork(HeterogeneousNetwork):
     name = "flaky"
     availability = 0.8
 
-
-#: name → class, derived from the component registry (kept for
-#: introspection/back-compat; the registry is the source of truth)
-NETWORKS = registry.classes("network")
-
-#: legacy alias for the registry-derived ``net_`` key set (every option
-#: any profile declares under the family prefix)
-KNOWN_NET_KEYS = registry.known_prefix_keys("network")
 
 
 def make_network(

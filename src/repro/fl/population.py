@@ -92,8 +92,6 @@ __all__ = [
     "ChurnPopulation",
     "GrowthPopulation",
     "TracePopulation",
-    "POPULATIONS",
-    "KNOWN_POP_KEYS",
     "make_population",
 ]
 
@@ -569,13 +567,6 @@ class TracePopulation(PopulationModel):
         for event in sorted(self.events, key=lambda e: e.time):
             self._push(event.time, event.kind, event.client)
 
-
-#: name → class, derived from the component registry (kept for
-#: introspection/back-compat; the registry is the source of truth)
-POPULATIONS = registry.classes("population")
-
-#: the registry-derived ``pop_`` key set (``FLConfig.extra`` validation)
-KNOWN_POP_KEYS = registry.known_prefix_keys("population")
 
 
 def make_population(

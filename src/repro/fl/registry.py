@@ -832,8 +832,8 @@ def validate_config(config: Any) -> None:
     For every config-selected family: validate the spec-string field,
     bounds-check each field-backed option, and reject unknown
     prefix-namespaced keys in ``extra`` with the known-key list
-    (the ``KNOWN_NET_KEYS``/``KNOWN_SCHED_KEYS`` typo guard, now derived
-    for every family from its declarations).
+    (:func:`known_prefix_keys`, derived for every family from its
+    declarations).
     """
     extra = getattr(config, "extra", None) or {}
     for fam in _FAMILIES.values():

@@ -1,36 +1,42 @@
-"""Event-driven federation schedulers on the simulated clock.
+"""Federation schedulers: one round loop, three arrival policies.
 
-The seed engine's control loop is strictly synchronous: every round waits
-for its slowest surviving client, so under heterogeneous network profiles
-(:mod:`repro.fl.network`'s ``stragglers``/``flaky``) the simulated
-``sim_seconds`` clock mostly measures waiting.  This module makes the
-*control loop itself* pluggable.  A :class:`Scheduler` owns rounds 1..T of
-a federation run: it composes the engine's round primitives — select →
-wire-down → execute → wire-up → aggregate — on a virtual-clock event
-queue driven by :meth:`NetworkModel.client_seconds
-<repro.fl.network.NetworkModel.client_seconds>`.
+A :class:`Scheduler` owns rounds 1..T of a federation run (round-0
+``setup`` has already run).  :meth:`Scheduler.run` is the one round
+loop, on a virtual clock driven by :meth:`NetworkModel.client_seconds
+<repro.fl.network.NetworkModel.client_seconds>`:
 
-Schedulers
-----------
+    select → ``wire_down`` → ``execute`` → ``encode_upload`` +
+    ``trip_seconds`` per upload → arrival policy (keep, deadline-cut or
+    cancel) → ``deliver`` into the topology sink → ``aggregate`` →
+    record on the eval cadence → checkpoint
 
-``sync``
-    The seed round loop, extracted.  Selects a cohort, waits for every
-    surviving upload (or the deadline), aggregates, evaluates.  With the
-    default configuration this is **bit-for-bit** the pre-scheduler
-    engine on every execution backend.
+Schedulers differ only in their *arrival policy* — which uploads a
+boundary waits for:
 
-``semisync``
-    Over-selects each round's cohort by ``over_select_frac``, waits for
-    the first *quorum* arrivals in virtual time (the nominal cohort
-    size), aggregates them, and cancels the straggling tail — the
-    cancelled clients' uploads never complete, are never metered, and
-    (for error-feedback codecs) never commit their residuals.
+``sync`` — wait for all
+    Samples ``sample_rate`` of the roster and keeps every upload the
+    deadline (if any) does not cut.  Each upload is classified the
+    moment it is encoded, in submission order, and delivered before the
+    next one is encoded; the clock only runs when something is simulated
+    (a non-ideal network or a deadline).  With the default configuration
+    this is **bit-for-bit** the seed engine on every execution backend.
 
-``buffered``
-    Buffered asynchronous aggregation in the FedBuff/FedAsync style:
-    up to ``concurrency`` clients run continuously on the virtual clock;
-    the server folds the buffer into its state every ``buffer_size``
-    arrivals via :meth:`FederatedAlgorithm.merge
+``semisync`` — first quorum
+    Over-selects by ``over_select_frac``, ranks the round's uploads by
+    simulated arrival time, keeps the first *quorum* (the nominal cohort
+    of the live roster) and cancels the tail: cancelled uploads never
+    complete, are never metered, and (for error-feedback codecs) never
+    commit their residuals.  Ranking needs the clock, so it always runs,
+    and every kept arrival is logged in ``extras["events"]``.  With
+    ``over_select_frac=0`` it keeps exactly the uploads ``sync`` keeps.
+
+``buffered`` — buffered flush
+    Buffered asynchronous aggregation in the FedBuff/FedAsync style,
+    on an event queue instead of the round loop (it reuses the loop's
+    per-upload and commit steps): up to ``concurrency`` clients run
+    continuously on the virtual clock; the server folds the buffer into
+    its state every ``buffer_size`` arrivals via
+    :meth:`FederatedAlgorithm.merge
     <repro.fl.server.FederatedAlgorithm.merge>`, discounting each
     update's aggregation weight by its *staleness* (how many buffer
     flushes happened between the client's dispatch and its merge).
@@ -40,7 +46,8 @@ Schedulers
     ``buffer_size == cohort`` and a zero staleness discount
     (``staleness_alpha=0``) the schedule degenerates to ``sync`` and the
     run is bit-for-bit identical to it (histories, communication,
-    aggregated parameters).
+    aggregated parameters).  It has no round barrier, so a ``deadline``
+    is rejected.
 
 Selection mirrors the other engine knobs: ``FLConfig(scheduler=...,
 buffer_size=..., staleness_alpha=..., over_select_frac=...)``;
@@ -48,7 +55,11 @@ buffer_size=..., staleness_alpha=..., over_select_frac=...)``;
 ``REPRO_BUFFER_SIZE`` / ``REPRO_STALENESS_ALPHA`` /
 ``REPRO_OVER_SELECT_FRAC``, and the experiments CLI exposes
 ``--scheduler`` / ``--buffer-size`` / ``--staleness-alpha`` /
-``--over-select-frac``.
+``--over-select-frac``.  Buffered's other knobs live in
+``FLConfig.extra`` under a ``sched_`` prefix: ``sched_staleness_mode``
+(``"poly"`` — ``(1+s)^(-alpha)`` — or ``"const"`` — a flat ``alpha`` for
+any stale update) and ``sched_concurrency`` (the concurrent-client pool
+size; 0 = the nominal cohort size).
 
 Determinism
 -----------
@@ -56,23 +67,15 @@ Determinism
 Everything here runs on the main thread with named-key randomness, and
 all event ordering derives from deterministic simulated durations (ties
 broken by dispatch sequence), so every scheduler preserves the engine's
-bit-for-bit backend-equivalence contract.  Asynchronous schedulers fold
-buffers in *dispatch* order (not arrival order) so floating-point
-reductions see a canonical operand order.
-
-Scheduler-specific knobs beyond the four ``FLConfig`` fields live in
-``FLConfig.extra`` under a ``sched_`` prefix (validated against
-:data:`KNOWN_SCHED_KEYS`): ``sched_staleness_mode`` (``"poly"`` —
-``(1+s)^(-alpha)`` — or ``"const"`` — a flat ``alpha`` for any stale
-update) and ``sched_concurrency`` (buffered's concurrent-client pool
-size; 0 = the nominal cohort size).
+bit-for-bit backend-equivalence contract.  Kept uploads are delivered,
+and buffers folded, in *submission* order (not arrival order) so
+floating-point reductions see a canonical operand order.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -93,16 +96,9 @@ __all__ = [
     "SyncScheduler",
     "SemiSyncScheduler",
     "BufferedScheduler",
-    "SCHEDULERS",
-    "KNOWN_SCHED_KEYS",
     "make_scheduler",
     "nominal_cohort",
 ]
-
-#: legacy alias for the registry-derived ``sched_`` key set; populated
-#: at the bottom of the module, after every scheduler has registered its
-#: options.
-KNOWN_SCHED_KEYS: frozenset[str]
 
 #: checkpointing applies to every scheduler, so its knobs are declared
 #: once at the family level (like the network family's ``deadline``);
@@ -174,6 +170,18 @@ class _Spans(object):
         self.cancelled: list[int] = []
         self.events: list[dict] = []
         self.pop_events: list[dict] = []
+
+    def arrival(self, client: int, t: float, staleness: int, flush: int) -> None:
+        """Log one delivered upload: an ``extras["events"]`` entry plus an
+        ``arrival`` telemetry event."""
+        event = {
+            "client": int(client),
+            "t": float(t),
+            "staleness": int(staleness),
+            "flush": int(flush),
+        }
+        self.events.append(event)
+        self.algo.telemetry.emit("arrival", **event)
 
     def flush_record(self, round_idx: int, delivered: list["ClientUpdate"]) -> None:
         """Evaluate and append one :class:`RoundRecord`, then reset spans."""
@@ -259,14 +267,18 @@ class _Spans(object):
         self.mark = time.perf_counter()
 
 
-class Scheduler(ABC):
+class Scheduler:
     """Owns a federation's control loop (rounds 1..T, after ``setup``).
 
-    Subclasses compose the round primitives below — ``wire_down`` (select
-    → availability → download metering → dropout), ``execute`` (the
+    :meth:`run` is the round loop; a subclass supplies only its arrival
+    policy, :meth:`selection_rate` and :meth:`quorum` (the defaults are
+    ``sync``'s: sample at ``sample_rate``, wait for every upload).  The
+    loop calls the round primitives — ``wire_down`` (select →
+    availability → download metering → dropout), ``execute`` (the
     backend sweep), ``encode_upload`` / ``trip_seconds`` / ``deliver``
-    (the wire layer split at the virtual-time boundary) — into a
-    schedule.  One scheduler instance serves one run.
+    (the wire layer split at the virtual-time boundary) — and the
+    boundary's :meth:`commit` through ``self``, so subclasses and
+    profilers can wrap each one.  One scheduler instance serves one run.
     """
 
     #: registry name; subclasses set this
@@ -297,7 +309,24 @@ class Scheduler(ABC):
                 f"over_select_frac must be >= 0, got {over_select_frac}"
             )
 
-    @abstractmethod
+    # ------------------------------------------------------------------
+    # the arrival policy (what subclasses supply)
+    # ------------------------------------------------------------------
+    def selection_rate(self, cfg) -> float:
+        """Participation rate each round samples the roster at."""
+        return cfg.sample_rate
+
+    def quorum(self, algo: "FederatedAlgorithm") -> int | None:
+        """Uploads a round keeps before cancelling the rest (None = all).
+
+        A quorum makes the round rank its uploads by virtual arrival
+        time, so the clock always runs and every kept arrival is logged.
+        """
+        return None
+
+    # ------------------------------------------------------------------
+    # the round loop
+    # ------------------------------------------------------------------
     def run(self, algo: "FederatedAlgorithm", resume: dict | None = None) -> None:
         """Drive rounds 1..T of the federation (``setup`` already ran).
 
@@ -307,18 +336,122 @@ class Scheduler(ABC):
                 (via :func:`repro.fl.checkpoint.restore`); ``None`` starts
                 from round 1.
         """
+        cfg = algo.config
+        tele = algo.telemetry
+        spans = self.begin(algo, resume)
+        start = 1 if resume is None else int(resume["round"]) + 1
+        for round_idx in range(start, cfg.rounds + 1):
+            with tele.span("round", cat="scheduler", round=round_idx):
+                self.advance_population(algo, spans, round_idx, self.pop_now)
+                selected = algo.select_clients(
+                    round_idx, self.selection_rate(cfg)
+                )
+                survivors, down_nbytes, unavailable = self.wire_down(
+                    algo, round_idx, selected
+                )
+                spans.unavailable.extend(unavailable)
+                updates = self.execute(algo, round_idx, survivors)
+                # the topology sink receives each delivered update the
+                # moment it clears the wire (flat: a pass-through list,
+                # bit-for-bit the seed; hier: streaming edge reduction)
+                sink = algo.topology.sink(algo, round_idx)
+                with tele.span("wire_up", cat="wire", uploads=len(updates)):
+                    round_sim = self.arrive(
+                        algo, spans, round_idx, updates, down_nbytes, sink
+                    )
+                delivered = sink.finish()
+                spans.sim += round_sim
+                self.pop_now += round_sim if self.simulate else 1.0
+                self.commit(
+                    algo, spans, round_idx, cfg.rounds, sink.added, delivered
+                )
+                self.maybe_checkpoint(algo, spans, round_idx)
+
+    def arrive(
+        self, algo: "FederatedAlgorithm", spans: _Spans, round_idx: int,
+        updates: list, down_nbytes: dict[int, int], sink,
+    ) -> float:
+        """Keep, deadline-cut or cancel one round's uploads; deliver the kept.
+
+        Without a quorum each upload is classified as soon as it is
+        encoded, in submission order, and delivered before the next one
+        is encoded (the loop drops its own reference, so at most one
+        upload is held on the wire).  With a quorum all uploads are
+        encoded first and ranked by ``(arrival time, submission order)``;
+        the kept ones are then delivered in submission order and logged
+        as arrivals.  Returns the round's simulated duration: the last
+        kept arrival, or the whole deadline when anyone was cut.
+        """
+        tele = algo.telemetry
+        quorum = self.quorum(algo)
+        ranked = quorum is not None
+        clocked = ranked or self.simulate
+
+        def timed(seq: int) -> tuple[float, int, WireItem]:
+            u, updates[seq] = updates[seq], None
+            item = self.encode_upload(algo, u, round_idx)
+            t = self.trip_seconds(algo, item, down_nbytes) if clocked else 0.0
+            return t, seq, item
+
+        arrivals = map(timed, range(len(updates)))
+        if ranked:
+            arrivals = sorted(arrivals, key=lambda a: a[:2])
+        kept: list[tuple[int, float, WireItem]] = []
+        cut = False
+        round_sim = 0.0
+        for t, seq, item in arrivals:
+            cid = item.update.client_id
+            if ranked and len(kept) >= quorum:
+                # the server stopped waiting when the quorum filled;
+                # everything later is cancelled, deadline or not
+                spans.cancelled.append(cid)
+                tele.emit(
+                    "cancel", client=int(cid), t=float(t), flush=int(round_idx)
+                )
+                tele.count("cancellations")
+            elif self.deadline is not None and t > self.deadline:
+                # cut off mid-round: the upload never completes (not
+                # metered), error-feedback residuals stay as they were,
+                # and the update is discarded
+                spans.dropped.append(cid)
+                cut = True
+                tele.emit(
+                    "deadline_drop", client=int(cid), t=float(t),
+                    flush=int(round_idx),
+                )
+                tele.count("deadline_drops")
+            else:
+                if clocked:
+                    tele.vspan(
+                        "trip", self.pop_now, self.pop_now + t, client=int(cid)
+                    )
+                    round_sim = max(round_sim, t)
+                if ranked:
+                    kept.append((seq, t, item))
+                else:
+                    sink.add(self.deliver(algo, item, round_idx))
+        for seq, t, item in sorted(kept, key=lambda k: k[0]):
+            sink.add(self.deliver(algo, item, round_idx))
+            spans.arrival(item.update.client_id, t, 0, round_idx)
+        # the server waits out the budget; a ranked round only cuts when
+        # its quorum never filled (every arrival after a cut is late too)
+        return self.deadline if cut else round_sim
 
     # ------------------------------------------------------------------
-    # round primitives
+    # steps shared by every scheduler
     # ------------------------------------------------------------------
-    def begin(self, algo: "FederatedAlgorithm") -> None:
-        """Resolve the run's wire-layer flags (call once, before the loop)."""
+    def begin(self, algo: "FederatedAlgorithm", resume: dict | None) -> _Spans:
+        """Resolve the run's wire-layer flags and open its record span.
+
+        Call once, before the loop; ``resume`` restores the population
+        clock and the partial span (what every scheduler checkpoints).
+        """
         self.deadline = resolve_deadline(algo.config)
         self.identity = isinstance(algo.codec, IdentityCodec)
         self.ideal = isinstance(algo.network, IdealNetwork)
         #: sync only simulates time when a non-ideal network or a deadline
-        #: is active (the seed behaviour); event-driven schedulers always
-        #: run the virtual clock
+        #: is active (the seed behaviour); quorum and event-driven
+        #: schedulers always run the virtual clock
         self.simulate = (not self.ideal) or self.deadline is not None
         #: whether the run's population can change (non-static model);
         #: False short-circuits every population hook
@@ -326,12 +459,48 @@ class Scheduler(ABC):
             algo.population is not None and algo.population.dynamic
         )
         #: the population clock: the scheduler's virtual time, except for
-        #: a sync run that simulates nothing (ideal network, no deadline)
-        #: which counts one second per round so population scenarios stay
-        #: expressible under the default configuration
+        #: a run that simulates nothing (ideal network, no deadline),
+        #: which counts one second per round (per flush, for buffered) so
+        #: population scenarios stay expressible under the defaults
         self.pop_now = 0.0
         #: periodic checkpoint writer (``None`` = checkpointing disabled)
         self._checkpointer = Checkpointer.from_config(algo.config)
+        spans = _Spans(algo)
+        if resume is not None:
+            self.pop_now = float(resume["pop_now"])
+            spans.load_state_dict(resume["spans"])
+        return spans
+
+    def commit(
+        self, algo: "FederatedAlgorithm", spans: _Spans, idx: int, last: int,
+        arrived: int, updates: list,
+    ) -> bool:
+        """Close a boundary: :meth:`fold` it in, then record on the cadence.
+
+        ``idx`` is the round (or buffered flush); ``last``, the run's
+        final boundary, always records.  ``arrived`` counts the uploads
+        that reached the server (a hierarchical sink hands over fewer
+        edge summaries as ``updates``).  An empty boundary — everyone
+        cut, unavailable or dropped out — changes nothing server-side,
+        but the federation still advances and the record still commits.
+        Returns whether a record was written.
+        """
+        algo.telemetry.observe("arrivals_per_flush", arrived)
+        if updates:
+            self.fold(algo, spans, idx, updates)
+        if idx % algo.config.eval_every and idx != last:
+            return False
+        spans.flush_record(idx, updates)
+        return True
+
+    def fold(
+        self, algo: "FederatedAlgorithm", spans: _Spans, idx: int, updates: list
+    ) -> None:
+        """Fold one round's delivered updates into the server state."""
+        with algo.telemetry.span(
+            "aggregate", cat="scheduler", updates=len(updates)
+        ):
+            algo.aggregate(idx, updates)
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -365,6 +534,9 @@ class Scheduler(ABC):
         if algo.on_checkpoint is not None:
             algo.on_checkpoint(completed, path)
 
+    # ------------------------------------------------------------------
+    # round primitives
+    # ------------------------------------------------------------------
     def advance_population(
         self, algo: "FederatedAlgorithm", spans: _Spans, key_idx: int, now: float
     ) -> None:
@@ -410,9 +582,9 @@ class Scheduler(ABC):
         tele = algo.telemetry
         with tele.span("wire_down", cat="wire", selected=len(selected)):
             selected = np.asarray(selected, dtype=int)
-            unavailable: list[int] = []
             pop = algo.population
-            if self.dynamic_population and pop.lazy and selected.size:
+            masks = []
+            if self.dynamic_population and pop.lazy:
                 # a lazy population has no leave/return event stream: each
                 # sampled client's reachability is resolved here from its
                 # pure keyed session timeline.  Rejection-sampling
@@ -421,25 +593,24 @@ class Scheduler(ABC):
                 # only on contact, exactly like the eventful model's
                 # shrunk-eligible-set draw in expectation but O(cohort)
                 # in memory.
-                mask = np.fromiter(
-                    (pop.available(int(c), self.pop_now) for c in selected),
-                    dtype=bool, count=selected.size,
-                )
-                offline = [int(c) for c in selected[~mask]]
-                selected = selected[mask]
-                for cid in offline:
-                    tele.emit("unavailable", client=cid)
-                if offline:
-                    tele.count("unavailable", len(offline))
-                    unavailable.extend(offline)
+                masks.append(lambda sel: np.fromiter(
+                    (pop.available(int(c), self.pop_now) for c in sel),
+                    dtype=bool, count=sel.size,
+                ))
             if not self.ideal:
-                mask = algo.network.available_mask(round_idx, selected)
-                unavailable = [int(c) for c in selected[~mask]]
+                masks.append(
+                    lambda sel: algo.network.available_mask(round_idx, sel)
+                )
+            unavailable: list[int] = []
+            for mask_of in masks:
+                mask = mask_of(selected)
+                skipped = [int(c) for c in selected[~mask]]
                 selected = selected[mask]
-                for cid in unavailable:
+                for cid in skipped:
                     tele.emit("unavailable", client=cid)
-                if unavailable:
-                    tele.count("unavailable", len(unavailable))
+                if skipped:
+                    tele.count("unavailable", len(skipped))
+                    unavailable.extend(skipped)
             dropout_rng = (
                 algo.rngs.make("dropout", round_idx)
                 if cfg.dropout_rate > 0
@@ -542,84 +713,15 @@ class Scheduler(ABC):
 
 @register("scheduler", "sync")
 class SyncScheduler(Scheduler):
-    """The seed engine's synchronous round loop, extracted verbatim.
+    """Wait for all: the round loop under the base arrival policy.
 
-    Every round waits for all surviving uploads (or cuts them at the
-    deadline).  With the default configuration this is bit-for-bit the
-    pre-scheduler engine — the cross-backend equivalence contract's
-    reference behaviour.
+    Every round samples ``sample_rate`` of the roster and keeps every
+    surviving upload the deadline (if any) does not cut.  With the
+    default configuration this is bit-for-bit the pre-scheduler engine —
+    the cross-backend equivalence contract's reference behaviour.
     """
 
     name = "sync"
-
-    def run(self, algo: "FederatedAlgorithm", resume: dict | None = None) -> None:
-        cfg = algo.config
-        tele = algo.telemetry
-        self.begin(algo)
-        spans = _Spans(algo)
-        start = 1
-        if resume is not None:
-            start = int(resume["round"]) + 1
-            self.pop_now = float(resume["pop_now"])
-            spans.load_state_dict(resume["spans"])
-        for round_idx in range(start, cfg.rounds + 1):
-            with tele.span("round", cat="scheduler", round=round_idx):
-                self.advance_population(algo, spans, round_idx, self.pop_now)
-                selected = algo.select_clients(round_idx)
-                survivors, down_nbytes, unavailable = self.wire_down(
-                    algo, round_idx, selected
-                )
-                spans.unavailable.extend(unavailable)
-                updates = self.execute(algo, round_idx, survivors)
-                # the topology sink receives each delivered update the
-                # moment it clears the wire (flat: a pass-through list,
-                # bit-for-bit the seed; hier: streaming edge reduction) —
-                # the loop releases its own reference right away
-                sink = algo.topology.sink(algo, round_idx)
-                cut: list[int] = []
-                round_sim = 0.0
-                with tele.span("wire_up", cat="wire", uploads=len(updates)):
-                    for i, u in enumerate(updates):
-                        updates[i] = None
-                        item = self.encode_upload(algo, u, round_idx)
-                        if self.simulate:
-                            t = self.trip_seconds(algo, item, down_nbytes)
-                            if self.deadline is not None and t > self.deadline:
-                                # Cut off mid-round: the upload never
-                                # completes (not metered), error-feedback
-                                # residuals stay as they were, and the
-                                # update is discarded.
-                                cut.append(u.client_id)
-                                tele.emit(
-                                    "deadline_drop",
-                                    client=int(u.client_id), t=float(t),
-                                    flush=int(round_idx),
-                                )
-                                tele.count("deadline_drops")
-                                continue
-                            tele.vspan(
-                                "trip", self.pop_now, self.pop_now + t,
-                                client=int(u.client_id),
-                            )
-                            round_sim = max(round_sim, t)
-                        sink.add(self.deliver(algo, item, round_idx))
-                delivered = sink.finish()
-                if cut and self.deadline is not None:
-                    round_sim = self.deadline  # server waits out the budget
-                spans.sim += round_sim
-                spans.dropped.extend(cut)
-                tele.observe("arrivals_per_flush", sink.added)
-                if delivered:
-                    # an all-cut (or all-unavailable) round changes nothing
-                    # server-side; the record below still commits
-                    with tele.span(
-                        "aggregate", cat="scheduler", updates=len(delivered)
-                    ):
-                        algo.aggregate(round_idx, delivered)
-                self.pop_now += round_sim if self.simulate else 1.0
-                if round_idx % cfg.eval_every == 0 or round_idx == cfg.rounds:
-                    spans.flush_record(round_idx, delivered)
-                self.maybe_checkpoint(algo, spans, round_idx)
 
 
 @register("scheduler", "semisync", options=[
@@ -630,12 +732,12 @@ class SyncScheduler(Scheduler):
              "keeping the first quorum arrivals"),
 ])
 class SemiSyncScheduler(Scheduler):
-    """Over-select, aggregate the first *quorum* arrivals, cancel the tail.
+    """First quorum: over-select, keep the first arrivals, cancel the tail.
 
     Each round samples ``sample_rate * (1 + over_select_frac)`` of the
-    federation, executes every survivor, sorts their simulated round
-    trips, and aggregates the first ``quorum`` (= the nominal sync cohort
-    size) to arrive.  The rest are cancelled: their uploads never
+    federation, executes every survivor, ranks their simulated round
+    trips, and keeps the first ``quorum`` (= the nominal cohort of the
+    live roster) to arrive.  The rest are cancelled: their uploads never
     complete, cost no wire bytes, and never commit error-feedback
     residuals — their ids land in ``RoundRecord.extras["cancelled"]``.
     The round's simulated duration is the quorum-th arrival, so a single
@@ -650,105 +752,12 @@ class SemiSyncScheduler(Scheduler):
 
     name = "semisync"
 
-    def run(self, algo: "FederatedAlgorithm", resume: dict | None = None) -> None:
-        cfg = algo.config
-        self.begin(algo)
-        spans = _Spans(algo)
-        # the initial-roster quorum survives a resume: under a dynamic
-        # population it is recomputed per round below, and under a static
-        # one ``fed.num_clients`` never changes
-        quorum = nominal_cohort(algo.fed.num_clients, cfg.sample_rate)
-        rate = min(1.0, cfg.sample_rate * (1.0 + self.over_select_frac))
-        start = 1
-        if resume is not None:
-            start = int(resume["round"]) + 1
-            self.pop_now = float(resume["pop_now"])
-            spans.load_state_dict(resume["spans"])
-        tele = algo.telemetry
-        for round_idx in range(start, cfg.rounds + 1):
-            with tele.span("round", cat="scheduler", round=round_idx):
-                self.advance_population(algo, spans, round_idx, self.pop_now)
-                if self.dynamic_population:
-                    # quorum tracks the eligible population as it churns
-                    quorum = nominal_cohort(
-                        algo.roster_size(), cfg.sample_rate
-                    )
-                selected = algo.select_clients(round_idx, sample_rate=rate)
-                survivors, down_nbytes, unavailable = self.wire_down(
-                    algo, round_idx, selected
-                )
-                spans.unavailable.extend(unavailable)
-                updates = self.execute(algo, round_idx, survivors)
-                with tele.span("wire_up", cat="wire", uploads=len(updates)):
-                    arrivals = []
-                    for seq, u in enumerate(updates):
-                        item = self.encode_upload(algo, u, round_idx)
-                        t = self.trip_seconds(algo, item, down_nbytes)
-                        arrivals.append((t, seq, item))
-                    arrivals.sort(key=lambda a: (a[0], a[1]))
-                    kept: list[tuple[int, float, WireItem]] = []
-                    cut: list[int] = []
-                    round_sim = 0.0
-                    for t, seq, item in arrivals:
-                        if len(kept) >= quorum:
-                            # The server stopped waiting when the quorum
-                            # filled; everything later is cancelled,
-                            # deadline or not.
-                            spans.cancelled.append(item.update.client_id)
-                            tele.emit(
-                                "cancel",
-                                client=int(item.update.client_id),
-                                t=float(t), flush=int(round_idx),
-                            )
-                            tele.count("cancellations")
-                        elif self.deadline is not None and t > self.deadline:
-                            cut.append(item.update.client_id)
-                            tele.emit(
-                                "deadline_drop",
-                                client=int(item.update.client_id),
-                                t=float(t), flush=int(round_idx),
-                            )
-                            tele.count("deadline_drops")
-                        else:
-                            kept.append((seq, t, item))
-                            tele.vspan(
-                                "trip", self.pop_now, self.pop_now + t,
-                                client=int(item.update.client_id),
-                            )
-                            round_sim = max(round_sim, t)
-                    if cut and self.deadline is not None and len(kept) < quorum:
-                        round_sim = self.deadline
-                    # deliver and aggregate in submission (dispatch) order
-                    # so floating-point reductions see the canonical
-                    # operand order
-                    kept.sort(key=lambda k: k[0])
-                    sink = algo.topology.sink(algo, round_idx)
-                    for seq, t, item in kept:
-                        sink.add(self.deliver(algo, item, round_idx))
-                        spans.events.append(
-                            {
-                                "client": int(item.update.client_id),
-                                "t": float(t),
-                                "staleness": 0,
-                                "flush": int(round_idx),
-                            }
-                        )
-                        tele.emit("arrival", **spans.events[-1])
-                delivered = sink.finish()
-                spans.sim += round_sim
-                spans.dropped.extend(cut)
-                tele.observe("arrivals_per_flush", sink.added)
-                if delivered:
-                    # an all-cut round changes nothing server-side; the
-                    # record below still commits
-                    with tele.span(
-                        "aggregate", cat="scheduler", updates=len(delivered)
-                    ):
-                        algo.aggregate(round_idx, delivered)
-                self.pop_now += round_sim if self.simulate else 1.0
-                if round_idx % cfg.eval_every == 0 or round_idx == cfg.rounds:
-                    spans.flush_record(round_idx, delivered)
-                self.maybe_checkpoint(algo, spans, round_idx)
+    def selection_rate(self, cfg) -> float:
+        return min(1.0, cfg.sample_rate * (1.0 + self.over_select_frac))
+
+    def quorum(self, algo: "FederatedAlgorithm") -> int:
+        # sized per round, so it tracks the eligible roster as it churns
+        return nominal_cohort(algo.roster_size(), algo.config.sample_rate)
 
 
 @register("scheduler", "buffered", options=[
@@ -790,8 +799,8 @@ class BufferedScheduler(Scheduler):
     buffer_size`` flushes), so comparisons are schedule-vs-schedule at
     equal work; ``History`` rounds count flushes.
 
-    The per-round ``deadline`` knob does not apply (there are no round
-    barriers to enforce it at); a client in flight at the end of the run
+    There are no round barriers, so a per-round ``deadline`` is rejected
+    (:func:`make_scheduler`); a client in flight at the end of the run
     is discarded, like a real federation shutting down.
     """
 
@@ -799,8 +808,7 @@ class BufferedScheduler(Scheduler):
 
     def run(self, algo: "FederatedAlgorithm", resume: dict | None = None) -> None:
         cfg = algo.config
-        self.begin(algo)
-        spans = _Spans(algo)
+        spans = self.begin(algo, resume)
         if resume is None:
             self._cohort = nominal_cohort(algo.fed.num_clients, cfg.sample_rate)
             concurrency = (
@@ -827,9 +835,7 @@ class BufferedScheduler(Scheduler):
             self._mark_sim = 0.0  # virtual time at the last record
             self._dispatch(algo, spans, self._now)
         else:
-            self._load_resume(spans, resume)
-        eval_every = cfg.eval_every
-        tele = algo.telemetry
+            self._load_resume(resume)
         while self._version < self._total_flushes:
             if self._heap:
                 t, seq, cycle, v_dispatch, item = heapq.heappop(self._heap)
@@ -843,51 +849,46 @@ class BufferedScheduler(Scheduler):
             # also reached with an empty heap, so a cohort that entirely
             # dropped out still advances the federation
             self._version += 1
-            version = self._version
             self._buffer.sort(key=lambda b: b[0])
             merged = [b[4] for b in self._buffer]
-            staleness = [version - 1 - b[2] for b in self._buffer]
-            tele.observe("arrivals_per_flush", len(merged))
-            if merged:
-                # an empty flush (cohort entirely dropped out) changes
-                # nothing server-side but still advances the federation.
-                # A hierarchical topology pre-reduces the buffer here:
-                # staleness discounts apply per member *before* the edge
-                # reduce, and the summaries merge with zero staleness
-                # (flat returns the pair unchanged).  The flush record
-                # below keeps the member-level losses either way.
-                folded, fold_stale = algo.topology.reduce_merge(
-                    algo, version, merged, staleness
-                )
-                with tele.span(
-                    "merge", cat="scheduler", flush=version,
-                    updates=len(folded),
-                ):
-                    algo.merge(version, folded, fold_stale)
-            for (seq, cycle, v_dispatch, t_arr, u), s in zip(
-                self._buffer, staleness
+            spans.sim = self._now - self._mark_sim  # since the last record
+            if self.commit(
+                algo, spans, self._version, self._total_flushes,
+                len(merged), merged,
             ):
-                spans.events.append(
-                    {
-                        "client": int(u.client_id),
-                        "t": float(t_arr),
-                        "staleness": int(s),
-                        "flush": int(version),
-                    }
-                )
-                tele.emit("arrival", **spans.events[-1])
-                tele.observe("staleness", s)
-            self._buffer = []
-            if version % eval_every == 0 or version == self._total_flushes:
-                spans.sim = self._now - self._mark_sim
                 self._mark_sim = self._now
-                spans.flush_record(version, merged)
-            if version < self._total_flushes:
+            self._buffer = []
+            if self._version < self._total_flushes:
                 self._dispatch(algo, spans, self._now)
             # checkpoint after the re-dispatch: the snapshot's heap holds
             # the newly in-flight uploads, so resuming re-enters the loop
             # exactly where the unbroken run stood ("round" = flushes)
-            self.maybe_checkpoint(algo, spans, version)
+            self.maybe_checkpoint(algo, spans, self._version)
+
+    def fold(
+        self, algo: "FederatedAlgorithm", spans: _Spans, version: int, merged: list
+    ) -> None:
+        """Merge the flushed buffer with per-update staleness, then log
+        its arrivals.
+
+        A hierarchical topology pre-reduces the buffer here: staleness
+        discounts apply per member *before* the edge reduce, and the
+        summaries merge with zero staleness (flat returns the pair
+        unchanged).  The flush record keeps the member-level losses
+        either way.
+        """
+        tele = algo.telemetry
+        staleness = [version - 1 - b[2] for b in self._buffer]
+        folded, fold_stale = algo.topology.reduce_merge(
+            algo, version, merged, staleness
+        )
+        with tele.span(
+            "merge", cat="scheduler", flush=version, updates=len(folded)
+        ):
+            algo.merge(version, folded, fold_stale)
+        for (_, _, _, t_arr, u), s in zip(self._buffer, staleness):
+            spans.arrival(u.client_id, t_arr, s, version)
+            tele.observe("staleness", s)
 
     def _dispatch(self, algo: "FederatedAlgorithm", spans: _Spans, t: float) -> None:
         """Fill every free slot with a fresh client at virtual time t."""
@@ -950,9 +951,7 @@ class BufferedScheduler(Scheduler):
         )
         return state
 
-    def _load_resume(self, spans: _Spans, resume: dict) -> None:
-        spans.load_state_dict(resume["spans"])
-        self.pop_now = float(resume["pop_now"])
+    def _load_resume(self, resume: dict) -> None:
         self._cohort = int(resume["cohort"])
         self._concurrency = int(resume["concurrency"])
         self._k = int(resume["k"])
@@ -965,14 +964,6 @@ class BufferedScheduler(Scheduler):
         self._version = int(resume["version"])
         self._now = float(resume["now"])
         self._mark_sim = float(resume["mark_sim"])
-
-
-#: name → class, derived from the component registry (kept for
-#: introspection/back-compat; the registry is the source of truth)
-SCHEDULERS = registry.classes("scheduler")
-
-#: legacy alias for the registry-derived ``sched_`` key set
-KNOWN_SCHED_KEYS = registry.known_prefix_keys("scheduler")
 
 
 def make_scheduler(
@@ -1005,6 +996,14 @@ def make_scheduler(
 
     Returns:
         A fresh :class:`Scheduler`; one instance serves one run.
+
+    Raises:
+        ValueError: if the scheduler resolves to ``buffered`` while a
+            ``deadline`` is set (config field or ``REPRO_DEADLINE``).
+            :meth:`FederatedAlgorithm.run
+            <repro.fl.server.FederatedAlgorithm.run>` builds the
+            scheduler here, before round-0 ``setup``, so every way of
+            selecting either knob fails before any client trains.
     """
     r = registry.resolve(
         "scheduler",
@@ -1016,6 +1015,13 @@ def make_scheduler(
             "over_select_frac": over_select_frac,
         },
     )
+    if r.name == "buffered" and resolve_deadline(config) is not None:
+        raise ValueError(
+            "deadline does not apply to scheduler 'buffered': it has no "
+            "round barrier to enforce it at; unset deadline (and "
+            "REPRO_DEADLINE) or use scheduler 'sync' or 'semisync'"
+        )
+
     # knobs an impl does not declare (e.g. buffer_size for sync) fall
     # back to their registry-declared defaults — one source of truth
     def knob(key):

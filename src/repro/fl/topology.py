@@ -70,7 +70,6 @@ __all__ = [
     "HierTopology",
     "TopologySink",
     "FLAT_TOPOLOGY",
-    "KNOWN_TOPO_KEYS",
     "make_topology",
 ]
 
@@ -314,9 +313,6 @@ class HierTopology(Topology):
 #: shared default instance used before ``run()`` builds the real one
 #: (direct hook calls in tests) — stateless, so sharing is safe
 FLAT_TOPOLOGY = FlatTopology()
-
-#: the registry-derived ``topo_`` key set (``FLConfig.extra`` validation)
-KNOWN_TOPO_KEYS = registry.known_prefix_keys("topology")
 
 
 def make_topology(

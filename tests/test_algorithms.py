@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    ALGORITHMS,
     FedAvg,
     FedClust,
     FLConfig,
@@ -21,6 +20,7 @@ from repro import (
 from repro.algorithms import CFL, FedNova, FedProx, LGFedAvg, PerFedAvg
 from repro.clustering import adjusted_rand_index
 from repro.data import grouped_label_partition
+from repro.fl import registry
 
 
 def make_fed(num_clients=8, n_samples=400, seed=0, scheme="label_skew", **kw):
@@ -45,7 +45,7 @@ def fed():
 
 
 class TestAllAlgorithmsRun:
-    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("name", sorted(registry.classes("algorithm")))
     def test_runs_and_records_history(self, fed, name):
         cfg = SMALL_CFG.with_extra(lam=2.0, num_clusters=2, angle_threshold=20.0)
         algo = build_algorithm(name, fed, model_fn_for(fed), cfg, seed=0)

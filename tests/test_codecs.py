@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.algorithms import ALGORITHMS, build_algorithm
+from repro.algorithms import FedAvg, build_algorithm
 from repro.data import build_federated_dataset, make_dataset
+from repro.fl import registry
 from repro.fl.codecs import (
-    CODECS,
     Fp16Codec,
     IdentityCodec,
     Int8Codec,
@@ -71,7 +71,7 @@ def run_one(fed, method, backend="serial", workers=0, extra=None, **cfg_kw):
 class TestRoundTrip:
     """decode(encode(x)) has the original shape and float64 dtype."""
 
-    @pytest.mark.parametrize("name", sorted(CODECS))
+    @pytest.mark.parametrize("name", sorted(registry.classes("codec")))
     def test_shape_and_dtype(self, name):
         codec = make_codec(codec=name)
         delta = rng().standard_normal(257)
@@ -90,7 +90,7 @@ class TestRoundTrip:
         assert enc.nbytes == delta.nbytes
 
     def test_encoded_nbytes_matches_encode(self):
-        for name in sorted(CODECS):
+        for name in sorted(registry.classes("codec")):
             codec = make_codec(codec=name)
             delta = rng().standard_normal(64)
             assert codec.encoded_nbytes(0, delta, rng()) == codec.encode(
@@ -191,7 +191,7 @@ class TestTopK:
 
 class TestFactoryAndConfig:
     def test_registry_and_factory(self):
-        assert set(CODECS) == {"none", "fp16", "int8", "topk"}
+        assert set(registry.classes("codec")) == {"none", "fp16", "int8", "topk"}
         assert isinstance(make_codec(codec="none"), IdentityCodec)
         assert isinstance(make_codec(codec="fp16"), Fp16Codec)
         c = make_codec(codec="topk", topk_frac=0.2)
@@ -370,7 +370,7 @@ class TestNumericHardening:
         aggregate (accuracy and parameters stay finite)."""
         from repro.fl.server import FederatedAlgorithm
 
-        class PoisonedFedAvg(ALGORITHMS["fedavg"]):
+        class PoisonedFedAvg(FedAvg):
             def client_update(self, client_id, round_idx):
                 u = super().client_update(client_id, round_idx)
                 if client_id == 0:
@@ -390,7 +390,7 @@ class TestNumericHardening:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    codec_name=st.sampled_from(sorted(CODECS)),
+    codec_name=st.sampled_from(sorted(registry.classes("codec"))),
     values=hnp.arrays(
         np.float64,
         st.integers(min_value=1, max_value=64),

@@ -20,9 +20,9 @@ from golden import DATA_DIR, SIM_SECONDS_RTOL
 from repro.algorithms import build_algorithm
 from repro.core.fedclust import FedClust
 from repro.data import build_federated_dataset, make_dataset
+from repro.fl import registry
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
-    BACKENDS,
     VECTOR_ACC_ATOL,
     VECTOR_LOSS_RTOL,
     VECTOR_PARAM_RTOL,
@@ -137,7 +137,9 @@ class TestRoundTiming:
 
 class TestBackendPlumbing:
     def test_registry_and_factory(self):
-        assert set(BACKENDS) == {"serial", "thread", "process", "vector"}
+        assert set(registry.classes("backend")) == {
+            "serial", "thread", "process", "vector",
+        }
         assert isinstance(make_backend(backend="serial"), SerialBackend)
         assert isinstance(make_backend(backend="thread", workers=2), ThreadBackend)
         b = make_backend(backend="process", workers=5)

@@ -13,10 +13,10 @@ import pytest
 
 from repro.algorithms import build_algorithm
 from repro.data import build_federated_dataset, make_dataset
+from repro.fl import registry
 from repro.fl.comm import CommTracker
 from repro.fl.config import FLConfig
 from repro.fl.network import (
-    NETWORKS,
     HeterogeneousNetwork,
     IdealNetwork,
     StragglerNetwork,
@@ -57,7 +57,9 @@ def run_one(fed, method="fedavg", backend="serial", workers=0, extra=None, **cfg
 
 class TestProfiles:
     def test_registry_and_factory(self):
-        assert set(NETWORKS) == {"ideal", "uniform", "hetero", "stragglers", "flaky"}
+        assert set(registry.classes("network")) == {
+            "ideal", "uniform", "hetero", "stragglers", "flaky",
+        }
         net = make_network(network="hetero", num_clients=4, rngs=RngFactory(0))
         assert isinstance(net, HeterogeneousNetwork)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import ALGORITHMS, build_algorithm
+from repro.algorithms import build_algorithm
 from repro.data import build_federated_dataset, make_dataset
 from repro.experiments.components import (
     check_docs,
@@ -21,15 +21,15 @@ from repro.experiments.components import (
 from repro.experiments.runner import run_cell
 from repro.experiments.configs import SMOKE_SCALE
 from repro.fl import registry
-from repro.fl.aggregation import AGGREGATORS, KNOWN_AGG_KEYS, make_aggregator
-from repro.fl.attacks import ATTACKS, KNOWN_ATK_KEYS, make_attack
-from repro.fl.codecs import CODECS, IdentityCodec, TopKCodec, make_codec
+from repro.fl.aggregation import make_aggregator
+from repro.fl.attacks import make_attack
+from repro.fl.codecs import IdentityCodec, TopKCodec, make_codec
 from repro.fl.config import FLConfig
-from repro.fl.execution import BACKENDS, make_backend
-from repro.fl.network import KNOWN_NET_KEYS, NETWORKS, make_network
-from repro.fl.population import KNOWN_POP_KEYS, POPULATIONS, make_population
-from repro.fl.scheduler import KNOWN_SCHED_KEYS, SCHEDULERS, make_scheduler
-from repro.fl.topology import KNOWN_TOPO_KEYS, make_topology
+from repro.fl.execution import make_backend
+from repro.fl.network import make_network
+from repro.fl.population import make_population
+from repro.fl.scheduler import make_scheduler
+from repro.fl.topology import make_topology
 from repro.nn.models import mlp
 from repro.utils.rng import RngFactory
 
@@ -74,35 +74,21 @@ class TestRegistryShape:
             "telemetry", "attack", "aggregator", "topology", "algorithm",
         ]
 
-    def test_legacy_dicts_derive_from_registry(self):
-        assert CODECS == registry.classes("codec")
-        assert BACKENDS == registry.classes("backend")
-        assert NETWORKS == registry.classes("network")
-        assert SCHEDULERS == registry.classes("scheduler")
-        assert POPULATIONS == registry.classes("population")
-        assert ATTACKS == registry.classes("attack")
-        assert AGGREGATORS == registry.classes("aggregator")
-        assert ALGORITHMS == registry.classes("algorithm")
-
     def test_known_prefix_keys_derived(self):
-        assert KNOWN_NET_KEYS == registry.known_prefix_keys("network")
-        assert KNOWN_SCHED_KEYS == registry.known_prefix_keys("scheduler")
-        assert KNOWN_POP_KEYS == registry.known_prefix_keys("population")
-        assert KNOWN_ATK_KEYS == registry.known_prefix_keys("attack")
-        assert KNOWN_AGG_KEYS == registry.known_prefix_keys("aggregator")
-        assert KNOWN_TOPO_KEYS == registry.known_prefix_keys("topology")
-        assert "topo_edges" in KNOWN_TOPO_KEYS
-        assert "net_straggler_factor" in KNOWN_NET_KEYS
-        assert "pop_session" in KNOWN_POP_KEYS
-        assert "sched_concurrency" in KNOWN_SCHED_KEYS
-        assert "atk_frac" in KNOWN_ATK_KEYS
-        assert "agg_trim_frac" in KNOWN_AGG_KEYS
+        for family, key in [
+            ("topology", "topo_edges"),
+            ("network", "net_straggler_factor"),
+            ("population", "pop_session"),
+            ("scheduler", "sched_concurrency"),
+            ("attack", "atk_frac"),
+            ("aggregator", "agg_trim_frac"),
+        ]:
+            assert key in registry.known_prefix_keys(family)
 
     def test_every_algorithm_registered_with_class(self):
         fam = registry.get_family("algorithm")
-        assert set(fam.impls) == set(ALGORITHMS)
         for name, spec in fam.impls.items():
-            assert spec.cls is ALGORITHMS[name]
+            assert spec.cls.name == name
             assert spec.help  # one-line description from the docstring
 
     def test_auto_reserved(self):
@@ -381,17 +367,6 @@ class TestFlatOptions:
         assert cfg.codec == "topk" and cfg.topk_frac == 0.1
         assert cfg.extra["net_mbps"] == 10.0
 
-    def test_run_cell_fl_options_matches_legacy_kwargs(self):
-        kwargs = dict(codec="topk", topk_frac=0.2, network="uniform")
-        legacy = run_cell("cifar10", "fedavg", "label_skew_20", SMOKE_SCALE,
-                          seed=0, **kwargs)
-        flat = run_cell("cifar10", "fedavg", "label_skew_20", SMOKE_SCALE,
-                        seed=0, fl_options=kwargs)
-        legacy_d, flat_d = legacy.history.as_dict(), flat.history.as_dict()
-        assert legacy_d["accuracy"] == flat_d["accuracy"]
-        assert legacy_d["cumulative_mb"] == flat_d["cumulative_mb"]
-        assert flat.algorithm.codec.frac == 0.2
-
     def test_run_cell_rejects_unknown_kwargs(self):
         with pytest.raises(TypeError, match="fl_options"):
             run_cell("cifar10", "fedavg", "label_skew_20", SMOKE_SCALE,
@@ -409,7 +384,7 @@ class TestComponentsAndDocs:
         for family in FACTORIES:
             for name in registry.get_family(family).impls:
                 assert name in text
-        for name in ALGORITHMS:
+        for name in registry.classes("algorithm"):
             assert name in text
 
     def test_flag_table_covers_cli_flags(self):

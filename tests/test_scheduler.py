@@ -1,10 +1,12 @@
 """Event-driven schedulers: sync extraction, semisync, buffered async.
 
 The contract (see ``docs/architecture.md``): the ``sync`` scheduler is
-the seed engine's round loop bit-for-bit on every backend; ``buffered``
+the seed engine's round loop bit-for-bit on every backend; ``semisync``
+with ``over_select_frac=0`` keeps exactly what it keeps; ``buffered``
 with ``buffer_size == cohort`` and a zero staleness discount degenerates
-to it; the event fields the asynchronous schedulers thread through
-``RoundRecord.extras`` survive JSON round-trips.
+to it (and rejects a ``deadline``); the event fields the asynchronous
+schedulers thread through ``RoundRecord.extras`` survive JSON
+round-trips.
 """
 
 from __future__ import annotations
@@ -14,11 +16,15 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from golden import canonical_history, params_digest
+
 from repro.algorithms import build_algorithm
 from repro.data import build_federated_dataset, make_dataset
+from repro.experiments.configs import SMOKE_SCALE
+from repro.experiments.runner import build_cell, run_cell
+from repro.fl import registry
 from repro.fl.config import FLConfig
 from repro.fl.scheduler import (
-    SCHEDULERS,
     BufferedScheduler,
     SemiSyncScheduler,
     SyncScheduler,
@@ -279,6 +285,98 @@ class TestSemiSync:
         assert int(h.upload_bytes.sum()) <= int(sync_h.upload_bytes.sum())
 
 
+class TestSyncIsSemiSyncWithoutOverSelection:
+    """``sync`` is ``semisync`` with ``over_select_frac=0``.
+
+    With no over-selection the quorum is the whole cohort, so semisync
+    cancels nothing and keeps exactly the uploads sync keeps — the
+    premise that lets both share one round loop.  Only two things may
+    differ: semisync's arrival log (``extras["events"]``) and the order
+    a round's deadline drops are listed in (sync lists them in
+    submission order, semisync in arrival order).
+    """
+
+    #: method, fl_options, config overrides; the deadline cases cut 2-3
+    #: of the 6 clients every round and aggregate the rest
+    CASES = {
+        "fedavg-hetero": ("fedavg", {"network": "hetero"}, {}),
+        "fedavg-stragglers-deadline-dropout": (
+            "fedavg", {"network": "stragglers", "deadline": 0.12},
+            {"sample_rate": 1.0, "dropout_rate": 0.2},
+        ),
+        "fedclust-topk-stragglers-deadline": (
+            "fedclust",
+            {"codec": "topk", "network": "stragglers", "deadline": 0.15},
+            {"sample_rate": 1.0},
+        ),
+        "ifca-flaky": ("ifca", {"network": "flaky"}, {}),
+    }
+
+    @staticmethod
+    def _comparable(history) -> dict:
+        d = canonical_history(history)
+        for extras in d["extras"]:
+            extras.pop("events", None)
+            if "deadline_dropped" in extras:
+                extras["deadline_dropped"] = sorted(extras["deadline_dropped"])
+        return d
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_run(self, case):
+        method, fl_options, overrides = self.CASES[case]
+        sync, semi = (
+            run_cell(
+                "cifar10", method, "label_skew_20", SMOKE_SCALE, seed=3,
+                config_overrides={"rounds": 4, **overrides},
+                fl_options={**fl_options, **sched},
+            )
+            for sched in (
+                {"scheduler": "sync"},
+                {"scheduler": "semisync", "over_select_frac": 0.0},
+            )
+        )
+        assert self._comparable(sync.history) == self._comparable(semi.history)
+        assert params_digest(sync.algorithm) == params_digest(semi.algorithm)
+        if "deadline" in fl_options:
+            drops = [r.extras.get("deadline_dropped", [])
+                     for r in sync.history.records]
+            assert all(len(d) >= 2 for d in drops), drops
+            assert int(sync.history.upload_bytes.sum()) > 0
+
+
+class TestBufferedRejectsDeadline:
+    """A deadline cuts uploads at round barriers and buffered has none, so
+    every way of setting the two together fails before round 1."""
+
+    MATCH = "deadline does not apply to scheduler 'buffered'"
+
+    def test_config_fields(self, fed):
+        with pytest.raises(ValueError, match=self.MATCH):
+            run_one(fed, "fedavg", scheduler="buffered", deadline=1e9)
+
+    def test_fl_options_with_inline_spec(self):
+        algo = build_cell(
+            "cifar10", "fedavg", "label_skew_20", SMOKE_SCALE,
+            fl_options={"scheduler": "buffered:bs=2", "deadline": 1e9},
+        )
+        with pytest.raises(ValueError, match=self.MATCH):
+            algo.run()
+        assert algo.history.records == []
+
+    def test_env(self, fed, monkeypatch):
+        monkeypatch.setenv("REPRO_SCHEDULER", "buffered")
+        monkeypatch.setenv("REPRO_DEADLINE", "1e9")
+        with pytest.raises(ValueError, match=self.MATCH):
+            run_one(fed, "fedavg")
+
+    def test_sync_and_semisync_accept_it(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DEADLINE", "1e9")
+        assert isinstance(make_scheduler(scheduler="sync"), SyncScheduler)
+        assert isinstance(
+            make_scheduler(scheduler="semisync"), SemiSyncScheduler
+        )
+
+
 class TestEventRecordRoundTrip:
     @pytest.mark.parametrize("scheduler,kwargs", [
         ("buffered", {"buffer_size": 2, "network": "stragglers"}),
@@ -309,7 +407,9 @@ class TestEventRecordRoundTrip:
 
 class TestPlumbing:
     def test_registry_and_factory(self):
-        assert set(SCHEDULERS) == {"sync", "semisync", "buffered"}
+        assert set(registry.classes("scheduler")) == {
+            "sync", "semisync", "buffered",
+        }
         assert isinstance(make_scheduler(scheduler="sync"), SyncScheduler)
         s = make_scheduler(scheduler="buffered", buffer_size=4,
                            staleness_alpha=1.5)

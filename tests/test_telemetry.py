@@ -174,6 +174,26 @@ class TestReplayEquivalence:
             history, algo.telemetry, tmp_path / case / "events.jsonl"
         )
 
+    def test_lazy_population_on_flaky_network(self):
+        """Clients the lazy population finds offline and clients the
+        network's availability draw skips both land in
+        ``extras["unavailable"]``, so replay still equals live."""
+        algo = _cell(
+            {"telemetry": "on", "rounds": 6, "sample_rate": 1.0},
+            fl_options={"network": "flaky",
+                        "population": "churn:session=0.3,gap=0.3,lazy=1"},
+        )
+        history = algo.run()
+        skipped = [
+            e["client"] for e in algo.telemetry.events
+            if e["type"] == "unavailable"
+        ]
+        recorded = [c for r in history.records
+                    for c in r.extras.get("unavailable", ())]
+        assert len(skipped) > len(history.records)
+        assert recorded == skipped
+        _assert_replays_exactly(history, algo.telemetry)
+
     def test_eval_every_accumulates_between_records(self, tmp_path):
         """Granular events spanning several rounds fold into one record."""
         algo = _cell(
