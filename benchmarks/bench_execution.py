@@ -1,46 +1,29 @@
-"""Execution-backend benchmark: equivalence and wall-clock of serial vs
-thread vs process client execution.
+"""Execution-backend benchmark: the vector backend against the serial loop.
 
 Unlike the table/figure benches this one measures the *simulator*, not the
-paper: it runs the same FedClust and IFCA cells under every backend, checks
-the histories are bit-for-bit identical, and records the wall-clock of each
-backend (plus the per-round timing now embedded in ``History``).
-
-Speedups are hardware-dependent: on a single-core container the process
-backend can only add overhead (the artifact still records it honestly);
-on an N-core machine the client-update and evaluation fan-out approaches
-``min(workers, clients_per_round)``-way parallelism.  Run with more cores:
+paper.  The ``vector`` backend stacks same-shape client models and
+replaces the per-client Python loop with cohort-batched GEMM kernels, so
+its speedup over ``serial`` needs no extra cores.
+``test_vector_backend_speedup`` records it (with the documented-tolerance
+equivalence check) as ``BENCH_10.json``, which the CI perf gate
+(``_bench_util.py --gate 10``) compares against the committed baseline:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_execution.py -q
-
-The ``vector`` backend is different: it needs no extra cores — it stacks
-same-shape client models and replaces the per-client Python loop with
-cohort-batched GEMM kernels, so its speedup over ``serial`` is expected
-even on one core.  ``test_vector_backend_speedup`` records it (with the
-documented-tolerance equivalence check) as ``BENCH_10.json``, which the
-CI perf gate (``_bench_util.py --gate 10``) compares against the
-committed baseline.
+    PYTHONPATH=src python benchmarks/bench_execution.py --smoke
 """
 
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import time
 
 import numpy as np
-import pytest
 
 from _bench_util import write_bench_json
 from conftest import run_once
 from repro.experiments import BENCH_SCALE
 from repro.experiments.runner import run_cell
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-CELLS = [("cifar10", "fedclust"), ("cifar10", "ifca")]
-WORKERS = 4
 
 #: cells for the vector-backend speedup row: methods whose client loop is
 #: the default recipe, so the CohortRunner actually batches (ifca's
@@ -50,82 +33,6 @@ VECTOR_CELLS = [("cifar10", "fedclust"), ("cifar10", "fedavg")]
 #: the PR's target: cohort batching must be at least this much faster
 #: than the serial per-client loop on every measured cell
 VECTOR_TARGET_SPEEDUP = 3.0
-
-
-def _time_cell(dataset: str, method: str, backend: str):
-    t0 = time.perf_counter()
-    result = run_cell(
-        dataset, method, "label_skew_20", BENCH_SCALE, seed=0,
-        fl_options={"backend": backend, "workers": WORKERS},
-    )
-    return time.perf_counter() - t0, result
-
-
-def test_backend_equivalence_and_timing(benchmark, save_artifact):
-    backends = ["serial", "thread"] + (["process"] if HAS_FORK else [])
-
-    def measure():
-        rows = []
-        for dataset, method in CELLS:
-            timings, histories = {}, {}
-            for backend in backends:
-                timings[backend], res = _time_cell(dataset, method, backend)
-                histories[backend] = res.history
-            base = histories["serial"]
-            for backend in backends[1:]:
-                np.testing.assert_array_equal(
-                    base.accuracies, histories[backend].accuracies
-                )
-                np.testing.assert_array_equal(
-                    base.cumulative_mb, histories[backend].cumulative_mb
-                )
-            rows.append((dataset, method, timings))
-        return rows
-
-    rows = run_once(benchmark, measure)
-
-    lines = [
-        "Execution backends — identical results, wall-clock per backend",
-        f"(workers={WORKERS}, cpu_count={os.cpu_count()}; speedups need >1 core)",
-        "",
-        f"{'cell':24s}" + "".join(f"{b:>10s}" for b in ["serial", "thread", "process"]),
-    ]
-    for dataset, method, timings in rows:
-        cells = "".join(
-            f"{timings[b]:>9.2f}s" if b in timings else f"{'n/a':>10s}"
-            for b in ["serial", "thread", "process"]
-        )
-        lines.append(f"{dataset + '/' + method:24s}" + cells)
-        if "process" in timings:
-            lines.append(
-                f"{'':24s}  process speedup over serial: "
-                f"{timings['serial'] / timings['process']:.2f}x"
-            )
-    save_artifact("execution_backends", "\n".join(lines))
-    write_bench_json(
-        {
-            "bench": "execution",
-            "workers": WORKERS,
-            "cpu_count": os.cpu_count(),
-            "rows": {
-                f"{dataset}/{method}": {b: round(t, 4) for b, t in timings.items()}
-                for dataset, method, timings in rows
-            },
-        },
-        "execution_backends",
-    )
-
-    # Hard guarantee: every backend produced identical science (asserted
-    # above); timing is recorded, not asserted, because cores vary.
-    assert rows
-
-
-@pytest.mark.skipif(not HAS_FORK, reason="process backend needs fork")
-def test_round_timing_recorded(save_artifact):
-    _, res = _time_cell("cifar10", "fedavg", "process")
-    h = res.history
-    assert (h.seconds > 0).all()
-    assert h.total_seconds() > 0
 
 
 def _best_of(dataset: str, method: str, backend: str, reps: int = 3):

@@ -19,13 +19,6 @@ __all__ = ["ClusteredAlgorithm"]
 class ClusteredAlgorithm(FederatedAlgorithm):
     """Base for algorithms that train one model per client cluster."""
 
-    exec_state_attrs = FederatedAlgorithm.exec_state_attrs + (
-        "cluster_of",
-        "num_clusters",
-        "cluster_params",
-        "cluster_states",
-    )
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # θ⁰, captured before any client training touches the shared work

@@ -36,8 +36,6 @@ class Scaffold(FedAvg):
     """
 
     name = "scaffold"
-    exec_state_attrs = FedAvg.exec_state_attrs + ("c_global", "c_client")
-    exec_state_client_attrs = ("c_client",)
 
     def setup(self) -> None:
         super().setup()
@@ -121,8 +119,6 @@ class FedDyn(FedAvg):
     """
 
     name = "feddyn"
-    exec_state_attrs = FedAvg.exec_state_attrs + ("prev_grad",)
-    exec_state_client_attrs = ("prev_grad",)
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -26,10 +26,6 @@ class FedAvg(FederatedAlgorithm):
     # aggregate() is a plain weighted combine over the cohort, so edge
     # pre-reduction under topology="hier" preserves the method
     supports_hier = True
-    exec_state_attrs = FederatedAlgorithm.exec_state_attrs + (
-        "global_params",
-        "global_state",
-    )
 
     def setup(self) -> None:
         self.global_params = flatten_params(self.model)

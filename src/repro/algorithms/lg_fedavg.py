@@ -27,12 +27,6 @@ class LGFedAvg(FederatedAlgorithm):
     docstring); ``config.extra["num_local_layers"]`` sets the split."""
 
     name = "lg"
-    exec_state_attrs = FederatedAlgorithm.exec_state_attrs + (
-        "client_params",
-        "client_states",
-        "global_part",
-    )
-    exec_state_client_attrs = ("client_params", "client_states")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

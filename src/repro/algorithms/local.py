@@ -22,11 +22,6 @@ class Local(FederatedAlgorithm):
     """
 
     name = "local"
-    exec_state_attrs = FederatedAlgorithm.exec_state_attrs + (
-        "client_params",
-        "client_states",
-    )
-    exec_state_client_attrs = ("client_params", "client_states")
 
     def setup(self) -> None:
         init = flatten_params(self.model)

@@ -8,7 +8,6 @@ and the partition statistics the experiments report.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -219,18 +218,14 @@ class LazyFederatedDataset(FederatedDataset):
     Shard contents are a **pure function** of ``(seed, client_id)``:
     each client's train/test permutation comes from its own keyed
     ``default_rng((seed, _SHARD_KEY, client_id))`` stream, so a paged-out
-    shard re-materializes bit-for-bit identical, eviction order cannot
-    affect results, and forked process workers rebuild exactly the
-    shards their own tasks touch (nothing else ever becomes resident in
-    the worker).  Note this per-client keying intentionally differs from
-    the eager builder's single shared split generator — the two
+    shard re-materializes bit-for-bit identical and eviction order cannot
+    affect results.  Note this per-client keying intentionally differs
+    from the eager builder's single shared split generator — the two
     containers are distinct components, not bitwise aliases; pinned
     goldens all use the eager builder.
 
-    Thread-safe (the thread backend's workers share the cache under one
-    lock); pickling drops the cache and lock — residency is derivable,
-    not state (a checkpoint records resident *ids* separately so a
-    resume can re-warm the working set, see
+    Residency is derivable, not state: a checkpoint records resident
+    *ids* so a resume can re-warm the working set (see
     :mod:`repro.fl.checkpoint`).
     """
 
@@ -264,7 +259,6 @@ class LazyFederatedDataset(FederatedDataset):
         #: active roster size (shrinks under detach_joiners, grows on attach)
         self._active = partition.num_clients
         self._cache: OrderedDict[int, ClientData] = OrderedDict()
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # materialization and residency
@@ -293,16 +287,15 @@ class LazyFederatedDataset(FederatedDataset):
             cid += self._active
         if not 0 <= cid < self._active:
             raise IndexError(f"client {i} out of range (roster {self._active})")
-        with self._lock:
-            shard = self._cache.get(cid)
-            if shard is not None:
-                self._cache.move_to_end(cid)
-                return shard
-            shard = self._materialize(cid)
-            self._cache[cid] = shard
-            while len(self._cache) > self.cache_clients:
-                self._cache.popitem(last=False)  # page out, LRU first
+        shard = self._cache.get(cid)
+        if shard is not None:
+            self._cache.move_to_end(cid)
             return shard
+        shard = self._materialize(cid)
+        self._cache[cid] = shard
+        while len(self._cache) > self.cache_clients:
+            self._cache.popitem(last=False)  # page out, LRU first
+        return shard
 
     def __len__(self) -> int:
         return self._active
@@ -317,13 +310,11 @@ class LazyFederatedDataset(FederatedDataset):
 
     def resident_shards(self) -> int:
         """How many shards are materialized right now (telemetry gauge)."""
-        with self._lock:
-            return len(self._cache)
+        return len(self._cache)
 
     def resident_ids(self) -> list[int]:
         """Sorted resident client ids (checkpointed so a resume re-warms)."""
-        with self._lock:
-            return sorted(self._cache)
+        return sorted(self._cache)
 
     def warm(self, ids) -> None:
         """Pre-materialize ``ids`` (resume path; respects the LRU cap)."""
@@ -332,8 +323,7 @@ class LazyFederatedDataset(FederatedDataset):
 
     def drop_cache(self) -> None:
         """Page out every resident shard (tests, memory pressure)."""
-        with self._lock:
-            self._cache.clear()
+        self._cache.clear()
 
     # ------------------------------------------------------------------
     # metadata without materialization
@@ -390,31 +380,17 @@ class LazyFederatedDataset(FederatedDataset):
                 f"expected {self._active}"
             )
         self._active += 1
-        with self._lock:
-            # the joiner's shard is already materialized; keep it warm
-            self._cache[int(client.client_id)] = client
-            self._cache.move_to_end(int(client.client_id))
-            while len(self._cache) > self.cache_clients:
-                self._cache.popitem(last=False)
+        # the joiner's shard is already materialized; keep it warm
+        self._cache[int(client.client_id)] = client
+        self._cache.move_to_end(int(client.client_id))
+        while len(self._cache) > self.cache_clients:
+            self._cache.popitem(last=False)
 
     def split_newcomers(self, k: int):
         raise NotImplementedError(
             "split_newcomers builds two eager dataset views; use "
             "build_federated_dataset for the Table-6 newcomer protocol"
         )
-
-    # ------------------------------------------------------------------
-    # pickling (process backend / checkpoints): residency is derivable
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_cache"] = OrderedDict()
-        state["_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 def build_lazy_federated_dataset(

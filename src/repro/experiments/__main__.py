@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments table1 [--scale bench|smoke|paper] [--seeds 0 1 2]
     python -m repro.experiments figure4 --dataset cifar10
     python -m repro.experiments all            # everything, bench scale
-    python -m repro.experiments table1 --backend process --workers 4
+    python -m repro.experiments table1 --backend vector
     python -m repro.experiments table5 --codec int8 --network hetero
     python -m repro.experiments table1 --network stragglers --scheduler buffered
     python -m repro.experiments table5 --codec topk:frac=0.1

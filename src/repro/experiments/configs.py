@@ -62,8 +62,8 @@ class ExperimentScale:
         """The scale's :class:`~repro.fl.config.FLConfig`.
 
         Any field can be overridden by keyword — including the
-        client-execution knobs (``backend="process"``, ``workers=4``),
-        which change wall-clock time but never results.
+        client-execution backend (``backend="vector"``), which changes
+        wall-clock time and, within its pinned tolerance, nothing else.
         """
         base = dict(
             rounds=self.rounds,

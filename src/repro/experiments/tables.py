@@ -52,7 +52,7 @@ def table_accuracy(
 
     ``setting`` picks the heterogeneity regime: ``label_skew_20`` (Table 1),
     ``label_skew_30`` (Table 2), ``dirichlet_0.1`` (Table 3).
-    ``config_overrides`` (e.g. ``{"backend": "process", "workers": 4}``)
+    ``config_overrides`` (e.g. ``{"backend": "vector"}``)
     reach every cell's :class:`~repro.fl.config.FLConfig`.
     """
     cells: dict[str, dict[str, tuple[float, float]]] = {m: {} for m in methods}

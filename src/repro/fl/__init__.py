@@ -24,13 +24,7 @@ from repro.fl.codecs import (
 )
 from repro.fl.comm import MB, CommTracker
 from repro.fl.config import FLConfig
-from repro.fl.execution import (
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
-)
+from repro.fl.execution import ExecutionBackend, SerialBackend, make_backend
 from repro.fl.network import (
     ClientLink,
     FlakyNetwork,
@@ -110,8 +104,6 @@ __all__ = [
     "make_scheduler",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
     "make_backend",
     "PopulationModel",
     "PopulationEvent",

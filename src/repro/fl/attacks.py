@@ -47,15 +47,14 @@ cross-check the resumed run (:meth:`AttackModel.load_state_dict`).
 Where poisoning happens
 -----------------------
 
-Delta attacks run on the main thread at the top of
-``Scheduler.encode_upload`` — *before* the codec — so lossy codecs,
-wire metering, and the simulated network all see the poisoned update,
-identically across the sync/semisync/buffered schedulers.  ``labelflip``
-instead acts inside ``local_train`` (a pure read of the immutable
-roster, safe on any execution backend).  Each poisoned upload emits a
-``poisoned_update`` telemetry event and bumps the ``poisoned_updates``
-counter; assignments are emitted as ``attack_assign`` events at run
-start.
+Delta attacks run at the top of ``Scheduler.encode_upload`` — *before*
+the codec — so lossy codecs, wire metering, and the simulated network all
+see the poisoned update, identically across the sync/semisync/buffered
+schedulers.  ``labelflip`` instead acts inside the client's training task
+(a pure read of the immutable roster, the same under ``serial`` and
+``vector``).  Each poisoned upload emits a ``poisoned_update`` telemetry
+event and bumps the ``poisoned_updates`` counter; assignments are emitted
+as ``attack_assign`` events at run start.
 """
 
 from __future__ import annotations
@@ -108,11 +107,9 @@ class AttackModel:
     """Base class: who is byzantine, and what they do to their uploads.
 
     One instance serves one run, built by ``FederatedAlgorithm.run``
-    *before* the execution backend (so forked process workers inherit
-    the roster) and before the population detaches any joiner pool (so
-    held-out late joiners are covered).  The roster is immutable after
-    construction — adversary checks are pure reads, safe on any backend
-    worker.
+    before the population detaches any joiner pool (so held-out late
+    joiners are covered).  The roster is immutable after construction —
+    adversary checks are pure reads, safe inside client tasks.
     """
 
     #: registry name; subclasses set this
@@ -147,7 +144,7 @@ class AttackModel:
 
     # ------------------------------------------------------------------
     def is_adversary(self, client_id: int) -> bool:
-        """Whether the client is byzantine (pure read, worker-safe)."""
+        """Whether the client is byzantine (pure read)."""
         return int(client_id) in self._adversaries
 
     def poisons(self, client_id: int, key_idx: int) -> bool:
@@ -159,9 +156,8 @@ class AttackModel:
     ) -> "ClientUpdate":
         """Poison one upload before it enters the wire layer.
 
-        Called by every scheduler at the top of ``encode_upload`` (main
-        thread, while the server still holds the reference the client
-        downloaded).  Honest uploads pass through untouched; poisoned
+        Called by every scheduler at the top of ``encode_upload`` (while
+        the server still holds the reference the client downloaded).  Honest uploads pass through untouched; poisoned
         ones are *replaced* (never mutated in place — asynchronous
         schedulers may still hold the original).
         """

@@ -39,10 +39,14 @@ and dataset names, seed, federation size, the training scalars, and each
 component family's registry-resolved implementation + options (so env
 ``REPRO_*`` influence is captured, not just the config object).  Resume
 refuses a mismatched fingerprint with a :class:`ValueError` naming every
-differing field.  The execution backend is deliberately *excluded*: all
-backends are bit-for-bit equivalent, so a run crashed under ``thread``
-may resume under ``serial``.  ``checkpoint_every`` / ``checkpoint_dir``
-are excluded too — the save cadence must not pin the resumed run's.
+differing field.  The execution backend is deliberately *excluded*, so a
+run crashed under ``serial`` may resume under ``vector`` and back.  A
+resume on the same backend is bit-for-bit; a cross-backend resume matches
+the unbroken run within the ``vector`` backend's numeric contract
+(:mod:`repro.fl.execution`: accuracy within ``VECTOR_ACC_ATOL``, train
+loss within ``VECTOR_LOSS_RTOL``, byte counters and extras exact).
+``checkpoint_every`` / ``checkpoint_dir`` are excluded too — the save
+cadence must not pin the resumed run's.
 """
 
 from __future__ import annotations
@@ -98,8 +102,8 @@ _CONFIG_FIELDS = (
     "eval_clients",
 )
 #: component families whose resolved (name, options) enter the fingerprint;
-#: ``backend`` is excluded — all backends are bit-for-bit equivalent, so
-#: resuming on a different backend is legal
+#: ``backend`` is excluded — how client tasks execute is not run state, so
+#: resuming on the other backend is legal (within the ``VECTOR_*`` contract)
 _FINGERPRINT_FAMILIES = (
     "codec", "network", "scheduler", "population", "attack", "aggregator",
     "topology",
@@ -299,7 +303,7 @@ def capture(algo: "FederatedAlgorithm", scheduler_state: dict) -> Checkpoint:
     """
     state = {
         "algorithm": algo.checkpoint_state(),
-        "model": {k: v.copy() for k, v in algo._model.state().items()},
+        "model": {k: v.copy() for k, v in algo.model.state().items()},
         "history": algo.history.state_dict(),
         "comm": algo.comm.state_dict(),
         "codec": algo.codec.state_dict(),
@@ -346,7 +350,7 @@ def restore(algo: "FederatedAlgorithm", ckpt: Checkpoint) -> dict:
     )
     algo.load_checkpoint_state(state["algorithm"])
     if state["model"]:
-        algo._model.load_state(state["model"])
+        algo.model.load_state(state["model"])
     algo.history.load_state_dict(state["history"])
     algo.comm.load_state_dict(state["comm"])
     algo.codec.load_state_dict(state["codec"])

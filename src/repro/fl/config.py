@@ -39,15 +39,11 @@ class FLConfig:
     #: update (paper §4.2: unreliable client communication).  The server
     #: still pays the download; the upload never happens.
     dropout_rate: float = 0.0
-    #: client-execution backend (:mod:`repro.fl.execution`): ``"serial"``,
-    #: ``"thread"``, ``"process"``, ``"auto"`` (resolve from the
-    #: ``REPRO_BACKEND`` / ``REPRO_WORKERS`` environment, defaulting to
-    #: serial), or an inline spec (``"thread:workers=4"``).  All backends
-    #: are bit-for-bit equivalent.
+    #: client-execution backend (:mod:`repro.fl.execution`): ``"serial"``
+    #: (a plain loop over the clients), ``"vector"`` (cohort-batched
+    #: kernels, within a pinned tolerance of serial), or ``"auto"``
+    #: (resolve from ``REPRO_BACKEND``, defaulting to serial)
     backend: str = "auto"
-    #: worker-pool size for the thread/process backends; 0 picks a
-    #: machine-dependent default (``min(4, cpu_count)``)
-    workers: int = 0
     #: upload codec (:mod:`repro.fl.codecs`): ``"none"``, ``"fp16"``,
     #: ``"int8"``, ``"topk"``, ``"auto"`` (resolve from ``REPRO_CODEC``,
     #: defaulting to ``none`` — the seed's raw-float64 wire format), or

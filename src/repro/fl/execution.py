@@ -1,100 +1,58 @@
-"""Pluggable client-execution backends for the federated round loop.
+"""Client-execution backends for the federated round loop.
 
 The engine (:class:`repro.fl.server.FederatedAlgorithm`) simulates every
-selected client per round.  How those per-client tasks *execute* — serially,
-on a thread pool, or on a pool of forked worker processes — is the concern of
-this module, selected via :attr:`repro.fl.config.FLConfig.backend` and
-:attr:`~repro.fl.config.FLConfig.workers` (or the ``REPRO_BACKEND`` /
-``REPRO_WORKERS`` environment variables when ``backend="auto"``).
+selected client per round.  How those per-client tasks *execute* is the
+concern of this module, selected via :attr:`repro.fl.config.FLConfig.backend`
+(or the ``REPRO_BACKEND`` environment variable when ``backend="auto"``).
+Both backends run every task in the calling thread:
 
-Bit-for-bit reproducibility contract
-------------------------------------
+``serial`` (:class:`SerialBackend`)
+    The default: a plain loop over the tasks on the engine's work model.
 
-All *distributing* backends (serial/thread/process) produce identical
-results (histories, communication bills, cluster assignments) because
-client-side work is written as a pure function of
+``vector`` (:class:`CohortRunner`)
+    Same-shape client tasks are stacked along a leading cohort axis and
+    executed as *one* batched tensor program through the ``nn`` layers'
+    ``forward_many``/``backward_many`` kernels.  Batching reorders float
+    accumulation, so this backend trades bit-exactness for a pinned
+    numeric tolerance (``VECTOR_*`` constants below); tasks it cannot
+    batch (bespoke client loops, stateful-RNG layers, singleton
+    dispatches) run through the serial loop and stay bit-for-bit.
+
+There is no multi-core backend: multi-core scale-out is out of scope, and
+``vector`` on one core outran a process pool on two on every measured cell
+that it batches (``docs/architecture.md``, "Why no multi-core backend").
+
+Client-task purity contract
+---------------------------
+
+Client-side work is written as a pure function of
 ``(server state, client id, round index)``:
 
 * every random draw comes from a named child of the run's root seed
   (:class:`repro.utils.rng.RngFactory`), never from shared-generator call
   order;
 * client tasks never write server-side state — algorithms fold results into
-  the server exclusively inside ``aggregate`` (which always runs in the
-  parent, after all of the round's tasks complete);
-* results are returned in submission order regardless of completion order,
-  so downstream floating-point reductions see the same operand order.
+  the server exclusively inside ``aggregate``, after all of the round's
+  tasks complete;
+* results are returned in submission order, so downstream floating-point
+  reductions see the same operand order.
 
-Backends
---------
-
-``SerialBackend``
-    The default: runs tasks in a plain loop on the caller's thread, on the
-    engine's shared work model — the exact seed behaviour.
-
-``ThreadBackend``
-    A persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  Each
-    worker thread lazily builds its own work-model replica (see
-    ``FederatedAlgorithm.model``), so tasks never share mutable buffers.
-    NumPy releases the GIL only inside large kernels; at the small model
-    sizes of the CPU benches this backend mostly demonstrates the seam
-    rather than a speedup.
-
-``CohortRunner`` (``backend="vector"``)
-    No pool at all: same-shape client tasks are stacked along a leading
-    cohort axis and executed as *one* batched tensor program through the
-    ``nn`` layers' ``forward_many``/``backward_many`` kernels — the
-    single-core throughput lever.  Batching reorders float accumulation,
-    so this backend trades bit-exactness for a pinned numeric tolerance
-    (``VECTOR_*`` constants below); tasks it cannot batch (bespoke client
-    loops, stateful-RNG layers, singleton dispatches) run through the
-    exact serial loop and stay bit-for-bit.
-
-``ProcessBackend``
-    A persistent pool of ``fork``-start worker processes (Linux/macOS).
-    Workers inherit the immutable bulk of the simulation — datasets, model
-    topology, config — through copy-on-write fork memory; the *mutable*
-    server state a client task reads (global/cluster parameter vectors,
-    control variates, …) is declared per algorithm via
-    ``FederatedAlgorithm.exec_state_attrs`` and shipped to workers before
-    every dispatch.  This is the backend that turns wall-clock speedups on
-    multi-core hardware.
-
-Process backend and lazy shards
--------------------------------
-
-With an eager :class:`~repro.data.federated.FederatedDataset` the fork
-inherits every client's materialised train/test arrays — cheap pages
-while untouched, but the *whole federation's* shards are addressable in
-every worker.  A :class:`~repro.data.federated.LazyFederatedDataset`
-changes the accounting: at fork time only the raw dataset and the (lazy)
-partition description are shared, and each worker materialises **exactly
-the shards its own tasks touch** (shard synthesis is a pure function of
-``(seed, client_id)``, so no coordination is needed and each worker's
-resident set stays bounded by its task chunk plus the LRU cap —
-asserted by ``tests/test_topology.py``).
-
-One limitation stands: **population joins still require a shared-memory
-backend** (serial/thread).  Workers fork before any joiner attaches, so
-a mid-run ``attach`` would grow the roster in the parent only; the
-engine rejects the combination at ``run()`` rather than diverge
-(:class:`repro.fl.server.FederatedAlgorithm` raises on
-``ProcessBackend`` + a joining population, lazy or not).
+Checkpoint/resume and event-log replay depend on it (a resumed or
+replayed round re-derives every draw from its key), and so does
+:class:`CohortRunner`, which advances all members of a cohort together
+instead of running one client task after another.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.fl import registry
-from repro.fl.registry import opt, register
+from repro.fl.registry import register
 from repro.fl.training import evaluate_accuracy_many, local_sgd_many
 from repro.nn.model import CohortModel
 from repro.nn.optim import CohortSGD
@@ -105,14 +63,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
     "CohortRunner",
     "ClientTrainSpec",
     "ClientEvalSpec",
-    "ClientSlots",
     "make_backend",
-    "resolve_workers",
     "VECTOR_ACC_ATOL",
     "VECTOR_LOSS_RTOL",
     "VECTOR_PARAM_RTOL",
@@ -137,64 +91,6 @@ __all__ = [
 VECTOR_ACC_ATOL = 0.05
 VECTOR_LOSS_RTOL = 1e-2
 VECTOR_PARAM_RTOL = 1e-4
-
-
-#: worker-pool size knob, shared by the thread/process backends and
-#: declared once for the whole family (``REPRO_WORKERS`` only fills a
-#: zero/unset value, and only when the backend resolved through "auto")
-registry.family_options("backend", [
-    opt("workers", int, 0,
-        low=0, env="REPRO_WORKERS", cli="workers", field="workers",
-        only_for=("thread", "process"), env_mode="auto_fill",
-        help="worker-pool size for thread/process backends "
-             "(0 picks min(4, cpu_count))"),
-])
-
-
-class ClientSlots:
-    """A per-client-indexed subset of a server-side sequence.
-
-    ``FederatedAlgorithm.exec_state`` wraps attributes declared in
-    ``exec_state_client_attrs`` (per-client parameter lists and the like) in
-    this marker so the process backend ships only the dispatched clients'
-    slots instead of the whole federation's, and ``load_exec_state`` writes
-    them back slot-by-slot on the worker.
-    """
-
-    __slots__ = ("slots",)
-
-    def __init__(self, slots: dict[int, object]):
-        self.slots = slots
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ClientSlots({sorted(self.slots)})"
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Resolve a worker-count knob to a concrete pool size.
-
-    Args:
-        workers: requested worker count; ``None`` or ``0`` means "pick a
-            default" (``min(4, os.cpu_count())``).
-
-    Returns:
-        A positive integer pool size.
-    """
-    if workers is not None and workers > 0:
-        return int(workers)
-    return min(4, os.cpu_count() or 1)
-
-
-def _split_chunks(seq: list, n: int) -> list[list]:
-    """Split ``seq`` into at most ``n`` contiguous, size-balanced chunks."""
-    n = max(1, min(n, len(seq)))
-    q, r = divmod(len(seq), n)
-    chunks, start = [], 0
-    for i in range(n):
-        size = q + (1 if i < r else 0)
-        chunks.append(seq[start : start + size])
-        start += size
-    return chunks
 
 
 class ExecutionBackend(ABC):
@@ -242,10 +138,6 @@ class ExecutionBackend(ABC):
         ):
             return self.map(algorithm, "client_update", tasks)
 
-    def close(self) -> None:
-        """Release pool resources.  Idempotent; called by the engine when a
-        run finishes (including on error)."""
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
@@ -256,136 +148,10 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def map(self, algorithm, method, argslist):
+    @staticmethod
+    def map(algorithm, method, argslist):
         fn = getattr(algorithm, method)
         return [fn(*args) for args in argslist]
-
-
-@register("backend", "thread")
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool execution with per-thread work-model replicas."""
-
-    name = "thread"
-
-    def __init__(self, workers: int | None = None):
-        self.workers = resolve_workers(workers)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def map(self, algorithm, method, argslist):
-        if not argslist:
-            return []
-        fn = getattr(algorithm, method)
-        if len(argslist) == 1 or self.workers == 1:
-            return [fn(*args) for args in argslist]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-exec"
-            )
-        return list(self._pool.map(lambda args: fn(*args), argslist))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ThreadBackend(workers={self.workers})"
-
-
-#: Handoff slot read by forked pool workers at fork time (the child keeps a
-#: copy-on-write reference to the whole algorithm, datasets included).
-#: Guarded by ``_FORK_LOCK`` so concurrent runs in one process cannot fork
-#: workers bound to each other's algorithm.
-_FORK_ALGORITHM: "FederatedAlgorithm | None" = None
-_FORK_LOCK = threading.Lock()
-
-
-def _run_chunk(payload: tuple[dict, list[tuple[str, tuple]]]) -> list:
-    """Worker-side task runner: refresh server state, execute a job chunk."""
-    state, jobs = payload
-    algorithm = _FORK_ALGORITHM
-    if algorithm is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker process has no inherited algorithm")
-    if state:
-        algorithm.load_exec_state(state)
-    return [getattr(algorithm, method)(*args) for method, args in jobs]
-
-
-@register("backend", "process")
-class ProcessBackend(ExecutionBackend):
-    """Forked worker-process execution with per-dispatch state sync.
-
-    The pool is created lazily at the first dispatch, *after* the
-    algorithm's ``__init__`` (and usually its ``setup``) has populated the
-    immutable bulk of the simulation, which workers then inherit through
-    fork copy-on-write memory.  Before each dispatch the parent ships the
-    algorithm's declared mutable state (``exec_state_attrs``) to workers, so
-    tasks always read the current round's parameters.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int | None = None):
-        self.workers = resolve_workers(workers)
-        self._pool = None
-        self._algo_id: int | None = None
-
-    def _ensure_pool(self, algorithm: "FederatedAlgorithm") -> None:
-        if self._pool is not None:
-            if self._algo_id != id(algorithm):
-                raise RuntimeError(
-                    "a ProcessBackend instance serves one algorithm run; "
-                    "create a fresh backend for a new run"
-                )
-            return
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError(
-                "ProcessBackend requires the 'fork' start method "
-                "(Linux/macOS); use backend='thread' or 'serial' instead"
-            )
-        global _FORK_ALGORITHM
-        ctx = multiprocessing.get_context("fork")
-        with _FORK_LOCK:
-            _FORK_ALGORITHM = algorithm
-            try:
-                self._pool = ctx.Pool(processes=self.workers)
-            finally:
-                _FORK_ALGORITHM = None
-        self._algo_id = id(algorithm)
-
-    def map(self, algorithm, method, argslist):
-        if not argslist:
-            return []
-        if len(argslist) == 1 or self.workers == 1:
-            # Not worth a round-trip; run on the parent (same pure contract).
-            fn = getattr(algorithm, method)
-            return [fn(*args) for args in argslist]
-        self._ensure_pool(algorithm)
-        # Task shape contract: args[0] is the client id, which lets the
-        # state snapshot narrow per-client attributes to each worker's own
-        # chunk (a task may only read its own slot, so no worker needs the
-        # other chunks' slots).
-        jobs = [(method, tuple(args)) for args in argslist]
-        payloads = [
-            (algorithm.exec_state(client_ids=[args[0] for _, args in chunk]), chunk)
-            for chunk in _split_chunks(jobs, self.workers)
-        ]
-        results = self._pool.map(_run_chunk, payloads, chunksize=1)
-        return [r for chunk in results for r in chunk]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-            self._algo_id = None
-
-    def __del__(self):  # pragma: no cover - safety net
-        if getattr(self, "_pool", None) is not None:
-            self._pool.terminate()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProcessBackend(workers={self.workers})"
 
 
 @dataclass
@@ -411,7 +177,7 @@ class ClientTrainSpec:
     #: overrides of ``config.local_epochs`` / ``config.lr``
     epochs: int | None = None
     lr: float | None = None
-    #: main-thread postprocessor applied to the finished ``ClientUpdate``
+    #: postprocessor applied to the finished ``ClientUpdate``
     #: (FedClust's partial-weight selection); the task result is its
     #: return value
     post: Callable[["ClientUpdate"], object] | None = None
@@ -432,12 +198,11 @@ class ClientEvalSpec:
 class CohortRunner(ExecutionBackend):
     """Cohort-batched execution: one stacked tensor program per round.
 
-    Instead of distributing the per-client Python loops (thread/process),
-    this backend removes them: all same-shape tasks of a dispatch are
-    stacked along a leading *cohort axis* and executed as one batched
-    forward/backward/update per step through the ``nn`` layers'
-    ``forward_many``/``backward_many`` kernels and :class:`CohortSGD` —
-    the throughput lever on a single core, where pools cannot help.
+    This backend removes the per-client Python loop: all same-shape tasks
+    of a dispatch are stacked along a leading *cohort axis* and executed
+    as one batched forward/backward/update per step through the ``nn``
+    layers' ``forward_many``/``backward_many`` kernels and
+    :class:`CohortSGD` — the throughput lever on a single core.
 
     The batching is strictly an implementation detail of *how* the default
     client recipe executes; everything downstream (``aggregate``/``merge``,
@@ -464,10 +229,7 @@ class CohortRunner(ExecutionBackend):
     #: cap on cached cohort models (distinct cohort sizes live per run)
     _COHORT_CACHE_MAX = 8
 
-    def __init__(self, workers: int | None = None):
-        # ``workers`` is the backend family's shared knob; this backend
-        # has no pool and accepts it only for constructor uniformity.
-        del workers
+    def __init__(self):
         self._algo_id: int | None = None
         self._cohorts: dict[int, CohortModel] = {}
         self._probe: tuple[bool, bool] | None = None
@@ -478,12 +240,6 @@ class CohortRunner(ExecutionBackend):
             self._algo_id = id(algorithm)
             self._cohorts = {}
             self._probe = None
-
-    @staticmethod
-    def _serial(algorithm, method, argslist) -> list:
-        # the exact SerialBackend loop (bit-for-bit fallback path)
-        fn = getattr(algorithm, method)
-        return [fn(*args) for args in argslist]
 
     def _template_info(self, algorithm) -> tuple[bool, bool]:
         """``(batchable, has_state)`` for the run's model architecture."""
@@ -517,17 +273,17 @@ class CohortRunner(ExecutionBackend):
         self._reset_for(algorithm)
         batchable, has_state = self._template_info(algorithm)
         if not batchable or len(argslist) == 1:
-            return self._serial(algorithm, method, argslist)
+            return SerialBackend.map(algorithm, method, argslist)
         specs = [
             algorithm.client_task_spec(method, tuple(args))
             for args in argslist
         ]
         if any(s is None for s in specs):
-            return self._serial(algorithm, method, argslist)
+            return SerialBackend.map(algorithm, method, argslist)
         if has_state and any(not s.state for s in specs):
             # a stateful model whose task carries no buffers relies on the
             # serial work model's carryover semantics; don't approximate it
-            return self._serial(algorithm, method, argslist)
+            return SerialBackend.map(algorithm, method, argslist)
         if isinstance(specs[0], ClientTrainSpec):
             return self._run_train(algorithm, specs, has_state)
         return self._run_eval(algorithm, specs, has_state)
@@ -638,35 +394,21 @@ class CohortRunner(ExecutionBackend):
         return results
 
 
-
-def make_backend(
-    config=None,
-    backend: str | None = None,
-    workers: int | None = None,
-) -> ExecutionBackend:
+def make_backend(config=None, backend: str | None = None) -> ExecutionBackend:
     """Build the execution backend for one federation run.
 
     Args:
-        config: an :class:`~repro.fl.config.FLConfig` supplying default
-            ``backend`` / ``workers`` knobs (optional).
+        config: an :class:`~repro.fl.config.FLConfig` supplying the
+            default ``backend`` spec (optional).
         backend: explicit backend spec overriding the config — a
-            registered name, ``"auto"``, or an inline spec like
-            ``"thread:workers=4"``.
-        workers: explicit worker count overriding the config (``0``/``None``
-            picks a machine-dependent default).
+            registered name or ``"auto"``.
 
     Resolution is the registry's (:func:`repro.fl.registry.resolve`):
-    ``"auto"`` reads ``REPRO_BACKEND`` (default ``serial``) and
-    ``REPRO_WORKERS``, which lets an entire benchmark or test invocation
-    switch backends without touching code.
+    ``"auto"`` reads ``REPRO_BACKEND`` (default ``serial``), which lets an
+    entire benchmark or test invocation switch backends without touching
+    code.
 
     Returns:
-        A fresh :class:`ExecutionBackend`; the caller owns it and must
-        ``close()`` it when the run finishes.
+        A fresh :class:`ExecutionBackend` for one run.
     """
-    r = registry.resolve(
-        "backend", spec=backend, config=config, overrides={"workers": workers}
-    )
-    if r.impl.cls is SerialBackend:
-        return SerialBackend()
-    return r.impl.cls(workers=r.options["workers"])
+    return registry.resolve("backend", spec=backend, config=config).impl.cls()

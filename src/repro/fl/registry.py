@@ -132,10 +132,8 @@ class OptionSpec:
         inline: whether the option may appear in an inline spec string.
         optional: whether ``None`` is a legal resolved value.
         env_mode: when the env var applies — ``"auto"`` (family resolved
-            through ``"auto"``: env wins), ``"auto_fill"`` (ditto, but
-            only fills a falsy value — ``workers``), or ``"fill"``
-            (fills ``None`` regardless of how the family was selected —
-            ``deadline``).
+            through ``"auto"``: env wins) or ``"fill"`` (fills ``None``
+            regardless of how the family was selected — ``deadline``).
     """
 
     name: str
@@ -222,11 +220,10 @@ _declare(
     prefix=None,
     module="repro.fl.execution",
     doc=(
-        "how the per-round client sweep executes; serial/thread/process "
-        "are bit-for-bit identical, vector (cohort-batched kernels) "
-        "matches serial within a pinned, test-enforced tolerance"
+        "how the per-round client sweep executes: `serial` runs one client "
+        "after another, `vector` runs cohort-batched kernels and matches "
+        "serial within a pinned, test-enforced tolerance"
     ),
-    example="thread:workers=4",
 )
 _declare(
     name="codec",
@@ -608,11 +605,12 @@ def _match_inline(
 
 
 def _auto_inline_message(fam: FamilySpec) -> str:
+    example = f", e.g. {fam.example!r}" if fam.example else ""
     return (
         f"inline options are not allowed on an 'auto' {fam.label} spec "
         f"(which implementation they apply to is unknown until the "
         f"{fam.env} environment variable resolves); name the "
-        f"implementation instead, e.g. {fam.example!r}"
+        f"implementation instead{example}"
     )
 
 
@@ -731,8 +729,6 @@ def resolve(
             continue
         if o.env_mode == "fill":
             applies = values[o.name] is None
-        elif o.env_mode == "auto_fill":
-            applies = via_auto and not values[o.name]
         else:
             applies = via_auto
         if not applies:

@@ -13,9 +13,9 @@ Between client execution and aggregation sits the **wire layer**
 encoded by the configured codec (quantization, top-k sparsification), the
 compressed byte count is metered and drives the simulated network timing,
 a per-round deadline may cut late clients, and the server decodes — so
-aggregation operates on what was actually transmitted.  All of it runs on
-the main thread after the round's client tasks return, preserving the
-backend-equivalence contract below.
+aggregation operates on what was actually transmitted.  All of it runs
+after the round's client tasks return, so it is the same under either
+execution backend (contract below).
 
 Round convention (paper Alg. 1): round 0 is the setup round (FedClust's
 one-shot clustering happens there); training rounds are 1..T.
@@ -23,27 +23,24 @@ one-shot clustering happens there); training rounds are 1..T.
 Execution contract
 ------------------
 
-Per-client work (``client_update`` / ``evaluate_client``) may run on a
-thread or process pool (:mod:`repro.fl.execution`), so it must be a pure
+Per-client work (``client_update`` / ``evaluate_client``) must be a pure
 function of ``(server state, client id, round index)``:
 
 * read server state freely, but never write it — fold results into the
-  server only inside ``aggregate``, which always runs on the main thread
-  after all of a round's client tasks complete;
+  server only inside ``aggregate``, which runs after all of a round's
+  client tasks complete;
 * draw randomness only from ``self.rngs.make(name, index)`` with a
-  client/round-specific key, never from a shared sequential generator;
-* scratch through ``self.model``, which resolves to a per-worker replica
-  off the main thread.
+  client/round-specific key, never from a shared sequential generator.
 
-Algorithms whose client tasks read *mutable* server attributes (global
-parameter vectors, cluster models, control variates, …) declare them in
-``exec_state_attrs`` so the process backend can ship them to workers before
-each dispatch.
+Checkpoint/resume and event-log replay rely on this (a resumed round
+re-derives every draw from its key), and so does the ``vector`` backend
+(:mod:`repro.fl.execution`), which trains a round's batchable clients
+together as one cohort instead of one after another.  ``self.model`` is
+shared scratch: a task may overwrite its parameters and buffers freely.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace as dataclass_replace
@@ -72,11 +69,8 @@ from repro.fl.comm import CommTracker
 from repro.fl.config import FLConfig
 from repro.fl.execution import (
     ClientEvalSpec,
-    ClientSlots,
     ClientTrainSpec,
-    CohortRunner,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     make_backend,
 )
@@ -95,9 +89,6 @@ from repro.utils.rng import RngFactory
 
 __all__ = ["ClientUpdate", "FederatedAlgorithm", "weighted_average", "average_states"]
 
-#: sentinel for :meth:`FederatedAlgorithm.exec_state`
-_MISSING = object()
-
 
 @dataclass
 class ClientUpdate:
@@ -111,10 +102,10 @@ class ClientUpdate:
         loss: mean local training loss over the update.
         state: non-trainable buffers (batch-norm statistics) after training.
         extras: algorithm-specific payload (e.g. IFCA's chosen cluster,
-            SCAFFOLD's control-variate delta).  Because client tasks may run
-            on worker processes, ``extras`` is the *only* channel by which a
-            client may influence server state — the server folds it in
-            during ``aggregate``.
+            SCAFFOLD's control-variate delta).  Client tasks never write
+            server state (the execution contract), so ``extras`` is the
+            *only* channel by which a client may influence it — the server
+            folds it in during ``aggregate``.
     """
 
     client_id: int
@@ -131,18 +122,6 @@ class FederatedAlgorithm(ABC):
 
     #: registry name; subclasses set this
     name: str = "base"
-
-    #: Names of mutable server-side attributes that client tasks
-    #: (``client_update`` / ``evaluate_client``) read.  The process backend
-    #: ships exactly these to its workers before every dispatch; subclasses
-    #: extend the tuple (``exec_state_attrs = Base.exec_state_attrs + (...,)``).
-    exec_state_attrs: tuple[str, ...] = ()
-
-    #: Subset of ``exec_state_attrs`` that are per-client sequences indexed
-    #: by client id (per-client model lists, control variates, ...).  For
-    #: these, snapshots ship only the dispatched clients' slots — a client
-    #: task may read its *own* slot only.
-    exec_state_client_attrs: tuple[str, ...] = ()
 
     #: whether this algorithm's ``aggregate`` is a plain weighted combine
     #: over the cohort, so a hierarchical topology may pre-reduce the
@@ -165,13 +144,11 @@ class FederatedAlgorithm(ABC):
         self.model_fn = model_fn
         self.rngs = RngFactory(seed)
         self.seed = seed
-        # one reusable work model per executing thread: all parameter
-        # movement goes through flat vectors, so a single instance serves
-        # every client/cluster (see the ``model`` property)
-        self._model: Sequential = model_fn(self.rngs.make("model_init"))
-        self._model_replicas = threading.local()
-        self._owner_thread = threading.get_ident()
-        self.model_bytes = param_nbytes(self._model)
+        #: the one reusable scratch work model: all parameter movement
+        #: goes through flat vectors, so a single instance serves every
+        #: client/cluster
+        self.model: Sequential = model_fn(self.rngs.make("model_init"))
+        self.model_bytes = param_nbytes(self.model)
         self.comm = CommTracker()
         self.history = History(self.name, fed.name)
         self._backend: ExecutionBackend | None = None
@@ -220,24 +197,6 @@ class FederatedAlgorithm(ABC):
         #: then, so hooks called outside ``run`` keep the seed data path
         self.topology: Topology = FLAT_TOPOLOGY
 
-    @property
-    def model(self) -> Sequential:
-        """The calling thread's scratch work model.
-
-        The main thread gets the engine's primary instance (the seed
-        behaviour); worker threads lazily build their own replica from the
-        same ``model_init`` generator so concurrent client tasks never share
-        mutable layer buffers.  Forked worker processes inherit the primary
-        instance as a private copy.
-        """
-        if threading.get_ident() == self._owner_thread:
-            return self._model
-        replica = getattr(self._model_replicas, "model", None)
-        if replica is None:
-            replica = self.model_fn(self.rngs.make("model_init"))
-            self._model_replicas.model = replica
-        return replica
-
     # ------------------------------------------------------------------
     # hooks
     # ------------------------------------------------------------------
@@ -252,10 +211,9 @@ class FederatedAlgorithm(ABC):
     def aggregate(self, round_idx: int, updates: list[ClientUpdate]) -> None:
         """Fold client updates into server state.
 
-        Always runs on the main thread/process after every update of the
-        round has been collected, in the deterministic selection order —
-        this is the one place an algorithm may write server state in
-        response to client work.
+        Always runs after every update of the round has been collected,
+        in the deterministic selection order — this is the one place an
+        algorithm may write server state in response to client work.
         """
 
     def staleness_discount(self, staleness: float) -> float:
@@ -326,7 +284,7 @@ class FederatedAlgorithm(ABC):
         is what makes ``buffered`` with ``buffer_size == cohort`` and
         ``staleness_alpha = 0`` bit-for-bit identical to ``sync``.
 
-        Always runs on the main thread, like :meth:`aggregate`.
+        Always runs after the buffer's client tasks, like :meth:`aggregate`.
         """
         merged: list[ClientUpdate] = []
         for u, s in zip(updates, staleness):
@@ -469,42 +427,6 @@ class FederatedAlgorithm(ABC):
         return self.model_bytes
 
     # ------------------------------------------------------------------
-    # execution state (process-backend synchronization)
-    # ------------------------------------------------------------------
-    def exec_state(self, client_ids: Sequence[int] | None = None) -> dict:
-        """Snapshot of the mutable server state client tasks read.
-
-        Args:
-            client_ids: when given, per-client attributes
-                (``exec_state_client_attrs``) are narrowed to these
-                clients' slots to keep process-backend dispatches cheap.
-
-        Returns:
-            ``{attr: value}`` for every ``exec_state_attrs`` name currently
-            set on the instance (attributes a later ``setup`` will create
-            are simply omitted).
-        """
-        out = {}
-        for name in self.exec_state_attrs:
-            value = getattr(self, name, _MISSING)
-            if value is _MISSING:
-                continue
-            if client_ids is not None and name in self.exec_state_client_attrs:
-                value = ClientSlots({int(c): value[int(c)] for c in client_ids})
-            out[name] = value
-        return out
-
-    def load_exec_state(self, state: dict) -> None:
-        """Install a snapshot produced by :meth:`exec_state` (worker side)."""
-        for name, value in state.items():
-            if isinstance(value, ClientSlots):
-                target = getattr(self, name)
-                for cid, slot in value.slots.items():
-                    target[cid] = slot
-            else:
-                setattr(self, name, value)
-
-    # ------------------------------------------------------------------
     # checkpoint state (:mod:`repro.fl.checkpoint`)
     # ------------------------------------------------------------------
     #: instance attributes that are engine infrastructure, not algorithm
@@ -515,8 +437,7 @@ class FederatedAlgorithm(ABC):
     #: variates, per-client models, residual-carrying scalars — is
     #: captured automatically.
     _ENGINE_STATE_ATTRS = frozenset({
-        "fed", "config", "model_fn", "rngs", "seed",
-        "_model", "_model_replicas", "_owner_thread", "model_bytes",
+        "fed", "config", "model_fn", "rngs", "seed", "model", "model_bytes",
         "comm", "history", "_backend",
         "codec", "network", "scheduler", "population",
         "_eligible", "_ran",
@@ -547,8 +468,7 @@ class FederatedAlgorithm(ABC):
         """Run per-client tasks through the active backend (serial when no
         run is in progress, e.g. in tests that call hooks directly)."""
         if self._backend is None:
-            fn = getattr(self, method)
-            return [fn(*args) for args in argslist]
+            return SerialBackend.map(self, method, argslist)
         return self._backend.map(self, method, argslist)
 
     # ------------------------------------------------------------------
@@ -621,10 +541,9 @@ class FederatedAlgorithm(ABC):
             check_compatible(ckpt, self)
         # Adversaries are drawn over the *full* id space before the
         # population detaches its joiner pool (late joiners carry their
-        # allegiance in) and before any process backend forks (workers
-        # inherit the immutable roster).  The aggregation rule is built
-        # alongside; with the defaults both are the shared no-op /
-        # seed-rule objects and nothing downstream changes.
+        # allegiance in).  The aggregation rule is built alongside; with
+        # the defaults both are the shared no-op / seed-rule objects and
+        # nothing downstream changes.
         self.attack = make_attack(cfg, self.fed.num_clients, self.rngs)
         self.aggregator = make_aggregator(cfg)
         # The aggregation topology sits between scheduler delivery and
@@ -656,39 +575,9 @@ class FederatedAlgorithm(ABC):
                     int(c) for c in self.population.initial_roster()
                 }
         self._backend = make_backend(cfg)
-        if self.population.dynamic and self.population.joiner_count() and isinstance(
-            self._backend, ProcessBackend
-        ):
-            self._backend.close()
-            self._backend = None
-            raise RuntimeError(
-                "population joins need a shared-memory backend "
-                "(serial/thread): process workers fork the dataset before "
-                "any joiner attaches"
-            )
         self.codec = make_codec(cfg)
         self.network = make_network(cfg, self.fed.num_clients, self.rngs)
         self.scheduler = make_scheduler(cfg)
-        if not isinstance(self._backend, (SerialBackend, CohortRunner)):
-            # Layer-internal generators (e.g. nn.layers.Dropout) draw in
-            # forward-call order, which parallel backends cannot reproduce;
-            # fail loudly instead of silently diverging from serial.  The
-            # vector backend is exempt: it detects stateful-RNG layers
-            # itself and runs the exact serial loop for such models.
-            stateful = [
-                repr(layer)
-                for layer in self._model.layers
-                if isinstance(getattr(layer, "rng", None), np.random.Generator)
-            ]
-            if stateful:
-                self._backend.close()
-                self._backend = None
-                raise RuntimeError(
-                    "model contains layers with their own RNG state "
-                    f"({', '.join(stateful)}), which breaks the bit-for-bit "
-                    "backend-equivalence contract; use backend='serial' for "
-                    "this model"
-                )
         resume_sched: dict | None = None
         if ckpt is not None:
             # install the saved state over the freshly-built components;
@@ -720,7 +609,6 @@ class FederatedAlgorithm(ABC):
                 )
             self.scheduler.run(self, resume=resume_sched)
         finally:
-            self._backend.close()
             self._backend = None
             self.telemetry.finish(self)
         return self.history
@@ -830,8 +718,7 @@ class FederatedAlgorithm(ABC):
     def client_update(self, client_id: int, round_idx: int) -> ClientUpdate:
         """Default client behaviour: local SGD from the assigned model.
 
-        Pure with respect to server state (see the module docstring); safe
-        to execute on any backend worker.
+        Pure with respect to server state (see the module docstring).
         """
         params = self.params_for_client(client_id, round_idx)
         state = self.state_for_client(client_id, round_idx)
@@ -950,7 +837,7 @@ class FederatedAlgorithm(ABC):
     def evaluate_client(self, client_id: int) -> float:
         """One client's local test accuracy on its designated eval model.
 
-        Pure with respect to server state; safe on any backend worker.
+        Pure with respect to server state (see the module docstring).
         """
         client: ClientData = self.fed[client_id]
         model = self.model

@@ -18,8 +18,7 @@ This module makes that tier a registry family:
     Two-tier aggregation over ``topo_edges`` edge aggregators.  The
     client→edge assignment is a pure function of the run seed and the
     client id (``rngs.make("topology.edge", client_id)``), so it is
-    stable under churn, identical across workers, and needs no
-    checkpoint state.  Each edge folds its members through the
+    stable under churn and needs no checkpoint state.  Each edge folds its members through the
     configured ``aggregator``'s streaming accumulator
     (:meth:`~repro.fl.aggregation.Aggregator.accumulator`) the moment
     they are delivered — the scheduler releases each decoded update

@@ -34,9 +34,8 @@ def grad_on_batch(
     """Flat gradient and mean loss of one training-mode batch.
 
     The shared building block for algorithms that step on raw gradients
-    instead of an optimizer (SCAFFOLD, FedDyn, Per-FedAvg).  Re-entrant:
-    all scratch lives in ``model``, so concurrent backend workers can
-    interleave calls on their own replicas.
+    instead of an optimizer (SCAFFOLD, FedDyn, Per-FedAvg).  All scratch
+    lives in ``model``.
 
     Args:
         model: the model to differentiate (gradients are overwritten).

@@ -511,8 +511,8 @@ class Dropout(Layer):
     generator (``cohort_rngs``), reproducing per-client serial draws
     bit-for-bit.  Without ``cohort_rngs`` the layer-owned ``rng`` draws the
     members' masks in cohort order — a well-defined stream, but not the
-    serial backend's call order, which is why the engine keeps rejecting
-    non-serial backends for models with layer-owned RNG state.
+    serial backend's call order, which is why the ``vector`` backend runs
+    models with layer-owned RNG state through the serial loop.
     """
 
     def __init__(self, p: float, rng: np.random.Generator):

@@ -8,7 +8,7 @@ determinism contract), except ``sim_seconds`` which is compared at
 rtol 1e-12 because event-clock accumulation order differs legitimately
 between schedulers.
 
-Two halves:
+Three parts:
 
 * :func:`canonical_history` — a run's ``History.as_dict()`` minus the
   wall-clock fields, i.e. exactly the part of a history two runs can be
@@ -19,6 +19,8 @@ Two halves:
   ``REPRO_UPDATE_GOLDENS=1`` regenerates the case in place instead of
   comparing (the capture workflow that previously lived in throwaway
   scripts).
+* :func:`assert_vector_contract` — compare a ``vector``-backend run with
+  its serial twin under the pinned ``VECTOR_*`` tolerance contract.
 """
 
 from __future__ import annotations
@@ -30,10 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.fl.execution import VECTOR_ACC_ATOL, VECTOR_LOSS_RTOL, VECTOR_PARAM_RTOL
+
 __all__ = [
     "DATA_DIR",
     "SIM_SECONDS_RTOL",
     "assert_matches_golden",
+    "assert_vector_contract",
     "canonical_history",
     "capture_run",
     "compare_capture",
@@ -130,3 +135,47 @@ def assert_matches_golden(
         f"REPRO_UPDATE_GOLDENS=1"
     )
     compare_capture(data[case], got, label=case)
+
+
+def assert_vector_contract(serial, vector, label: str = "vector") -> None:
+    """Assert a ``vector`` run stays within the pinned contract of serial.
+
+    ``serial`` and ``vector`` are ``(history, algo)`` pairs of the same
+    configuration; ``algo`` may be ``None`` to skip the parameter check
+    (e.g. for a resumed run compared with an unbroken one).  Accuracy must
+    agree within ``VECTOR_ACC_ATOL``, train loss within
+    ``VECTOR_LOSS_RTOL`` and final per-client parameters and buffers
+    (BatchNorm running stats) within ``VECTOR_PARAM_RTOL``; everything
+    else in the canonical history —
+    byte counters, ``sim_seconds``, per-round extras (deadline cuts,
+    cancellations, population events) — exactly.
+    """
+    (hs, algo_s), (hv, algo_v) = serial, vector
+    ds, dv = canonical_history(hs), canonical_history(hv)
+    np.testing.assert_allclose(
+        dv.pop("accuracy"), ds.pop("accuracy"), atol=VECTOR_ACC_ATOL,
+        err_msg=f"{label}.accuracy outside the vector contract",
+    )
+    np.testing.assert_allclose(
+        dv.pop("train_loss"), ds.pop("train_loss"), rtol=VECTOR_LOSS_RTOL,
+        err_msg=f"{label}.train_loss outside the vector contract",
+    )
+    for key in ds:
+        assert dv[key] == ds[key], f"{label}.{key} diverged from serial"
+    if algo_s is not None and algo_v is not None:
+        for cid in range(algo_s.fed.num_clients):
+            np.testing.assert_allclose(
+                algo_v.eval_params_for_client(cid),
+                algo_s.eval_params_for_client(cid),
+                rtol=VECTOR_PARAM_RTOL, atol=1e-8,
+                err_msg=f"{label}: client {cid} params outside the contract",
+            )
+            state_s = algo_s.eval_state_for_client(cid)
+            state_v = algo_v.eval_state_for_client(cid)
+            assert state_v.keys() == state_s.keys()
+            for key in state_s:
+                np.testing.assert_allclose(
+                    state_v[key], state_s[key],
+                    rtol=VECTOR_PARAM_RTOL, atol=1e-8,
+                    err_msg=f"{label}: client {cid} {key} outside the contract",
+                )

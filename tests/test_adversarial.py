@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden import canonical_history, params_digest
+from golden import assert_vector_contract, canonical_history, params_digest
 from repro.algorithms import build_algorithm
 from repro.data import build_federated_dataset, make_dataset
 from repro.fl.aggregation import (
@@ -400,12 +400,12 @@ class TestEngineIntegration:
 
     def test_attack_identical_across_backends(self):
         opts = dict(attack="signflip:frac=0.25", aggregator="median")
-        serial_h, serial_a = run_one(fresh_fed(), **opts)
-        thread_h, thread_a = run_one(
-            fresh_fed(), backend="thread", workers=3, **opts
+        serial, vector = (
+            run_one(fresh_fed(), backend=backend, **opts)
+            for backend in ("serial", "vector")
         )
-        assert canonical_history(thread_h) == canonical_history(serial_h)
-        assert params_digest(thread_a) == params_digest(serial_a)
+        assert_vector_contract(serial, vector)
+        assert serial[1].attack.roster == vector[1].attack.roster
 
     def test_attack_identical_across_schedulers_roster(self):
         """All schedulers draw the same adversaries (assignment precedes

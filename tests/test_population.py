@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -33,8 +32,6 @@ from repro.fl.sampling import sample_clients
 from repro.nn.models import mlp
 from repro.utils.io import load_history, save_history
 from repro.utils.rng import RngFactory
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
 def fresh_fed(num_clients: int = 10, n_samples: int = 400):
@@ -374,18 +371,6 @@ class TestGrowth:
         assert [e["client"] for e in h.population_events("join")] == [8, 9]
         assert "cluster" not in h.population_events("join")[0]
         assert algo.fed.num_clients == 10
-
-    @pytest.mark.skipif(not HAS_FORK, reason="no fork start method")
-    def test_process_backend_rejects_joins(self):
-        fed = fresh_fed(10)
-        cfg = FLConfig(
-            rounds=2, sample_rate=0.5, local_epochs=1, batch_size=10,
-            lr=0.05, backend="process", workers=2,
-            population="growth:joiners=2",
-        )
-        algo = build_algorithm("fedavg", fed, model_fn_for(fed), cfg, seed=0)
-        with pytest.raises(RuntimeError, match="shared-memory backend"):
-            algo.run()
 
     def test_seeded_weights_match_or_beat_random_assignment(self):
         # the acceptance scenario: weight-driven newcomer assignment vs

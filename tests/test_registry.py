@@ -142,10 +142,6 @@ class TestThreePathAgreement:
         via_inline = FACTORIES[family](spec=name)
         assert type(via_config) is type(via_env) is type(via_inline)
         assert type(via_config) is fam.impls[name].cls
-        for backend in (via_config, via_env, via_inline):
-            close = getattr(backend, "close", None)
-            if close:
-                close()
 
     def test_topk_frac_three_ways(self, monkeypatch):
         via_config = make_codec(FLConfig(rounds=1, codec="topk", topk_frac=0.2))
@@ -157,18 +153,6 @@ class TestThreePathAgreement:
         via_inline = make_codec(codec="topk:frac=0.2")
         assert isinstance(via_config, TopKCodec)
         assert via_config.frac == via_env.frac == via_inline.frac == 0.2
-
-    def test_workers_three_ways(self, monkeypatch):
-        via_config = make_backend(FLConfig(rounds=1, backend="thread", workers=3))
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        via_env = make_backend(FLConfig(rounds=1))
-        monkeypatch.delenv("REPRO_BACKEND")
-        monkeypatch.delenv("REPRO_WORKERS")
-        via_inline = make_backend(backend="thread:workers=3")
-        assert via_config.workers == via_env.workers == via_inline.workers == 3
-        for b in (via_config, via_env, via_inline):
-            b.close()
 
     def test_buffered_knobs_three_ways(self, monkeypatch):
         via_config = make_scheduler(
@@ -262,14 +246,16 @@ class TestSpecStringErrors:
 
     def test_inline_option_for_wrong_impl_rejected(self):
         # a knob the selected implementation would silently drop is an
-        # error, matching the CLI's "--workers only applies to ..." check
+        # error, matching the CLI's "--x only applies to ..." checks
         # family-level option restricted via only_for -> "only applies to"
         with pytest.raises(ValueError, match="only applies to"):
-            make_backend(backend="serial:workers=4")
+            FLConfig(attack="none:frac=0.25")
+        with pytest.raises(ValueError, match="only applies to"):
+            FACTORIES["attack"](spec="none:frac=0.25")
         # impl-scoped option on another impl -> not declared there at all
         with pytest.raises(ValueError, match="unknown option 'bs'"):
             FLConfig(scheduler="sync:bs=4")
-        make_backend(backend="thread:workers=2").close()  # right impl: fine
+        FACTORIES["attack"](spec="signflip:frac=0.25")  # right impl: fine
 
     def test_population_options_rejected_on_every_other_family(self):
         """Satellite property: `resolve` rejects population options on
@@ -391,7 +377,7 @@ class TestComponentsAndDocs:
         table = flag_table_markdown()
         for flag in ("--backend", "--codec", "--topk-frac", "--network",
                      "--deadline", "--scheduler", "--buffer-size",
-                     "--staleness-alpha", "--over-select-frac", "--workers"):
+                     "--staleness-alpha", "--over-select-frac"):
             assert flag in table
         assert "REPRO_CODEC" in table and "net_mbps" in table
 
@@ -424,8 +410,8 @@ class TestGoldenEquivalence:
     CASES = {
         "fedavg-default": ("fedavg", dict(), dict()),
         "fedclust-default": ("fedclust", dict(), dict(lam="auto")),
-        "scaffold-thread": ("scaffold", dict(backend="thread", workers=3),
-                            dict()),
+        # the pinned capture's key; the default backend reproduces it
+        "scaffold-thread": ("scaffold", dict(), dict()),
         "lg-int8-uniform": ("lg", dict(codec="int8", network="uniform"),
                             dict()),
         "fedavg-buffered-stragglers": (

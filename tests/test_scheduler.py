@@ -1,7 +1,8 @@
 """Event-driven schedulers: sync extraction, semisync, buffered async.
 
 The contract (see ``docs/architecture.md``): the ``sync`` scheduler is
-the seed engine's round loop bit-for-bit on every backend; ``semisync``
+the seed engine's round loop bit-for-bit (within the pinned contract under
+the ``vector`` backend); ``semisync``
 with ``over_select_frac=0`` keeps exactly what it keeps; ``buffered``
 with ``buffer_size == cohort`` and a zero staleness discount degenerates
 to it (and rejects a ``deadline``); the event fields the asynchronous
@@ -11,12 +12,10 @@ round-trips.
 
 from __future__ import annotations
 
-import multiprocessing
-
 import numpy as np
 import pytest
 
-from golden import canonical_history, params_digest
+from golden import assert_vector_contract, canonical_history, params_digest
 
 from repro.algorithms import build_algorithm
 from repro.data import build_federated_dataset, make_dataset
@@ -33,12 +32,6 @@ from repro.fl.scheduler import (
 )
 from repro.nn.models import mlp
 from repro.utils.io import load_history, save_history
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-ALL_BACKEND_CFGS = [("serial", 0), ("thread", 3)] + (
-    [("process", 3)] if HAS_FORK else []
-)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +60,7 @@ def run_one(fed, method: str, extra: dict | None = None, **cfg_kwargs):
 
 
 class TestSyncExtraction:
-    """scheduler='sync' must be the default engine, on every backend."""
+    """scheduler='sync' must be the default engine, on both backends."""
 
     def test_explicit_sync_equals_default(self, fed):
         base_h, base_a = run_one(fed, "fedavg")
@@ -84,16 +77,12 @@ class TestSyncExtraction:
         {"codec": "topk", "network": "stragglers", "deadline": 1.0},
     ])
     def test_sync_identical_across_backends(self, fed, cfg_kwargs):
-        base_h, _ = run_one(fed, "fedclust", extra={"lam": "auto"},
-                            scheduler="sync", **cfg_kwargs)
-        for backend, workers in ALL_BACKEND_CFGS[1:]:
-            h, _ = run_one(fed, "fedclust", extra={"lam": "auto"},
-                           scheduler="sync", backend=backend, workers=workers,
-                           **cfg_kwargs)
-            np.testing.assert_array_equal(base_h.accuracies, h.accuracies)
-            np.testing.assert_array_equal(base_h.losses, h.losses)
-            np.testing.assert_array_equal(base_h.cumulative_mb, h.cumulative_mb)
-            np.testing.assert_array_equal(base_h.sim_seconds, h.sim_seconds)
+        serial, vector = (
+            run_one(fed, "fedclust", extra={"lam": "auto"}, scheduler="sync",
+                    backend=backend, **cfg_kwargs)
+            for backend in ("serial", "vector")
+        )
+        assert_vector_contract(serial, vector)
 
 
 class TestBufferedReducesToSync:
@@ -141,15 +130,12 @@ class TestBufferedReducesToSync:
                                    rtol=1e-12)
 
     def test_buffered_equivalent_across_backends(self, fed):
-        base_h, _ = run_one(fed, "fedavg", scheduler="buffered",
-                            network="stragglers")
-        for backend, workers in ALL_BACKEND_CFGS[1:]:
-            h, _ = run_one(fed, "fedavg", scheduler="buffered",
-                           network="stragglers", backend=backend,
-                           workers=workers)
-            np.testing.assert_array_equal(base_h.accuracies, h.accuracies)
-            np.testing.assert_array_equal(base_h.cumulative_mb, h.cumulative_mb)
-            np.testing.assert_array_equal(base_h.sim_seconds, h.sim_seconds)
+        serial, vector = (
+            run_one(fed, "fedavg", scheduler="buffered", network="stragglers",
+                    backend=backend)
+            for backend in ("serial", "vector")
+        )
+        assert_vector_contract(serial, vector)
 
 
 class TestBufferedAsync:

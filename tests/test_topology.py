@@ -21,9 +21,6 @@ The contract under test (fl/topology.py, data/federated.py lazy path):
   crash-resume stay bit-for-bit under ``hier``; a tampered edge
   assignment or edge count is refused; a lazy federation's resident
   shard set rides the checkpoint and is re-warmed on resume.
-* ``TestProcessResidency`` — forked workers materialize only the shards
-  their own tasks touch (parent cache untouched), and population joins
-  are rejected under the process backend.
 * ``TestReplayWithTopology`` — telemetry replay stays exact with edge
   events in the log, and the trace carries edge_reduce spans.
 """
@@ -50,7 +47,6 @@ from repro.data import (
 )
 from repro.fl.aggregation import make_aggregator
 from repro.fl.config import FLConfig
-from repro.fl.execution import ProcessBackend, _split_chunks
 from repro.fl.topology import FlatTopology, HierTopology, make_topology
 from repro.nn.models import mlp
 from repro.utils.rng import RngFactory
@@ -377,62 +373,6 @@ class TestCheckpointUnderHier:
         # the crashed run's working set was re-warmed (cache is large
         # enough here that nothing paged out during the final round)
         assert set(residency) <= set(fed2.resident_ids())
-
-
-class TestProcessResidency:
-    """Forked workers + lazy shards: each worker materializes only what
-    its own tasks touch; the parent's cache never sees worker pages."""
-
-    @pytest.mark.skipif(
-        sys.platform not in ("linux", "darwin"),
-        reason="fork start method required",
-    )
-    def test_workers_materialize_only_their_tasks_shards(self):
-        fed = _lazy_fed(num_clients=12, cache_clients=64)
-        cfg = FLConfig(rounds=1, sample_rate=0.5, local_epochs=1,
-                       batch_size=10, lr=0.05)
-        algo = build_algorithm("fedavg", fed, _model_fn(fed), cfg, seed=0)
-
-        def probe_residency(cid):
-            shard = fed[int(cid)]
-            assert shard.n_train > 0
-            return sorted(int(c) for c in fed.resident_ids())
-
-        algo.probe_residency = probe_residency
-        fed.drop_cache()
-        backend = ProcessBackend(workers=2)
-        probe_ids = list(range(8))  # clients 8..11 are never probed
-        try:
-            results = backend.map(
-                algo, "probe_residency", [(cid,) for cid in probe_ids]
-            )
-        finally:
-            backend.close()
-        chunks = _split_chunks(probe_ids, 2)
-        pos = 0
-        for chunk in chunks:
-            for p, cid in enumerate(chunk):
-                resident = set(results[pos])
-                # a worker has at most its dispatched probe ids resident —
-                # never a shard no task asked it for
-                assert resident <= set(probe_ids)
-                # within a chunk tasks run in order in one process, so
-                # everything this chunk touched so far must be resident
-                assert set(chunk[:p + 1]) <= resident
-                pos += 1
-        # worker materialization never leaks back into the parent cache
-        assert fed.resident_shards() == 0
-
-    def test_population_joins_rejected_under_process_backend(self):
-        fed = _lazy_fed()
-        cfg = FLConfig(
-            rounds=2, sample_rate=0.5, local_epochs=1, batch_size=10,
-            lr=0.05, backend="process",
-            population="growth:joiners=2,join_start=1,join_every=1",
-        )
-        algo = build_algorithm("fedavg", fed, _model_fn(fed), cfg, seed=0)
-        with pytest.raises(RuntimeError, match="shared-memory"):
-            algo.run()
 
 
 class TestReplayWithTopology:
