@@ -25,10 +25,10 @@ from conftest import run_once
 from repro.experiments import BENCH_SCALE
 from repro.experiments.runner import run_cell
 
-#: cells for the vector-backend speedup row: methods whose client loop is
-#: the default recipe, so the CohortRunner actually batches (ifca's
-#: overridden client hook serial-falls-back by design and would measure
-#: nothing)
+#: cells for the vector-backend speedup row.  IFCA batches too but is not
+#: a gated cell: its cluster scoring is k plain forwards over the scored
+#: clients' train shards on either backend, so it measured only 1.8-2.5x
+#: over serial at BENCH_SCALE (2-core host), under the target below
 VECTOR_CELLS = [("cifar10", "fedclust"), ("cifar10", "fedavg")]
 #: the PR's target: cohort batching must be at least this much faster
 #: than the serial per-client loop on every measured cell

@@ -78,26 +78,28 @@ class FedProx(FedAvg):
             prox_center=params,
         )
 
-    def client_task_spec(self, method, args):
+    def client_task_specs(self, method, argslist):
         # FedProx's client loop is the default recipe anchored at the
         # downloaded model, so the vector backend can batch it.
         if method != "client_update":
-            return super().client_task_spec(method, args)
+            return super().client_task_specs(method, argslist)
         cls = type(self)
         if (
             cls.client_update is not FedProx.client_update
             or cls.local_train is not FederatedAlgorithm.local_train
         ):
             return None
-        client_id, round_idx = args
-        params = self.params_for_client(client_id, round_idx)
-        return ClientTrainSpec(
-            client_id=int(client_id),
-            round_idx=int(round_idx),
-            params=params,
-            state=self.state_for_client(client_id, round_idx),
-            prox_center=params,
-        )
+        specs = []
+        for client_id, round_idx in argslist:
+            params = self.params_for_client(client_id, round_idx)
+            specs.append(ClientTrainSpec(
+                client_id=int(client_id),
+                round_idx=int(round_idx),
+                params=params,
+                state=self.state_for_client(client_id, round_idx),
+                prox_center=params,
+            ))
+        return specs
 
 
 @register("algorithm", "fednova")

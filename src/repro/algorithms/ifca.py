@@ -5,16 +5,23 @@ Every round each selected client downloads *all* k cluster models (the
 k-fold download is why IFCA's Table-5 communication cost is high), picks
 the one with the lowest empirical loss on its local training data, trains
 it, and uploads the result tagged with the chosen cluster id.
+
+Under the ``vector`` backend a whole dispatch is assigned at once
+(:meth:`IFCA._best_clusters`) and then trains or evaluates as ordinary
+default-recipe cohort tasks (:meth:`IFCA.client_task_specs`).
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.algorithms.clustered import ClusteredAlgorithm
+from repro.fl.execution import ClientEvalSpec, ClientTrainSpec
 from repro.fl.registry import opt, register
-from repro.fl.server import ClientUpdate
-from repro.fl.training import evaluate_accuracy, evaluate_loss
+from repro.fl.server import ClientUpdate, FederatedAlgorithm
+from repro.fl.training import evaluate_loss
 from repro.nn.serialization import unflatten_params
 
 __all__ = ["IFCA"]
@@ -52,16 +59,30 @@ class IFCA(ClusteredAlgorithm):
             self.cluster_params.append(flatten_params(m))
             self.cluster_states.append({key: v.copy() for key, v in m.state().items()})
 
-    def _best_cluster(self, client_id: int) -> int:
-        """argmin over cluster models of local training loss."""
-        client = self.fed[client_id]
-        losses = np.empty(self.k)
+    def _best_clusters(self, client_ids: Sequence[int]) -> list[int]:
+        """argmin over cluster models of each client's local training loss.
+
+        Every client scores the same k models, so each model runs one
+        ``predict`` over the clients' concatenated train shards and every
+        client takes the mean loss on its own slice: k plain forwards, not
+        a clients-by-k cohort.  For one client this is the per-client
+        scoring exactly.
+        """
+        clients = [self.fed[cid] for cid in client_ids]
+        x = np.concatenate([c.train_x for c in clients])
+        y = np.concatenate([c.train_y for c in clients])
+        sizes = [len(c.train_y) for c in clients]
+        losses = np.empty((len(clients), self.k))
         for j in range(self.k):
             unflatten_params(self.model, self.cluster_params[j])
             if self.cluster_states[j]:
                 self.model.load_state(self.cluster_states[j])
-            losses[j] = evaluate_loss(self.model, client.train_x, client.train_y)
-        return int(np.argmin(losses))
+            losses[:, j] = evaluate_loss(self.model, x, y, sizes)
+        return [int(j) for j in losses.argmin(axis=1)]
+
+    def _best_cluster(self, client_id: int) -> int:
+        """argmin over cluster models of local training loss."""
+        return self._best_clusters([client_id])[0]
 
     def client_update(self, client_id: int, round_idx: int) -> ClientUpdate:
         # Pure w.r.t. server state (execution-backend contract): the chosen
@@ -72,6 +93,43 @@ class IFCA(ClusteredAlgorithm):
         )
         update.extras["cluster"] = j
         return update
+
+    def client_task_specs(self, method, argslist):
+        # Every IFCA task is the default recipe run on the client's argmin
+        # cluster: assign the whole dispatch in one scoring pass, then let
+        # ``post`` report the chosen cluster like the serial methods do.
+        if method not in ("client_update", "evaluate_client",
+                          "_evaluate_with_cluster"):
+            return super().client_task_specs(method, argslist)
+        cls = type(self)
+        if (
+            getattr(cls, method) is not getattr(IFCA, method)
+            or cls._evaluate_with_cluster is not IFCA._evaluate_with_cluster
+            or cls.local_train is not FederatedAlgorithm.local_train
+        ):
+            return None
+        best = self._best_clusters([int(args[0]) for args in argslist])
+        if method == "client_update":
+            return [
+                ClientTrainSpec(
+                    client_id=int(client_id),
+                    round_idx=int(round_idx),
+                    params=self.cluster_params[j],
+                    state=self.cluster_states[j],
+                    post=_tag_cluster(j),
+                )
+                for (client_id, round_idx), j in zip(argslist, best)
+            ]
+        paired = method == "_evaluate_with_cluster"
+        return [
+            ClientEvalSpec(
+                client_id=int(client_id),
+                params=self.cluster_params[j],
+                state=self.cluster_states[j],
+                post=_pair_with_cluster(j) if paired else None,
+            )
+            for (client_id,), j in zip(argslist, best)
+        ]
 
     def aggregate(self, round_idx: int, updates: list[ClientUpdate]) -> None:
         by_cluster: dict[int, list[ClientUpdate]] = {}
@@ -100,20 +158,18 @@ class IFCA(ClusteredAlgorithm):
         # the argmin runs once and the method stays pure for backends; the
         # chosen cluster travels back so per_client_accuracy can record it.
         j = self._best_cluster(client_id)
-        client = self.fed[client_id]
-        model = self.model
-        unflatten_params(model, self.cluster_params[j])
-        if self.cluster_states[j]:
-            model.load_state(self.cluster_states[j])
-        return evaluate_accuracy(model, client.test_x, client.test_y), j
+        acc = self.local_eval(
+            client_id, self.cluster_params[j], self.cluster_states[j]
+        )
+        return acc, j
 
     def per_client_accuracy(self) -> np.ndarray:
         """Every client's accuracy, refreshing ``cluster_of`` as it goes.
 
         IFCA's assignments are implicit (argmin over cluster losses), so
         each evaluation sweep also updates ``cluster_of`` for *all*
-        clients — including never-sampled ones — on the main thread, from
-        the cluster choices the (possibly parallel) eval tasks report.
+        clients — including never-sampled ones — from the cluster choices
+        the eval tasks report.
         """
         results = self._map_clients(
             "_evaluate_with_cluster",
@@ -141,3 +197,20 @@ class IFCA(ClusteredAlgorithm):
         # ``cluster_of`` recorded last round — the codec must form the
         # delta against what the client actually started from.
         return self.cluster_params[int(update.extras["cluster"])]
+
+
+def _tag_cluster(j: int):
+    """Train postprocessor: tag the finished update with cluster ``j``,
+    as :meth:`IFCA.client_update` does."""
+
+    def post(update: ClientUpdate) -> ClientUpdate:
+        update.extras["cluster"] = j
+        return update
+
+    return post
+
+
+def _pair_with_cluster(j: int):
+    """Eval postprocessor: ``(accuracy, j)``, the result shape of
+    :meth:`IFCA._evaluate_with_cluster`."""
+    return lambda acc: (acc, j)

@@ -126,27 +126,29 @@ class FedClust(ClusteredAlgorithm):
         unflatten_params(model, update.params)
         return select_weights(model, self.selection, self.selection_k)
 
-    def client_task_spec(self, method, args):
+    def client_task_specs(self, method, argslist):
         # The round-0 warm-up is the default local_train recipe from θ⁰;
         # only the partial-weight selection differs, and that runs as a
         # main-thread postprocessor on the finished update.
         if method != "client_partial_weights":
-            return super().client_task_spec(method, args)
+            return super().client_task_specs(method, argslist)
         cls = type(self)
         if (
             cls.client_partial_weights is not FedClust.client_partial_weights
             or cls.local_train is not FederatedAlgorithm.local_train
         ):
             return None
-        (client_id,) = args
-        return ClientTrainSpec(
-            client_id=int(client_id),
-            round_idx=0,
-            params=self.theta0,
-            state=self._init_state,
-            epochs=self.warmup_epochs,
-            post=self._partial_from_update,
-        )
+        return [
+            ClientTrainSpec(
+                client_id=int(client_id),
+                round_idx=0,
+                params=self.theta0,
+                state=self._init_state,
+                epochs=self.warmup_epochs,
+                post=self._partial_from_update,
+            )
+            for (client_id,) in argslist
+        ]
 
     def _partial_from_update(self, update) -> np.ndarray:
         """Select partial weights from a finished warm-up update (runs on

@@ -158,12 +158,13 @@ class SerialBackend(ExecutionBackend):
 class ClientTrainSpec:
     """Declarative description of one default-recipe training task.
 
-    ``FederatedAlgorithm.client_task_spec`` returns one of these when a
-    ``client_update``-shaped task is exactly the engine's ``local_train``
-    recipe, which is what lets :class:`CohortRunner` replay the task as a
-    slice of one batched cohort instead of calling the method.  Algorithms
-    with bespoke client loops return ``None`` instead and the runner falls
-    back to the serial loop, bit-for-bit.
+    ``FederatedAlgorithm.client_task_specs`` returns one of these per task
+    when a dispatch's ``client_update``-shaped tasks are exactly the
+    engine's ``local_train`` recipe, which is what lets
+    :class:`CohortRunner` replay each task as a slice of one batched
+    cohort instead of calling the method.  Algorithms with bespoke client
+    loops return ``None`` instead and the runner falls back to the serial
+    loop, bit-for-bit.
     """
 
     client_id: int
@@ -178,8 +179,8 @@ class ClientTrainSpec:
     epochs: int | None = None
     lr: float | None = None
     #: postprocessor applied to the finished ``ClientUpdate``
-    #: (FedClust's partial-weight selection); the task result is its
-    #: return value
+    #: (FedClust's partial-weight selection, IFCA's cluster tag); the
+    #: task result is its return value
     post: Callable[["ClientUpdate"], object] | None = None
 
 
@@ -192,6 +193,9 @@ class ClientEvalSpec:
     client_id: int
     params: np.ndarray
     state: dict[str, np.ndarray] = field(default_factory=dict)
+    #: postprocessor applied to the accuracy (IFCA pairs it with the
+    #: cluster it evaluated); the task result is its return value
+    post: Callable[[float], object] | None = None
 
 
 @register("backend", "vector")
@@ -212,8 +216,8 @@ class CohortRunner(ExecutionBackend):
     equivalence there:
 
     * algorithms overriding ``client_update``/``evaluate_client``/
-      ``local_train`` (SCAFFOLD, FedDyn, IFCA, Per-FedAvg) — detected via
-      ``client_task_spec`` returning ``None``;
+      ``local_train`` with bespoke client loops (SCAFFOLD, FedDyn,
+      Per-FedAvg) — detected via ``client_task_specs`` returning ``None``;
     * models with layer-internal RNG state (``Dropout``) or layers
       without cohort kernels;
     * single-task dispatches (no batching win).
@@ -274,11 +278,10 @@ class CohortRunner(ExecutionBackend):
         batchable, has_state = self._template_info(algorithm)
         if not batchable or len(argslist) == 1:
             return SerialBackend.map(algorithm, method, argslist)
-        specs = [
-            algorithm.client_task_spec(method, tuple(args))
-            for args in argslist
-        ]
-        if any(s is None for s in specs):
+        specs = algorithm.client_task_specs(
+            method, [tuple(args) for args in argslist]
+        )
+        if specs is None:
             return SerialBackend.map(algorithm, method, argslist)
         if has_state and any(not s.state for s in specs):
             # a stateful model whose task carries no buffers relies on the
@@ -378,19 +381,19 @@ class CohortRunner(ExecutionBackend):
         for idxs in groups.values():
             members = [specs[i] for i in idxs]
             if len(members) == 1:
-                results[idxs[0]] = algorithm.evaluate_client(
-                    members[0].client_id
-                )
-                continue
-            cm = self._cohort_model(algorithm, len(members))
-            cm.load_flat(np.stack([s.params for s in members]))
-            if has_state:
-                cm.load_states([s.state for s in members])
-            xs = np.stack([fed[s.client_id].test_x for s in members])
-            ys = np.stack([fed[s.client_id].test_y for s in members])
-            accs = evaluate_accuracy_many(cm, xs, ys)
-            for c, i in enumerate(idxs):
-                results[i] = float(accs[c])
+                s = members[0]
+                accs = [algorithm.local_eval(s.client_id, s.params, s.state)]
+            else:
+                cm = self._cohort_model(algorithm, len(members))
+                cm.load_flat(np.stack([s.params for s in members]))
+                if has_state:
+                    cm.load_states([s.state for s in members])
+                xs = np.stack([fed[s.client_id].test_x for s in members])
+                ys = np.stack([fed[s.client_id].test_y for s in members])
+                accs = evaluate_accuracy_many(cm, xs, ys)
+            for acc, i, s in zip(accs, idxs, members):
+                acc = float(acc)
+                results[i] = acc if s.post is None else s.post(acc)
         return results
 
 

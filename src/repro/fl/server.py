@@ -346,21 +346,28 @@ class FederatedAlgorithm(ABC):
         """Non-trainable buffers the client downloads this round."""
         return self.eval_state_for_client(client_id)
 
-    def client_task_spec(
-        self, method: str, args: tuple
-    ) -> "ClientTrainSpec | ClientEvalSpec | None":
-        """Declarative form of one client task, for batching backends.
+    def client_task_specs(
+        self, method: str, argslist: Sequence[tuple]
+    ) -> "list[ClientTrainSpec] | list[ClientEvalSpec] | None":
+        """Declarative form of one dispatch's client tasks, for batching
+        backends.
 
         The ``vector`` backend (:class:`~repro.fl.execution.CohortRunner`)
-        asks each task whether it is exactly the engine's default recipe —
+        asks whether a dispatch is exactly the engine's default recipe —
         download ``params``/``state``, run ``local_train``'s SGD loop (or
-        the standard accuracy evaluation) — and batches the ones that are.
-        The base implementation answers for the default
-        ``client_update``/``evaluate_client``; any override of those (or of
-        ``local_train`` itself) returns ``None``, which sends the dispatch
-        through the exact serial loop.  Algorithms whose overrides are
-        still the default recipe with different inputs (FedProx's proximal
-        anchor, FedClust's round-0 warm-up) override this to say so.
+        the standard accuracy evaluation) — and batches it if so.  The
+        answer covers the whole dispatch at once, so an algorithm may
+        share work across its tasks (IFCA scores every cluster model on
+        all of them in one pass).  The base implementation answers for the
+        default ``client_update``/``evaluate_client``; any override of
+        those (or of ``local_train`` itself) returns ``None``, which sends
+        the dispatch through the exact serial loop.  Algorithms whose
+        overrides are still the default recipe with different inputs
+        (FedProx's proximal anchor, FedClust's round-0 warm-up, IFCA's
+        argmin cluster) override this to say so.
+
+        Returns:
+            One spec per task, in ``argslist`` order, or ``None``.
         """
         cls = type(self)
         if cls.local_train is not FederatedAlgorithm.local_train:
@@ -368,22 +375,26 @@ class FederatedAlgorithm(ABC):
         if method == "client_update":
             if cls.client_update is not FederatedAlgorithm.client_update:
                 return None
-            client_id, round_idx = args
-            return ClientTrainSpec(
-                client_id=int(client_id),
-                round_idx=int(round_idx),
-                params=self.params_for_client(client_id, round_idx),
-                state=self.state_for_client(client_id, round_idx),
-            )
+            return [
+                ClientTrainSpec(
+                    client_id=int(client_id),
+                    round_idx=int(round_idx),
+                    params=self.params_for_client(client_id, round_idx),
+                    state=self.state_for_client(client_id, round_idx),
+                )
+                for client_id, round_idx in argslist
+            ]
         if method == "evaluate_client":
             if cls.evaluate_client is not FederatedAlgorithm.evaluate_client:
                 return None
-            (client_id,) = args
-            return ClientEvalSpec(
-                client_id=int(client_id),
-                params=self.eval_params_for_client(client_id),
-                state=self.eval_state_for_client(client_id),
-            )
+            return [
+                ClientEvalSpec(
+                    client_id=int(client_id),
+                    params=self.eval_params_for_client(client_id),
+                    state=self.eval_state_for_client(client_id),
+                )
+                for (client_id,) in argslist
+            ]
         return None
 
     def download_bytes(self, client_id: int, round_idx: int) -> int:
@@ -839,10 +850,24 @@ class FederatedAlgorithm(ABC):
 
         Pure with respect to server state (see the module docstring).
         """
+        return self.local_eval(
+            client_id,
+            self.eval_params_for_client(client_id),
+            self.eval_state_for_client(client_id),
+        )
+
+    def local_eval(
+        self,
+        client_id: int,
+        params: np.ndarray,
+        state: dict[str, np.ndarray] | None = None,
+    ) -> float:
+        """Top-1 accuracy of ``params``/``state`` on a client's local test
+        set, measured on the work model (the evaluation counterpart of
+        :meth:`local_train`)."""
         client: ClientData = self.fed[client_id]
         model = self.model
-        unflatten_params(model, self.eval_params_for_client(client_id))
-        state = self.eval_state_for_client(client_id)
+        unflatten_params(model, params)
         if state:
             model.load_state(state)
         return evaluate_accuracy(model, client.test_x, client.test_y)

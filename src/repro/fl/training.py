@@ -9,6 +9,8 @@ identical to the serial loop.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.nn.losses import softmax_cross_entropy, softmax_cross_entropy_many
@@ -23,7 +25,6 @@ __all__ = [
     "evaluate_accuracy",
     "evaluate_accuracy_many",
     "evaluate_loss",
-    "evaluate_loss_many",
     "minibatches",
 ]
 
@@ -179,26 +180,41 @@ def evaluate_accuracy(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == y).mean())
 
 
-def evaluate_loss(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean cross-entropy in evaluation mode (used by IFCA's cluster
-    assignment).
+def evaluate_loss(
+    model: Sequential,
+    x: np.ndarray,
+    y: np.ndarray,
+    sizes: Sequence[int] | None = None,
+) -> float | np.ndarray:
+    """Mean cross-entropy in evaluation mode (IFCA's cluster scoring).
 
     Args:
         model: the model to evaluate (uses ``predict``, i.e. eval mode).
         x: inputs.
         y: integer class labels aligned with ``x`` (non-empty).
+        sizes: lengths of consecutive sets concatenated in ``x``/``y``.
+            All sets go through one ``predict`` pass and each is scored
+            on its own slice of the logits, so a single set returns the
+            value the plain call does, bit for bit.
 
     Returns:
-        Mean softmax cross-entropy over the set.
+        Mean softmax cross-entropy over the set, or with ``sizes`` the
+        ``(len(sizes),)`` per-set means.
 
     Raises:
         ValueError: on an empty evaluation set.
     """
-    if len(y) == 0:
+    if len(y) == 0 or (sizes is not None and not all(sizes)):
         raise ValueError("cannot evaluate on an empty set")
     logits = model.predict(x)
-    loss, _ = softmax_cross_entropy(logits, y)
-    return loss
+    if sizes is None:
+        loss, _ = softmax_cross_entropy(logits, y)
+        return loss
+    bounds = np.cumsum(sizes)[:-1]
+    return np.array([
+        softmax_cross_entropy(part, labels)[0]
+        for part, labels in zip(np.split(logits, bounds), np.split(y, bounds))
+    ])
 
 
 def evaluate_accuracy_many(
@@ -220,23 +236,3 @@ def evaluate_accuracy_many(
         raise ValueError("cannot evaluate on an empty set")
     logits = model.predict(x)
     return (logits.argmax(axis=-1) == y).mean(axis=1)
-
-
-def evaluate_loss_many(
-    model: CohortModel, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Cohort-batched :func:`evaluate_loss` over stacked datasets.
-
-    Args:
-        model: cohort model holding one parameter slice per client.
-        x: ``(cohort, n, ...)`` stacked inputs (equal per-member ``n``).
-        y: ``(cohort, n)`` stacked integer labels.
-
-    Returns:
-        ``(cohort,)`` per-member mean softmax cross-entropy.
-    """
-    if y.shape[1] == 0:
-        raise ValueError("cannot evaluate on an empty set")
-    logits = model.predict(x)
-    losses, _ = softmax_cross_entropy_many(logits, y)
-    return losses

@@ -199,6 +199,34 @@ class TestIfcaAssignmentRefresh:
         assert list(algo.cluster_of) == expected
 
 
+class TestIfcaOnVector:
+    """IFCA runs on the cohort path under ``vector``: each dispatch is
+    assigned in one scoring pass, then trains and evaluates as ordinary
+    default-recipe cohort tasks."""
+
+    def test_unequal_shards_match_serial(self):
+        """The Dirichlet federation's unequal shards leave singleton
+        train and eval groups, which run the spec on the work model."""
+        from test_registry import TestGoldenEquivalence as G
+
+        fed = G._fed("dirichlet")
+        serial, vector = (
+            run_one(fed, "ifca", backend, num_clusters=2)
+            for backend in ("serial", "vector")
+        )
+        assert_vector_contract(serial, vector)
+        np.testing.assert_array_equal(serial[1].cluster_of, vector[1].cluster_of)
+
+    def test_many_client_assignment_equals_per_client(self, fed):
+        _, algo = run_one(fed, "ifca", "vector", num_clusters=3)
+        ids = list(range(fed.num_clients))
+        per_client = [algo._best_cluster(c) for c in ids]
+        # the trained cluster models have diverged: clients pick apart
+        assert len(set(per_client)) > 1
+        assert algo._best_clusters(ids) == per_client
+        assert algo._best_clusters(ids[::-1]) == per_client[::-1]
+
+
 class TestCliEnvHygiene:
     def test_backend_flag_does_not_leak_env(self, monkeypatch):
         from repro.experiments.__main__ import main
@@ -214,9 +242,9 @@ class TestVectorBackendEquivalence:
     """The opt-in ``vector`` backend stacks same-shape client models into
     one cohort tensor and runs batched kernels; histories must stay within
     the pinned tolerances (``VECTOR_*`` in ``repro.fl.execution``) across
-    algorithm families, with byte metering exact.  Families whose client
-    hooks are overridden (ifca, scaffold) serial-fallback by design and
-    come out bit-for-bit."""
+    algorithm families, with byte metering exact.  Families with bespoke
+    client loops (scaffold) serial-fallback by design and come out
+    bit-for-bit."""
 
     @pytest.mark.parametrize("method,extra", [
         ("fedavg", {}),
@@ -233,21 +261,28 @@ class TestVectorBackendEquivalence:
             run_one(fed, method, "vector", **extra),
         )
 
-    def test_batched_kernels_actually_run(self, fed, monkeypatch):
+    @pytest.mark.parametrize("method", ["fedavg", "ifca"])
+    def test_batched_kernels_actually_run(self, fed, monkeypatch, method):
         """Guard against silent serial fallback: the default recipe must
-        go through the fused cohort trainer, not the per-client loop."""
+        go through the fused cohort trainer and evaluator, not the
+        per-client loop."""
         import repro.fl.execution as exec_mod
 
-        calls = {"train": 0}
-        real = exec_mod.local_sgd_many
+        calls = {"local_sgd_many": 0, "evaluate_accuracy_many": 0}
 
-        def counting(*args, **kwargs):
-            calls["train"] += 1
-            return real(*args, **kwargs)
+        def counting(name):
+            real = getattr(exec_mod, name)
 
-        monkeypatch.setattr(exec_mod, "local_sgd_many", counting)
-        run_one(fed, "fedavg", "vector")
-        assert calls["train"] > 0
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(exec_mod, name, counting(name))
+        run_one(fed, method, "vector")
+        assert all(calls.values()), calls
 
     def test_stateful_rng_model_serial_fallback_bitwise(self, fed):
         """Models with layer-owned RNG state (Dropout) cannot be batched
@@ -292,6 +327,7 @@ class TestVectorGoldenTolerance:
         "fedclust-default",
         "fedavg-int8-hetero",
         "fedclust-dirichlet",
+        "ifca-flaky",
     ]
 
     @pytest.mark.parametrize("case", CASES)
