@@ -26,9 +26,10 @@ from repro.experiments import BENCH_SCALE
 from repro.experiments.runner import run_cell
 
 #: cells for the vector-backend speedup row.  IFCA batches too but is not
-#: a gated cell: its cluster scoring is k plain forwards over the scored
-#: clients' train shards on either backend, so it measured only 1.8-2.5x
-#: over serial at BENCH_SCALE (2-core host), under the target below
+#: a gated cell: its cluster scoring is one shared-input k-member cohort
+#: forward on either backend, so its speedup over serial straddles the
+#: target below (2.4-3.1x at BENCH_SCALE, best of 3, six repeats on a
+#: 2-core Xeon host)
 VECTOR_CELLS = [("cifar10", "fedclust"), ("cifar10", "fedavg")]
 #: the PR's target: cohort batching must be at least this much faster
 #: than the serial per-client loop on every measured cell

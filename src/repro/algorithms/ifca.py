@@ -6,9 +6,12 @@ k-fold download is why IFCA's Table-5 communication cost is high), picks
 the one with the lowest empirical loss on its local training data, trains
 it, and uploads the result tagged with the chosen cluster id.
 
-Under the ``vector`` backend a whole dispatch is assigned at once
-(:meth:`IFCA._best_clusters`) and then trains or evaluates as ordinary
-default-recipe cohort tasks (:meth:`IFCA.client_task_specs`).
+The argmin scores all k models at once: they are stacked into one
+k-member cohort model, and the clients' concatenated training rows go
+through it as a single shared input (:meth:`IFCA._best_clusters`).  Under
+the ``vector`` backend a whole dispatch is assigned in that one pass and
+then trains or evaluates as ordinary default-recipe cohort tasks
+(:meth:`IFCA.client_task_specs`).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from repro.fl.execution import ClientEvalSpec, ClientTrainSpec
 from repro.fl.registry import opt, register
 from repro.fl.server import ClientUpdate, FederatedAlgorithm
 from repro.fl.training import evaluate_loss
+from repro.nn.model import CohortModel
 from repro.nn.serialization import unflatten_params
 
 __all__ = ["IFCA"]
@@ -38,11 +42,18 @@ class IFCA(ClusteredAlgorithm):
 
     name = "ifca"
 
+    #: the scorer is rebuilt from ``model_fn``, not algorithm state
+    _ENGINE_STATE_ATTRS = ClusteredAlgorithm._ENGINE_STATE_ATTRS | {"_scorer"}
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.k = int(self.config.extra.get("num_clusters", 4))
         if self.k < 1:
             raise ValueError(f"num_clusters must be >= 1, got {self.k}")
+        scorer = CohortModel(self.model_fn(self.rngs.make("model_init")), self.k)
+        #: the k cluster models as one cohort, scoring them in one pass;
+        #: None when a layer lacks cohort kernels (then one model at a time)
+        self._scorer = scorer if scorer.supports_cohort() else None
 
     def setup(self) -> None:
         # Start every client in cluster 0 (assignments are recomputed each
@@ -62,23 +73,36 @@ class IFCA(ClusteredAlgorithm):
     def _best_clusters(self, client_ids: Sequence[int]) -> list[int]:
         """argmin over cluster models of each client's local training loss.
 
-        Every client scores the same k models, so each model runs one
-        ``predict`` over the clients' concatenated train shards and every
-        client takes the mean loss on its own slice: k plain forwards, not
-        a clients-by-k cohort.  For one client this is the per-client
-        scoring exactly.
+        Every client scores the same k models, so the clients' train
+        shards are concatenated and go through one ``predict`` of the
+        k-member scorer as a shared ``(1, N, ...)`` input: the first
+        convolution gathers its patches once for all k models.  Each
+        client takes the mean loss on its own slice.  A non-finite loss
+        ranks last, so a diverged cluster model captures no client; ties
+        go to the lowest index.
         """
         clients = [self.fed[cid] for cid in client_ids]
         x = np.concatenate([c.train_x for c in clients])
         y = np.concatenate([c.train_y for c in clients])
         sizes = [len(c.train_y) for c in clients]
-        losses = np.empty((len(clients), self.k))
-        for j in range(self.k):
-            unflatten_params(self.model, self.cluster_params[j])
-            if self.cluster_states[j]:
-                self.model.load_state(self.cluster_states[j])
-            losses[:, j] = evaluate_loss(self.model, x, y, sizes)
-        return [int(j) for j in losses.argmin(axis=1)]
+        scorer = self._scorer
+        with self.telemetry.span(
+            "ifca_assign", cat="algorithm", clients=len(clients), models=self.k
+        ):
+            if scorer is not None:
+                scorer.load_flat(np.stack(self.cluster_params))
+                if scorer.has_state():
+                    scorer.load_states(self.cluster_states)
+                losses = evaluate_loss(scorer, x[None], y, sizes)
+            else:
+                losses = np.empty((self.k, len(clients)))
+                for j in range(self.k):
+                    unflatten_params(self.model, self.cluster_params[j])
+                    if self.cluster_states[j]:
+                        self.model.load_state(self.cluster_states[j])
+                    losses[j] = evaluate_loss(self.model, x, y, sizes)
+        losses[~np.isfinite(losses)] = np.inf
+        return [int(j) for j in losses.argmin(axis=0)]
 
     def _best_cluster(self, client_id: int) -> int:
         """argmin over cluster models of local training loss."""

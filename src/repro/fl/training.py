@@ -181,7 +181,7 @@ def evaluate_accuracy(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def evaluate_loss(
-    model: Sequential,
+    model: Sequential | CohortModel,
     x: np.ndarray,
     y: np.ndarray,
     sizes: Sequence[int] | None = None,
@@ -189,17 +189,20 @@ def evaluate_loss(
     """Mean cross-entropy in evaluation mode (IFCA's cluster scoring).
 
     Args:
-        model: the model to evaluate (uses ``predict``, i.e. eval mode).
-        x: inputs.
-        y: integer class labels aligned with ``x`` (non-empty).
-        sizes: lengths of consecutive sets concatenated in ``x``/``y``.
-            All sets go through one ``predict`` pass and each is scored
-            on its own slice of the logits, so a single set returns the
-            value the plain call does, bit for bit.
+        model: the model to evaluate (uses ``predict``, i.e. eval mode),
+            or a cohort model whose members all score the same rows.
+        x: inputs; for a cohort model the shared ``(1, N, ...)`` input.
+        y: integer class labels aligned with the ``N`` rows (non-empty).
+        sizes: lengths of consecutive sets concatenated in ``x``/``y``
+            (required for a cohort model).  All sets go through one
+            ``predict`` pass and each is scored on its own slice of the
+            logits, so a single set returns the value the plain call
+            does, bit for bit.
 
     Returns:
         Mean softmax cross-entropy over the set, or with ``sizes`` the
-        ``(len(sizes),)`` per-set means.
+        ``(len(sizes),)`` per-set means; for a cohort model the
+        ``(C, len(sizes))`` table, one row per member.
 
     Raises:
         ValueError: on an empty evaluation set.
@@ -211,10 +214,17 @@ def evaluate_loss(
         loss, _ = softmax_cross_entropy(logits, y)
         return loss
     bounds = np.cumsum(sizes)[:-1]
-    return np.array([
-        softmax_cross_entropy(part, labels)[0]
-        for part, labels in zip(np.split(logits, bounds), np.split(y, bounds))
-    ])
+    labels = np.split(y, bounds)
+
+    def per_set(member_logits: np.ndarray) -> np.ndarray:
+        return np.array([
+            softmax_cross_entropy(part, lab)[0]
+            for part, lab in zip(np.split(member_logits, bounds), labels)
+        ])
+
+    if isinstance(model, CohortModel):
+        return np.stack([per_set(member) for member in logits])
+    return per_set(logits)
 
 
 def evaluate_accuracy_many(

@@ -240,39 +240,67 @@ class Conv2d(Layer):
         self.b = Parameter(_init.zeros((out_channels,), dtype), f"{name}.b")
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
-        #: cohort im2col workspaces keyed by (input shape, dtype); bounded
-        #: (a training loop sees at most two batch shapes: full + remainder)
+        #: training forwards' cohort im2col workspaces keyed by (input
+        #: shape, dtype); bounded (a training loop sees at most two batch
+        #: shapes: full + remainder)
         self._cohort_ws: dict[tuple, CohortConvWorkspace] = {}
         self._many_cache: tuple | None = None
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
 
-    def cohort_workspace(self, x: np.ndarray) -> CohortConvWorkspace:
-        """The reusable im2col workspace for ``x``'s shape (cached)."""
+    def cohort_workspace(
+        self, x: np.ndarray, keep: bool = True
+    ) -> CohortConvWorkspace:
+        """The im2col workspace for ``x``'s shape: cached for reuse, or with
+        ``keep=False`` (when not cached already) built for one call and
+        freed after it."""
         key = (x.shape, np.dtype(x.dtype).str)
         ws = self._cohort_ws.get(key)
         if ws is None:
-            if len(self._cohort_ws) >= 8:
-                self._cohort_ws.pop(next(iter(self._cohort_ws)))
             ws = CohortConvWorkspace(
                 x.shape, x.dtype, self.kernel_size, self.kernel_size,
                 self.stride, self.pad,
             )
-            self._cohort_ws[key] = ws
+            if keep:
+                if len(self._cohort_ws) >= 8:
+                    self._cohort_ws.pop(next(iter(self._cohort_ws)))
+                self._cohort_ws[key] = ws
         return ws
 
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """Cohort forward over ``(C, N, ch, H, W)`` input.
+
+        A leading axis of 1 with ``C > 1`` members bound is a *shared*
+        input: every member convolves the same rows, so the patches are
+        gathered once and one GEMM of the stacked ``(C*out, ch*k*k)``
+        filters yields all members' outputs.  Evaluation only.
+
+        Only a training forward keeps its workspace: training repeats its
+        shapes step after step and the backward reads the columns.  An
+        evaluation forward gathers into a per-call workspace, as the
+        serial im2col does, since its shapes (``predict``'s tail chunks,
+        eval cohorts, scoring passes) seldom recur.
+        """
         if x.ndim != 5 or x.shape[2] != self.in_channels:
             raise ValueError(
                 f"Conv2d expected (C, N, {self.in_channels}, H, W) cohort "
                 f"input, got {x.shape}"
             )
-        c, n = x.shape[:2]
-        ws = self.cohort_workspace(x)
+        c, n = self.w.many.shape[0], x.shape[1]
+        shared = x.shape[0] == 1 and c > 1
+        if shared and train:
+            raise ValueError(
+                "a shared (1, N, ...) cohort input is for evaluation only"
+            )
+        ws = self.cohort_workspace(x, keep=train)
         cols = ws.gather(x)  # (C, ch*k*k, N*L) — workspace-owned buffer
-        w_mat = self.w.many.reshape(c, self.out_channels, -1)
-        out = np.matmul(w_mat, cols) + self.b.many[:, :, None]
+        if shared:
+            w_mat = self.w.many.reshape(c * self.out_channels, -1)
+            out = w_mat @ cols[0] + self.b.many.reshape(-1, 1)
+        else:
+            w_mat = self.w.many.reshape(c, self.out_channels, -1)
+            out = np.matmul(w_mat, cols) + self.b.many[:, :, None]
         out = out.reshape(c, self.out_channels, n, ws.plan.out_h, ws.plan.out_w)
         out = np.ascontiguousarray(out.transpose(0, 2, 1, 3, 4))
         if train:
@@ -368,16 +396,29 @@ class MaxPool2d(Layer):
         s, k = self.stride, self.size
         out_h = conv_output_size(h, k, s, 0)
         out_w = conv_output_size(w, k, s, 0)
+        if not train:
+            # Evaluation: a running elementwise max over the k*k strided
+            # window views, with no im2col, argmax or gather.  Equal in
+            # value to that path (NaN propagates; of a -0/+0 tie either
+            # zero may win); training keeps it because the backward needs
+            # the argmax.
+            self._cache = None
+            views = [
+                x[:, :, fi : fi + s * out_h : s, fj : fj + s * out_w : s]
+                for fi in range(k)
+                for fj in range(k)
+            ]
+            out = views[0].copy()
+            for view in views[1:]:
+                np.maximum(out, view, out=out)
+            return out
         # Treat channels as batch so each column is one pooling window.
         x_resh = x.reshape(n * c, 1, h, w)
         cols = im2col(x_resh, k, k, s, 0)  # (k*k, n*c*out_h*out_w)
         argmax = cols.argmax(axis=0)
         out = cols[argmax, np.arange(cols.shape[1])]
         out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
-        if train:
-            self._cache = (x.shape, cols.shape, argmax)
-        else:
-            self._cache = None
+        self._cache = (x.shape, cols.shape, argmax)
         return np.ascontiguousarray(out)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

@@ -85,7 +85,8 @@ class Residual(Layer):
         out = x
         for layer in self.body:
             out = layer.forward_many(out, train)
-        if out.shape != x.shape:
+        # the cohort axis may grow from a shared input's 1; the sum broadcasts
+        if out.shape[1:] != x.shape[1:]:
             raise ValueError(
                 f"Residual body changed shape {x.shape} -> {out.shape}; "
                 "identity shortcut requires shape preservation"

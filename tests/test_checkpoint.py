@@ -208,6 +208,7 @@ class TestResumeEquivalence:
             {"scheduler": "sync", "attack": "scale:frac=0.25",
              "aggregator": "trimmed:trim=0.25"},
         ),
+        "ifca-vector": ("ifca", {"scheduler": "sync", "backend": "vector"}),
     }
 
     @pytest.mark.parametrize("name", sorted(SWEEP))
@@ -226,6 +227,17 @@ class TestResumeEquivalence:
             assert canonical_history(history) == base, (
                 f"{name}: resume at boundary {r} diverged"
             )
+
+    def test_ifca_checkpoint_holds_cluster_state_only(self):
+        """IFCA's scorer cohort is infrastructure rebuilt from
+        ``model_fn``: the checkpoint keeps only the cluster state."""
+        algo = _cell({"rounds": 1}, {"backend": "vector"}, method="ifca")
+        algo.run()
+        assert algo._scorer is not None
+        assert sorted(algo.checkpoint_state()) == [
+            "_init_params", "_init_state", "cluster_of", "cluster_params",
+            "cluster_states", "k", "num_clusters",
+        ]
 
     def test_resume_restores_attacker_roster(self, tmp_path):
         """A resumed attacked run re-derives the same roster; the

@@ -4,12 +4,14 @@ Property tests (hypothesis) pin the tentpole guarantee layer by layer:
 ``forward_many``/``backward_many`` on a stacked cohort equals per-member
 serial ``forward``/``backward`` within :data:`COHORT_RTOL`, including
 BatchNorm's train-mode running statistics and Dropout's seeded per-member
-masks (those two are *bitwise*).  Workspace-reuse tests assert the
+masks (those two are *bitwise*), and a shared ``(1, N, ...)`` input that
+every member reads.  Workspace-reuse tests assert the
 pre-allocated scratch — im2col plans, cohort conv workspaces, codec encode
 buffers — is the *same object* across calls for a fixed shape, and the
 bitwise tests pin the claims the optimized kernels make in their docstrings
 (slice-copy gather == im2col, slice-add scatter == col2im, the MaxPool
-disjoint fast path, and ``backward_many_params_only``'s gradients).
+disjoint fast path and eval forward, and ``backward_many_params_only``'s
+gradients).
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from repro.nn.layers import (
     MaxPool2d,
     ReLU,
 )
-from repro.nn.model import CohortModel, Sequential
+from repro.nn.model import CohortModel, Residual, Sequential
+from repro.nn.models import build_model
 from repro.nn.optim import SGD, CohortSGD
 
 #: pinned tolerance of the cohort kernels vs the serial per-member kernels:
@@ -124,6 +127,52 @@ class TestConv2dCohort:
             _close(dx_many[c], m.backward(dout[c]))
             _close(template.w.grad_many[c], m.w.grad)
             _close(template.b.grad_many[c], m.b.grad)
+
+    @given(seed=seeds, cohort=st.integers(2, 4), n=st.integers(1, 3),
+           cin=st.integers(1, 2), cout=st.integers(1, 3),
+           h=st.integers(3, 6), k=st.integers(1, 3),
+           stride=st.integers(1, 2), pad=st.integers(0, 1))
+    @settings(max_examples=25, deadline=None)
+    def test_shared_input_matches_every_member(
+        self, seed, cohort, n, cin, cout, h, k, stride, pad
+    ):
+        """A ``(1, N, ...)`` input is convolved by every bound member."""
+        rng = np.random.default_rng(seed)
+        members = [
+            Conv2d(cin, cout, k, rng, stride=stride, pad=pad, dtype=np.float64)
+            for _ in range(cohort)
+        ]
+        template = Conv2d(
+            cin, cout, k, np.random.default_rng(0), stride=stride, pad=pad,
+            dtype=np.float64,
+        )
+        _load_members(template, members)
+        x = rng.standard_normal((1, n, cin, h, h))
+        out_many = template.forward_many(x, train=False)
+        assert out_many.shape[0] == cohort
+        for c, m in enumerate(members):
+            _close(out_many[c], m.forward(x[0], train=False))
+
+    def test_shared_input_rejects_training(self):
+        layer = Conv2d(1, 2, 3, np.random.default_rng(0), dtype=np.float64)
+        layer.bind_cohort(3)
+        x = np.zeros((1, 2, 1, 5, 5))
+        with pytest.raises(ValueError, match="evaluation only"):
+            layer.forward_many(x, train=True)
+        assert layer.forward_many(x, train=False).shape == (3, 2, 2, 3, 3)
+
+    def test_only_training_caches_workspaces(self):
+        """Evaluation forwards (shared or per-member rows, every row
+        count) gather into per-call workspaces; a training forward
+        keeps its workspace for the next step."""
+        layer = Conv2d(1, 2, 3, np.random.default_rng(0), dtype=np.float64)
+        layer.bind_cohort(3)
+        for n in (256, 200, 7):
+            layer.forward_many(np.zeros((1, n, 1, 5, 5)), train=False)
+            layer.forward_many(np.zeros((3, n, 1, 5, 5)), train=False)
+        assert layer._cohort_ws == {}
+        layer.forward_many(np.zeros((3, 4, 1, 5, 5)), train=True)
+        assert len(layer._cohort_ws) == 1
 
     def test_params_only_grads_bitwise(self):
         rng = np.random.default_rng(6)
@@ -314,6 +363,28 @@ class TestMaxPoolDisjointFastPath:
         np.testing.assert_array_equal(dx, ref.reshape(n, c, h, w))
 
 
+class TestMaxPoolEvalForward:
+    @pytest.mark.parametrize(
+        "size,stride", [(2, 2), (2, 3), (3, 3), (3, 2), (2, 1)]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_forward_matches_im2col_path(self, size, stride, dtype):
+        """The eval forward's max over strided window views equals the
+        training forward's im2col argmax gather, on inputs full of ties,
+        signed zeros and NaNs, for disjoint and overlapping windows."""
+        rng = np.random.default_rng(7)
+        x = rng.integers(-2, 3, size=(3, 2, 9, 9)).astype(dtype)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[rng.random(x.shape) < 0.05] = np.nan
+        layer = MaxPool2d(size, stride)
+        ref = layer.forward(x, train=True)
+        out = layer.forward(x, train=False)
+        assert layer._cache is None
+        assert out.dtype == ref.dtype and out.flags.c_contiguous
+        assert np.isnan(out).any()
+        np.testing.assert_array_equal(out, ref)
+
+
 class TestWorkspaceReuse:
     """Fixed shape -> the *same* pre-allocated scratch object every call."""
 
@@ -401,6 +472,42 @@ class TestWorkspaceReuse:
         np.testing.assert_array_equal(e2.payload["idx"], f2.payload["idx"])
         np.testing.assert_array_equal(e2.payload["values"], f2.payload["values"])
         np.testing.assert_array_equal(e2.residual_after, f2.residual_after)
+
+
+def _shared_input_model(arch, seed):
+    if arch == "residual-first":
+        rng = np.random.default_rng(seed)
+        return Sequential(
+            Residual(Conv2d(3, 3, 3, rng, pad=1, dtype=np.float64), ReLU()),
+            Flatten(),
+            Dense(3 * 8 * 8, 5, rng, dtype=np.float64),
+        )
+    return build_model(arch, 5, (3, 8, 8), rng=seed, dtype=np.float64)
+
+
+class TestSharedInputPredict:
+    """``CohortModel.predict`` on a shared ``(1, N, ...)`` input scores
+    every member on the same rows (IFCA's k-model scoring)."""
+
+    @pytest.mark.parametrize(
+        "arch", ["mlp", "lenet5", "resnet9", "residual-first"]
+    )
+    def test_matches_each_member_predict(self, arch):
+        cohort, n = 3, 300  # n > predict's 256-row chunk
+        members = [_shared_input_model(arch, 10 + c) for c in range(cohort)]
+        rng = np.random.default_rng(8)
+        for m in members:  # distinct BatchNorm running stats per member
+            for buf in m.state().values():
+                buf += rng.uniform(0.0, 0.5, buf.shape)
+        cm = CohortModel(_shared_input_model(arch, 0), cohort)
+        cm.load_flat(np.stack([_flat(m) for m in members]))
+        if cm.has_state():
+            cm.load_states([m.state() for m in members])
+        x = rng.standard_normal((n, 3, 8, 8))
+        logits = cm.predict(x[None])
+        assert logits.shape == (cohort, n, 5)
+        for c, m in enumerate(members):
+            _close(logits[c], m.predict(x))
 
 
 def _member_mlp(seed, din, hidden, classes):

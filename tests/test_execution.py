@@ -29,9 +29,10 @@ from repro.fl.execution import (
     SerialBackend,
     make_backend,
 )
-from repro.nn.layers import BatchNorm, Dense, Flatten, ReLU
+from repro.nn.layers import BatchNorm, Dense, Flatten, Layer, ReLU
 from repro.nn.model import Sequential
 from repro.nn.models import mlp
+from repro.nn.parameter import Parameter
 from repro.utils.io import load_history, save_history
 from repro.utils.rng import as_generator
 
@@ -225,6 +226,75 @@ class TestIfcaOnVector:
         assert len(set(per_client)) > 1
         assert algo._best_clusters(ids) == per_client
         assert algo._best_clusters(ids[::-1]) == per_client[::-1]
+
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    def test_one_loss_call_per_scoring_pass(self, fed, monkeypatch, backend):
+        """All k cluster models are scored by one ``evaluate_loss`` call
+        (the name a traced run times as ``ifca.assign_s``), not k."""
+        import repro.algorithms.ifca as ifca_mod
+
+        calls = {"evaluate_loss": 0, "_best_clusters": 0}
+        real_loss = ifca_mod.evaluate_loss
+        real_best = ifca_mod.IFCA._best_clusters
+
+        def counting_loss(*args, **kwargs):
+            calls["evaluate_loss"] += 1
+            return real_loss(*args, **kwargs)
+
+        def counting_best(self, client_ids):
+            calls["_best_clusters"] += 1
+            return real_best(self, client_ids)
+
+        monkeypatch.setattr(ifca_mod, "evaluate_loss", counting_loss)
+        monkeypatch.setattr(ifca_mod.IFCA, "_best_clusters", counting_best)
+        _, algo = run_one(fed, "ifca", backend, num_clusters=3)
+        assert algo._scorer is not None
+        assert calls["_best_clusters"] > 0
+        assert calls["evaluate_loss"] == calls["_best_clusters"], calls
+
+    def test_layer_without_cohort_kernels_scores_per_model(self, fed):
+        """A parametric layer with no ``forward_many`` leaves IFCA on the
+        per-model scoring loop; both backends still run it, with equal
+        assignments."""
+
+        class Scale(Layer):
+            def __init__(self, features):
+                self.g = Parameter(np.ones(features, np.float32), "scale.g")
+                self._x = None
+
+            def parameters(self):
+                return [self.g]
+
+            def forward(self, x, train=True):
+                self._x = x if train else None
+                return x * self.g.data
+
+            def backward(self, dout):
+                self.g.grad += (dout * self._x).sum(axis=0)
+                return dout * self.g.data
+
+        def model_fn_for(fed):
+            def model_fn(rng):
+                rng = as_generator(rng)
+                d = int(np.prod(fed.input_shape))
+                return Sequential(
+                    Flatten(),
+                    Dense(d, 16, rng, np.float32, name="fc1"),
+                    Scale(16),
+                    ReLU(),
+                    Dense(16, fed.num_classes, rng, np.float32, name="head",
+                          classifier_head=True),
+                )
+
+            return model_fn
+
+        serial, vector = (
+            run_one(fed, "ifca", backend, model_fn_for, num_clusters=3)
+            for backend in ("serial", "vector")
+        )
+        assert serial[1]._scorer is None and vector[1]._scorer is None
+        np.testing.assert_array_equal(serial[1].cluster_of, vector[1].cluster_of)
+        np.testing.assert_array_equal(serial[0].accuracies, vector[0].accuracies)
 
 
 class TestCliEnvHygiene:

@@ -130,6 +130,32 @@ class TestClusterEdgeCases:
         h = algo.run()
         assert len(h) == 2
 
+    def test_ifca_diverged_cluster_captures_no_client(self):
+        """A cluster model holding a NaN scores NaN for every client; the
+        argmin ranks it last instead of sending everyone to it."""
+        from test_registry import TestGoldenEquivalence as G
+
+        fed = G._fed()
+        cfg = FLConfig(
+            rounds=2, sample_rate=0.6, local_epochs=1, batch_size=10, lr=0.05,
+            eval_every=1,
+        ).with_extra(num_clusters=3)
+        algo = IFCA(
+            fed,
+            lambda rng: mlp(fed.num_classes, fed.input_shape, hidden=16, rng=rng),
+            cfg, seed=0,
+        )
+        algo.run()
+        before = algo._best_clusters(range(6))
+        assert before == [0, 0, 1, 0, 1, 0]
+        algo.cluster_params[2] = np.full_like(algo.cluster_params[2], np.nan)
+        assert algo._best_clusters(range(6)) == before
+        # every model diverged: ties among non-finite losses go to index 0
+        algo.cluster_params = [
+            np.full_like(p, np.nan) for p in algo.cluster_params
+        ]
+        assert algo._best_clusters(range(6)) == [0] * 6
+
 
 class TestPartitionRepair:
     def test_min_samples_repair_steals_from_largest(self):

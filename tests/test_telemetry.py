@@ -174,6 +174,17 @@ class TestReplayEquivalence:
             history, algo.telemetry, tmp_path / case / "events.jsonl"
         )
 
+    def test_ifca_on_vs_off_and_replay(self, tmp_path):
+        baseline = canonical_history(_cell(method="ifca").run())
+        algo = _cell(
+            {"telemetry": "on"}, {"tele_dir": str(tmp_path)}, method="ifca",
+        )
+        history = algo.run()
+        assert _strip_metrics(canonical_history(history)) == baseline
+        _assert_replays_exactly(
+            history, algo.telemetry, tmp_path / "events.jsonl"
+        )
+
     def test_lazy_population_on_flaky_network(self):
         """Clients the lazy population finds offline and clients the
         network's availability draw skips both land in
@@ -289,6 +300,26 @@ class TestSpansAndTrace:
         algo.run()
         names = {s["name"] for s in algo.telemetry.spans}
         assert {"encode", "decode"} <= names
+
+    def test_ifca_assign_spans(self, tmp_path):
+        """IFCA's cluster scoring has its own span, apart from the
+        ``execute`` and ``eval`` phases that contain it."""
+        algo = _cell(
+            {"telemetry": "on"}, {"tele_dir": str(tmp_path)},
+            fl_options={"backend": "vector"}, method="ifca",
+        )
+        algo.run()
+        spans = [s for s in algo.telemetry.spans if s["name"] == "ifca_assign"]
+        assert spans and all(
+            s["cat"] == "algorithm" and s["args"]["models"] == algo.k
+            and s["args"]["clients"] >= 1
+            for s in spans
+        )
+        # the eval sweep scores every client in one pass
+        assert max(s["args"]["clients"] for s in spans) == algo.fed.num_clients
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
+        assert {"ifca_assign", "execute", "eval"} <= names
 
     def test_event_schema(self):
         algo = _cell({"telemetry": "on"})
