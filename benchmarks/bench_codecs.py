@@ -15,23 +15,39 @@ not.
 Runs standalone too (CI smoke)::
 
     PYTHONPATH=src python benchmarks/bench_codecs.py --smoke
+
+The smoke also gates the top-k selection's cost: it times
+``TopKCodec(0.05).encode`` on a seeded 1,000,000-entry delta against one
+``np.sort`` of the same vector on the same runner, writes both times and
+their ratio to ``codecs_smoke.json``, and fails when the ratio exceeds
+:data:`MAX_ENCODE_SORT_RATIO`.  Both sides scale with the host's speed,
+so the ratio does not: an O(n) selection reads ~1.5, a full sort-based
+one ~20 (2-core Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 from _bench_util import write_bench_json
 from repro.experiments import BENCH_SCALE, SMOKE_SCALE
 from repro.experiments.runner import run_cell
+from repro.fl.codecs import TopKCodec
 from repro.fl.comm import MB
 
 METHODS = ["fedclust", "fedavg", "ifca"]
 CODECS = ["none", "fp16", "int8", "topk"]
 #: codecs the acceptance bar applies to, with the required uplink ratio
 REQUIRED_REDUCTION = {"int8": 4.0, "topk": 4.0}
+#: delta length the encode gate times
+ENCODE_GATE_N = 1_000_000
+#: most ``TopKCodec(0.05).encode`` may cost, in ``np.sort``s of its delta
+MAX_ENCODE_SORT_RATIO = 5.0
 
 
 def run_tradeoff(scale, methods=METHODS, codecs=CODECS, seed: int = 0) -> list[dict]:
@@ -107,6 +123,39 @@ def check_reductions(rows: list[dict]) -> None:
         )
 
 
+def time_topk_encode(n: int = ENCODE_GATE_N, repeats: int = 5) -> dict:
+    """Best-of-``repeats`` seconds of ``TopKCodec(0.05).encode`` on a
+    seeded ``n``-entry delta, of one ``np.sort`` of the same vector, and
+    their ratio."""
+    delta = np.random.default_rng(0).standard_normal(n)
+    codec = TopKCodec(0.05)
+    codec.encode(0, delta, None)  # allocate the codec's scratch buffers
+
+    def best(fn) -> float:
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    encode_s = best(lambda: codec.encode(0, delta, None))
+    sort_s = best(lambda: np.sort(delta))
+    return {
+        "n": n, "frac": codec.frac, "encode_s": encode_s, "sort_s": sort_s,
+        "ratio": encode_s / sort_s,
+    }
+
+
+def check_encode_cost(timing: dict) -> None:
+    """Top-k encode must cost at most MAX_ENCODE_SORT_RATIO sorts."""
+    assert timing["ratio"] <= MAX_ENCODE_SORT_RATIO, (
+        f"TopKCodec({timing['frac']}).encode on {timing['n']:,} entries took "
+        f"{timing['encode_s'] * 1e3:.1f} ms = {timing['ratio']:.2f}x one "
+        f"np.sort ({timing['sort_s'] * 1e3:.1f} ms) > {MAX_ENCODE_SORT_RATIO}x"
+    )
+
+
 def test_codec_tradeoff(benchmark, save_artifact):
     from conftest import run_once
 
@@ -139,11 +188,22 @@ def main(argv: list[str] | None = None) -> int:
     out_dir.mkdir(exist_ok=True)
     name = "codecs_smoke" if args.smoke else "codecs_tradeoff"
     path = out_dir / f"{name}.txt"
+    row = {"bench": "codecs", "rows": rows}
+    if args.smoke:
+        row["topk_encode"] = timing = time_topk_encode()
+        text += (
+            f"\n\nTopKCodec({timing['frac']}).encode, {timing['n']:,} entries: "
+            f"{timing['encode_s'] * 1e3:.2f} ms vs np.sort "
+            f"{timing['sort_s'] * 1e3:.2f} ms -> {timing['ratio']:.2f}x "
+            f"(gate <= {MAX_ENCODE_SORT_RATIO}x)"
+        )
     path.write_text(text + "\n")
-    json_path = write_bench_json({"bench": "codecs", "rows": rows}, name)
+    json_path = write_bench_json(row, name)
     print(text)
     print(f"[saved to {path} and {json_path}]")
     check_reductions(rows)
+    if args.smoke:
+        check_encode_cost(row["topk_encode"])
     return 0
 
 

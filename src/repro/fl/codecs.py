@@ -345,6 +345,13 @@ class TopKCodec(Codec):
     float64 value) pairs; everything truncated becomes the client's next
     residual.  Ties break toward the lower index, so the selection is
     deterministic and backend-independent.
+
+    Selection is O(n): one ``np.partition`` finds the k-th largest
+    magnitude, every entry above it is kept, and the lowest-index entries
+    equal to it fill the remaining slots.  That is exactly the first k of
+    a full sort by (magnitude descending, index ascending).  A NaN ranks
+    last, below every number (±inf ranks first), so a NaN is sent only
+    when fewer than k entries are numbers.
     """
 
     name = "topk"
@@ -358,8 +365,8 @@ class TopKCodec(Codec):
         self.frac = float(frac)
         self._residuals: dict[int, np.ndarray] = {}
         #: pre-allocated selection work buffers keyed by delta size: the
-        #: compensated delta, its negated magnitudes (lexsort key), and
-        #: the tie-break index vector — none of which leave the codec
+        #: compensated delta, its negated magnitudes (the partition key)
+        #: and the selection mask — none of which leave the codec
         self._scratch: dict[int, dict[str, np.ndarray]] = {}
 
     def residual(self, client_id: int, size: int) -> np.ndarray:
@@ -377,34 +384,38 @@ class TopKCodec(Codec):
             ws = {
                 "comp": np.empty(size, dtype=np.float64),
                 "negabs": np.empty(size, dtype=np.float64),
-                "arange": np.arange(size),
+                "keep": np.empty(size, dtype=bool),
             }
             self._scratch[size] = ws
         return ws
 
     def encode(self, client_id, delta, rng) -> Encoded:
-        ws = self._scratch_for(delta.size) if delta.ndim == 1 else None
-        if ws is not None:
-            compensated = np.add(
-                delta, self.residual(client_id, delta.size), out=ws["comp"]
-            )
-        else:
-            compensated = delta + self.residual(client_id, delta.size)
+        delta = delta.ravel()
+        ws = self._scratch_for(delta.size)
+        compensated = np.add(
+            delta, self.residual(client_id, delta.size), out=ws["comp"]
+        )
         k = max(1, math.ceil(self.frac * delta.size))
         if k >= delta.size:
             idx = np.arange(delta.size, dtype=np.int32)
-        elif ws is not None:
-            # lexsort: primary key -|a| (descending magnitude), secondary
-            # key the index itself — a total, platform-independent order.
-            # Keys are built in the scratch buffers (negation is exact, so
-            # the selection is bitwise the allocating path's).
-            np.abs(compensated, out=ws["negabs"])
-            np.negative(ws["negabs"], out=ws["negabs"])
-            order = np.lexsort((ws["arange"], ws["negabs"]))
-            idx = np.sort(order[:k]).astype(np.int32)
         else:
-            order = np.lexsort((np.arange(delta.size), -np.abs(compensated)))
-            idx = np.sort(order[:k]).astype(np.int32)
+            # Ascending -|a| orders by descending magnitude, NaN last
+            # (partition places NaN after every number, as sort does);
+            # t is the k-th key.
+            negabs = np.abs(compensated, out=ws["negabs"])
+            np.negative(negabs, out=negabs)
+            t = np.partition(negabs, k - 1)[k - 1]
+            keep = ws["keep"]
+            if math.isnan(t):  # fewer than k numbers: all, then NaNs
+                np.isnan(negabs, out=keep)
+                tied = np.flatnonzero(keep)
+                np.logical_not(keep, out=keep)
+            else:
+                np.equal(negabs, t, out=keep)
+                tied = np.flatnonzero(keep)
+                np.less(negabs, t, out=keep)
+            keep[tied[: k - np.count_nonzero(keep)]] = True
+            idx = np.flatnonzero(keep).astype(np.int32)
         values = compensated[idx]
         residual_after = compensated.copy()
         residual_after[idx] = 0.0

@@ -147,7 +147,10 @@ class CohortConvWorkspace:
     Layout: :meth:`gather` produces ``(C, ch*fh*fw, N*L)`` patch columns
     (``L = out_h*out_w``) so a single batched GEMM against the stacked
     ``(C, out_ch, ch*fh*fw)`` kernel computes every member's convolution;
-    :meth:`scatter` is its adjoint.
+    :meth:`scatter` is its adjoint.  The scatter buffer is spatial-outer,
+    ``(H+2p, W+2p, C, N, ch)``, so a kernel offset's slice-add walks
+    contiguous rows of ``out_w*C*N*ch`` values (``C*N*ch`` at stride > 1)
+    rather than rows of ``out_w``.
     """
 
     def __init__(
@@ -178,8 +181,8 @@ class CohortConvWorkspace:
         )
         #: GEMM-ready columns (C, ckk, N, L); viewed as (C, ckk, N*L)
         self._cols = np.empty((c, ckk, n, lcols), dtype=self.dtype)
-        #: backward scatter target (C, N, ch, H+2p, W+2p)
-        self._dx_pad = np.empty((c, n, ch, hp, wp), dtype=self.dtype)
+        #: backward scatter target, spatial-outer (H+2p, W+2p, C, N, ch)
+        self._dx_pad = np.empty((hp, wp, c, n, ch), dtype=self.dtype)
 
     def gather(self, x: np.ndarray) -> np.ndarray:
         """Unfold ``(C, N, ch, H, W)`` input into ``(C, ckk, N*L)`` columns.
@@ -214,8 +217,15 @@ class CohortConvWorkspace:
         """Fold ``(C, ckk, N*L)`` column gradients back to ``(C, N, ch, H, W)``.
 
         The adjoint of :meth:`gather` (scatter-add over overlapping
-        patches).  Returns a freshly-allocated gradient array (it flows on
-        through the backward chain and must outlive the workspace reuse).
+        patches), bitwise equal to :func:`col2im` per member.  The column
+        gradient is transposed once to ``(fh, fw, oh, ow, C, N, ch)``, so
+        each kernel offset ``(fi, fj)`` adds long contiguous rows into the
+        spatial-outer buffer.  Every input cell receives the same terms as
+        under ``col2im``'s ``np.add.at``, in the same ``(fi, fj)``-major
+        order, starting from 0.0: only the layout differs, never the order
+        of the additions.  Returns a freshly-allocated gradient array (it
+        flows on through the backward chain and must outlive the workspace
+        reuse).
         """
         c, n, ch, h, w = self.shape
         p = self.pad
@@ -224,22 +234,14 @@ class CohortConvWorkspace:
         oh, ow = self.plan.out_h, self.plan.out_w
         buf = self._dx_pad
         buf.fill(0.0)
-        # (C, ckk, N*L) -> (C, N, ch, fh, fw, oh, ow): the patch axis is
+        # (C, ckk, N*L) -> (fh, fw, oh, ow, C, N, ch): the patch axis is
         # channel-major then (fi, fj) row-major (im2col_indices layout).
-        # One contiguous copy up front keeps the per-offset adds below on
-        # unit-stride sources.
         d7 = np.ascontiguousarray(
-            dcols.reshape(c, ch, fh, fw, n, oh, ow).transpose(0, 4, 1, 2, 3, 5, 6)
+            dcols.reshape(c, ch, fh, fw, n, oh, ow).transpose(2, 3, 5, 6, 0, 4, 1)
         )
         # Strided slice-adds instead of np.add.at: each (fi, fj) pass hits
-        # every target element at most once, and passes run in the same
-        # (fi, fj)-major order the fancy-index scatter would accumulate in,
-        # so the result is bitwise np.add.at's at a fraction of the cost.
+        # every target element at most once.
         for fi in range(fh):
             for fj in range(fw):
-                buf[:, :, :, fi : fi + s * oh : s, fj : fj + s * ow : s] += (
-                    d7[:, :, :, fi, fj]
-                )
-        if p == 0:
-            return buf.copy()
-        return buf[:, :, :, p:-p, p:-p].copy()
+                buf[fi : fi + s * oh : s, fj : fj + s * ow : s] += d7[fi, fj]
+        return buf[p : p + h, p : p + w].transpose(2, 3, 4, 0, 1).copy()

@@ -123,9 +123,9 @@ class Layer:
         """Accumulate cohort parameter gradients without computing dx.
 
         Used for the *first* layer of a model, whose input gradient nobody
-        consumes — for convolutions that skips the col2im scatter, the most
-        expensive kernel in the backward pass.  Parameter gradients are
-        bitwise identical to :meth:`backward_many`'s.
+        consumes — for convolutions that skips the input-gradient GEMM and
+        the col2im scatter, most of a convolution's backward cost.
+        Parameter gradients are bitwise identical to :meth:`backward_many`'s.
         """
         self.backward_many(dout)
 
@@ -329,7 +329,7 @@ class Conv2d(Layer):
 
     def backward_many_params_only(self, dout: np.ndarray) -> None:
         # Skip dcols + the col2im scatter entirely: for a first layer the
-        # input gradient is dead, and the scatter dominates backward cost.
+        # input gradient is dead, and the two are most of the backward.
         if self._many_cache is None:
             raise RuntimeError("backward called before a training forward pass")
         cols, _ws, _shape = self._many_cache

@@ -279,9 +279,9 @@ class CohortModel:
     def backward(self, dout: np.ndarray, need_input_grad: bool = False) -> np.ndarray | None:
         """Cohort backward.  With ``need_input_grad=False`` (the training
         default) the first layer accumulates parameter gradients only and
-        skips its dx — for convolutions that drops the col2im scatter, the
-        single most expensive backward kernel.  Parameter gradients are
-        bitwise identical either way."""
+        skips its dx — for convolutions that drops the input-gradient GEMM
+        and the col2im scatter, most of a convolution's backward cost.
+        Parameter gradients are bitwise identical either way."""
         grad = dout
         layers = self.template.layers
         for layer in reversed(layers[1:]):

@@ -10,9 +10,11 @@ enabled.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -127,7 +129,85 @@ class TestQuantization:
         assert enc.nbytes == 100 + 8 + 8
 
 
+#: magnitudes that tie, signed zeros and non-finite values, mixed into the
+#: top-k property's random deltas
+_TOPK_SPECIALS = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, np.inf, -np.inf, np.nan]
+
+
+def _lexsort_topk(codec, client_id, delta):
+    """Reference selection: the first k of a full two-key ``lexsort`` by
+    (-|a|, index), which sorts NaN last.  Returns (idx, values,
+    residual_after) as :meth:`TopKCodec.encode` should produce them."""
+    compensated = delta + codec.residual(client_id, delta.size)
+    k = max(1, math.ceil(codec.frac * delta.size))
+    if k >= delta.size:
+        idx = np.arange(delta.size, dtype=np.int32)
+    else:
+        order = np.lexsort((np.arange(delta.size), -np.abs(compensated)))
+        idx = np.sort(order[:k]).astype(np.int32)
+    residual_after = compensated.copy()
+    residual_after[idx] = 0.0
+    return idx, compensated[idx], residual_after
+
+
+@st.composite
+def _topk_case(draw):
+    """Two rounds' deltas of one length and the k to keep of it."""
+    n = draw(st.integers(min_value=1, max_value=48))
+    elements = st.one_of(
+        st.sampled_from(_TOPK_SPECIALS),
+        st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+    )
+    first = draw(hnp.arrays(np.float64, n, elements=elements))
+    second = draw(hnp.arrays(np.float64, n, elements=elements))
+    return first, second, draw(st.integers(min_value=1, max_value=n))
+
+
 class TestTopK:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_topk_case())
+    # k=1: +inf and -inf tie on magnitude, the lower index wins
+    @example(case=(np.array([1.0, -2.0, np.inf, -np.inf]), np.ones(4), 1))
+    # k=n: every entry, NaN included
+    @example(case=(np.array([np.nan, 0.0, -0.0]), np.array([1.0, np.nan, 2.0]), 3))
+    # NaN threshold: fewer than k numbers, so the lowest-index NaNs fill in
+    @example(case=(
+        np.array([np.nan, 1.0, np.nan, -0.0, np.nan]), np.full(5, 0.5), 4,
+    ))
+    # signed zeros tie with each other
+    @example(case=(np.array([0.0, -0.0, 0.0, -0.0]), np.zeros(4), 2))
+    def test_selection_matches_lexsort_oracle(self, case):
+        """Index set, values, residual and bytes are bitwise the full
+        lexsort's, on inputs full of ties, signed zeros, ±inf and NaN."""
+        first, second, k = case
+        n = first.size
+        codec = TopKCodec(frac=(k - 0.5) / n)  # ceil(frac * n) == k
+        for delta in (first, second):  # the second round carries a residual
+            with np.errstate(invalid="ignore"):  # inf + -inf residuals
+                idx, values, residual_after = _lexsort_topk(codec, 0, delta)
+                enc = codec.encode(0, delta, None)
+            assert enc.payload["idx"].dtype == np.int32
+            assert enc.payload["idx"].tobytes() == idx.tobytes()
+            assert enc.payload["values"].tobytes() == values.tobytes()
+            assert enc.residual_after.tobytes() == residual_after.tobytes()
+            assert enc.nbytes == idx.nbytes + values.nbytes + 8
+            codec.commit(0, enc)
+
+    @pytest.mark.parametrize("shape", [(1, 40), (4, 10)])
+    def test_non_flat_delta_encodes_like_its_flat_form(self, shape):
+        g = np.random.default_rng(5)
+        flat, shaped = TopKCodec(0.1), TopKCodec(0.1)
+        for _ in range(2):  # the second encode carries a residual
+            delta = g.standard_normal(40)
+            ef = flat.encode(0, delta, None)
+            es = shaped.encode(0, delta.reshape(shape), None)
+            for key in ("idx", "values", "n"):
+                np.testing.assert_array_equal(es.payload[key], ef.payload[key])
+            np.testing.assert_array_equal(es.residual_after, ef.residual_after)
+            assert (es.nbytes, es.logical_nbytes) == (ef.nbytes, ef.logical_nbytes)
+            flat.commit(0, ef)
+            shaped.commit(0, es)
+
     def test_keeps_largest_magnitudes(self):
         delta = np.array([0.1, -5.0, 0.2, 3.0, -0.05, 0.0, 2.0, -1.0, 0.3, 0.4])
         codec = TopKCodec(frac=0.3)

@@ -315,13 +315,28 @@ class TestCohortConvWorkspace:
             )
             np.testing.assert_array_equal(got, ref)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
-    def test_scatter_matches_col2im_bitwise(self, stride, pad):
+    @pytest.mark.parametrize(
+        "stride,pad,k,hw,ch,dtype",
+        [
+            pytest.param(1, 0, 3, 6, 2, np.float64, id="1-0"),
+            pytest.param(1, 1, 3, 6, 2, np.float64, id="1-1"),
+            pytest.param(2, 1, 3, 6, 2, np.float64, id="2-1"),
+            pytest.param(1, 1, 3, 6, 2, np.float32, id="1-1-float32"),
+            # LeNet's conv2: a 5x5 kernel over a 4x4 map, pad 2
+            pytest.param(1, 2, 5, 4, 3, np.float32, id="lenet-k5-p2"),
+            # ResNet-9's last two stages: 2x2 and 1x1 maps, k=3, pad 1
+            pytest.param(1, 1, 3, 2, 4, np.float32, id="resnet-2x2"),
+            pytest.param(1, 1, 3, 1, 4, np.float32, id="resnet-1x1"),
+            pytest.param(2, 2, 5, 7, 2, np.float32, id="2-2-k5-odd"),
+        ],
+    )
+    def test_scatter_matches_col2im_bitwise(self, stride, pad, k, hw, ch, dtype):
         rng = np.random.default_rng(1)
-        c, n, ch, h, w, k = 2, 3, 2, 6, 6, 3
-        ws = CohortConvWorkspace((c, n, ch, h, w), np.float64, k, k, stride, pad)
-        dcols = rng.standard_normal((c, ws.patch_len, n * ws.out_len))
+        c, n, h, w = 2, 3, hw, hw
+        ws = CohortConvWorkspace((c, n, ch, h, w), dtype, k, k, stride, pad)
+        dcols = rng.standard_normal((c, ws.patch_len, n * ws.out_len)).astype(dtype)
         dx = ws.scatter(dcols)  # (C, N, ch, H, W)
+        assert dx.dtype == dtype and dx.flags.c_contiguous
         for ci in range(c):
             serial_cols = (
                 dcols[ci]
