@@ -10,6 +10,16 @@ equivalence check) as ``BENCH_10.json``, which the CI perf gate
 
     PYTHONPATH=src python -m pytest benchmarks/bench_execution.py -q
     PYTHONPATH=src python benchmarks/bench_execution.py --smoke
+
+The row also gates three cohort forward kernels, each timed against a
+same-size copy on the same runner (best of 5), under its ``kernels`` key
+(outside ``rows``, so the ``--gate 10`` comparison does not see it): the
+conv patch gather on ResNet-9's ``(10, 10, 32, 2, 2)`` input at k=3,
+pad 1 against ``np.copyto`` of its columns, and ``ReLU.forward_many`` and
+MaxPool's training ``forward_many`` on a ``(10, 10, 16, 8, 8)`` float32
+input against ``x.copy()``.  Both sides scale with the host, so the
+ratios do not; a kernel that costs more copies than
+:data:`MAX_KERNEL_COPY_RATIOS` allows fails the run.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ from _bench_util import write_bench_json
 from conftest import run_once
 from repro.experiments import BENCH_SCALE
 from repro.experiments.runner import run_cell
+from repro.nn.conv_utils import CohortConvWorkspace
+from repro.nn.layers import MaxPool2d, ReLU
 
 #: cells for the vector-backend speedup row.  IFCA batches too but is not
 #: a gated cell: its cluster scoring is one shared-input k-member cohort
@@ -34,6 +46,12 @@ VECTOR_CELLS = [("cifar10", "fedclust"), ("cifar10", "fedavg")]
 #: the PR's target: cohort batching must be at least this much faster
 #: than the serial per-client loop on every measured cell
 VECTOR_TARGET_SPEEDUP = 3.0
+#: most each cohort forward kernel may cost, in same-size copies.  On a
+#: 2-core Xeon (numpy 2.4) the take-indexed gather, branch-free ReLU and
+#: running-compare MaxPool argmax read 9-15, 3-5 and 32-43; the
+#: slice-copy gather, ``np.where`` ReLU and ``argmax(axis=0)`` MaxPool
+#: they replaced read 33-48, 47-58 and 71-91, and fail every gate
+MAX_KERNEL_COPY_RATIOS = {"gather": 25.0, "relu": 15.0, "maxpool": 55.0}
 
 
 def _best_of(dataset: str, method: str, backend: str, reps: int = 3):
@@ -84,6 +102,42 @@ def _profile_predict_short_circuit(model, x, reps: int = 300):
     }
 
 
+def time_forward_kernels(repeats: int = 5, number: int = 20) -> dict:
+    """Seconds per call of each gated forward kernel and of its same-size
+    copy (the best of ``repeats`` loops of ``number`` calls), and their
+    ratio, keyed like :data:`MAX_KERNEL_COPY_RATIOS`."""
+    rng = np.random.default_rng(0)
+    x_conv = rng.standard_normal((10, 10, 32, 2, 2)).astype(np.float32)
+    ws = CohortConvWorkspace(x_conv.shape, x_conv.dtype, 3, 3, 1, 1)
+    cols = ws.gather(x_conv)
+    cols_dst = np.empty_like(cols)
+    x = rng.standard_normal((10, 10, 16, 8, 8)).astype(np.float32)
+    relu, pool = ReLU(), MaxPool2d(2)
+
+    def best(fn) -> float:
+        fn()  # untimed: first-call allocation
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(number):
+                fn()
+            times.append((time.perf_counter() - t0) / number)
+        return min(times)
+
+    pairs = {
+        "gather": (lambda: ws.gather(x_conv), lambda: np.copyto(cols_dst, cols)),
+        "relu": (lambda: relu.forward_many(x), x.copy),
+        "maxpool": (lambda: pool.forward_many(x), x.copy),
+    }
+    out = {}
+    for name, (kernel, copy) in pairs.items():
+        kernel_s, copy_s = best(kernel), best(copy)
+        out[name] = {
+            "kernel_s": kernel_s, "copy_s": copy_s, "ratio": kernel_s / copy_s,
+        }
+    return out
+
+
 def run_vector_study() -> dict:
     """Measure every :data:`VECTOR_CELLS` cell under serial and vector,
     check equivalence at the documented vector tolerance (empirically
@@ -126,6 +180,7 @@ def run_vector_study() -> dict:
         "acc_maxdiff_vs_serial": acc_maxdiff,
         "acc_tolerance": VECTOR_ACC_ATOL,
         "eval_predict": eval_profile,
+        "kernels": time_forward_kernels(),
     }
 
 
@@ -151,6 +206,13 @@ def _render_vector(row: dict) -> str:
         f"eval predict short-circuit: {ep['speedup']:.2f}x on "
         f"{ep['n_samples']}-sample client eval set"
     )
+    lines.append("forward kernels, in same-size copies (gate):")
+    for name, k in row["kernels"].items():
+        lines.append(
+            f"  {name:8s}{k['kernel_s'] * 1e3:>8.3f} ms / copy "
+            f"{k['copy_s'] * 1e3:.4f} ms = {k['ratio']:>6.2f}x "
+            f"(<= {MAX_KERNEL_COPY_RATIOS[name]}x)"
+        )
     return "\n".join(lines)
 
 
@@ -158,6 +220,15 @@ def _check_vector(row: dict) -> None:
     assert row["min_speedup"] >= VECTOR_TARGET_SPEEDUP, (
         f"vector backend speedup {row['min_speedup']:.2f}x fell below "
         f"the {VECTOR_TARGET_SPEEDUP}x target: {row['rows']}"
+    )
+    slow = {
+        name: round(k["ratio"], 2)
+        for name, k in row["kernels"].items()
+        if k["ratio"] > MAX_KERNEL_COPY_RATIOS[name]
+    }
+    assert not slow, (
+        f"forward kernels cost more same-size copies than allowed: {slow} "
+        f"(limits {MAX_KERNEL_COPY_RATIOS})"
     )
 
 

@@ -62,9 +62,14 @@ class Im2colPlan:
     serves every im2col/col2im call with that geometry.  Plans are cached by
     :func:`im2col_plan`; being pure integer indices they are safe to share
     across threads.
+
+    ``take_offsets`` is the ``(fh*fw, 1, L)`` intp source pattern of
+    :meth:`CohortConvWorkspace.gather`: for kernel offset ``(fi, fj)`` and
+    output cell ``l``, the input cell's flat index ``r*W + q`` within one
+    unpadded image, or ``H*W`` where the patch reads padding.
     """
 
-    __slots__ = ("k", "i", "j", "out_h", "out_w", "padded_hw")
+    __slots__ = ("k", "i", "j", "out_h", "out_w", "padded_hw", "take_offsets")
 
     def __init__(
         self, channels: int, h: int, w: int, field_h: int, field_w: int,
@@ -76,6 +81,13 @@ class Im2colPlan:
             (1, channels, h, w), field_h, field_w, stride, pad
         )
         self.padded_hw = (h + 2 * pad, w + 2 * pad)
+        # channel 0's rows of (i, j), moved from padded to input coordinates
+        fields = field_h * field_w
+        r, q = self.i[:fields] - pad, self.j[:fields] - pad
+        inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
+        self.take_offsets = (
+            np.where(inside, r * w + q, h * w).astype(np.intp)[:, None, :]
+        )
 
 
 #: plan cache keyed by the full geometry tuple; bounded so sweeps over many
@@ -147,7 +159,12 @@ class CohortConvWorkspace:
     Layout: :meth:`gather` produces ``(C, ch*fh*fw, N*L)`` patch columns
     (``L = out_h*out_w``) so a single batched GEMM against the stacked
     ``(C, out_ch, ch*fh*fw)`` kernel computes every member's convolution;
-    :meth:`scatter` is its adjoint.  The scatter buffer is spatial-outer,
+    :meth:`scatter` is its adjoint.  The gather stages the input
+    channel-major as ``(C, ch, N, H*W+1)``: each image row ends in one cell
+    that stays 0.0 and stands in for every padding cell, so no padded copy
+    is made.  Its ``(fh*fw, N*L)`` intp index (the plan's
+    ``take_offsets`` plus ``n*(H*W+1)`` for image ``n``) is built once per
+    workspace.  The scatter buffer is spatial-outer,
     ``(H+2p, W+2p, C, N, ch)``, so a kernel offset's slice-add walks
     contiguous rows of ``out_w*C*N*ch`` values (``C*N*ch`` at stride > 1)
     rather than rows of ``out_w``.
@@ -174,11 +191,16 @@ class CohortConvWorkspace:
         self.patch_len = ckk
         self.out_len = self.plan.out_h * self.plan.out_w
         lcols = self.out_len
-        #: zero-padded input staging buffer (None when pad == 0: the raw
-        #: input is indexed directly, no copy)
-        self._pad_buf = (
-            np.zeros((c, n, ch, hp, wp), dtype=self.dtype) if pad > 0 else None
-        )
+        hw = h * w
+        #: channel-major input staging (C, ch, N, H*W+1); the last cell of
+        #: each image row is never written and reads as every padding cell
+        self._stage = np.zeros((c, ch, n, hw + 1), dtype=self.dtype)
+        #: flat source of every column entry in the staging buffer's
+        #: (C, ch, N*(H*W+1)) view, per kernel offset: (fh*fw, N*L)
+        self._index = (
+            self.plan.take_offsets
+            + (hw + 1) * np.arange(n, dtype=np.intp)[:, None]
+        ).reshape(field_h * field_w, n * lcols)
         #: GEMM-ready columns (C, ckk, N, L); viewed as (C, ckk, N*L)
         self._cols = np.empty((c, ckk, n, lcols), dtype=self.dtype)
         #: backward scatter target, spatial-outer (H+2p, W+2p, C, N, ch)
@@ -190,27 +212,30 @@ class CohortConvWorkspace:
         Writes exclusively into the workspace's pre-allocated buffers; the
         returned array is a reshaped view of the internal columns buffer
         (valid until the next ``gather`` on this workspace).
+
+        One transposing copy stages ``x`` channel-major, then one
+        ``np.take`` through the workspace's index writes every column
+        entry.  The result is bitwise ``im2col``'s: each entry is a copy of
+        one input value or of the staging row's 0.0 cell, where ``im2col``
+        reads its zero padding.  ``mode="clip"`` never clips (every index
+        is in range); it lets ``take`` write straight into the columns
+        buffer, where the default ``"raise"`` stages ``out=`` through a
+        temporary copy.
         """
         c, n, ch, h, w = self.shape
-        p = self.pad
-        s = self.stride
         fh, fw = self.field
-        oh, ow = self.plan.out_h, self.plan.out_w
-        if p > 0:
-            self._pad_buf[:, :, :, p:-p, p:-p] = x
-            xp = self._pad_buf
-        else:
-            xp = x
-        # Strided slice-copies instead of one fancy-index take: pure copies
-        # straight into the GEMM-ready columns buffer (bitwise-identical
-        # result), one (fi, fj) pass per kernel offset with no intermediate
-        # patch staging.
-        c7 = self._cols.reshape(c, ch, fh, fw, n, oh, ow)
-        for fi in range(fh):
-            for fj in range(fw):
-                c7[:, :, fi, fj] = xp[
-                    :, :, :, fi : fi + s * oh : s, fj : fj + s * ow : s
-                ].transpose(0, 2, 1, 3, 4)
+        # (C, N, ch, H, W) -> the (C, ch, N, H*W) head of each staging row
+        np.copyto(
+            self._stage[..., :-1].reshape(c, ch, n, h, w),
+            x.transpose(0, 2, 1, 3, 4),
+        )
+        np.take(
+            self._stage.reshape(c, ch, -1),
+            self._index,
+            axis=2,
+            out=self._cols.reshape(c, ch, fh * fw, n * self.out_len),
+            mode="clip",
+        )
         return self._cols.reshape(c, self.patch_len, n * self.out_len)
 
     def scatter(self, dcols: np.ndarray) -> np.ndarray:

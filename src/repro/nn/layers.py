@@ -38,6 +38,21 @@ __all__ = [
 ]
 
 
+def keep_where(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``np.where(mask, x, 0.0)``, bitwise, by one branch-free multiply.
+
+    ``x``'s bits, viewed as signed integers of its width, are multiplied by
+    the 0/1 mask and viewed back: bits times 1 are ``x`` unchanged, bits
+    times 0 are +0.0, so NaN, +-inf, -0.0 and every value the mask drops
+    map exactly as under ``np.where``.  ``np.where`` takes one
+    data-dependent branch per element, and a ReLU mask is about half True
+    at random, so that branch mispredicts about every other element; the
+    integer multiply has no branch.
+    """
+    ints = np.dtype(f"i{x.itemsize}")
+    return np.multiply(x.view(ints), mask, dtype=ints).view(x.dtype)
+
+
 class Layer:
     """Base class: a differentiable module with (possibly empty) parameters.
 
@@ -415,7 +430,21 @@ class MaxPool2d(Layer):
         # Treat channels as batch so each column is one pooling window.
         x_resh = x.reshape(n * c, 1, h, w)
         cols = im2col(x_resh, k, k, s, 0)  # (k*k, n*c*out_h*out_w)
-        argmax = cols.argmax(axis=0)
+        # The argmax by a running compare down the k*k rows, a few
+        # whole-row ufuncs, where cols.argmax(axis=0) transposes the
+        # columns and calls argmax once per k*k-value window.  Row t takes
+        # a window where it is not <= the best so far (greater, or NaN)
+        # and the best is not NaN, so the first max and the first NaN win,
+        # as in numpy's argmax.  np.maximum carries the best (NaN sticks);
+        # t only grows, so np.maximum(arg, upd * t) sets arg to t exactly
+        # where upd holds.
+        best = cols[0].copy()
+        argmax = np.zeros(cols.shape[1], dtype=np.intp)
+        for t in range(1, k * k):
+            row = cols[t]
+            upd = ~(row <= best) & (best == best)  # best == best: not NaN
+            np.maximum(best, row, out=best)
+            np.maximum(argmax, upd * t, out=argmax)
         out = cols[argmax, np.arange(cols.shape[1])]
         out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
         self._cache = (x.shape, cols.shape, argmax)
@@ -537,7 +566,10 @@ class ReLU(Layer):
         mask = x > 0
         if train:
             self._mask = mask
-        return np.where(mask, x, 0.0)
+        # an integer multiply of x's bits by the mask: np.where(mask, x,
+        # 0.0) bit for bit, without a branch per element on a mask that is
+        # about half True
+        return keep_where(x, mask)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:

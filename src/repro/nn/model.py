@@ -8,7 +8,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.nn.layers import Layer
+from repro.nn.layers import Layer, keep_where
 from repro.nn.parameter import Parameter
 
 __all__ = ["Sequential", "Residual", "CohortModel"]
@@ -55,7 +55,10 @@ class Residual(Layer):
         mask = summed > 0
         if train:
             self._mask = mask
-        return np.where(mask, summed, 0.0)
+        # the ReLU as ReLU.forward takes it: an integer multiply of the
+        # bits by the mask, bitwise np.where(mask, summed, 0.0) without
+        # its per-element branch
+        return keep_where(summed, mask)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -94,7 +97,7 @@ class Residual(Layer):
         summed = out + x
         mask = summed > 0
         self._mask = mask if train else None
-        return np.where(mask, summed, 0.0)
+        return keep_where(summed, mask)  # branch-free, as in forward
 
     def backward_many(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:

@@ -9,12 +9,16 @@ every member reads.  Workspace-reuse tests assert the
 pre-allocated scratch — im2col plans, cohort conv workspaces, codec encode
 buffers — is the *same object* across calls for a fixed shape, and the
 bitwise tests pin the claims the optimized kernels make in their docstrings
-(slice-copy gather == im2col, slice-add scatter == col2im, the MaxPool
-disjoint fast path and eval forward, and ``backward_many_params_only``'s
-gradients).
+(take-indexed gather == im2col, slice-add scatter == col2im, the
+branch-free ReLU/Residual masks == ``np.where``, MaxPool's running-compare
+argmax == ``argmax``, its disjoint fast path and eval forward, and
+``backward_many_params_only``'s gradients).
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fl.codecs import Int8Codec, TopKCodec
+from repro.nn import layers as layers_module
 from repro.nn.conv_utils import CohortConvWorkspace, col2im, im2col, im2col_plan
 from repro.nn.layers import (
     AvgPool2d,
@@ -60,6 +65,32 @@ def _load_members(template, members):
     ):
         for c, mp in enumerate(mps):
             tp.many[c] = mp.data
+
+
+def _edge_floats(rng, shape, dtype):
+    """Normal draws with ~40% of the entries replaced by NaNs carrying
+    payloads (both signs), +-inf, +-0.0 and +-subnormals, for kernels
+    compared with a numpy oracle byte for byte."""
+    dtype = np.dtype(dtype)
+    uint = np.dtype(f"u{dtype.itemsize}").type
+    quiet_nan = np.array(np.nan, dtype).view(uint)
+    sign = uint(1) << uint(8 * dtype.itemsize - 1)
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.concatenate([
+        np.array(
+            [quiet_nan | uint(1), quiet_nan | uint(0x2A), sign | quiet_nan | uint(7)]
+        ).view(dtype),
+        np.array([np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 3 * tiny, -5 * tiny], dtype),
+    ])
+    x = rng.standard_normal(shape).astype(dtype)
+    where = rng.random(shape) < 0.4
+    x[where] = specials[rng.integers(0, specials.size, int(where.sum()))]
+    return x
+
+
+def _same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 class TestDenseCohort:
@@ -161,16 +192,30 @@ class TestConv2dCohort:
             layer.forward_many(x, train=True)
         assert layer.forward_many(x, train=False).shape == (3, 2, 2, 3, 3)
 
-    def test_only_training_caches_workspaces(self):
+    def test_only_training_caches_workspaces(self, monkeypatch):
         """Evaluation forwards (shared or per-member rows, every row
-        count) gather into per-call workspaces; a training forward
-        keeps its workspace for the next step."""
+        count) gather into per-call workspaces, freed with their N-sized
+        gather index on return; the cached plan keeps only the per-geometry
+        offsets.  A training forward keeps its workspace for the next
+        step."""
+        made = []
+
+        class Tracked(CohortConvWorkspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append((weakref.ref(self), weakref.ref(self._index)))
+
+        monkeypatch.setattr(layers_module, "CohortConvWorkspace", Tracked)
         layer = Conv2d(1, 2, 3, np.random.default_rng(0), dtype=np.float64)
         layer.bind_cohort(3)
         for n in (256, 200, 7):
             layer.forward_many(np.zeros((1, n, 1, 5, 5)), train=False)
             layer.forward_many(np.zeros((3, n, 1, 5, 5)), train=False)
         assert layer._cohort_ws == {}
+        gc.collect()
+        assert len(made) == 6
+        assert all(ws() is None and index() is None for ws, index in made)
+        assert im2col_plan(1, 5, 5, 3, 3, 1, 0).take_offsets.shape == (9, 1, 9)
         layer.forward_many(np.zeros((3, 4, 1, 5, 5)), train=True)
         assert len(layer._cohort_ws) == 1
 
@@ -216,6 +261,54 @@ class TestParameterFreeCohortDefault:
         for c, m in enumerate(members):
             np.testing.assert_array_equal(out_many[c], m.forward(x[c]))
             np.testing.assert_array_equal(dx_many[c], m.backward(dout[c]))
+
+
+class TestBranchFreeMasks:
+    """ReLU's and Residual's forwards zero their dropped entries by an
+    integer multiply of the bits; each must equal the numpy oracle
+    ``np.where(mask, x, 0.0)`` byte for byte, on NaNs with payloads,
+    +-inf, +-0.0 and subnormals."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_matches_where(self, dtype):
+        x = _edge_floats(np.random.default_rng(2), (3, 4, 2, 5, 5), dtype)
+        ref = np.where(x > 0, x, 0.0)
+        _same_bytes(ReLU().forward(x[0]), ref[0])
+        _same_bytes(ReLU().forward(x[0], train=False), ref[0])
+        _same_bytes(ReLU().forward_many(x), ref)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_residual_matches_where(self, dtype):
+        """An eval-mode BatchNorm body keeps every value elementwise, so
+        the specials reach the shortcut sum; its per-member running stats
+        spread a shared ``(1, N, ...)`` input over the cohort."""
+        rng = np.random.default_rng(3)
+        cohort, n, ch = 3, 4, 2
+        x = _edge_floats(rng, (cohort, n, ch, 5, 5), dtype)
+        bn = BatchNorm(ch, dtype=dtype)
+        block = Residual(bn)
+        block.bind_cohort(cohort)
+        bn.running_mean[:] = rng.uniform(-0.5, 0.5, ch)
+        bn.running_mean_many[:] = rng.uniform(-0.5, 0.5, (cohort, ch))
+        bn.running_var_many[:] = rng.uniform(0.5, 2.0, (cohort, ch))
+        bn.gamma.many[:] = rng.uniform(0.5, 2.0, (cohort, ch))
+        bn.beta.many[:] = rng.uniform(-0.5, 0.5, (cohort, ch))
+
+        def oracle(summed):
+            return np.where(summed > 0, summed, 0.0)
+
+        _same_bytes(
+            block.forward(x[0], train=False),
+            oracle(bn.forward(x[0], train=False) + x[0]),
+        )
+        _same_bytes(
+            block.forward_many(x, train=False),
+            oracle(bn.forward_many(x, train=False) + x),
+        )
+        shared = x[:1]
+        out = block.forward_many(shared, train=False)
+        assert out.shape == x.shape
+        _same_bytes(out, oracle(bn.forward_many(shared, train=False) + shared))
 
 
 class TestBatchNormCohort:
@@ -297,12 +390,42 @@ class TestDropoutCohort:
             template.forward_many(np.zeros((2, 3, 4)))
 
 
+#: (stride, pad, k, hw, ch, dtype) of the conv workspace's bitwise pins
+WORKSPACE_GEOMETRIES = [
+    pytest.param(1, 0, 3, 6, 2, np.float64, id="1-0"),
+    pytest.param(1, 1, 3, 6, 2, np.float64, id="1-1"),
+    pytest.param(2, 1, 3, 6, 2, np.float64, id="2-1"),
+    pytest.param(1, 1, 3, 6, 2, np.float32, id="1-1-float32"),
+    # LeNet's conv2: a 5x5 kernel over a 4x4 map, pad 2
+    pytest.param(1, 2, 5, 4, 3, np.float32, id="lenet-k5-p2"),
+    # ResNet-9's last two stages: 2x2 and 1x1 maps, k=3, pad 1
+    pytest.param(1, 1, 3, 2, 4, np.float32, id="resnet-2x2"),
+    pytest.param(1, 1, 3, 1, 4, np.float32, id="resnet-1x1"),
+    pytest.param(2, 2, 5, 7, 2, np.float32, id="2-2-k5-odd"),
+]
+
+
 class TestCohortConvWorkspace:
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
-    def test_gather_matches_im2col_bitwise(self, stride, pad):
+    @pytest.mark.parametrize(
+        "stride,pad,k,hw,ch,dtype,layout",
+        [
+            pytest.param(*case.values, "contiguous", id=case.id)
+            for case in WORKSPACE_GEOMETRIES
+        ]
+        + [
+            # CohortModel.predict's chunks: an N-axis slice of (C, N, ...)
+            pytest.param(1, 1, 3, 2, 4, np.float32, "n-slice", id="resnet-2x2-n-slice"),
+            pytest.param(1, 2, 5, 4, 3, np.float64, "n-slice", id="lenet-k5-p2-n-slice"),
+            # IFCA's scoring pass: one (1, N, ...) input every member reads
+            pytest.param(1, 2, 5, 4, 3, np.float32, "shared", id="lenet-k5-p2-shared"),
+        ],
+    )
+    def test_gather_matches_im2col_bitwise(self, stride, pad, k, hw, ch, dtype, layout):
         rng = np.random.default_rng(0)
-        c, n, ch, h, w, k = 2, 3, 2, 6, 6, 3
-        x = rng.standard_normal((c, n, ch, h, w))
+        c, n, h, w = (1 if layout == "shared" else 2), 3, hw, hw
+        x = _edge_floats(rng, (c, 2 * n + 1, ch, h, w), dtype)
+        x = x[:, 1 : 1 + n] if layout == "n-slice" else x[:, :n].copy()
+        assert x.flags.c_contiguous == (layout != "n-slice")
         ws = CohortConvWorkspace(x.shape, x.dtype, k, k, stride, pad)
         cols = ws.gather(x)  # (C, ckk, N*L) with column index n*L + l
         for ci in range(c):
@@ -313,23 +436,9 @@ class TestCohortConvWorkspace:
                 .transpose(0, 2, 1)
                 .reshape(ws.patch_len, -1)
             )
-            np.testing.assert_array_equal(got, ref)
+            _same_bytes(got, ref)
 
-    @pytest.mark.parametrize(
-        "stride,pad,k,hw,ch,dtype",
-        [
-            pytest.param(1, 0, 3, 6, 2, np.float64, id="1-0"),
-            pytest.param(1, 1, 3, 6, 2, np.float64, id="1-1"),
-            pytest.param(2, 1, 3, 6, 2, np.float64, id="2-1"),
-            pytest.param(1, 1, 3, 6, 2, np.float32, id="1-1-float32"),
-            # LeNet's conv2: a 5x5 kernel over a 4x4 map, pad 2
-            pytest.param(1, 2, 5, 4, 3, np.float32, id="lenet-k5-p2"),
-            # ResNet-9's last two stages: 2x2 and 1x1 maps, k=3, pad 1
-            pytest.param(1, 1, 3, 2, 4, np.float32, id="resnet-2x2"),
-            pytest.param(1, 1, 3, 1, 4, np.float32, id="resnet-1x1"),
-            pytest.param(2, 2, 5, 7, 2, np.float32, id="2-2-k5-odd"),
-        ],
-    )
+    @pytest.mark.parametrize("stride,pad,k,hw,ch,dtype", WORKSPACE_GEOMETRIES)
     def test_scatter_matches_col2im_bitwise(self, stride, pad, k, hw, ch, dtype):
         rng = np.random.default_rng(1)
         c, n, h, w = 2, 3, hw, hw
@@ -378,6 +487,15 @@ class TestMaxPoolDisjointFastPath:
         np.testing.assert_array_equal(dx, ref.reshape(n, c, h, w))
 
 
+def _pool_input(dtype):
+    """Pooling input full of ties, signed zeros and NaNs."""
+    rng = np.random.default_rng(7)
+    x = rng.integers(-2, 3, size=(3, 2, 9, 9)).astype(dtype)
+    x[rng.random(x.shape) < 0.2] = -0.0
+    x[rng.random(x.shape) < 0.05] = np.nan
+    return x
+
+
 class TestMaxPoolEvalForward:
     @pytest.mark.parametrize(
         "size,stride", [(2, 2), (2, 3), (3, 3), (3, 2), (2, 1)]
@@ -387,10 +505,7 @@ class TestMaxPoolEvalForward:
         """The eval forward's max over strided window views equals the
         training forward's im2col argmax gather, on inputs full of ties,
         signed zeros and NaNs, for disjoint and overlapping windows."""
-        rng = np.random.default_rng(7)
-        x = rng.integers(-2, 3, size=(3, 2, 9, 9)).astype(dtype)
-        x[rng.random(x.shape) < 0.2] = -0.0
-        x[rng.random(x.shape) < 0.05] = np.nan
+        x = _pool_input(dtype)
         layer = MaxPool2d(size, stride)
         ref = layer.forward(x, train=True)
         out = layer.forward(x, train=False)
@@ -398,6 +513,26 @@ class TestMaxPoolEvalForward:
         assert out.dtype == ref.dtype and out.flags.c_contiguous
         assert np.isnan(out).any()
         np.testing.assert_array_equal(out, ref)
+
+
+class TestMaxPoolTrainingArgmax:
+    @pytest.mark.parametrize(
+        "size,stride", [(2, 2), (2, 3), (3, 3), (3, 2), (2, 1)]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_argmax_matches_numpy(self, size, stride, dtype):
+        """The running-compare argmax the training forward caches is
+        ``cols.argmax(axis=0)``'s: the first max and the first NaN win."""
+        x = _pool_input(dtype)
+        layer = MaxPool2d(size, stride)
+        out = layer.forward(x, train=True)
+        x_shape, cols_shape, argmax = layer._cache
+        n, c, h, w = x_shape
+        cols = im2col(x.reshape(n * c, 1, h, w), size, size, stride, 0)
+        assert cols.shape == cols_shape
+        _same_bytes(argmax, cols.argmax(axis=0))
+        ref = cols[cols.argmax(axis=0), np.arange(cols.shape[1])]
+        _same_bytes(out.transpose(2, 3, 0, 1).reshape(-1), ref)
 
 
 class TestWorkspaceReuse:
@@ -414,13 +549,14 @@ class TestWorkspaceReuse:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 4, 2, 6, 6))
         ws = conv.cohort_workspace(x)
-        cols_id, dx_id = id(ws._cols), id(ws._dx_pad)
+        buffers = ("_stage", "_index", "_cols", "_dx_pad")
+        ids = {name: id(getattr(ws, name)) for name in buffers}
         for _ in range(3):  # training steps reuse the same buffers
             out = conv.forward_many(x)
             conv.backward_many(rng.standard_normal(out.shape))
             again = conv.cohort_workspace(x)
             assert again is ws
-            assert id(again._cols) == cols_id and id(again._dx_pad) == dx_id
+            assert {name: id(getattr(again, name)) for name in buffers} == ids
         # a different batch shape gets its own workspace without evicting
         x2 = rng.standard_normal((2, 5, 2, 6, 6))
         assert conv.cohort_workspace(x2) is not ws
