@@ -70,38 +70,6 @@ def _best_of(dataset: str, method: str, backend: str, reps: int = 3):
     return best, result
 
 
-def _profile_predict_short_circuit(model, x, reps: int = 300):
-    """Time eval-set prediction one-forward vs the old chunk-and-concat.
-
-    ``Sequential.predict`` now short-circuits sets that fit one batch;
-    the old path sliced and re-concatenated even for a single chunk.
-    Both produce bitwise-identical logits (asserted); the timing pin
-    goes into BENCH_10.json.
-    """
-    short = model.predict(x)
-    chunked = np.concatenate(
-        [model.forward(x[s : s + 256], train=False) for s in range(0, len(x), 256)]
-    )
-    np.testing.assert_array_equal(short, chunked)
-
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        model.predict(x)
-    t_short = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        np.concatenate(
-            [model.forward(x[s : s + 256], train=False) for s in range(0, len(x), 256)]
-        )
-    t_chunked = time.perf_counter() - t0
-    return {
-        "n_samples": int(len(x)),
-        "one_forward_us": round(t_short / reps * 1e6, 2),
-        "chunked_concat_us": round(t_chunked / reps * 1e6, 2),
-        "speedup": round(t_chunked / t_short, 3),
-    }
-
-
 def time_forward_kernels(repeats: int = 5, number: int = 20) -> dict:
     """Seconds per call of each gated forward kernel and of its same-size
     copy (the best of ``repeats`` loops of ``number`` calls), and their
@@ -141,12 +109,11 @@ def time_forward_kernels(repeats: int = 5, number: int = 20) -> dict:
 def run_vector_study() -> dict:
     """Measure every :data:`VECTOR_CELLS` cell under serial and vector,
     check equivalence at the documented vector tolerance (empirically
-    bitwise on this container; byte metering must stay exact), and pin
-    the eval predict short-circuit.  Returns the BENCH_10 row."""
+    bitwise on this container; byte metering must stay exact), and time
+    the gated forward kernels.  Returns the BENCH_10 row."""
     from repro.fl.execution import VECTOR_ACC_ATOL
 
     rows, acc_maxdiff = {}, 0.0
-    eval_profile = None
     for dataset, method in VECTOR_CELLS:
         t_serial, res_serial = _best_of(dataset, method, "serial")
         t_vector, res_vector = _best_of(dataset, method, "vector")
@@ -162,14 +129,6 @@ def run_vector_study() -> dict:
             "vector_s": round(t_vector, 4),
             "speedup": round(t_serial / t_vector, 2),
         }
-        if eval_profile is None:
-            # Pin the predict() one-forward win on a real client eval set
-            # (tiny at BENCH_SCALE — exactly the case the short-circuit
-            # targets).
-            algo = res_serial.algorithm
-            eval_profile = _profile_predict_short_circuit(
-                algo.model, algo.fed[0].test_x
-            )
     return {
         "bench": "vector_execution",
         "scale": "bench",
@@ -179,7 +138,6 @@ def run_vector_study() -> dict:
         "target_speedup": VECTOR_TARGET_SPEEDUP,
         "acc_maxdiff_vs_serial": acc_maxdiff,
         "acc_tolerance": VECTOR_ACC_ATOL,
-        "eval_predict": eval_profile,
         "kernels": time_forward_kernels(),
     }
 
@@ -196,15 +154,10 @@ def _render_vector(row: dict) -> str:
             f"{cell:24s}{r['serial_s']:>9.2f}s{r['vector_s']:>9.2f}s"
             f"{r['speedup']:>9.2f}x"
         )
-    ep = row["eval_predict"]
     lines.append("")
     lines.append(
         f"accuracy maxdiff vs serial: {row['acc_maxdiff_vs_serial']:.2e} "
         f"(tolerance {row['acc_tolerance']})"
-    )
-    lines.append(
-        f"eval predict short-circuit: {ep['speedup']:.2f}x on "
-        f"{ep['n_samples']}-sample client eval set"
     )
     lines.append("forward kernels, in same-size copies (gate):")
     for name, k in row["kernels"].items():

@@ -45,7 +45,7 @@ class FedAvg(FederatedAlgorithm):
             return
         weights = [u.n_samples for u in updates]
         self.global_params = self.combine(
-            [u.params for u in updates], weights, ref=self.global_params
+            [u.params for u in updates], weights
         )
         if updates[0].state:
             self.global_state = self.combine_states(

@@ -164,8 +164,7 @@ class IFCA(ClusteredAlgorithm):
         for gid, members in by_cluster.items():
             weights = [u.n_samples for u in members]
             self.cluster_params[gid] = self.combine(
-                [u.params for u in members], weights,
-                ref=self.cluster_params[gid],
+                [u.params for u in members], weights
             )
             if members[0].state:
                 self.cluster_states[gid] = self.combine_states(

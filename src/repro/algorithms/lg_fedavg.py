@@ -81,8 +81,7 @@ class LGFedAvg(FederatedAlgorithm):
                 self.client_states[u.client_id] = u.state
         weights = [u.n_samples for u in updates]
         self.global_part = self.combine(
-            [u.params[self._global_slice] for u in updates], weights,
-            ref=self.global_part,
+            [u.params[self._global_slice] for u in updates], weights
         )
 
     def download_bytes(self, client_id: int, round_idx: int) -> int:

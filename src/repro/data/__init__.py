@@ -6,7 +6,6 @@ from repro.data.federated import (
     FederatedDataset,
     LazyFederatedDataset,
     build_federated_dataset,
-    build_lazy_federated_dataset,
     grouped_label_partition,
 )
 from repro.data.partition import (
@@ -31,7 +30,6 @@ __all__ = [
     "FederatedDataset",
     "LazyFederatedDataset",
     "build_federated_dataset",
-    "build_lazy_federated_dataset",
     "grouped_label_partition",
     "Partition",
     "BlockIndices",

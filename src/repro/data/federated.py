@@ -23,7 +23,6 @@ __all__ = [
     "FederatedDataset",
     "LazyFederatedDataset",
     "build_federated_dataset",
-    "build_lazy_federated_dataset",
     "grouped_label_partition",
 ]
 
@@ -391,37 +390,6 @@ class LazyFederatedDataset(FederatedDataset):
             "split_newcomers builds two eager dataset views; use "
             "build_federated_dataset for the Table-6 newcomer protocol"
         )
-
-
-def build_lazy_federated_dataset(
-    dataset: Dataset,
-    scheme: str,
-    num_clients: int,
-    rng: int | np.random.Generator = 0,
-    test_fraction: float = 0.2,
-    seed: int = 0,
-    cache_clients: int = 1024,
-    **partition_params,
-) -> LazyFederatedDataset:
-    """Partition ``dataset`` lazily: shards materialize on first touch.
-
-    Mirrors :func:`build_federated_dataset` but returns a
-    :class:`LazyFederatedDataset`; with ``scheme="contiguous"`` the
-    partition itself is O(1) memory too, which is the million-client
-    configuration (``benchmarks/bench_scale.py``).
-    """
-    part = make_partition(
-        scheme, dataset.y, num_clients, rng=rng, **partition_params
-    )
-    part.validate_disjoint(len(dataset))
-    return LazyFederatedDataset(
-        dataset,
-        part,
-        test_fraction=test_fraction,
-        seed=seed,
-        cache_clients=cache_clients,
-        name=dataset.name,
-    )
 
 
 def build_federated_dataset(

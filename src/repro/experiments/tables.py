@@ -234,21 +234,20 @@ def table_population(
 
 
 #: The adversarial-robustness study's attack columns (the ``robustness``
-#: artifact): a clean federation next to the three canonical byzantine
-#: behaviors at a 20% adversary fraction (:mod:`repro.fl.attacks`).  The
+#: artifact): a clean federation next to the two byzantine behaviors at a
+#: 20% adversary fraction (:mod:`repro.fl.attacks`).  The
 #: ``clean`` column is bit-for-bit the plain engine under the default
 #: ``weighted`` rule, so every other cell's delta is attributable to the
 #: attack / defense pair alone.
 ATTACK_SCENARIOS = {
     "clean": "none",
-    "labelflip": "labelflip:frac=0.2",
     "signflip": "signflip:frac=0.2",
     "scale": "scale:frac=0.2",
 }
 
 #: Aggregation rules the robustness grid compares (rows), default first
 #: (:mod:`repro.fl.aggregation`).
-ROBUST_AGGREGATORS = ("weighted", "median", "trimmed", "krum")
+ROBUST_AGGREGATORS = ("weighted", "median", "trimmed")
 
 
 def table_robustness(

@@ -25,22 +25,6 @@ swapped in beneath *every* algorithm:
     from *each* end and the survivors are weight-averaged.  ``trim=0``
     reduces to the weighted mean.
 
-``krum`` / ``multikrum``
-    Blanchard et al. (NeurIPS 2017): score every update by the sum of
-    squared distances to its ``n - f - 2`` nearest neighbours and keep
-    the lowest-scoring one (``krum``) or the ``agg_krum_m`` lowest
-    (``multikrum``, weight-averaged).  Selection, not averaging — a
-    poisoned update that is far from the honest cluster is never mixed
-    in at all.
-
-``clip``
-    Norm clipping: each update's delta from the reference model is
-    scaled down to at most ``agg_clip_norm`` (0 = the weighted median
-    of the delta norms, re-estimated each aggregation), then
-    weight-averaged.  Bounds any single client's influence without
-    discarding anyone; clipped updates are counted in the
-    ``clipped_updates`` telemetry counter.
-
 Algorithms route their parameter averaging through
 :meth:`FederatedAlgorithm.combine <repro.fl.server.FederatedAlgorithm.combine>`,
 which delegates here — so FedClust/IFCA apply the rule *per cluster*,
@@ -50,10 +34,8 @@ uses them.  FedNova and FedDyn keep their own normalization-based
 aggregation (their update algebra is the algorithm, not a swappable
 rule) and are unaffected by this family.
 
-Aggregators are stateless between calls (Krum's selection memo only
-bridges a ``combine``/``combine_states`` pair within one aggregation),
-so checkpoints carry no aggregator section — the fingerprint pins the
-resolved rule and its knobs.
+Aggregators are stateless, so checkpoints carry no aggregator section —
+the fingerprint pins the resolved rule and its knobs.
 """
 
 from __future__ import annotations
@@ -62,7 +44,6 @@ import numpy as np
 
 from repro.fl import registry
 from repro.fl.registry import opt, register
-from repro.fl.telemetry import NULL_TELEMETRY
 
 __all__ = [
     "weighted_average",
@@ -73,17 +54,9 @@ __all__ = [
     "WeightedAggregator",
     "MedianAggregator",
     "TrimmedMeanAggregator",
-    "KrumAggregator",
-    "MultiKrumAggregator",
-    "ClipAggregator",
     "WEIGHTED",
     "make_aggregator",
 ]
-
-#: aggregation rules that actually defend (every registered rule but the
-#: seed's weighted mean) — the robustness knobs apply to these
-_ROBUST = ("median", "trimmed", "krum", "multikrum", "clip")
-
 
 def weighted_average(vectors: list[np.ndarray], weights: list[float]) -> np.ndarray:
     """Sample-size-weighted average of flat parameter vectors (FedAvg rule).
@@ -166,14 +139,13 @@ class AggregationAccumulator:
     This base implementation buffers the members and delegates to the
     rule's ``combine``/``combine_states`` at finalize, so it is **exactly**
     (bit-for-bit) the batch result for every rule.  Robust rules (median,
-    trimmed, krum, clip) inherently need the full member set, so their
-    memory stays O(members); the weighted mean overrides this with a true
-    O(1)-memory running sum (:class:`StreamingMeanAccumulator`).
+    trimmed) inherently need the full member set, so their memory stays
+    O(members); the weighted mean overrides this with a true O(1)-memory
+    running sum (:class:`StreamingMeanAccumulator`).
     """
 
-    def __init__(self, agg: "Aggregator", ref: np.ndarray | None = None):
+    def __init__(self, agg: "Aggregator"):
         self._agg = agg
-        self._ref = ref
         self._vectors: list[np.ndarray] = []
         self._weights: list[float] = []
         self._states: list[dict | None] = []
@@ -200,9 +172,7 @@ class AggregationAccumulator:
         """
         if not self.count:
             raise ValueError("nothing to aggregate")
-        params = self._agg.combine(
-            self._vectors, self._weights, ref=self._ref
-        )
+        params = self._agg.combine(self._vectors, self._weights)
         state: dict[str, np.ndarray] = {}
         if self._states[0]:
             state = self._agg.combine_states(
@@ -261,26 +231,17 @@ class Aggregator:
     One instance serves one run, built by ``FederatedAlgorithm.run``
     (``make_aggregator``) and called from ``aggregate`` on the main
     thread.  ``combine`` merges flat parameter vectors; ``combine_states``
-    merges the matching non-trainable buffer dicts and must be called
-    (if at all) immediately after the ``combine`` over the same member
-    list, so selection rules can reuse their choice.
+    merges the matching non-trainable buffer dicts with the same rule.
     """
 
     #: registry name; subclasses set this
     name: str = "base"
 
     def __init__(self, extra: dict | None = None):
-        #: run observability; the engine swaps in the live sink at run()
-        self.telemetry = NULL_TELEMETRY
-        #: indices chosen by the latest selection-style ``combine``
-        #: (Krum); ``None`` for averaging rules
-        self._selected: list[int] | None = None
+        """``extra``: the run's ``agg_*`` knobs (read by rules that have any)."""
 
     def combine(
-        self,
-        vectors: list[np.ndarray],
-        weights: list[float],
-        ref: np.ndarray | None = None,
+        self, vectors: list[np.ndarray], weights: list[float]
     ) -> np.ndarray:
         """Merge flat parameter vectors into one.
 
@@ -288,10 +249,6 @@ class Aggregator:
             vectors: flat float64 parameter vectors of identical shape.
             weights: non-negative aggregation weights (``n_samples``,
                 already staleness-discounted by ``merge``).
-            ref: the server model the cohort trained from (cluster or
-                global params *before* this aggregation) — the delta
-                base for norm clipping; ``None`` where no meaningful
-                reference exists.
         """
         raise NotImplementedError
 
@@ -307,16 +264,14 @@ class Aggregator:
             out[key] = self.combine(flat, weights).reshape(states[0][key].shape)
         return out
 
-    def accumulator(
-        self, ref: np.ndarray | None = None
-    ) -> AggregationAccumulator:
+    def accumulator(self) -> AggregationAccumulator:
         """A fresh streaming accumulator over one aggregation.
 
         The base accumulator buffers members and reproduces ``combine``
         bit-for-bit; ``weighted`` overrides it with a true O(1)-memory
         running mean (documented float64 round-off vs. the batch rule).
         """
-        return AggregationAccumulator(self, ref=ref)
+        return AggregationAccumulator(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -328,14 +283,14 @@ class WeightedAggregator(Aggregator):
 
     name = "weighted"
 
-    def combine(self, vectors, weights, ref=None):
+    def combine(self, vectors, weights):
         return weighted_average(vectors, weights)
 
     def combine_states(self, states, weights):
         return average_states(states, weights)
 
-    def accumulator(self, ref=None):
-        return StreamingMeanAccumulator(self, ref=ref)
+    def accumulator(self):
+        return StreamingMeanAccumulator(self)
 
 
 @register("aggregator", "median")
@@ -350,7 +305,7 @@ class MedianAggregator(Aggregator):
 
     name = "median"
 
-    def combine(self, vectors, weights, ref=None):
+    def combine(self, vectors, weights):
         matrix, w = _stack(vectors, weights)
         order = np.argsort(matrix, axis=0, kind="stable")
         values = np.take_along_axis(matrix, order, axis=0)
@@ -387,7 +342,7 @@ class TrimmedMeanAggregator(Aggregator):
                 f"agg_trim_frac must be in [0, 0.5), got {self.trim_frac}"
             )
 
-    def combine(self, vectors, weights, ref=None):
+    def combine(self, vectors, weights):
         matrix, w = _stack(vectors, weights)
         n = matrix.shape[0]
         k = int(np.floor(self.trim_frac * n))
@@ -399,158 +354,6 @@ class TrimmedMeanAggregator(Aggregator):
         wk = w[keep]
         wk = wk / wk.sum(axis=0, keepdims=True)
         return (values * wk).sum(axis=0)
-
-
-def _krum_scores(matrix: np.ndarray, f: int) -> np.ndarray:
-    """Each row's Krum score: the summed squared distances to its
-    ``n - f - 2`` nearest other rows (Blanchard et al., NeurIPS 2017)."""
-    n = matrix.shape[0]
-    sq = (matrix * matrix).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (matrix @ matrix.T)
-    np.maximum(d2, 0.0, out=d2)  # clamp round-off negatives
-    np.fill_diagonal(d2, np.inf)
-    closest = max(1, n - f - 2)
-    return np.sort(d2, axis=1)[:, :closest].sum(axis=1)
-
-
-@register("aggregator", "krum", options=[
-    opt("agg_krum_f", int, 0, low=0,
-        env="REPRO_AGG_KRUM_F", alias="f", only_for=("krum", "multikrum"),
-        help="byzantine clients tolerated per aggregation; 0 picks the "
-             "maximum the cohort supports, floor((n - 3) / 2)"),
-])
-class KrumAggregator(Aggregator):
-    """Krum (Blanchard et al., NeurIPS 2017): keep the single update
-    closest to its peers.
-
-    Scores every update by the sum of squared distances to its
-    ``n - f - 2`` nearest neighbours and returns the lowest-scoring one
-    verbatim — selection, not averaging, so an outlying poisoned update
-    is never mixed in.  Cohorts too small to score (fewer than three
-    members) fall back to the weighted mean.
-    """
-
-    name = "krum"
-
-    def __init__(self, extra: dict | None = None):
-        super().__init__(extra)
-        self.f = int((extra or {}).get("agg_krum_f", 0))
-        if self.f < 0:
-            raise ValueError(f"agg_krum_f must be >= 0, got {self.f}")
-
-    def _tolerated(self, n: int) -> int:
-        """``f`` clamped to what an ``n``-member cohort supports."""
-        cap = max(0, (n - 3) // 2)
-        return min(self.f, cap) if self.f else cap
-
-    def _select(self, matrix: np.ndarray) -> list[int]:
-        scores = _krum_scores(matrix, self._tolerated(matrix.shape[0]))
-        return [int(np.argmin(scores))]
-
-    def combine(self, vectors, weights, ref=None):
-        matrix, w = _stack(vectors, weights)
-        if matrix.shape[0] < 3:  # too small to score neighbours
-            self._selected = list(range(matrix.shape[0]))
-            return weighted_average(vectors, weights)
-        self._selected = self._select(matrix)
-        if len(self._selected) == 1:
-            return matrix[self._selected[0]].copy()
-        return weighted_average(
-            [matrix[i] for i in self._selected],
-            [w[i] for i in self._selected],
-        )
-
-    def combine_states(self, states, weights):
-        sel = self._selected
-        if sel and max(sel) < len(states):
-            states = [states[i] for i in sel]
-            weights = [weights[i] for i in sel]
-        return average_states(states, weights)
-
-
-@register("aggregator", "multikrum", options=[
-    opt("agg_krum_m", int, 0, low=0,
-        env="REPRO_AGG_KRUM_M", alias="m", only_for=("multikrum",),
-        help="updates selected per aggregation; 0 picks n - f - 2 "
-             "(the standard Multi-Krum choice)"),
-])
-class MultiKrumAggregator(KrumAggregator):
-    """Multi-Krum: weight-average the ``agg_krum_m`` lowest-scoring
-    updates instead of keeping just one — robustness with less variance
-    than single-selection Krum."""
-
-    name = "multikrum"
-
-    def __init__(self, extra: dict | None = None):
-        super().__init__(extra)
-        self.m = int((extra or {}).get("agg_krum_m", 0))
-        if self.m < 0:
-            raise ValueError(f"agg_krum_m must be >= 0, got {self.m}")
-
-    def _select(self, matrix: np.ndarray) -> list[int]:
-        n = matrix.shape[0]
-        f = self._tolerated(n)
-        scores = _krum_scores(matrix, f)
-        m = self.m or max(1, n - f - 2)
-        m = min(m, n)
-        return [int(i) for i in np.argsort(scores, kind="stable")[:m]]
-
-
-@register("aggregator", "clip", options=[
-    opt("agg_clip_norm", float, 0.0, low=0.0,
-        env="REPRO_AGG_CLIP_NORM", alias="norm", only_for=("clip",),
-        help="L2 cap on each update's delta from the reference model; "
-             "0 re-estimates the cap per aggregation as the weighted "
-             "median of the cohort's delta norms"),
-])
-class ClipAggregator(Aggregator):
-    """Norm clipping: bound every client's influence, discard no one.
-
-    Each update's delta from the reference model (the cluster/global
-    params the cohort trained from) is scaled down to at most
-    ``agg_clip_norm`` before the weighted mean — a boosted
-    model-replacement update shrinks to an ordinary-sized one.  The
-    ``clipped_updates`` telemetry counter records how many deltas were
-    actually cut.  Without a reference (``ref=None``, e.g. buffer
-    statistics) it degrades to the plain weighted mean.
-    """
-
-    name = "clip"
-
-    def __init__(self, extra: dict | None = None):
-        super().__init__(extra)
-        self.clip_norm = float((extra or {}).get("agg_clip_norm", 0.0))
-        if self.clip_norm < 0:
-            raise ValueError(
-                f"agg_clip_norm must be >= 0, got {self.clip_norm}"
-            )
-
-    def combine(self, vectors, weights, ref=None):
-        if ref is None:
-            return weighted_average(vectors, weights)
-        matrix, w = _stack(vectors, weights)
-        deltas = matrix - np.asarray(ref, dtype=np.float64)
-        norms = np.sqrt((deltas * deltas).sum(axis=1))
-        limit = self.clip_norm
-        if limit == 0.0:
-            # weighted lower median of the cohort's delta norms
-            order = np.argsort(norms, kind="stable")
-            cum = np.cumsum(w[order])
-            limit = float(norms[order[np.argmax(cum >= 0.5 - 1e-12)]])
-        clipped = 0
-        if limit > 0:
-            for i, nm in enumerate(norms):
-                if nm > limit:
-                    deltas[i] *= limit / nm
-                    clipped += 1
-        if clipped:
-            self.telemetry.count("clipped_updates", clipped)
-        return np.asarray(ref, dtype=np.float64) + weighted_average(
-            list(deltas), weights
-        )
-
-    def combine_states(self, states, weights):
-        return average_states(states, weights)
 
 
 #: shared default instance: the seed rule, used by algorithms whose

@@ -14,19 +14,9 @@ Attack models
     engine hook short-circuits, so default runs stay bit-for-bit the
     seed behaviour.
 
-``labelflip``
-    Data poisoning: adversaries train on flipped targets
-    (``y → num_classes - 1 - y``) inside ``local_train``, so the
-    poisoned gradient is baked into an otherwise honest-looking update.
-
 ``signflip``
     Model poisoning: the adversary reports ``ref - delta`` instead of
     ``ref + delta`` — its training progress, reversed.
-
-``noise``
-    Gaussian noise of scale ``atk_noise_std`` added to the update's
-    delta (drawn from a client/round-keyed generator, so replays are
-    deterministic).
 
 ``scale``
     Model-replacement boosting: the delta is multiplied by
@@ -47,14 +37,13 @@ cross-check the resumed run (:meth:`AttackModel.load_state_dict`).
 Where poisoning happens
 -----------------------
 
-Delta attacks run at the top of ``Scheduler.encode_upload`` — *before*
+Every attack runs at the top of ``Scheduler.encode_upload`` — *before*
 the codec — so lossy codecs, wire metering, and the simulated network all
 see the poisoned update, identically across the sync/semisync/buffered
-schedulers.  ``labelflip`` instead acts inside the client's training task
-(a pure read of the immutable roster, the same under ``serial`` and
-``vector``).  Each poisoned upload emits a ``poisoned_update`` telemetry
-event and bumps the ``poisoned_updates`` counter; assignments are emitted
-as ``attack_assign`` events at run start.
+schedulers and both execution backends; client training itself is always
+honest.  Each poisoned upload emits a ``poisoned_update`` telemetry event
+and bumps the ``poisoned_updates`` counter; assignments are emitted as
+``attack_assign`` events at run start.
 """
 
 from __future__ import annotations
@@ -76,16 +65,14 @@ __all__ = [
     "AttackModel",
     "NoAttack",
     "NULL_ATTACK",
-    "LabelFlipAttack",
     "SignFlipAttack",
-    "NoiseAttack",
     "ScaleAttack",
     "make_attack",
 ]
 
 #: the actual attacks (everything but ``none``) — the shared adversary
 #: knobs apply to these
-_ADVERSARIAL = ("labelflip", "signflip", "noise", "scale")
+_ADVERSARIAL = ("signflip", "scale")
 
 #: ``FLConfig.extra`` knobs shared across attack models, declared once
 #: for the family (prefix ``atk_``; unknown ``atk_*`` keys are rejected
@@ -109,15 +96,13 @@ class AttackModel:
     One instance serves one run, built by ``FederatedAlgorithm.run``
     before the population detaches any joiner pool (so held-out late
     joiners are covered).  The roster is immutable after construction —
-    adversary checks are pure reads, safe inside client tasks.
+    adversary checks are pure reads.
     """
 
     #: registry name; subclasses set this
     name: str = "base"
     #: False → the engine skips every attack hook (the ``none`` model)
     enabled: bool = True
-    #: True → ``local_train`` flips this adversary's training targets
-    flips_labels: bool = False
 
     def __init__(self, num_clients: int, rngs: RngFactory, extra: dict | None = None):
         self.num_clients = int(num_clients)
@@ -157,9 +142,10 @@ class AttackModel:
         """Poison one upload before it enters the wire layer.
 
         Called by every scheduler at the top of ``encode_upload`` (while
-        the server still holds the reference the client downloaded).  Honest uploads pass through untouched; poisoned
-        ones are *replaced* (never mutated in place — asynchronous
-        schedulers may still hold the original).
+        the server still holds the reference the client downloaded).
+        Honest uploads pass through untouched; poisoned ones are
+        *replaced* (never mutated in place — asynchronous schedulers may
+        still hold the original).
         """
         if not self.poisons(u.client_id, key_idx):
             return u
@@ -170,8 +156,6 @@ class AttackModel:
             client=int(u.client_id), key=int(key_idx), attack=self.name,
         )
         self.telemetry.count("poisoned_updates")
-        if poisoned is None:  # labelflip: the damage is already inside
-            return u
         return dataclass_replace(u, params=poisoned)
 
     def poison_params(
@@ -180,13 +164,10 @@ class AttackModel:
         u: "ClientUpdate",
         ref: np.ndarray,
         key_idx: int,
-    ) -> np.ndarray | None:
-        """The poisoned parameter vector (``None``: keep the update's own)."""
-        return None
-
-    def flip_labels(self, y: np.ndarray, num_classes: int) -> np.ndarray:
-        """The ``labelflip`` target map: ``y → num_classes - 1 - y``."""
-        return (num_classes - 1) - np.asarray(y)
+    ) -> np.ndarray:
+        """The poisoned parameter vector; ``ref`` is the model the client
+        downloaded.  Every attack overrides this."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -244,20 +225,6 @@ class NoAttack(AttackModel):
 NULL_ATTACK = NoAttack()
 
 
-@register("attack", "labelflip")
-class LabelFlipAttack(AttackModel):
-    """Data poisoning: adversaries train on flipped targets.
-
-    ``local_train`` maps the adversary's training labels through
-    ``y → num_classes - 1 - y`` before SGD, so the poisoned gradient is
-    baked into an otherwise ordinary update — the attack the wire layer
-    cannot see, only robust aggregation can absorb.
-    """
-
-    name = "labelflip"
-    flips_labels = True
-
-
 @register("attack", "signflip")
 class SignFlipAttack(AttackModel):
     """Model poisoning: report the training delta with its sign reversed
@@ -268,30 +235,6 @@ class SignFlipAttack(AttackModel):
 
     def poison_params(self, algo, u, ref, key_idx):
         return 2.0 * ref - u.params
-
-
-@register("attack", "noise", options=[
-    opt("atk_noise_std", float, 1.0, low=0.0, low_inclusive=False,
-        env="REPRO_ATK_NOISE_STD", alias="std", only_for=("noise",),
-        help="std of the Gaussian added to an adversary's update delta"),
-])
-class NoiseAttack(AttackModel):
-    """Gaussian noise on the update delta, from a client/round-keyed
-    generator (deterministic across schedulers and crash/resume)."""
-
-    name = "noise"
-
-    def __init__(self, num_clients, rngs, extra=None):
-        super().__init__(num_clients, rngs, extra)
-        self.noise_std = float((extra or {}).get("atk_noise_std", 1.0))
-        if self.noise_std <= 0:
-            raise ValueError(
-                f"atk_noise_std must be positive, got {self.noise_std}"
-            )
-
-    def poison_params(self, algo, u, ref, key_idx):
-        rng = self.rngs.make(f"attack.client{u.client_id}", key_idx)
-        return u.params + rng.normal(0.0, self.noise_std, size=u.params.shape)
 
 
 @register("attack", "scale", options=[
@@ -314,7 +257,6 @@ class ScaleAttack(AttackModel):
 
     def poison_params(self, algo, u, ref, key_idx):
         return ref + self.scale * (u.params - ref)
-
 
 
 def make_attack(

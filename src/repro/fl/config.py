@@ -101,17 +101,16 @@ class FLConfig:
     telemetry: str = "auto"
     #: byzantine-attack model (:mod:`repro.fl.attacks`): ``"none"`` (the
     #: default — every client honest, a shared no-op object), or
-    #: ``"labelflip"`` / ``"signflip"`` / ``"noise"`` / ``"scale"`` — a
-    #: seeded ``atk_frac`` subset of the roster poisons its uploads
-    #: before the wire layer; ``"auto"`` resolves from ``REPRO_ATTACK``,
-    #: and inline specs work (``"signflip:frac=0.2"``).  Adversary knobs
-    #: (``atk_*``) go in ``extra`` or the ``REPRO_ATK_*`` env vars.
+    #: ``"signflip"`` / ``"scale"`` — a seeded ``atk_frac`` subset of the
+    #: roster poisons its uploads before the wire layer; ``"auto"``
+    #: resolves from ``REPRO_ATTACK``, and inline specs work
+    #: (``"signflip:frac=0.2"``).  Adversary knobs (``atk_*``) go in
+    #: ``extra`` or the ``REPRO_ATK_*`` env vars.
     attack: str = "auto"
     #: server aggregation rule (:mod:`repro.fl.aggregation`):
     #: ``"weighted"`` (the default — the seed's n_samples-weighted mean,
-    #: bit-for-bit), ``"median"``, ``"trimmed"``, ``"krum"``,
-    #: ``"multikrum"``, ``"clip"``, ``"auto"`` (resolve from
-    #: ``REPRO_AGGREGATOR``), or an inline spec
+    #: bit-for-bit), ``"median"``, ``"trimmed"``, ``"auto"`` (resolve
+    #: from ``REPRO_AGGREGATOR``), or an inline spec
     #: (``"trimmed:trim=0.2"``).  Applied per cluster by the clustered
     #: methods; ``agg_*`` knobs go in ``extra``.
     aggregator: str = "auto"
@@ -170,19 +169,6 @@ class FLConfig:
         # namespaces all validate against the registry declarations — one
         # code path for every family, replacing the per-family ladders.
         registry.validate_config(self)
-        # Cross-field checks the registry's per-option contracts cannot
-        # express stay here:
-        mode = str(self.extra.get("sched_staleness_mode", "poly")).strip().lower()
-        if mode not in ("poly", "const"):
-            raise ValueError(
-                f"sched_staleness_mode must be 'poly' or 'const', got {mode!r}"
-            )
-        if mode == "const" and self.staleness_alpha > 1.0:
-            raise ValueError(
-                "sched_staleness_mode 'const' uses staleness_alpha as the "
-                f"flat discount and needs it <= 1, got {self.staleness_alpha} "
-                "(it would amplify stale updates)"
-            )
 
     def with_extra(self, **kwargs) -> "FLConfig":
         """A copy with algorithm-specific knobs merged into ``extra``."""

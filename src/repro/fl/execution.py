@@ -15,7 +15,7 @@ Both backends run every task in the calling thread:
     ``forward_many``/``backward_many`` kernels.  Batching reorders float
     accumulation, so this backend trades bit-exactness for a pinned
     numeric tolerance (``VECTOR_*`` constants below); tasks it cannot
-    batch (bespoke client loops, stateful-RNG layers, singleton
+    batch (bespoke client loops, layers without cohort kernels, singleton
     dispatches) run through the serial loop and stay bit-for-bit.
 
 There is no multi-core backend: multi-core scale-out is out of scope, and
@@ -218,8 +218,7 @@ class CohortRunner(ExecutionBackend):
     * algorithms overriding ``client_update``/``evaluate_client``/
       ``local_train`` with bespoke client loops (SCAFFOLD, FedDyn,
       Per-FedAvg) — detected via ``client_task_specs`` returning ``None``;
-    * models with layer-internal RNG state (``Dropout``) or layers
-      without cohort kernels;
+    * models with layers without cohort kernels;
     * single-task dispatches (no batching win).
 
     Batched cohorts reproduce the serial math with identical minibatch
@@ -251,9 +250,6 @@ class CohortRunner(ExecutionBackend):
             template = algorithm.model_fn(algorithm.rngs.make("model_init"))
             batchable = all(
                 layer.supports_cohort() for layer in template.layers
-            ) and not any(
-                isinstance(getattr(layer, "rng", None), np.random.Generator)
-                for layer in template.layers
             )
             self._probe = (batchable, bool(template.state()))
         return self._probe
@@ -296,7 +292,6 @@ class CohortRunner(ExecutionBackend):
 
         cfg = algorithm.config
         fed = algorithm.fed
-        attack = algorithm.attack
         results: list = [None] * len(specs)
         # Cohorts must share the dataset/schedule shape; everything else
         # (params, labels, generators, prox anchors) stacks per member.
@@ -324,12 +319,7 @@ class CohortRunner(ExecutionBackend):
             if has_state:
                 cm.load_states([s.state for s in members])
             xs = np.stack([fed[s.client_id].train_x for s in members])
-            ys = np.stack([
-                attack.flip_labels(fed[s.client_id].train_y, fed.num_classes)
-                if attack.flips_labels and attack.poisons(s.client_id, s.round_idx)
-                else fed[s.client_id].train_y
-                for s in members
-            ])
+            ys = np.stack([fed[s.client_id].train_y for s in members])
             rngs = [
                 algorithm.rngs.make(f"client{s.client_id}.train", s.round_idx)
                 for s in members

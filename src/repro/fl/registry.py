@@ -314,11 +314,10 @@ _declare(
     module="repro.fl.attacks",
     doc=(
         "byzantine client behaviour: a seeded `atk_frac` subset of the "
-        "roster poisons its uploads before the wire layer — `labelflip` "
-        "trains on flipped targets, `signflip` reverses the delta, "
-        "`noise` adds Gaussian noise, `scale` boosts the delta for "
-        "model replacement; `none` (the default) is a shared no-op "
-        "object, bit-for-bit the seed behaviour"
+        "roster poisons its uploads before the wire layer — `signflip` "
+        "reverses the delta, `scale` boosts the delta for model "
+        "replacement; `none` (the default) is a shared no-op object, "
+        "bit-for-bit the seed behaviour"
     ),
     example="signflip:frac=0.2",
 )
@@ -334,8 +333,7 @@ _declare(
         "how client updates combine on the server (per cluster, for the "
         "clustered methods): `weighted` is the seed's n_samples-weighted "
         "mean, bit-for-bit; `median`/`trimmed` are the coordinate-wise "
-        "robust rules, `krum`/`multikrum` select the updates closest to "
-        "their peers, `clip` caps each delta's norm"
+        "robust rules"
     ),
     example="trimmed:trim=0.2",
 )

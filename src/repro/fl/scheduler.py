@@ -55,10 +55,9 @@ buffer_size=..., staleness_alpha=..., over_select_frac=...)``;
 ``REPRO_BUFFER_SIZE`` / ``REPRO_STALENESS_ALPHA`` /
 ``REPRO_OVER_SELECT_FRAC``, and the experiments CLI exposes
 ``--scheduler`` / ``--buffer-size`` / ``--staleness-alpha`` /
-``--over-select-frac``.  Buffered's other knobs live in
-``FLConfig.extra`` under a ``sched_`` prefix: ``sched_staleness_mode``
-(``"poly"`` — ``(1+s)^(-alpha)`` — or ``"const"`` — a flat ``alpha`` for
-any stale update) and ``sched_concurrency`` (the concurrent-client pool
+``--over-select-frac``.  Buffered discounts a stale update's weight by
+``(1+s)^(-alpha)``.  Its other knob lives in ``FLConfig.extra`` under a
+``sched_`` prefix: ``sched_concurrency`` (the concurrent-client pool
 size; 0 = the nominal cohort size).
 
 Determinism
@@ -778,12 +777,6 @@ class SemiSyncScheduler(Scheduler):
         only_for=("buffered",),
         help="buffered's concurrent-client pool size (0 = the nominal "
              "cohort size)"),
-    opt("sched_staleness_mode", str, "poly",
-        choices=("poly", "const"),
-        env="REPRO_SCHED_STALENESS_MODE", alias="staleness_mode",
-        only_for=("buffered",),
-        help="staleness-discount shape: `poly` = `(1+s)^-alpha`, "
-             "`const` = a flat alpha for any stale update"),
 ])
 class BufferedScheduler(Scheduler):
     """Buffered asynchronous aggregation on the virtual-clock event queue.

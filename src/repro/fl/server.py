@@ -220,17 +220,12 @@ class FederatedAlgorithm(ABC):
         """Aggregation-weight multiplier for an update ``staleness`` flushes old.
 
         Used by asynchronous schedulers (:mod:`repro.fl.scheduler`) when
-        folding buffered updates.  ``FLConfig.staleness_alpha`` sets the
-        strength and ``extra["sched_staleness_mode"]`` the shape:
-        ``"poly"`` (default) gives ``(1 + s)^(-alpha)`` (FedAsync's
-        polynomial discount; ``alpha=0`` disables discounting entirely),
-        ``"const"`` gives a flat ``alpha`` for any stale update.
+        folding buffered updates: ``(1 + s)^(-alpha)``, FedAsync's
+        polynomial discount, with ``alpha`` the scheduler's
+        ``staleness_alpha`` (``alpha=0`` disables discounting entirely).
 
         Returns:
             A multiplier in ``[0, 1]``; exactly ``1.0`` for fresh updates.
-
-        Raises:
-            ValueError: on an unknown ``sched_staleness_mode``.
         """
         if staleness <= 0:
             return 1.0
@@ -239,28 +234,7 @@ class FederatedAlgorithm(ABC):
             sched.staleness_alpha if sched is not None
             else self.config.staleness_alpha
         )
-        # env/inline-spec scheduler knobs (registry resolution) override
-        # the config's extra dict
-        overrides = getattr(sched, "extra_overrides", None) or {}
-        mode = str(
-            overrides.get(
-                "sched_staleness_mode",
-                self.config.extra.get("sched_staleness_mode", "poly"),
-            )
-        ).strip().lower()
-        if mode == "poly":
-            return float((1.0 + staleness) ** (-alpha))
-        if mode == "const":
-            if alpha > 1.0:
-                raise ValueError(
-                    "sched_staleness_mode 'const' uses staleness_alpha as "
-                    f"the flat discount and needs it <= 1, got {alpha} "
-                    "(it would *amplify* stale updates)"
-                )
-            return float(alpha)
-        raise ValueError(
-            f"sched_staleness_mode must be 'poly' or 'const', got {mode!r}"
-        )
+        return float((1.0 + staleness) ** (-alpha))
 
     def merge(
         self,
@@ -300,36 +274,29 @@ class FederatedAlgorithm(ABC):
     # aggregation rule (:mod:`repro.fl.aggregation`)
     # ------------------------------------------------------------------
     def combine(
-        self,
-        vectors: list[np.ndarray],
-        weights: Sequence[float],
-        ref: np.ndarray | None = None,
+        self, vectors: list[np.ndarray], weights: Sequence[float]
     ) -> np.ndarray:
         """Merge parameter vectors through the configured aggregation rule.
 
         Algorithms call this from ``aggregate`` instead of
-        :func:`weighted_average` so robust rules (median, trimmed mean,
-        Krum, norm clipping) plug in beneath every method — per cluster,
-        for the clustered ones.  With the default ``weighted`` rule this
-        *is* ``weighted_average``, bit-for-bit.  Staleness discounts
-        already ride in ``weights`` (``merge`` scales ``n_samples``).
+        :func:`weighted_average` so robust rules (median, trimmed mean)
+        plug in beneath every method — per cluster, for the clustered
+        ones.  With the default ``weighted`` rule this *is*
+        ``weighted_average``, bit-for-bit.  Staleness discounts already
+        ride in ``weights`` (``merge`` scales ``n_samples``).
 
         Args:
             vectors: flat parameter vectors of identical shape.
             weights: non-negative aggregation weights.
-            ref: the server parameters this cohort trained from (before
-                this aggregation) — the delta base for norm clipping.
         """
-        return self.aggregator.combine(vectors, list(weights), ref=ref)
+        return self.aggregator.combine(vectors, list(weights))
 
     def combine_states(
         self, states: list[dict[str, np.ndarray]], weights: Sequence[float]
     ) -> dict[str, np.ndarray]:
         """Merge non-trainable buffers through the configured rule.
 
-        Must be called right after the :meth:`combine` over the same
-        member list (selection rules reuse their choice); with the
-        default rule this is :func:`average_states`, bit-for-bit.
+        With the default rule this is :func:`average_states`, bit-for-bit.
         """
         return self.aggregator.combine_states(states, list(weights))
 
@@ -599,7 +566,6 @@ class FederatedAlgorithm(ABC):
         if self.telemetry is NULL_TELEMETRY:
             self.telemetry = make_telemetry(cfg)
         self.codec.telemetry = self.telemetry
-        self.aggregator.telemetry = self.telemetry
         self.telemetry.begin_run(
             self, resumed_from=None if ckpt is None else int(ckpt.round)
         )
@@ -783,19 +749,12 @@ class FederatedAlgorithm(ABC):
                 )
                 offset += p.size
             opt.set_prox_center(center)
-        train_y = client.train_y
-        attack = self.attack
-        if attack.flips_labels and attack.poisons(client_id, round_idx):
-            # data poisoning (labelflip): a pure read of the immutable
-            # adversary roster plus a fresh target array, so the hook is
-            # safe on any execution backend and the shard stays honest
-            train_y = attack.flip_labels(train_y, self.fed.num_classes)
         rng = self.rngs.make(f"client{client_id}.train", round_idx)
         loss, steps = local_sgd(
             model,
             opt,
             client.train_x,
-            train_y,
+            client.train_y,
             epochs=epochs if epochs is not None else cfg.local_epochs,
             batch_size=cfg.batch_size,
             rng=rng,

@@ -184,7 +184,6 @@ class _HierSink(TopologySink):
         self._topo = topo
         self._algo = algo
         self._flush_idx = int(flush_idx)
-        self._ref = getattr(algo, "global_params", None)
         self._edges: dict[int, _EdgeState] = {}
 
     def add(self, update, weight=None):
@@ -192,7 +191,7 @@ class _HierSink(TopologySink):
         edge = self._topo.edge_of(update.client_id)
         entry = self._edges.get(edge)
         if entry is None:
-            acc = self._algo.aggregator.accumulator(ref=self._ref)
+            acc = self._algo.aggregator.accumulator()
             entry = self._edges[edge] = _EdgeState(acc, update)
         entry.acc.update(update.params, w, state=update.state or None)
         entry.weight += w

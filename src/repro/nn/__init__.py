@@ -7,31 +7,25 @@ communication.
 """
 
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm,
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Layer,
     MaxPool2d,
     ReLU,
 )
-from repro.nn.losses import accuracy, mse_loss, softmax_cross_entropy
+from repro.nn.losses import softmax_cross_entropy
 from repro.nn.model import Residual, Sequential
 from repro.nn.models import MODEL_BUILDERS, build_model, lenet5, mlp, resnet9, vgg_mini
-from repro.nn.optim import SGD, Adam, cosine_schedule, step_decay
+from repro.nn.optim import SGD
 from repro.nn.parameter import Parameter
 from repro.nn.serialization import (
-    clone_model_params,
-    final_layer_nbytes,
-    final_layer_vector,
     flatten_grads,
     flatten_params,
     layer_slices,
     param_nbytes,
-    set_flat_grads,
     unflatten_params,
 )
 
@@ -40,22 +34,15 @@ __all__ = [
     "Dense",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
     "ReLU",
-    "Dropout",
     "BatchNorm",
     "Residual",
     "Sequential",
     "Parameter",
     "SGD",
-    "Adam",
-    "step_decay",
-    "cosine_schedule",
     "softmax_cross_entropy",
-    "mse_loss",
-    "accuracy",
     "mlp",
     "lenet5",
     "resnet9",
@@ -65,10 +52,6 @@ __all__ = [
     "flatten_params",
     "unflatten_params",
     "flatten_grads",
-    "set_flat_grads",
     "param_nbytes",
-    "final_layer_vector",
-    "final_layer_nbytes",
     "layer_slices",
-    "clone_model_params",
 ]

@@ -29,11 +29,9 @@ __all__ = [
     "Dense",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
     "ReLU",
-    "Dropout",
     "BatchNorm",
 ]
 
@@ -480,46 +478,6 @@ class MaxPool2d(Layer):
         return f"MaxPool2d(size={self.size}, stride={self.stride})"
 
 
-class AvgPool2d(Layer):
-    """Average pooling with non-overlapping or strided windows."""
-
-    def __init__(self, size: int = 2, stride: int | None = None):
-        if size <= 0:
-            raise ValueError(f"pool size must be positive, got {size}")
-        self.size = size
-        self.stride = stride if stride is not None else size
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        n, c, h, w = x.shape
-        s, k = self.stride, self.size
-        out_h = conv_output_size(h, k, s, 0)
-        out_w = conv_output_size(w, k, s, 0)
-        x_resh = x.reshape(n * c, 1, h, w)
-        cols = im2col(x_resh, k, k, s, 0)
-        out = cols.mean(axis=0)
-        out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
-        if train:
-            self._cache = (x.shape, cols.shape)
-        else:
-            self._cache = None
-        return np.ascontiguousarray(out)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before a training forward pass")
-        x_shape, cols_shape = self._cache
-        n, c, h, w = x_shape
-        dout_cols = dout.reshape(n * c, dout.shape[2], dout.shape[3])
-        dout_cols = dout_cols.transpose(1, 2, 0).reshape(1, -1)
-        dcols = np.broadcast_to(dout_cols / (self.size * self.size), cols_shape).copy()
-        dx = col2im(dcols, (n * c, 1, h, w), self.size, self.size, self.stride, 0)
-        return dx.reshape(n, c, h, w)
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d(size={self.size}, stride={self.stride})"
-
-
 class GlobalAvgPool2d(Layer):
     """Collapse each feature map to its mean: (N,C,H,W) -> (N,C)."""
 
@@ -575,65 +533,6 @@ class ReLU(Layer):
         if self._mask is None:
             raise RuntimeError("backward called before a training forward pass")
         return dout * self._mask
-
-
-class Dropout(Layer):
-    """Inverted dropout; identity at evaluation time.
-
-    The cohort path draws each member's mask from that member's own
-    generator (``cohort_rngs``), reproducing per-client serial draws
-    bit-for-bit.  Without ``cohort_rngs`` the layer-owned ``rng`` draws the
-    members' masks in cohort order — a well-defined stream, but not the
-    serial backend's call order, which is why the ``vector`` backend runs
-    models with layer-owned RNG state through the serial loop.
-    """
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng
-        #: per-cohort-member generators for ``forward_many`` (optional)
-        self.cohort_rngs: list[np.random.Generator] | None = None
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if not train or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * self._mask
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dout
-        return dout * self._mask
-
-    def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if not train or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        if self.cohort_rngs is None:
-            raw = self.rng.random(x.shape)
-        else:
-            if len(self.cohort_rngs) != x.shape[0]:
-                raise ValueError(
-                    f"{len(self.cohort_rngs)} cohort generators for a "
-                    f"cohort of {x.shape[0]}"
-                )
-            raw = np.empty(x.shape, dtype=np.float64)
-            for c, rng in enumerate(self.cohort_rngs):
-                raw[c] = rng.random(x.shape[1:])
-        self._mask = (raw < keep).astype(x.dtype) / keep
-        return x * self._mask
-
-    def backward_many(self, dout: np.ndarray) -> np.ndarray:
-        return self.backward(dout)
-
-    def __repr__(self) -> str:
-        return f"Dropout(p={self.p})"
 
 
 class BatchNorm(Layer):

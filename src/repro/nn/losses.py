@@ -9,8 +9,6 @@ from repro.utils.maths import softmax
 __all__ = [
     "softmax_cross_entropy",
     "softmax_cross_entropy_many",
-    "mse_loss",
-    "accuracy",
 ]
 
 
@@ -74,21 +72,3 @@ def softmax_cross_entropy_many(
     dlogits[rows, cols, labels] -= 1.0
     dlogits /= n
     return losses, dlogits.astype(logits.dtype)
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and its gradient w.r.t. ``pred``."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    loss = float((diff**2).mean())
-    grad = (2.0 / diff.size) * diff
-    return loss, grad
-
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy of a logits batch."""
-    preds = np.asarray(logits).argmax(axis=1)
-    return float((preds == np.asarray(labels)).mean())

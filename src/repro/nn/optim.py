@@ -1,10 +1,9 @@
-"""Optimizers and learning-rate schedules for local client training.
+"""Optimizers for local client training.
 
 ``SGD`` covers everything the paper's experiments need: momentum, weight
 decay, and an optional FedProx proximal term ``(mu/2)||w - w_ref||^2`` folded
 into the gradient, which is how FedProx modifies the client objective.
-``Adam`` and the schedules are library extensions for users training the
-NumPy models outside the federated loop.
+``CohortSGD`` applies the same update to every member of a cohort at once.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from repro.nn.model import CohortModel, Sequential
 
-__all__ = ["SGD", "CohortSGD", "Adam", "step_decay", "cosine_schedule"]
+__all__ = ["SGD", "CohortSGD"]
 
 
 class SGD:
@@ -159,81 +158,3 @@ class CohortSGD:
         """Clear momentum buffers (clients restart momentum each round)."""
         for v in self._velocity:
             v.fill(0.0)
-
-
-class Adam:
-    """Adam (Kingma & Ba, 2015) with optional decoupled weight decay."""
-
-    def __init__(
-        self,
-        model: Sequential,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"betas must be in [0, 1), got {beta1}, {beta2}")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        self.model = model
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in model.parameters()]
-        self._v = [np.zeros_like(p.data) for p in model.parameters()]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self._t
-        bias2 = 1.0 - b2**self._t
-        for i, p in enumerate(self.model.parameters()):
-            g = p.grad
-            m, v = self._m[i], self._v[i]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= self.lr * update
-
-    def zero_grad(self) -> None:
-        self.model.zero_grad()
-
-    def reset_state(self) -> None:
-        for m, v in zip(self._m, self._v):
-            m.fill(0.0)
-            v.fill(0.0)
-        self._t = 0
-
-
-def step_decay(base_lr: float, gamma: float, every: int):
-    """LR schedule: multiply by ``gamma`` every ``every`` steps."""
-    if base_lr <= 0 or not 0 < gamma <= 1 or every < 1:
-        raise ValueError("need base_lr > 0, gamma in (0, 1], every >= 1")
-
-    def schedule(step: int) -> float:
-        return base_lr * gamma ** (step // every)
-
-    return schedule
-
-
-def cosine_schedule(base_lr: float, total_steps: int, min_lr: float = 0.0):
-    """Cosine annealing from ``base_lr`` to ``min_lr`` over ``total_steps``."""
-    if base_lr <= 0 or total_steps < 1 or min_lr < 0 or min_lr > base_lr:
-        raise ValueError("need base_lr >= min_lr >= 0 and total_steps >= 1")
-
-    def schedule(step: int) -> float:
-        t = min(max(step, 0), total_steps) / total_steps
-        return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + np.cos(np.pi * t))
-
-    return schedule

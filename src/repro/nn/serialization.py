@@ -9,18 +9,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.model import Sequential
-from repro.nn.parameter import Parameter
 
 __all__ = [
     "flatten_params",
     "unflatten_params",
     "flatten_grads",
-    "set_flat_grads",
     "param_nbytes",
-    "final_layer_vector",
-    "final_layer_nbytes",
     "layer_slices",
-    "clone_model_params",
 ]
 
 
@@ -52,18 +47,6 @@ def flatten_grads(model: Sequential) -> np.ndarray:
     return np.concatenate([p.grad.ravel().astype(np.float64) for p in model.parameters()])
 
 
-def set_flat_grads(model: Sequential, flat: np.ndarray) -> None:
-    """Overwrite all parameter gradients from a flat vector."""
-    flat = np.asarray(flat)
-    expected = model.num_parameters()
-    if flat.size != expected:
-        raise ValueError(f"flat grad has {flat.size} entries; model expects {expected}")
-    offset = 0
-    for p in model.parameters():
-        np.copyto(p.grad, flat[offset : offset + p.size].reshape(p.shape))
-        offset += p.size
-
-
 def param_nbytes(model: Sequential) -> int:
     """Bytes a client transmits when uploading the full model."""
     return sum(p.nbytes for p in model.parameters())
@@ -79,22 +62,3 @@ def layer_slices(model: Sequential) -> list[tuple[int, slice]]:
         out.append((i, slice(offset, offset + size)))
         offset += size
     return out
-
-
-def final_layer_vector(model: Sequential) -> np.ndarray:
-    """Flat vector of the classifier head's weights+bias (FedClust's partial
-    upload)."""
-    layer = model.final_parametric_layer()
-    return np.concatenate([p.data.ravel().astype(np.float64) for p in layer.parameters()])
-
-
-def final_layer_nbytes(model: Sequential) -> int:
-    """Bytes of the partial (final-layer) upload."""
-    layer = model.final_parametric_layer()
-    return sum(p.nbytes for p in layer.parameters())
-
-
-def clone_model_params(model: Sequential) -> list[np.ndarray]:
-    """Deep copies of every parameter value (for save/restore protocols like
-    Per-FedAvg's inner step)."""
-    return [p.data.copy() for p in model.parameters()]

@@ -1,6 +1,6 @@
 """Shared utilities: deterministic RNG management and small math helpers."""
 
-from repro.utils.rng import RngFactory, as_generator, spawn_generators
+from repro.utils.rng import RngFactory, as_generator
 from repro.utils.maths import (
     emd_heterogeneity,
     label_histogram,
@@ -11,7 +11,6 @@ from repro.utils.maths import (
 __all__ = [
     "RngFactory",
     "as_generator",
-    "spawn_generators",
     "emd_heterogeneity",
     "label_histogram",
     "pairwise_sq_euclidean",

@@ -1,8 +1,8 @@
-"""Persistence: model checkpoints (.npz) and training histories (.json).
+"""Persistence of training histories (.json).
 
-Long federations (PAPER_SCALE is 200 rounds) need checkpointing, and the
-experiment harness needs to persist histories for later table rendering
-without re-running federations.
+The experiment harness persists histories for later table rendering
+without re-running federations.  Resumable run state lives in
+:mod:`repro.fl.checkpoint`.
 """
 
 from __future__ import annotations
@@ -10,47 +10,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from repro.fl.history import History, RoundRecord
-from repro.nn.model import Sequential
 
-__all__ = ["save_model", "load_model", "save_history", "load_history"]
-
-
-def save_model(model: Sequential, path: str | Path) -> None:
-    """Write all parameters and non-trainable buffers to an ``.npz`` file."""
-    path = Path(path)
-    arrays: dict[str, np.ndarray] = {}
-    for i, p in enumerate(model.parameters()):
-        arrays[f"param_{i:04d}"] = p.data
-    for key, buf in model.state().items():
-        arrays[f"state::{key}"] = buf
-    np.savez(path, **arrays)
-
-
-def load_model(model: Sequential, path: str | Path) -> None:
-    """Restore parameters and buffers saved by :func:`save_model` (in place).
-
-    The model must have the identical architecture; shapes are validated.
-    """
-    path = Path(path)
-    with np.load(path) as data:
-        params = model.parameters()
-        expected = [k for k in data.files if k.startswith("param_")]
-        if len(expected) != len(params):
-            raise ValueError(
-                f"checkpoint has {len(expected)} parameter tensors; "
-                f"model has {len(params)}"
-            )
-        for i, p in enumerate(params):
-            p.copy_(data[f"param_{i:04d}"])
-        state = {}
-        for k in data.files:
-            if k.startswith("state::"):
-                state[k.removeprefix("state::")] = data[k]
-        if state:
-            model.load_state(state)
+__all__ = ["save_history", "load_history"]
 
 
 def save_history(history: History, path: str | Path) -> None:

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "RngFactory",
     "as_generator",
-    "spawn_generators",
     "generator_state",
     "restore_generator",
 ]
@@ -32,14 +31,6 @@ def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_generators(seed: int | np.random.SeedSequence, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` statistically independent generators from one root seed."""
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in root.spawn(n)]
 
 
 def generator_state(gen: np.random.Generator) -> dict:

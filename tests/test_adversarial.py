@@ -6,8 +6,7 @@ engine (also pinned by the golden suite); adversary rosters are a seeded
 pure function of the run seed, drawn over the full id space; poisoning
 happens before the codec, identically across schedulers and backends;
 robust rules defend per cluster and satisfy the classic aggregation
-properties (permutation invariance, median fixed points, Krum's
-minority-exclusion guarantee).
+properties (permutation invariance, median fixed points).
 
 ``tests/test_robustness.py`` is the *failure-injection* suite (benign
 unreliability); this file covers the byzantine half.
@@ -25,18 +24,13 @@ from repro.algorithms import build_algorithm
 from repro.data import build_federated_dataset, make_dataset
 from repro.fl.aggregation import (
     WEIGHTED,
-    ClipAggregator,
-    KrumAggregator,
     MedianAggregator,
-    MultiKrumAggregator,
     TrimmedMeanAggregator,
     WeightedAggregator,
     make_aggregator,
 )
 from repro.fl.attacks import (
     NULL_ATTACK,
-    LabelFlipAttack,
-    NoiseAttack,
     ScaleAttack,
     SignFlipAttack,
     make_attack,
@@ -97,7 +91,7 @@ class TestRoster:
         a = make_attack(num_clients=20, rngs=RngFactory(7),
                         attack="signflip:frac=0.3")
         b = make_attack(num_clients=20, rngs=RngFactory(7),
-                        attack="labelflip:frac=0.3")
+                        attack="scale:frac=0.3")
         c = make_attack(num_clients=20, rngs=RngFactory(8),
                         attack="signflip:frac=0.3")
         assert a.roster == b.roster  # behaviour-independent assignment
@@ -136,9 +130,6 @@ class TestRoster:
         with pytest.raises(ValueError, match="atk_frac"):
             make_attack(num_clients=4, rngs=RngFactory(0),
                         attack="signflip:frac=1.5")
-        with pytest.raises(ValueError, match="atk_noise_std"):
-            make_attack(num_clients=4, rngs=RngFactory(0),
-                        attack="noise:std=0")
         with pytest.raises(ValueError, match="atk_scale"):
             make_attack(num_clients=4, rngs=RngFactory(0),
                         attack="scale:factor=0")
@@ -165,25 +156,6 @@ class TestPoisonMath:
         got = atk.poison_params(None, u, ref, 1)
         np.testing.assert_array_equal(got, 10.0 * u.params)
 
-    def test_noise_is_keyed_and_deterministic(self):
-        atk = self._attack(NoiseAttack, atk_noise_std=0.5)
-        u = update(client_id=2, params=[0.0, 0.0])
-        a = atk.poison_params(None, u, None, 3)
-        b = atk.poison_params(None, u, None, 3)
-        c = atk.poison_params(None, u, None, 4)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_labelflip_map_is_an_involution(self):
-        atk = self._attack(LabelFlipAttack)
-        y = np.array([0, 1, 2, 9])
-        np.testing.assert_array_equal(
-            atk.flip_labels(atk.flip_labels(y, 10), 10), y
-        )
-        np.testing.assert_array_equal(atk.flip_labels(y, 10), [9, 8, 7, 0])
-        # upload-side hook leaves the honest-looking update alone
-        assert atk.poison_params(None, update(), None, 1) is None
-
 
 # ----------------------------------------------------------------------
 # aggregation rules (unit level)
@@ -209,34 +181,6 @@ class TestAggregators:
         vs = [np.array([0.0]), np.array([1.0]), np.array([1000.0])]
         np.testing.assert_array_equal(agg.combine(vs, [1, 1, 1]), [1.0])
 
-    def test_krum_small_cohort_falls_back_to_mean(self):
-        agg = KrumAggregator()
-        vs = [np.array([0.0]), np.array([2.0])]
-        np.testing.assert_array_equal(agg.combine(vs, [1, 1]), [1.0])
-
-    def test_multikrum_averages_m_closest(self):
-        agg = make_aggregator(aggregator="multikrum:m=2")
-        assert isinstance(agg, MultiKrumAggregator)
-        vs = [np.array([0.0]), np.array([0.2]), np.array([0.1]),
-              np.array([50.0]), np.array([0.05])]
-        got = agg.combine(vs, [1.0] * 5)
-        assert 0.0 <= got[0] <= 0.2  # outlier never mixed in
-
-    def test_clip_bounds_the_boosted_update(self):
-        agg = make_aggregator(aggregator="clip:norm=1.0")
-        assert isinstance(agg, ClipAggregator)
-        ref = np.zeros(2)
-        vs = [np.array([0.6, 0.0]), np.array([0.8, 0.0]),
-              np.array([100.0, 0.0])]
-        got = agg.combine(vs, [1, 1, 1], ref=ref)
-        # the boosted delta is cut to norm 1 before the mean
-        np.testing.assert_allclose(got, [(0.6 + 0.8 + 1.0) / 3.0, 0.0])
-
-    def test_clip_without_reference_is_plain_mean(self):
-        agg = make_aggregator(aggregator="clip")
-        vs = [np.array([1.0]), np.array([3.0])]
-        np.testing.assert_array_equal(agg.combine(vs, [1, 1]), [2.0])
-
     def test_combine_states_applies_rule_per_key(self):
         agg = MedianAggregator()
         states = [
@@ -247,15 +191,6 @@ class TestAggregators:
         out = agg.combine_states(states, [1, 1, 1])
         np.testing.assert_array_equal(out["bn"], [[1.0, 20.0]])
         assert out["bn"].shape == (1, 2)
-
-    def test_krum_states_follow_param_selection(self):
-        agg = KrumAggregator()
-        vs = [np.array([0.0]), np.array([0.1]), np.array([0.05]),
-              np.array([99.0])]
-        agg.combine(vs, [1.0] * 4)
-        states = [{"s": np.array([float(i)])} for i in range(4)]
-        out = agg.combine_states(states, [1.0] * 4)
-        assert float(out["s"][0]) in {0.0, 1.0, 2.0}  # never the outlier's
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="agg_trim_frac"):
@@ -332,23 +267,6 @@ class TestAggregatorProperties:
         got = MedianAggregator().combine([v.copy() for _ in range(n)], weights)
         np.testing.assert_array_equal(got, v)  # exact, not approximate
 
-    @given(n_honest=st.integers(4, 8), n_adv=st.integers(1, 2),
-           seed=st.integers(0, 2 ** 16))
-    @settings(max_examples=60, deadline=None)
-    def test_krum_never_selects_a_minority_outlier(self, n_honest, n_adv,
-                                                   seed):
-        rng = np.random.default_rng(seed)
-        honest = [rng.normal(0.0, 1.0, size=4) for _ in range(n_honest)]
-        poisoned = [rng.normal(1000.0, 1.0, size=4) for _ in range(n_adv)]
-        vecs = honest + poisoned
-        agg = KrumAggregator({"agg_krum_f": n_adv})
-        got = agg.combine(vecs, [1.0] * len(vecs))
-        assert agg._selected is not None
-        assert all(i < n_honest for i in agg._selected), (
-            "Krum selected a poisoned update"
-        )
-        assert np.abs(got).max() < 100.0
-
 
 # ----------------------------------------------------------------------
 # engine integration
@@ -379,8 +297,7 @@ class TestEngineIntegration:
         assert params_digest(late_a) == params_digest(base_a)
 
     @pytest.mark.parametrize("attack", [
-        "labelflip:frac=0.25", "signflip:frac=0.25", "noise:frac=0.25",
-        "scale:frac=0.25",
+        "signflip:frac=0.25", "scale:frac=0.25",
     ])
     def test_every_attack_perturbs_the_run(self, attack):
         _, base_a = run_one(fresh_fed())
@@ -389,7 +306,7 @@ class TestEngineIntegration:
         assert len(atk_a.attack.roster) == 2
 
     @pytest.mark.parametrize("aggregator", [
-        "median", "trimmed:trim=0.25", "krum", "multikrum", "clip",
+        "median", "trimmed:trim=0.25",
     ])
     def test_every_rule_runs_every_algorithm_family(self, aggregator):
         for method in ("fedavg", "fedclust", "lg"):
@@ -444,17 +361,6 @@ class TestEngineIntegration:
             for r in history.records
         )
         assert total == len(poisons)
-
-    def test_telemetry_counts_clipped_updates(self):
-        history, algo = run_one(
-            fresh_fed(), telemetry="on", attack="scale:frac=0.25",
-            aggregator="clip",
-        )
-        total = sum(
-            r.extras["metrics"]["counters"].get("clipped_updates", 0)
-            for r in history.records
-        )
-        assert total > 0, "the boosted updates were never clipped"
 
     def test_unknown_prefix_keys_rejected(self):
         with pytest.raises(ValueError, match="atk_"):

@@ -3,16 +3,15 @@
 Property tests (hypothesis) pin the tentpole guarantee layer by layer:
 ``forward_many``/``backward_many`` on a stacked cohort equals per-member
 serial ``forward``/``backward`` within :data:`COHORT_RTOL`, including
-BatchNorm's train-mode running statistics and Dropout's seeded per-member
-masks (those two are *bitwise*), and a shared ``(1, N, ...)`` input that
-every member reads.  Workspace-reuse tests assert the
-pre-allocated scratch — im2col plans, cohort conv workspaces, codec encode
-buffers — is the *same object* across calls for a fixed shape, and the
-bitwise tests pin the claims the optimized kernels make in their docstrings
-(take-indexed gather == im2col, slice-add scatter == col2im, the
-branch-free ReLU/Residual masks == ``np.where``, MaxPool's running-compare
-argmax == ``argmax``, its disjoint fast path and eval forward, and
-``backward_many_params_only``'s gradients).
+BatchNorm's train-mode running statistics (*bitwise*), and a shared
+``(1, N, ...)`` input that every member reads.  Workspace-reuse tests
+assert the pre-allocated scratch — im2col plans, cohort conv workspaces,
+codec encode buffers — is the *same object* across calls for a fixed
+shape, and the bitwise tests pin the claims the optimized kernels make
+in their docstrings (take-indexed gather == im2col, slice-add scatter ==
+col2im, the branch-free ReLU/Residual masks == ``np.where``, MaxPool's
+running-compare argmax == ``argmax``, its disjoint fast path and eval
+forward, and ``backward_many_params_only``'s gradients).
 """
 
 from __future__ import annotations
@@ -29,11 +28,9 @@ from repro.fl.codecs import Int8Codec, TopKCodec
 from repro.nn import layers as layers_module
 from repro.nn.conv_utils import CohortConvWorkspace, col2im, im2col, im2col_plan
 from repro.nn.layers import (
-    AvgPool2d,
     BatchNorm,
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     MaxPool2d,
@@ -246,7 +243,6 @@ class TestParameterFreeCohortDefault:
         (Flatten, (3, 4, 2, 3, 3)),
         (MaxPool2d, (3, 2, 2, 6, 6)),           # stride == size (disjoint)
         (lambda: MaxPool2d(3, 2), (3, 2, 2, 7, 7)),  # overlapping windows
-        (AvgPool2d, (3, 2, 2, 6, 6)),
         (GlobalAvgPool2d, (3, 2, 2, 5, 5)),
     ])
     def test_forward_backward_bitwise(self, factory, shape):
@@ -362,32 +358,6 @@ class TestBatchNormCohort:
             np.testing.assert_array_equal(
                 template.running_mean_many[c], m.running_mean
             )
-
-
-class TestDropoutCohort:
-    def test_cohort_rngs_reproduce_member_masks_bitwise(self):
-        cohort, n, f = 3, 5, 7
-        members = [Dropout(0.4, np.random.default_rng(100 + c)) for c in range(cohort)]
-        template = Dropout(0.4, np.random.default_rng(0))
-        template.cohort_rngs = [np.random.default_rng(100 + c) for c in range(cohort)]
-        rng = np.random.default_rng(1)
-        for _ in range(3):  # repeated draws keep the streams in lockstep
-            x = rng.standard_normal((cohort, n, f))
-            dout = rng.standard_normal((cohort, n, f))
-            out_many = template.forward_many(x)
-            dx_many = template.backward_many(dout)
-            for c, m in enumerate(members):
-                np.testing.assert_array_equal(out_many[c], m.forward(x[c]))
-                np.testing.assert_array_equal(dx_many[c], m.backward(dout[c]))
-        # eval mode is the identity and must not touch any stream
-        xe = rng.standard_normal((cohort, n, f))
-        np.testing.assert_array_equal(template.forward_many(xe, train=False), xe)
-
-    def test_cohort_size_mismatch_rejected(self):
-        template = Dropout(0.4, np.random.default_rng(0))
-        template.cohort_rngs = [np.random.default_rng(0)]
-        with pytest.raises(ValueError, match="cohort generators"):
-            template.forward_many(np.zeros((2, 3, 4)))
 
 
 #: (stride, pad, k, hw, ch, dtype) of the conv workspace's bitwise pins

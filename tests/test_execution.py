@@ -354,34 +354,6 @@ class TestVectorBackendEquivalence:
         run_one(fed, method, "vector")
         assert all(calls.values()), calls
 
-    def test_stateful_rng_model_serial_fallback_bitwise(self, fed):
-        """Models with layer-owned RNG state (Dropout) cannot be batched
-        without reordering draws; the CohortRunner must produce the serial
-        backend's exact history for them."""
-        from repro.nn.layers import Dropout
-
-        def model_fn(rng):
-            rng = as_generator(rng)
-            d = int(np.prod(fed.input_shape))
-            return Sequential(
-                Flatten(),
-                Dense(d, 8, rng, np.float32, name="fc1"),
-                ReLU(),
-                Dropout(0.5, rng),
-                Dense(8, fed.num_classes, rng, np.float32, name="head",
-                      classifier_head=True),
-            )
-
-        def run(backend):
-            cfg = FLConfig(rounds=2, sample_rate=1.0, local_epochs=1,
-                           lr=0.05, backend=backend)
-            algo = build_algorithm("fedavg", fed, model_fn, cfg, seed=0)
-            return algo.run()
-
-        hs, hv = run("serial"), run("vector")
-        np.testing.assert_array_equal(hs.accuracies, hv.accuracies)
-        np.testing.assert_array_equal(hs.losses, hv.losses)
-
 
 class TestVectorGoldenTolerance:
     """Acceptance pin: vector histories match the committed *serial*

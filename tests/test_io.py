@@ -1,43 +1,11 @@
-"""Tests for checkpoint / history persistence."""
+"""Tests for history persistence."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.fl import History, RoundRecord
-from repro.nn import flatten_params, lenet5, mlp, resnet9
-from repro.utils.io import load_history, load_model, save_history, save_model
-
-
-class TestModelCheckpoint:
-    @pytest.mark.parametrize("builder", [mlp, lenet5, resnet9])
-    def test_roundtrip(self, tmp_path, builder):
-        a = builder(5, input_shape=(3, 16, 16), rng=0)
-        b = builder(5, input_shape=(3, 16, 16), rng=99)
-        path = tmp_path / "ckpt.npz"
-        save_model(a, path)
-        load_model(b, path)
-        np.testing.assert_allclose(flatten_params(b), flatten_params(a), rtol=1e-6)
-
-    def test_state_buffers_roundtrip(self, tmp_path):
-        a = resnet9(4, input_shape=(3, 16, 16), rng=0)
-        for buf in a.state().values():
-            buf += 3.0
-        b = resnet9(4, input_shape=(3, 16, 16), rng=1)
-        path = tmp_path / "ckpt.npz"
-        save_model(a, path)
-        load_model(b, path)
-        for key, buf in a.state().items():
-            np.testing.assert_allclose(b.state()[key], buf)
-
-    def test_architecture_mismatch_rejected(self, tmp_path):
-        a = mlp(5, input_shape=(3, 16, 16), rng=0)
-        b = lenet5(5, input_shape=(3, 16, 16), rng=0)
-        path = tmp_path / "ckpt.npz"
-        save_model(a, path)
-        with pytest.raises(ValueError):
-            load_model(b, path)
+from repro.utils.io import load_history, save_history
 
 
 class TestHistoryPersistence:

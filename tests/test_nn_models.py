@@ -10,17 +10,12 @@ from repro.nn import (
     Dense,
     Sequential,
     build_model,
-    clone_model_params,
-    final_layer_nbytes,
-    final_layer_vector,
     flatten_grads,
     flatten_params,
     layer_slices,
     lenet5,
     mlp,
-    param_nbytes,
     resnet9,
-    set_flat_grads,
     softmax_cross_entropy,
     unflatten_params,
     vgg_mini,
@@ -113,29 +108,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             unflatten_params(model, np.zeros(3))
 
-    def test_grad_roundtrip(self, model):
-        g = np.random.default_rng(2).normal(size=model.num_parameters())
-        set_flat_grads(model, g)
-        np.testing.assert_allclose(flatten_grads(model), g, rtol=1e-6)
-
     def test_layer_slices_cover_all(self, model):
         slices = layer_slices(model)
         total = sum(s.stop - s.start for _, s in slices)
         assert total == model.num_parameters()
         assert slices[0][1].start == 0
-
-    def test_final_layer_vector_matches_tail_slice(self, model):
-        flat = flatten_params(model)
-        _, last = layer_slices(model)[-1]
-        np.testing.assert_allclose(final_layer_vector(model), flat[last])
-
-    def test_final_layer_bytes_smaller_than_full(self, model):
-        assert 0 < final_layer_nbytes(model) < param_nbytes(model)
-
-    def test_clone_is_deep(self, model):
-        clone = clone_model_params(model)
-        model.parameters()[0].data += 1.0
-        assert not np.allclose(clone[0], model.parameters()[0].data)
 
 
 class TestSGD:

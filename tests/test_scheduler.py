@@ -175,23 +175,6 @@ class TestBufferedAsync:
         assert algo.staleness_discount(0) == 1.0
         assert algo.staleness_discount(1) == pytest.approx(2.0 ** -0.5)
         assert algo.staleness_discount(3) == pytest.approx(4.0 ** -0.5)
-        const = build_algorithm(
-            "fedavg", fed, model_fn_for(fed),
-            cfg.with_extra(sched_staleness_mode="const"), seed=0,
-        )
-        assert const.staleness_discount(0) == 1.0
-        assert const.staleness_discount(1) == 0.5
-        assert const.staleness_discount(7) == 0.5
-        # invalid mode/alpha combinations are rejected at config time
-        with pytest.raises(ValueError, match="sched_staleness_mode"):
-            cfg.with_extra(sched_staleness_mode="exp")
-        # const is a flat *discount*: alpha > 1 would amplify stale updates
-        with pytest.raises(ValueError, match="amplify"):
-            FLConfig(staleness_alpha=2.0).with_extra(sched_staleness_mode="const")
-        # ... and the runtime backstop catches the env-override path too
-        const.scheduler = type("S", (), {"staleness_alpha": 2.0})()
-        with pytest.raises(ValueError, match="amplify"):
-            const.staleness_discount(1)
 
     def test_refill_not_biased_to_low_ids(self):
         """Partial refills draw uniformly from the fresh cohort instead of
@@ -451,8 +434,8 @@ class TestExtraKeyValidation:
 
     def test_known_keys_accepted(self):
         cfg = FLConfig().with_extra(
-            net_mbps=5.0, net_straggler_frac=0.5, sched_staleness_mode="poly",
-            sched_concurrency=4, prox_mu=0.01, lam="auto",
+            net_mbps=5.0, net_straggler_frac=0.5, sched_concurrency=4,
+            prox_mu=0.01, lam="auto",
         )
         assert cfg.extra["net_mbps"] == 5.0
 
@@ -461,8 +444,8 @@ class TestExtraKeyValidation:
             FLConfig(extra={"net_mpbs": 5.0})  # transposed typo
 
     def test_unknown_sched_key_rejected_with_listing(self):
-        with pytest.raises(ValueError, match="sched_staleness_mode"):
-            FLConfig(extra={"sched_staleness": 0.5})
+        with pytest.raises(ValueError, match="sched_concurrency"):
+            FLConfig(extra={"sched_concurency": 4})  # dropped letter
 
     def test_with_extra_validates_too(self):
         with pytest.raises(ValueError, match="unknown network knob"):

@@ -15,7 +15,6 @@ from repro.utils import (
     label_histogram,
     pairwise_sq_euclidean,
     softmax,
-    spawn_generators,
 )
 
 
@@ -30,19 +29,6 @@ class TestRng:
 
     def test_as_generator_none(self):
         assert isinstance(as_generator(None), np.random.Generator)
-
-    def test_spawn_independent_streams(self):
-        a, b = spawn_generators(0, 2)
-        assert a.random() != b.random()
-
-    def test_spawn_reproducible(self):
-        a1, _ = spawn_generators(7, 2)
-        a2, _ = spawn_generators(7, 2)
-        assert a1.random() == a2.random()
-
-    def test_spawn_negative(self):
-        with pytest.raises(ValueError):
-            spawn_generators(0, -1)
 
     def test_factory_named_streams_reproducible(self):
         f1, f2 = RngFactory(3), RngFactory(3)
