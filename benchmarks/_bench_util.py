@@ -3,25 +3,17 @@
 Every ``bench_*.py`` emits its result row twice: the human-readable
 ``benchmarks/out/<name>.txt`` (unchanged) and a JSON record written
 through :func:`write_bench_json` — ``benchmarks/out/BENCH_<n>.json`` for
-the numbered per-PR perf-trajectory files the ROADMAP asks for
-(comparable across commits; CI uploads them as artifacts), or any other
-stable name for per-bench rows.
+the numbered perf records (comparable across commits; CI uploads them
+as artifacts), or any other stable name for per-bench rows.
 
-Run as a script with ``--collect`` to merge every ``BENCH_*.json``
-present under ``benchmarks/out/`` into one ``TRAJECTORY.json`` — the
-numbered rows in PR order plus a tiny summary header — which CI uploads
-next to the per-bench rows so one artifact tells the whole perf story::
-
-    PYTHONPATH=src python benchmarks/_bench_util.py --collect
-
-``--gate N --baseline <committed BENCH_N.json>`` is the perf-regression
-gate: it compares the freshly generated ``benchmarks/out/BENCH_N.json``
-against the committed baseline and exits non-zero when the vectorized
-path regressed by more than ``--max-regression`` (default 25%).  The
-comparison is on each cell's *relative* wall clock — ``vector_s /
-serial_s``, both measured in the same job — so a slower CI runner
-cannot fail the gate, but a genuinely slower vectorized path (relative
-to the serial loop it replaced) does::
+Run as a script, it is the perf-regression gate: ``--gate N --baseline
+<committed BENCH_N.json>`` compares the freshly generated
+``benchmarks/out/BENCH_N.json`` against the committed baseline and
+exits non-zero when the vectorized path regressed by more than
+``--max-regression`` (default 25%).  The comparison is on each cell's
+*relative* wall clock — ``vector_s / serial_s``, both measured in the
+same job — so a slower CI runner cannot fail the gate, but a genuinely
+slower vectorized path (relative to the serial loop it replaced) does::
 
     PYTHONPATH=src python benchmarks/_bench_util.py --gate 10 \\
         --baseline /tmp/BENCH_10.baseline.json
@@ -31,13 +23,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
 OUT_DIR = Path(__file__).parent / "out"
-
-_BENCH_RE = re.compile(r"^BENCH_(\d+)\.json$")
 
 
 def write_bench_json(row: dict, name: str) -> Path:
@@ -47,36 +36,6 @@ def write_bench_json(row: dict, name: str) -> Path:
     path = OUT_DIR / f"{name}.json"
     path.write_text(json.dumps(row, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def collect_trajectory(out_dir: Path = OUT_DIR) -> dict:
-    """Merge every ``BENCH_<n>.json`` under ``out_dir`` into one record.
-
-    Returns ``{"benches": {"<n>": row, ...}, "count": N, "missing":
-    [...]}`` with rows keyed (and ordered) by their PR number; ``missing``
-    lists the gaps in the numbered sequence so a trajectory reader can
-    tell "bench never ran in this CI job" from "bench was never written".
-    """
-    rows: dict[int, dict] = {}
-    for path in sorted(out_dir.glob("BENCH_*.json")):
-        m = _BENCH_RE.match(path.name)
-        if not m:
-            continue
-        try:
-            rows[int(m.group(1))] = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError) as exc:
-            rows[int(m.group(1))] = {"error": f"unreadable: {exc}"}
-    numbers = sorted(rows)
-    missing = (
-        [n for n in range(numbers[0], numbers[-1] + 1) if n not in rows]
-        if numbers
-        else []
-    )
-    return {
-        "benches": {str(n): rows[n] for n in numbers},
-        "count": len(rows),
-        "missing": missing,
-    }
 
 
 def gate_regressions(
@@ -126,53 +85,34 @@ def gate_regressions(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--collect", action="store_true",
-        help="merge benchmarks/out/BENCH_*.json into TRAJECTORY.json",
-    )
-    parser.add_argument(
-        "--gate", type=int, metavar="N", default=None,
+        "--gate", type=int, metavar="N", required=True,
         help="gate the fresh benchmarks/out/BENCH_N.json against --baseline",
     )
     parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help="committed BENCH_N.json to gate against (required with --gate)",
+        "--baseline", type=Path, required=True,
+        help="committed BENCH_N.json to gate against",
     )
     parser.add_argument(
         "--max-regression", type=float, default=0.25,
         help="allowed fractional slowdown of the vectorized path (default 0.25)",
     )
     args = parser.parse_args(argv)
-    if args.gate is not None:
-        if args.baseline is None:
-            parser.error("--gate requires --baseline")
-        fresh_path = OUT_DIR / f"BENCH_{args.gate}.json"
-        if not fresh_path.exists():
-            print(f"gate FAILED: fresh bench {fresh_path} was never written")
-            return 1
-        fresh = json.loads(fresh_path.read_text())
-        baseline = json.loads(args.baseline.read_text())
-        failures = gate_regressions(fresh, baseline, args.max_regression)
-        if failures:
-            print(f"perf gate FAILED for BENCH_{args.gate}:")
-            for f in failures:
-                print(f"  - {f}")
-            return 1
-        print(
-            f"perf gate passed for BENCH_{args.gate} "
-            f"({len(baseline.get('rows', {}))} cells within "
-            f"{args.max_regression:.0%} of baseline)"
-        )
-        return 0
-    if not args.collect:
-        parser.error("nothing to do; pass --collect or --gate")
-    trajectory = collect_trajectory()
-    OUT_DIR.mkdir(exist_ok=True)
-    path = OUT_DIR / "TRAJECTORY.json"
-    path.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n")
-    names = ", ".join(f"BENCH_{n}" for n in sorted(trajectory["benches"]))
+    fresh_path = OUT_DIR / f"BENCH_{args.gate}.json"
+    if not fresh_path.exists():
+        print(f"gate FAILED: fresh bench {fresh_path} was never written")
+        return 1
+    fresh = json.loads(fresh_path.read_text())
+    baseline = json.loads(args.baseline.read_text())
+    failures = gate_regressions(fresh, baseline, args.max_regression)
+    if failures:
+        print(f"perf gate FAILED for BENCH_{args.gate}:")
+        for f in failures:
+            print(f"  - {f}")
+        return 1
     print(
-        f"collected {trajectory['count']} rows ({names or 'none'}) "
-        f"into {path}"
+        f"perf gate passed for BENCH_{args.gate} "
+        f"({len(baseline.get('rows', {}))} cells within "
+        f"{args.max_regression:.0%} of baseline)"
     )
     return 0
 

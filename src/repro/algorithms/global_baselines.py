@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fl.execution import ClientTrainSpec
 from repro.fl.registry import opt, register
 from repro.fl.server import ClientUpdate, FederatedAlgorithm, average_states
 from repro.nn.serialization import flatten_params
@@ -70,35 +69,13 @@ class FedProx(FedAvg):
             # The paper tunes mu per dataset; 0.01 is its common default.
             self.config = self.config.with_extra(prox_mu=0.01)
 
-    def client_update(self, client_id: int, round_idx: int) -> ClientUpdate:
-        params = self.params_for_client(client_id, round_idx)
-        return self.local_train(
-            client_id, round_idx, params,
-            state=self.state_for_client(client_id, round_idx),
-            prox_center=params,
-        )
-
     def client_task_specs(self, method, argslist):
-        # FedProx's client loop is the default recipe anchored at the
-        # downloaded model, so the vector backend can batch it.
-        if method != "client_update":
-            return super().client_task_specs(method, argslist)
-        cls = type(self)
-        if (
-            cls.client_update is not FedProx.client_update
-            or cls.local_train is not FederatedAlgorithm.local_train
-        ):
-            return None
-        specs = []
-        for client_id, round_idx in argslist:
-            params = self.params_for_client(client_id, round_idx)
-            specs.append(ClientTrainSpec(
-                client_id=int(client_id),
-                round_idx=int(round_idx),
-                params=params,
-                state=self.state_for_client(client_id, round_idx),
-                prox_center=params,
-            ))
+        # FedProx's update is the default recipe anchored at the
+        # downloaded model
+        specs = super().client_task_specs(method, argslist)
+        if method == "client_update":
+            for spec in specs:
+                spec.prox_center = spec.params
         return specs
 
 

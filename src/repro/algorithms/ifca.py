@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.clustered import ClusteredAlgorithm
-from repro.fl.execution import ClientEvalSpec, ClientTrainSpec
+from repro.fl.execution import ClientEvalSpec, ClientTrainSpec, run_spec, spec_task
 from repro.fl.registry import opt, register
-from repro.fl.server import ClientUpdate, FederatedAlgorithm
+from repro.fl.server import ClientUpdate
 from repro.fl.training import evaluate_loss
 from repro.nn.model import CohortModel
 from repro.nn.serialization import unflatten_params
@@ -108,30 +108,15 @@ class IFCA(ClusteredAlgorithm):
         """argmin over cluster models of local training loss."""
         return self._best_clusters([client_id])[0]
 
-    def client_update(self, client_id: int, round_idx: int) -> ClientUpdate:
-        # Pure w.r.t. server state (execution-backend contract): the chosen
-        # cluster travels back in ``extras`` and is recorded by ``aggregate``.
-        j = self._best_cluster(client_id)
-        update = self.local_train(
-            client_id, round_idx, self.cluster_params[j], self.cluster_states[j]
-        )
-        update.extras["cluster"] = j
-        return update
-
     def client_task_specs(self, method, argslist):
         # Every IFCA task is the default recipe run on the client's argmin
         # cluster: assign the whole dispatch in one scoring pass, then let
-        # ``post`` report the chosen cluster like the serial methods do.
+        # ``post`` report the chosen cluster.  Tasks stay pure w.r.t.
+        # server state (execution contract): an update carries its cluster
+        # in ``extras`` and ``aggregate`` records it.
         if method not in ("client_update", "evaluate_client",
                           "_evaluate_with_cluster"):
             return super().client_task_specs(method, argslist)
-        cls = type(self)
-        if (
-            getattr(cls, method) is not getattr(IFCA, method)
-            or cls._evaluate_with_cluster is not IFCA._evaluate_with_cluster
-            or cls.local_train is not FederatedAlgorithm.local_train
-        ):
-            return None
         best = self._best_clusters([int(args[0]) for args in argslist])
         if method == "client_update":
             return [
@@ -171,20 +156,14 @@ class IFCA(ClusteredAlgorithm):
                     [u.state for u in members], weights
                 )
 
-    def evaluate_client(self, client_id: int) -> float:
-        return self._evaluate_with_cluster(client_id)[0]
-
+    @spec_task
     def _evaluate_with_cluster(self, client_id: int) -> tuple[float, int]:
-        # Evaluation mirrors the mechanism: pick the best cluster by local
-        # *training* loss (test labels are never used for assignment).
-        # Overridden (rather than composed from eval_params/eval_state) so
-        # the argmin runs once and the method stays pure for backends; the
-        # chosen cluster travels back so per_client_accuracy can record it.
-        j = self._best_cluster(client_id)
-        acc = self.local_eval(
-            client_id, self.cluster_params[j], self.cluster_states[j]
-        )
-        return acc, j
+        """``(accuracy, cluster)``: the client's accuracy on its best
+        cluster by local *training* loss (test labels are never used for
+        assignment), paired with that cluster so
+        :meth:`per_client_accuracy` can record it without re-scoring."""
+        (spec,) = self.client_task_specs("_evaluate_with_cluster", [(client_id,)])
+        return run_spec(self, spec)
 
     def per_client_accuracy(self) -> np.ndarray:
         """Every client's accuracy, refreshing ``cluster_of`` as it goes.
@@ -223,8 +202,7 @@ class IFCA(ClusteredAlgorithm):
 
 
 def _tag_cluster(j: int):
-    """Train postprocessor: tag the finished update with cluster ``j``,
-    as :meth:`IFCA.client_update` does."""
+    """Train postprocessor: tag the finished update with cluster ``j``."""
 
     def post(update: ClientUpdate) -> ClientUpdate:
         update.extras["cluster"] = j

@@ -22,9 +22,8 @@ from repro.algorithms.clustered import ClusteredAlgorithm
 from repro.clustering.distance import proximity_matrix
 from repro.clustering.hierarchical import Dendrogram, agglomerative, largest_gap_threshold
 from repro.core.weight_selection import select_weights, selection_nbytes
-from repro.fl.execution import ClientTrainSpec
+from repro.fl.execution import ClientTrainSpec, run_spec, spec_task
 from repro.fl.registry import opt, register
-from repro.fl.server import FederatedAlgorithm
 from repro.nn.serialization import flatten_params, unflatten_params
 
 __all__ = ["FedClust"]
@@ -100,9 +99,11 @@ class FedClust(ClusteredAlgorithm):
     # ------------------------------------------------------------------
     # round 0: one-shot clustering
     # ------------------------------------------------------------------
+    @spec_task
     def client_partial_weights(self, client_id: int) -> np.ndarray:
         """One client's round-0 contribution: θ⁰ → local SGD → partial
-        weights (the only thing uploaded).
+        weights (the only thing uploaded), as :meth:`client_task_specs`
+        states it.
 
         Pure with respect to server state, so the setup sweep over all
         clients can run on any execution backend.  Every client starts from
@@ -115,29 +116,15 @@ class FedClust(ClusteredAlgorithm):
         Returns:
             The flat partial-weight vector selected by ``self.selection``.
         """
-        update = self.local_train(
-            client_id,
-            round_idx=0,
-            params=self.theta0,
-            state=self._init_state,
-            epochs=self.warmup_epochs,
-        )
-        model = self.model
-        unflatten_params(model, update.params)
-        return select_weights(model, self.selection, self.selection_k)
+        (spec,) = self.client_task_specs("client_partial_weights", [(client_id,)])
+        return run_spec(self, spec)
 
     def client_task_specs(self, method, argslist):
         # The round-0 warm-up is the default local_train recipe from θ⁰;
         # only the partial-weight selection differs, and that runs as a
-        # main-thread postprocessor on the finished update.
+        # postprocessor on the finished update.
         if method != "client_partial_weights":
             return super().client_task_specs(method, argslist)
-        cls = type(self)
-        if (
-            cls.client_partial_weights is not FedClust.client_partial_weights
-            or cls.local_train is not FederatedAlgorithm.local_train
-        ):
-            return None
         return [
             ClientTrainSpec(
                 client_id=int(client_id),
@@ -151,8 +138,8 @@ class FedClust(ClusteredAlgorithm):
         ]
 
     def _partial_from_update(self, update) -> np.ndarray:
-        """Select partial weights from a finished warm-up update (runs on
-        the main thread, so the shared work model is safe scratch)."""
+        """Select partial weights from a finished warm-up update (the
+        shared work model is scratch)."""
         model = self.model
         unflatten_params(model, update.params)
         return select_weights(model, self.selection, self.selection_k)

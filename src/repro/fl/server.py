@@ -73,6 +73,8 @@ from repro.fl.execution import (
     ExecutionBackend,
     SerialBackend,
     make_backend,
+    run_spec,
+    spec_task,
 )
 from repro.fl.network import NetworkModel, make_network
 from repro.fl.population import PopulationEvent, PopulationModel, make_population
@@ -315,33 +317,32 @@ class FederatedAlgorithm(ABC):
 
     def client_task_specs(
         self, method: str, argslist: Sequence[tuple]
-    ) -> "list[ClientTrainSpec] | list[ClientEvalSpec] | None":
-        """Declarative form of one dispatch's client tasks, for batching
-        backends.
+    ) -> "list[ClientTrainSpec] | list[ClientEvalSpec]":
+        """The tasks of one dispatch of a spec task, as specs.
 
-        The ``vector`` backend (:class:`~repro.fl.execution.CohortRunner`)
-        asks whether a dispatch is exactly the engine's default recipe —
-        download ``params``/``state``, run ``local_train``'s SGD loop (or
-        the standard accuracy evaluation) — and batches it if so.  The
-        answer covers the whole dispatch at once, so an algorithm may
-        share work across its tasks (IFCA scores every cluster model on
-        all of them in one pass).  The base implementation answers for the
-        default ``client_update``/``evaluate_client``; any override of
-        those (or of ``local_train`` itself) returns ``None``, which sends
-        the dispatch through the exact serial loop.  Algorithms whose
-        overrides are still the default recipe with different inputs
-        (FedProx's proximal anchor, FedClust's round-0 warm-up, IFCA's
-        argmin cluster) override this to say so.
+        This is the one statement of each default-recipe task
+        (:mod:`repro.fl.execution`, "Spec tasks"): the task method runs
+        the one spec built from its own arguments through
+        :func:`~repro.fl.execution.run_spec`, and the ``vector`` backend
+        builds a whole dispatch at once and batches it.  Building at once
+        lets an algorithm share work across its tasks (IFCA scores every
+        cluster model on all of them in one pass).  The base answers for
+        ``client_update`` (``local_train`` from ``params_for_client``/
+        ``state_for_client``) and ``evaluate_client`` (``local_eval`` of
+        ``eval_params_for_client``/``eval_state_for_client``).  An
+        algorithm changes a task's inputs by overriding this (FedProx's
+        proximal anchor, IFCA's argmin cluster), and adds a task by
+        answering for a new :func:`~repro.fl.execution.spec_task` method
+        here (FedClust's round-0 warm-up).
+
+        Args:
+            method: the spec task's method name.
+            argslist: one positional-argument tuple per task.
 
         Returns:
-            One spec per task, in ``argslist`` order, or ``None``.
+            One spec per task, in ``argslist`` order.
         """
-        cls = type(self)
-        if cls.local_train is not FederatedAlgorithm.local_train:
-            return None
         if method == "client_update":
-            if cls.client_update is not FederatedAlgorithm.client_update:
-                return None
             return [
                 ClientTrainSpec(
                     client_id=int(client_id),
@@ -352,8 +353,6 @@ class FederatedAlgorithm(ABC):
                 for client_id, round_idx in argslist
             ]
         if method == "evaluate_client":
-            if cls.evaluate_client is not FederatedAlgorithm.evaluate_client:
-                return None
             return [
                 ClientEvalSpec(
                     client_id=int(client_id),
@@ -362,7 +361,7 @@ class FederatedAlgorithm(ABC):
                 )
                 for (client_id,) in argslist
             ]
-        return None
+        raise ValueError(f"{method!r} is not a spec task of {self.name!r}")
 
     def download_bytes(self, client_id: int, round_idx: int) -> int:
         """Bytes the server sends a selected client this round."""
@@ -692,14 +691,15 @@ class FederatedAlgorithm(ABC):
             raise ValueError(f"unknown population event kind {event.kind!r}")
         return rec
 
+    @spec_task
     def client_update(self, client_id: int, round_idx: int) -> ClientUpdate:
-        """Default client behaviour: local SGD from the assigned model.
+        """Default client behaviour: local SGD from the assigned model, as
+        :meth:`client_task_specs` states it.
 
         Pure with respect to server state (see the module docstring).
         """
-        params = self.params_for_client(client_id, round_idx)
-        state = self.state_for_client(client_id, round_idx)
-        return self.local_train(client_id, round_idx, params, state)
+        (spec,) = self.client_task_specs("client_update", [(client_id, round_idx)])
+        return run_spec(self, spec)
 
     def local_train(
         self,
@@ -711,7 +711,8 @@ class FederatedAlgorithm(ABC):
         epochs: int | None = None,
         lr: float | None = None,
     ) -> ClientUpdate:
-        """Run the standard local-SGD client update and package the result.
+        """Run the standard local-SGD client update and package the result
+        (the recipe of every :class:`~repro.fl.execution.ClientTrainSpec`).
 
         Args:
             client_id: which client's data to train on.
@@ -804,16 +805,15 @@ class FederatedAlgorithm(ABC):
         argslist = [(cid,) for cid in range(self.fed.num_clients)]
         return np.asarray(self._map_clients("evaluate_client", argslist), dtype=np.float64)
 
+    @spec_task
     def evaluate_client(self, client_id: int) -> float:
-        """One client's local test accuracy on its designated eval model.
+        """One client's local test accuracy on its designated eval model,
+        as :meth:`client_task_specs` states it.
 
         Pure with respect to server state (see the module docstring).
         """
-        return self.local_eval(
-            client_id,
-            self.eval_params_for_client(client_id),
-            self.eval_state_for_client(client_id),
-        )
+        (spec,) = self.client_task_specs("evaluate_client", [(client_id,)])
+        return run_spec(self, spec)
 
     def local_eval(
         self,

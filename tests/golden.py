@@ -15,7 +15,8 @@ Three parts:
   expected to agree on bit-for-bit.  The checkpoint/resume tests compare
   whole resumed runs with it.
 * :func:`assert_matches_golden` — compare a finished algorithm + history
-  against one named case of a golden file.  Setting
+  (plus any extra digests the caller computed, e.g. of evaluation
+  outputs) against one named case of a golden file.  Setting
   ``REPRO_UPDATE_GOLDENS=1`` regenerates the case in place instead of
   comparing (the capture workflow that previously lived in throwaway
   scripts).
@@ -56,6 +57,9 @@ EXACT_KEYS = (
     "accuracy", "train_loss", "cumulative_mb", "upload_bytes",
     "download_bytes", "extras",
 )
+
+#: digest keys compared with exact ``==`` when the pinned capture has them
+DIGEST_KEYS = ("params_digest", "eval_digest")
 
 #: the virtual clock accumulates globally in the event schedulers while
 #: sync sums per-round maxima, so captures agree only to rounding
@@ -107,23 +111,23 @@ def compare_capture(golden: dict, got: dict, label: str = "run") -> None:
             got["sim_seconds"], golden["sim_seconds"],
             rtol=SIM_SECONDS_RTOL, err_msg=f"{label}.sim_seconds diverged",
         )
-    if "params_digest" in golden:
-        assert got["params_digest"] == golden["params_digest"], (
-            f"{label}.params_digest diverged"
-        )
+    for key in DIGEST_KEYS:
+        if key in golden:
+            assert got[key] == golden[key], f"{label}.{key} diverged"
 
 
 def assert_matches_golden(
-    golden_file: str, case: str, algo, history
+    golden_file: str, case: str, algo, history, **extra: str
 ) -> None:
     """Compare a finished run against ``tests/data/<golden_file>[case]``.
 
-    With ``REPRO_UPDATE_GOLDENS`` set in the environment, the case is
-    (re)captured into the file instead — run the affected tests once
-    with the flag, inspect the diff, and commit.
+    ``extra`` adds fields to the capture (``eval_digest``, see
+    :data:`DIGEST_KEYS`).  With ``REPRO_UPDATE_GOLDENS`` set in the
+    environment, the case is (re)captured into the file instead — run
+    the affected tests once with the flag, inspect the diff, and commit.
     """
     path = DATA_DIR / golden_file
-    got = capture_run(algo, history)
+    got = {**capture_run(algo, history), **extra}
     if os.environ.get("REPRO_UPDATE_GOLDENS", "").strip():
         data = json.loads(path.read_text()) if path.exists() else {}
         data[case] = got

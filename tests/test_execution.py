@@ -17,7 +17,7 @@ import pytest
 
 from golden import DATA_DIR, SIM_SECONDS_RTOL, assert_vector_contract
 
-from repro.algorithms import build_algorithm
+from repro.algorithms import IFCA, FedAvg, FedProx, build_algorithm
 from repro.core.fedclust import FedClust
 from repro.data import build_federated_dataset, make_dataset
 from repro.fl import registry
@@ -28,7 +28,9 @@ from repro.fl.execution import (
     CohortRunner,
     SerialBackend,
     make_backend,
+    run_spec,
 )
+from repro.fl.server import ClientUpdate
 from repro.nn.layers import BatchNorm, Dense, Flatten, Layer, ReLU
 from repro.nn.model import Sequential
 from repro.nn.models import mlp
@@ -70,11 +72,15 @@ def bn_model_fn_for(fed):
     return model_fn
 
 
-def run_one(fed, method: str, backend: str, model_fn_for=model_fn_for, **extra):
-    cfg = FLConfig(
+def config_for(backend: str, **extra) -> FLConfig:
+    return FLConfig(
         rounds=3, sample_rate=0.6, local_epochs=1, batch_size=10, lr=0.05,
         eval_every=1, dropout_rate=0.2, backend=backend,
     ).with_extra(**extra)
+
+
+def run_one(fed, method: str, backend: str, model_fn_for=model_fn_for, **extra):
+    cfg = config_for(backend, **extra)
     algo = build_algorithm(method, fed, model_fn_for(fed), cfg, seed=0)
     history = algo.run()
     return history, algo
@@ -295,6 +301,86 @@ class TestIfcaOnVector:
         assert serial[1]._scorer is None and vector[1]._scorer is None
         np.testing.assert_array_equal(serial[1].cluster_of, vector[1].cluster_of)
         np.testing.assert_array_equal(serial[0].accuracies, vector[0].accuracies)
+
+
+#: every spec task, as (algorithm class, method, extras)
+SPEC_TASKS = [
+    (FedAvg, "client_update", {}),
+    (FedAvg, "evaluate_client", {}),
+    (FedProx, "client_update", {}),
+    (FedClust, "client_partial_weights", {"lam": "auto"}),
+    (IFCA, "client_update", {"num_clusters": 2}),
+    (IFCA, "_evaluate_with_cluster", {"num_clusters": 2}),
+]
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """Every task ``CohortRunner.map`` receives, as ``(method, args)``."""
+    tasks = []
+    real_map = CohortRunner.map
+
+    def recording_map(runner, algorithm, method, argslist):
+        tasks.extend((method, tuple(args)) for args in argslist)
+        return real_map(runner, algorithm, method, argslist)
+
+    monkeypatch.setattr(CohortRunner, "map", recording_map)
+    return tasks
+
+
+def assert_same_result(got, want):
+    if isinstance(got, ClientUpdate):
+        got, want = vars(got), vars(want)
+    np.testing.assert_equal(got, want)
+
+
+class TestOneOverrideRule:
+    """``runs_as_specs`` decides, in one place, which dispatches run as
+    specs.  Under ``vector`` a subclass ``def`` over a spec task, or over
+    ``local_train``/``local_eval``, is called for every task, and its
+    ``super()`` call returns what the parent's spec gives."""
+
+    @pytest.mark.parametrize(
+        "parent,method,extra", SPEC_TASKS,
+        ids=[f"{cls.name}.{method}" for cls, method, _ in SPEC_TASKS],
+    )
+    def test_bespoke_def_runs_every_task(
+        self, fed, dispatched, parent, method, extra
+    ):
+        calls = []
+
+        def bespoke(self, *args):
+            got = getattr(super(Bespoke, self), method)(*args)
+            (spec,) = self.client_task_specs(method, [args])
+            assert_same_result(got, run_spec(self, spec))
+            calls.append(args)
+            return got
+
+        Bespoke = type(f"Bespoke{parent.__name__}", (parent,), {method: bespoke})
+        Bespoke(fed, model_fn_for(fed), config_for("vector", **extra)).run()
+        tasks = [args for name, args in dispatched if name == method]
+        assert tasks and calls == tasks
+
+    @pytest.mark.parametrize("recipe,method", [
+        ("local_train", "client_update"),
+        ("local_eval", "evaluate_client"),
+    ])
+    def test_recipe_def_runs_every_task(self, fed, dispatched, recipe, method):
+        calls = []
+
+        def bespoke(self, client_id, *args, **kwargs):
+            calls.append(client_id)
+            return getattr(super(Bespoke, self), recipe)(client_id, *args, **kwargs)
+
+        Bespoke = type("BespokeFedAvg", (FedAvg,), {recipe: bespoke})
+        Bespoke(fed, model_fn_for(fed), config_for("vector")).run()
+        tasks = [args[0] for name, args in dispatched if name == method]
+        assert tasks and calls == tasks
+
+    def test_unmarked_task_is_not_a_spec(self, fed):
+        algo = FedAvg(fed, model_fn_for(fed), config_for("serial"))
+        with pytest.raises(ValueError, match="not a spec task"):
+            algo.client_task_specs("client_partial_weights", [(0,)])
 
 
 class TestCliEnvHygiene:
