@@ -39,9 +39,9 @@ class CFL(ClusteredAlgorithm):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # Paper §5.1: eps1 = 0.4, eps2 = 0.6.
-        self.eps1 = float(self.config.extra.get("eps1", 0.4))
-        self.eps2 = float(self.config.extra.get("eps2", 0.6))
-        self.min_cluster_size = int(self.config.extra.get("min_cluster_size", 2))
+        self.eps1 = float(self.options["eps1"])
+        self.eps2 = float(self.options["eps2"])
+        self.min_cluster_size = int(self.options["min_cluster_size"])
 
     def setup(self) -> None:
         self.init_clusters(np.zeros(self.fed.num_clients, dtype=np.int64))

@@ -115,16 +115,14 @@ class FedDyn(FedAvg):
     Each client adds ``-<grad_prev_i, w> + (alpha/2)||w - w_t||^2`` to its
     local objective so local and global stationary points align; the server
     keeps a running correction ``h`` folded into the global model.
-    ``alpha`` comes from ``config.extra["feddyn_alpha"]`` (default 0.1).
+    ``alpha`` is the ``feddyn_alpha`` option (default 0.1).
     """
 
     name = "feddyn"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.alpha = float(self.config.extra.get("feddyn_alpha", 0.1))
-        if self.alpha <= 0:
-            raise ValueError(f"feddyn_alpha must be positive, got {self.alpha}")
+        self.alpha = float(self.options["feddyn_alpha"])
 
     def setup(self) -> None:
         super().setup()

@@ -59,15 +59,17 @@ class FedAvg(FederatedAlgorithm):
 ], extras_defaults={"prox_mu": 0.01})
 class FedProx(FedAvg):
     """Li et al. (2020): FedAvg plus a proximal term μ/2·||w − w_global||²
-    in the local objective.  μ comes from ``config.extra["prox_mu"]``."""
+    in the local objective.  μ is the ``prox_mu`` option."""
 
     name = "fedprox"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if float(self.config.extra.get("prox_mu", 0.0)) <= 0.0:
+        if float(self.options["prox_mu"]) <= 0.0:
             # The paper tunes mu per dataset; 0.01 is its common default.
+            # Local SGD reads mu from the config, so the config carries it.
             self.config = self.config.with_extra(prox_mu=0.01)
+            self.options["prox_mu"] = 0.01
 
     def client_task_specs(self, method, argslist):
         # FedProx's update is the default recipe anchored at the

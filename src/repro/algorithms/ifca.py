@@ -38,7 +38,7 @@ __all__ = ["IFCA"]
 ], extras_defaults={"num_clusters": 4})
 class IFCA(ClusteredAlgorithm):
     """Iterative federated clustering with k fixed cluster models (see
-    module docstring); ``config.extra["num_clusters"]`` sets k."""
+    module docstring); the ``num_clusters`` option sets k."""
 
     name = "ifca"
 
@@ -47,9 +47,7 @@ class IFCA(ClusteredAlgorithm):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.k = int(self.config.extra.get("num_clusters", 4))
-        if self.k < 1:
-            raise ValueError(f"num_clusters must be >= 1, got {self.k}")
+        self.k = int(self.options["num_clusters"])
         scorer = CohortModel(self.model_fn(self.rngs.make("model_init")), self.k)
         #: the k cluster models as one cohort, scoring them in one pass;
         #: None when a layer lacks cohort kernels (then one model at a time)

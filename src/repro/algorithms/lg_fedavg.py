@@ -24,7 +24,7 @@ __all__ = ["LGFedAvg"]
 ])
 class LGFedAvg(FederatedAlgorithm):
     """Local representation layers + globally averaged head (see module
-    docstring); ``config.extra["num_local_layers"]`` sets the split."""
+    docstring); the ``num_local_layers`` option sets the split."""
 
     name = "lg"
 
@@ -32,7 +32,8 @@ class LGFedAvg(FederatedAlgorithm):
         super().__init__(*args, **kwargs)
         slices = layer_slices(self.model)
         n_param_layers = len(slices)
-        n_local = int(self.config.extra.get("num_local_layers", max(n_param_layers - 2, 1)))
+        n_local = self.options["num_local_layers"]
+        n_local = int(n_local if n_local is not None else max(n_param_layers - 2, 1))
         if not 0 < n_local < n_param_layers:
             raise ValueError(
                 f"num_local_layers must be in (0, {n_param_layers}), got {n_local}"

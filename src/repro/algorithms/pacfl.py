@@ -67,11 +67,11 @@ class PACFL(ClusteredAlgorithm):
         super().__init__(*args, **kwargs)
         # Paper §5.1 uses p = 3 everywhere; the clustering threshold is in
         # degrees (sum of principal angles).
-        self.p = int(self.config.extra.get("p", 3))
+        self.p = int(self.options["p"])
         # "auto" cuts at the largest merge-height gap (PACFL's original
         # threshold is in degrees and tuned per dataset).
-        self.threshold = self.config.extra.get("angle_threshold", "auto")
-        self.linkage = str(self.config.extra.get("linkage", "average"))
+        self.threshold = self.options["angle_threshold"]
+        self.linkage = str(self.options["linkage"])
 
     def setup(self) -> None:
         bases = [

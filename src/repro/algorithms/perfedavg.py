@@ -40,9 +40,10 @@ class PerFedAvg(FedAvg):
         super().__init__(*args, **kwargs)
         # Paper §5.1: alpha = 1e-2, beta = 1e-3 (we scale beta up by default
         # because our rounds are fewer; both remain overridable).
-        self.alpha = float(self.config.extra.get("alpha", 1e-2))
-        self.beta = float(self.config.extra.get("beta", self.config.lr))
-        self.personalize_epochs = int(self.config.extra.get("personalize_epochs", 1))
+        o = self.options
+        self.alpha = float(o["alpha"])
+        self.beta = float(o["beta"] if o["beta"] is not None else self.config.lr)
+        self.personalize_epochs = int(o["personalize_epochs"])
 
     def client_update(self, client_id: int, round_idx: int) -> ClientUpdate:
         cfg = self.config

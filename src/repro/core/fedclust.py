@@ -52,7 +52,7 @@ __all__ = ["FedClust"]
 class FedClust(ClusteredAlgorithm):
     """The paper's proposed algorithm.
 
-    ``config.extra`` knobs:
+    Knobs (the registered options above, read from ``self.options``):
 
     * ``lam`` — clustering threshold λ (distance at which merging stops);
     * ``target_clusters`` — alternatively, cut the dendrogram at exactly
@@ -68,23 +68,21 @@ class FedClust(ClusteredAlgorithm):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        extra = self.config.extra
-        lam = extra.get("lam", "auto")
-        if lam == "auto":
+        o = self.options
+        if o["lam"] == "auto":
             self.lam: float | str = "auto"
         else:
-            self.lam = float(lam)
+            self.lam = float(o["lam"])
             if self.lam < 0:
                 raise ValueError(f"clustering threshold lam must be >= 0, got {self.lam}")
-        target = extra.get("target_clusters")
+        target = o["target_clusters"]
         self.target_clusters = int(target) if target is not None else None
-        if self.target_clusters is not None and self.target_clusters < 1:
-            raise ValueError(f"target_clusters must be >= 1, got {self.target_clusters}")
-        self.linkage = str(extra.get("linkage", "average"))
-        self.metric = str(extra.get("metric", "euclidean"))
-        self.selection = str(extra.get("selection", "final"))
-        self.selection_k = int(extra.get("selection_k", 2))
-        self.warmup_epochs = int(extra.get("warmup_epochs", self.config.local_epochs))
+        self.linkage = str(o["linkage"])
+        self.metric = str(o["metric"])
+        self.selection = str(o["selection"])
+        self.selection_k = int(o["selection_k"])
+        warmup = o["warmup_epochs"]
+        self.warmup_epochs = int(warmup if warmup is not None else self.config.local_epochs)
         self.partial_bytes = selection_nbytes(self.model, self.selection, self.selection_k)
         # θ⁰: the initial global model every client warms up from (Alg. 1
         # line 3).  Captured before any client training touches the shared
@@ -224,12 +222,3 @@ class FedClust(ClusteredAlgorithm):
             self.rngs.make("population.probe", client_id),
         )
         return self.assign_newcomer(partial)
-
-    # ------------------------------------------------------------------
-    # introspection used by the λ-sweep experiment (Fig. 4)
-    # ------------------------------------------------------------------
-    def clusters_at(self, lam: float) -> np.ndarray:
-        """Cluster assignment the round-0 dendrogram would give at λ."""
-        if self.dendrogram is None:
-            raise RuntimeError("setup() has not run; no dendrogram exists yet")
-        return self.dendrogram.cut(lam)

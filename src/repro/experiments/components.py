@@ -81,6 +81,18 @@ def _flag_cell(fam: FamilySpec, o: OptionSpec) -> str:
     return " / ".join(parts)
 
 
+def _impl_defaults(fam: FamilySpec, o: OptionSpec) -> str:
+    """`` (`flaky`: 0.8)`` for each implementation that redeclares the
+    option with a default of its own."""
+    notes = [
+        f"`{name}`: {own.default}"
+        for name, impl in sorted(fam.impls.items())
+        for own in impl.options
+        if own.name == o.name and own.default != o.default
+    ]
+    return f" ({', '.join(notes)})" if notes else ""
+
+
 def _what_cell(o: OptionSpec) -> str:
     scope = f" *({'/'.join(o.only_for)} only)*" if o.only_for else ""
     return f"{o.help}{scope}"
@@ -122,8 +134,8 @@ def flag_table_markdown() -> str:
         for o in family_option_specs(fam):
             env = f"`{o.env}`" if o.env else "—"
             lines.append(
-                f"| {_flag_cell(fam, o)} | {_values_doc(o)} "
-                f"| {env} | {_what_cell(o)} |"
+                f"| {_flag_cell(fam, o)} | {_values_doc(o)}"
+                f"{_impl_defaults(fam, o)} | {env} | {_what_cell(o)} |"
             )
     return "\n".join(lines)
 

@@ -237,8 +237,9 @@ class Aggregator:
     #: registry name; subclasses set this
     name: str = "base"
 
-    def __init__(self, extra: dict | None = None):
-        """``extra``: the run's ``agg_*`` knobs (read by rules that have any)."""
+    def __init__(self, options: dict | None = None):
+        #: the rule's resolved ``agg_*`` knobs (:func:`make_aggregator`)
+        self.options = dict(options or {})
 
     def combine(
         self, vectors: list[np.ndarray], weights: list[float]
@@ -334,18 +335,10 @@ class TrimmedMeanAggregator(Aggregator):
 
     name = "trimmed"
 
-    def __init__(self, extra: dict | None = None):
-        super().__init__(extra)
-        self.trim_frac = float((extra or {}).get("agg_trim_frac", 0.1))
-        if not 0.0 <= self.trim_frac < 0.5:
-            raise ValueError(
-                f"agg_trim_frac must be in [0, 0.5), got {self.trim_frac}"
-            )
-
     def combine(self, vectors, weights):
         matrix, w = _stack(vectors, weights)
         n = matrix.shape[0]
-        k = int(np.floor(self.trim_frac * n))
+        k = int(np.floor(float(self.options["agg_trim_frac"]) * n))
         if 2 * k >= n:  # never trim everyone (tiny cohorts)
             k = (n - 1) // 2
         order = np.argsort(matrix, axis=0, kind="stable")
@@ -378,13 +371,11 @@ def make_aggregator(config=None, aggregator: str | None = None) -> Aggregator:
     Resolution is the registry's (:func:`repro.fl.registry.resolve`):
     ``"auto"`` reads ``REPRO_AGGREGATOR`` (default ``weighted`` — the
     seed rule, bit-for-bit), and ``agg_*`` knobs may come from
-    ``FLConfig.extra``, ``REPRO_AGG_*`` env vars, or inline assignments.
+    ``FLConfig.extra``, ``REPRO_AGG_*`` env vars, or inline assignments;
+    the rule is built from the resolved options.
 
     Returns:
         A fresh :class:`Aggregator`.
     """
     r = registry.resolve("aggregator", spec=aggregator, config=config)
-    extra = getattr(config, "extra", None) if config is not None else None
-    if r.provided_extra:
-        extra = {**(extra or {}), **r.provided_extra}
-    return r.impl.cls(extra)
+    return r.impl.cls(r.options)

@@ -104,16 +104,16 @@ class AttackModel:
     #: False → the engine skips every attack hook (the ``none`` model)
     enabled: bool = True
 
-    def __init__(self, num_clients: int, rngs: RngFactory, extra: dict | None = None):
+    def __init__(
+        self,
+        num_clients: int = 0,
+        rngs: RngFactory | None = None,
+        options: dict | None = None,
+    ):
         self.num_clients = int(num_clients)
         self.rngs = rngs
-        extra = extra or {}
-        self.frac = float(extra.get("atk_frac", 0.2))
-        if not 0.0 <= self.frac <= 1.0:
-            raise ValueError(f"atk_frac must be in [0, 1], got {self.frac}")
-        self.start = int(extra.get("atk_start", 1))
-        if self.start < 0:
-            raise ValueError(f"atk_start must be >= 0, got {self.start}")
+        #: the model's resolved ``atk_*`` knobs (:func:`make_attack`)
+        self.options = dict(options or {})
         #: run observability; the engine swaps in the live sink at run()
         self.telemetry = NULL_TELEMETRY
         #: sorted adversary ids — a pure function of the root seed
@@ -121,7 +121,7 @@ class AttackModel:
         self._adversaries = frozenset(self.roster)
 
     def _draw_roster(self) -> tuple[int, ...]:
-        k = int(round(self.frac * self.num_clients))
+        k = int(round(float(self.options["atk_frac"]) * self.num_clients))
         if k == 0:
             return ()
         perm = self.rngs.make("attack.assign").permutation(self.num_clients)
@@ -134,7 +134,7 @@ class AttackModel:
 
     def poisons(self, client_id: int, key_idx: int) -> bool:
         """Whether this client's upload at this round/cycle is poisoned."""
-        return key_idx >= self.start and self.is_adversary(client_id)
+        return key_idx >= self.options["atk_start"] and self.is_adversary(client_id)
 
     def poison_upload(
         self, algo: "FederatedAlgorithm", u: "ClientUpdate", key_idx: int
@@ -197,15 +197,8 @@ class NoAttack(AttackModel):
     name = "none"
     enabled = False
 
-    def __init__(self, num_clients: int = 0, rngs: RngFactory | None = None,
-                 extra: dict | None = None):
-        self.num_clients = int(num_clients)
-        self.rngs = rngs
-        self.frac = 0.0
-        self.start = 0
-        self.telemetry = NULL_TELEMETRY
-        self.roster = ()
-        self._adversaries = frozenset()
+    def _draw_roster(self) -> tuple[int, ...]:
+        return ()
 
     def poisons(self, client_id: int, key_idx: int) -> bool:
         return False
@@ -249,14 +242,8 @@ class ScaleAttack(AttackModel):
 
     name = "scale"
 
-    def __init__(self, num_clients, rngs, extra=None):
-        super().__init__(num_clients, rngs, extra)
-        self.scale = float((extra or {}).get("atk_scale", 10.0))
-        if self.scale <= 0:
-            raise ValueError(f"atk_scale must be positive, got {self.scale}")
-
     def poison_params(self, algo, u, ref, key_idx):
-        return ref + self.scale * (u.params - ref)
+        return ref + float(self.options["atk_scale"]) * (u.params - ref)
 
 
 def make_attack(
@@ -282,15 +269,10 @@ def make_attack(
     Resolution is the registry's (:func:`repro.fl.registry.resolve`):
     ``"auto"`` reads ``REPRO_ATTACK`` (default ``none``), and ``atk_*``
     knobs may come from ``FLConfig.extra``, ``REPRO_ATK_*`` env vars, or
-    inline assignments.
+    inline assignments; the model is built from the resolved options.
 
     Returns:
         A fresh :class:`AttackModel` bound to the run's seed.
     """
     r = registry.resolve("attack", spec=attack, config=config)
-    if rngs is None:
-        rngs = RngFactory(0)
-    extra = getattr(config, "extra", None) if config is not None else None
-    if r.provided_extra:
-        extra = {**(extra or {}), **r.provided_extra}
-    return r.impl.cls(num_clients, rngs, extra)
+    return r.impl.cls(num_clients, rngs or RngFactory(0), r.options)

@@ -34,10 +34,14 @@ Knobs come from ``FLConfig.extra`` (prefix ``net_``): ``net_mbps`` (mean
 link speed, megabits/s), ``net_latency_s``, ``net_step_seconds`` (compute
 seconds per local SGD step at speed factor 1), ``net_sigma`` (log-normal
 spread), ``net_straggler_frac`` / ``net_straggler_factor``, and
-``net_availability``.
+``net_availability`` (default 1.0; ``flaky`` declares its own 0.8).
+:func:`make_network` resolves them through the registry and hands the
+profile the resolved options.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,6 +64,13 @@ __all__ = [
 #: bytes per second per Mbit/s (decimal, like the paper's Mb)
 _BYTES_PER_MBPS = 1_000_000.0 / 8.0
 
+#: per-round reachability; ``flaky`` redeclares it with its own default
+_AVAILABILITY = opt(
+    "net_availability", float, 1.0, low=0.0, high=1.0, low_inclusive=False,
+    env="REPRO_NET_AVAILABILITY", alias="availability",
+    help="probability a client is reachable in any given round",
+)
+
 #: ``FLConfig.extra`` knobs every network profile understands, declared
 #: once for the family.  The ``net_`` prefix namespaces them; an unknown
 #: key with that prefix is a typo and rejected by ``FLConfig``
@@ -77,10 +88,7 @@ registry.family_options("network", [
     opt("net_sigma", float, 0.5,
         env="REPRO_NET_SIGMA", alias="sigma",
         help="log-normal spread of per-client bandwidth/compute draws"),
-    opt("net_availability", float, 1.0,
-        low=0.0, high=1.0, low_inclusive=False,
-        env="REPRO_NET_AVAILABILITY", alias="availability",
-        help="probability a client is reachable in any given round"),
+    _AVAILABILITY,
     opt("deadline", float, None,
         low=0.0, low_inclusive=False, optional=True,
         env="REPRO_DEADLINE", cli="deadline", field="deadline",
@@ -117,31 +125,26 @@ class ClientLink:
 class NetworkModel:
     """Base class: per-client links drawn lazily from the run's root seed.
 
-    Subclasses override :meth:`_draw_link` (and optionally
-    ``availability``).  Draws are keyed per client id, so a client's link
-    does not depend on how many other clients were ever asked about.
+    Subclasses override :meth:`_draw_link`.  Draws are keyed per client
+    id, so a client's link does not depend on how many other clients
+    were ever asked about.
     """
 
     #: registry name; subclasses set this
     name: str = "base"
-    #: probability a client is reachable in any given round (1.0 = always)
-    availability: float = 1.0
 
-    def __init__(self, num_clients: int, rngs: RngFactory, extra: dict | None = None):
+    def __init__(self, num_clients: int, rngs: RngFactory, options: dict):
         self.num_clients = int(num_clients)
         self.rngs = rngs
-        extra = extra or {}
-        self.mean_bps = float(extra.get("net_mbps", 20.0)) * _BYTES_PER_MBPS
-        self.latency_s = float(extra.get("net_latency_s", 0.05))
+        #: the profile's resolved ``net_*`` knobs (:func:`make_network`)
+        self.options = options
+        self.mean_bps = float(options["net_mbps"]) * _BYTES_PER_MBPS
+        self.latency_s = float(options["net_latency_s"])
         #: simulated seconds one local SGD step costs at compute factor 1
-        self.step_seconds = float(extra.get("net_step_seconds", 0.01))
-        self.sigma = float(extra.get("net_sigma", 0.5))
-        if "net_availability" in extra:
-            self.availability = float(extra["net_availability"])
-        if not 0.0 < self.availability <= 1.0:
-            raise ValueError(
-                f"net_availability must be in (0, 1], got {self.availability}"
-            )
+        self.step_seconds = float(options["net_step_seconds"])
+        self.sigma = float(options["net_sigma"])
+        #: probability a client is reachable in any given round (1.0 = always)
+        self.availability = float(options["net_availability"])
         self._links: dict[int, ClientLink] = {}
 
     # -- static per-client draws ---------------------------------------
@@ -249,15 +252,10 @@ class StragglerNetwork(HeterogeneousNetwork):
 
     name = "stragglers"
 
-    def __init__(self, num_clients, rngs, extra=None):
-        super().__init__(num_clients, rngs, extra)
-        extra = extra or {}
-        self.straggler_frac = float(extra.get("net_straggler_frac", 0.25))
-        self.straggler_factor = float(extra.get("net_straggler_factor", 8.0))
-        if not 0.0 <= self.straggler_frac <= 1.0:
-            raise ValueError(
-                f"net_straggler_frac must be in [0, 1], got {self.straggler_frac}"
-            )
+    def __init__(self, num_clients, rngs, options):
+        super().__init__(num_clients, rngs, options)
+        self.straggler_frac = float(options["net_straggler_frac"])
+        self.straggler_factor = float(options["net_straggler_factor"])
 
     def _draw_link(self, rng: np.random.Generator) -> ClientLink:
         ln = super()._draw_link(rng)
@@ -266,13 +264,11 @@ class StragglerNetwork(HeterogeneousNetwork):
         return ln
 
 
-@register("network", "flaky")
+@register("network", "flaky", options=[replace(_AVAILABILITY, default=0.8)])
 class FlakyNetwork(HeterogeneousNetwork):
     """``hetero`` with per-round Bernoulli availability (default 0.8)."""
 
     name = "flaky"
-    availability = 0.8
-
 
 
 def make_network(
@@ -296,18 +292,14 @@ def make_network(
     Resolution is the registry's (:func:`repro.fl.registry.resolve`):
     ``"auto"`` reads ``REPRO_NETWORK`` (default ``ideal``), and ``net_*``
     knobs may come from ``FLConfig.extra``, ``REPRO_NET_*`` env vars, or
-    inline assignments — the latter two overlay the config's ``extra``.
+    inline assignments, most specific last.  The profile is built from
+    the resolved options alone.
 
     Returns:
         A fresh :class:`NetworkModel` bound to the run's seed.
     """
     r = registry.resolve("network", spec=network, config=config)
-    if rngs is None:
-        rngs = RngFactory(0)
-    extra = getattr(config, "extra", None) if config is not None else None
-    if r.provided_extra:
-        extra = {**(extra or {}), **r.provided_extra}
-    return r.impl.cls(num_clients, rngs, extra)
+    return r.impl.cls(num_clients, rngs or RngFactory(0), r.options)
 
 
 def resolve_deadline(config=None) -> float | None:

@@ -165,26 +165,18 @@ class PopulationModel:
     #: O(cohort) instead of O(population) (churn's ``pop_lazy`` mode)
     lazy: bool = False
 
-    def __init__(self, num_clients: int, rngs: RngFactory, extra: dict | None = None):
+    def __init__(self, num_clients: int, rngs: RngFactory, options: dict):
         self.num_clients = int(num_clients)
         self.rngs = rngs
-        extra = extra or {}
+        #: the model's resolved ``pop_*`` knobs (:func:`make_population`)
+        self.options = options
         #: newcomer-assignment rule (``weights`` / ``random`` / ``coldstart``)
-        self.assign = str(extra.get("pop_assign", "weights")).strip().lower()
-        if self.assign not in ("weights", "random", "coldstart"):
-            raise ValueError(
-                f"pop_assign must be 'weights'/'random'/'coldstart', "
-                f"got {self.assign!r}"
-            )
-        probe = extra.get("pop_probe_epochs")
+        self.assign = str(options["pop_assign"]).strip().lower()
+        probe = options["pop_probe_epochs"]
         #: θ⁰-probe epochs for weight assignment (None → algorithm default)
         self.probe_epochs = int(probe) if probe is not None else None
-        self.join_start = float(extra.get("pop_join_start", 2.0))
-        self.join_every = float(extra.get("pop_join_every", 2.0))
-        if self.join_every <= 0:
-            raise ValueError(
-                f"pop_join_every must be positive, got {self.join_every}"
-            )
+        self.join_start = float(options["pop_join_start"])
+        self.join_every = float(options["pop_join_every"])
         #: (time, seq, event) min-heap of pending events
         self._heap: list[tuple[float, int, PopulationEvent]] = []
         self._seq = 0
@@ -344,23 +336,13 @@ class ChurnPopulation(PopulationModel):
 
     name = "churn"
 
-    def __init__(self, num_clients, rngs, extra=None):
-        super().__init__(num_clients, rngs, extra)
-        extra = extra or {}
-        self.session = float(extra.get("pop_session", 20.0))
-        self.gap = float(extra.get("pop_gap", 5.0))
-        self.churn_frac = float(extra.get("pop_churn_frac", 1.0))
-        self.joiners = int(extra.get("pop_joiners", 0))
-        if self.session <= 0 or self.gap <= 0:
-            raise ValueError(
-                f"pop_session and pop_gap must be positive, got "
-                f"{self.session}/{self.gap}"
-            )
-        if not 0.0 < self.churn_frac <= 1.0:
-            raise ValueError(
-                f"pop_churn_frac must be in (0, 1], got {self.churn_frac}"
-            )
-        self.lazy = bool(int(extra.get("pop_lazy", 0)))
+    def __init__(self, num_clients, rngs, options):
+        super().__init__(num_clients, rngs, options)
+        self.session = float(options["pop_session"])
+        self.gap = float(options["pop_gap"])
+        self.churn_frac = float(options["pop_churn_frac"])
+        self.joiners = int(options["pop_joiners"])
+        self.lazy = bool(int(options["pop_lazy"]))
         self._client_rng: dict[int, np.random.Generator] = {}
         #: lazy mode: cid → (rng, interval_start, next_toggle, up) walk
         #: positions, LRU-bounded — eviction is harmless because a walk
@@ -483,10 +465,9 @@ class GrowthPopulation(PopulationModel):
 
     name = "growth"
 
-    def __init__(self, num_clients, rngs, extra=None):
-        super().__init__(num_clients, rngs, extra)
-        extra = extra or {}
-        joiners = int(extra.get("pop_joiners", 0))
+    def __init__(self, num_clients, rngs, options):
+        super().__init__(num_clients, rngs, options)
+        joiners = int(options["pop_joiners"])
         if joiners == 0:
             joiners = max(1, int(round(0.2 * self.num_clients)))
         self.joiners = joiners
@@ -512,10 +493,9 @@ class TracePopulation(PopulationModel):
 
     name = "trace"
 
-    def __init__(self, num_clients, rngs, extra=None):
-        super().__init__(num_clients, rngs, extra)
-        extra = extra or {}
-        raw = str(extra.get("pop_trace", "")).strip()
+    def __init__(self, num_clients, rngs, options):
+        super().__init__(num_clients, rngs, options)
+        raw = str(options["pop_trace"]).strip()
         self.events: list[PopulationEvent] = []
         if raw:
             for part in raw.split(";"):
@@ -592,15 +572,11 @@ def make_population(
     Resolution is the registry's (:func:`repro.fl.registry.resolve`):
     ``"auto"`` reads ``REPRO_POPULATION`` (default ``static``), and
     ``pop_*`` knobs may come from ``FLConfig.extra``, ``REPRO_POP_*``
-    env vars, or inline assignments.
+    env vars, or inline assignments; the model is built from the
+    resolved options.
 
     Returns:
         A fresh :class:`PopulationModel` bound to the run's seed.
     """
     r = registry.resolve("population", spec=population, config=config)
-    if rngs is None:
-        rngs = RngFactory(0)
-    extra = getattr(config, "extra", None) if config is not None else None
-    if r.provided_extra:
-        extra = {**(extra or {}), **r.provided_extra}
-    return r.impl.cls(num_clients, rngs, extra)
+    return r.impl.cls(num_clients, rngs or RngFactory(0), r.options)

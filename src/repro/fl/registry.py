@@ -54,7 +54,10 @@ explicit keyword override < ``REPRO_<OPTION>`` env var (consulted only
 when the family resolved through ``"auto"``) < inline assignment.
 
 Resolution never mutates state; building an instance is each family's
-``make_*`` factory's job (they all delegate here).
+``make_*`` factory's job (they all delegate here).  A factory hands the
+component :attr:`Resolved.options`, already defaulted and bounds-checked,
+so no component reads ``FLConfig.extra`` or repeats a declared default
+or bound (an algorithm resolves its own, in ``FederatedAlgorithm``).
 """
 
 from __future__ import annotations
@@ -79,7 +82,6 @@ __all__ = [
     "Resolved",
     "resolve",
     "resolve_field_option",
-    "option_default",
     "spec_name",
     "validate_config",
     "validate_spec",
@@ -452,7 +454,9 @@ def classes(family: str) -> dict[str, type]:
 
 
 def _options_for(fam: FamilySpec, impl: ComponentSpec | None) -> list[OptionSpec]:
-    """Family-level options plus the implementation's, deduped by name."""
+    """Family-level options plus the implementation's, deduped by name
+    (an implementation may redeclare a family option with its own
+    default, as ``flaky`` does ``net_availability``)."""
     merged = {o.name: o for o in fam.options}
     if impl is not None:
         merged.update({o.name: o for o in impl.options})
@@ -640,11 +644,9 @@ class Resolved:
     impl: ComponentSpec
     #: resolved implementation name (never ``"auto"``)
     name: str
-    #: every applicable option's final value, canonical-name-keyed
+    #: every applicable option's final value, canonical-name-keyed —
+    #: what the family's factory hands the component it builds
     options: dict[str, Any]
-    #: prefix-namespaced options set via env var or inline spec (the
-    #: values a factory must overlay onto ``FLConfig.extra``)
-    provided_extra: dict[str, Any]
 
 
 def resolve(
@@ -662,7 +664,9 @@ def resolve(
         config: an ``FLConfig`` supplying the spec field, option fields,
             and ``extra`` knobs (optional).
         overrides: explicit option overrides (``None`` values ignored) —
-            the ``make_*`` factories' keyword arguments.
+            the ``make_*`` factories' keyword arguments; each is checked
+            against its declaration, and applied only where the
+            implementation declares it.
 
     Returns:
         The :class:`Resolved` selection; construction stays with the
@@ -716,12 +720,15 @@ def resolve(
                 values[o.name] = getattr(config, o.field)
             elif o.name in extra:
                 values[o.name] = extra[o.name]
-    # explicit factory keywords
+    # explicit factory keywords: checked even where the implementation
+    # does not declare them (and so does not apply them)
+    declared = {o.name: o for o in _all_options(fam)}
     for key, value in (overrides or {}).items():
         if value is not None:
-            values[key] = value
+            check_option(declared[key], value)
+            if key in values:
+                values[key] = value
     # per-option env vars
-    provided_extra: dict[str, Any] = {}
     for o in options:
         if not o.env:
             continue
@@ -734,32 +741,13 @@ def resolve(
         raw = os.environ.get(o.env, "").strip()
         if raw:
             values[o.name] = _cast(o, raw, o.env)
-            if fam.prefix and o.name.startswith(fam.prefix):
-                provided_extra[o.name] = values[o.name]
     # inline assignments (most specific)
     for key, raw in inline_raw.items():
         o = _match_inline(fam, name, options, key, where)
         values[o.name] = _cast(o, raw, f"option {key!r} in {where}")
-        if fam.prefix and o.name.startswith(fam.prefix):
-            provided_extra[o.name] = values[o.name]
     for o in options:
         check_option(o, values[o.name])
-    return Resolved(
-        family=fam,
-        impl=impl,
-        name=name,
-        options=values,
-        provided_extra=provided_extra,
-    )
-
-
-def option_default(family: str, name: str) -> Any:
-    """The declared default of one of the family's options."""
-    fam = get_family(family)
-    for o in _all_options(fam):
-        if o.name == name:
-            return o.default
-    raise KeyError(f"{family} has no option {name!r}")
+    return Resolved(family=fam, impl=impl, name=name, options=values)
 
 
 def spec_name(family: str, spec: Any) -> str:

@@ -283,30 +283,10 @@ class Scheduler:
     #: registry name; subclasses set this
     name: str = "base"
 
-    def __init__(
-        self,
-        buffer_size: int = 0,
-        staleness_alpha: float = 0.5,
-        over_select_frac: float = 0.25,
-    ):
-        self.buffer_size = int(buffer_size)
-        self.staleness_alpha = float(staleness_alpha)
-        self.over_select_frac = float(over_select_frac)
-        #: ``sched_*`` knobs provided via env var or inline spec string
-        #: (``make_scheduler`` fills this); consulted before
-        #: ``FLConfig.extra`` so inline specs like
-        #: ``"buffered:concurrency=8"`` work without touching the config
-        self.extra_overrides: dict = {}
-        if self.buffer_size < 0:
-            raise ValueError(f"buffer_size must be >= 0, got {buffer_size}")
-        if self.staleness_alpha < 0:
-            raise ValueError(
-                f"staleness_alpha must be >= 0, got {staleness_alpha}"
-            )
-        if self.over_select_frac < 0:
-            raise ValueError(
-                f"over_select_frac must be >= 0, got {over_select_frac}"
-            )
+    def __init__(self, options: dict):
+        #: the scheduler's resolved knobs (:func:`make_scheduler`): field
+        #: options such as ``buffer_size`` and ``sched_*`` extras alike
+        self.options = options
 
     # ------------------------------------------------------------------
     # the arrival policy (what subclasses supply)
@@ -700,12 +680,6 @@ class Scheduler:
             u.params = received
         return u
 
-    def extra_knob(self, algo: "FederatedAlgorithm", key: str, default):
-        """A ``sched_*`` knob: env/inline overrides, then ``FLConfig.extra``."""
-        if key in self.extra_overrides:
-            return self.extra_overrides[key]
-        return algo.config.extra.get(key, default)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
@@ -752,7 +726,8 @@ class SemiSyncScheduler(Scheduler):
     name = "semisync"
 
     def selection_rate(self, cfg) -> float:
-        return min(1.0, cfg.sample_rate * (1.0 + self.over_select_frac))
+        over = float(self.options["over_select_frac"])
+        return min(1.0, cfg.sample_rate * (1.0 + over))
 
     def quorum(self, algo: "FederatedAlgorithm") -> int:
         # sized per round, so it tracks the eligible roster as it churns
@@ -804,15 +779,9 @@ class BufferedScheduler(Scheduler):
         spans = self.begin(algo, resume)
         if resume is None:
             self._cohort = nominal_cohort(algo.fed.num_clients, cfg.sample_rate)
-            concurrency = (
-                int(self.extra_knob(algo, "sched_concurrency", 0)) or self._cohort
-            )
-            if concurrency < 1:
-                raise ValueError(
-                    f"sched_concurrency must be >= 1, got {concurrency}"
-                )
+            concurrency = int(self.options["sched_concurrency"]) or self._cohort
             self._concurrency = concurrency
-            self._k = self.buffer_size or min(
+            self._k = int(self.options["buffer_size"]) or min(
                 concurrency, max(2, concurrency // 2)
             )
             self._total_flushes = max(
@@ -985,7 +954,8 @@ def make_scheduler(
     Resolution is the registry's (:func:`repro.fl.registry.resolve`):
     ``"auto"`` reads ``REPRO_SCHEDULER`` (default ``sync``) plus
     ``REPRO_BUFFER_SIZE`` / ``REPRO_STALENESS_ALPHA`` /
-    ``REPRO_OVER_SELECT_FRAC``, mirroring every other family.
+    ``REPRO_OVER_SELECT_FRAC``, mirroring every other family; the
+    scheduler is built from the resolved options.
 
     Returns:
         A fresh :class:`Scheduler`; one instance serves one run.
@@ -1014,16 +984,4 @@ def make_scheduler(
             "round barrier to enforce it at; unset deadline (and "
             "REPRO_DEADLINE) or use scheduler 'sync' or 'semisync'"
         )
-
-    # knobs an impl does not declare (e.g. buffer_size for sync) fall
-    # back to their registry-declared defaults — one source of truth
-    def knob(key):
-        return r.options.get(key, registry.option_default("scheduler", key))
-
-    sched = r.impl.cls(
-        buffer_size=knob("buffer_size"),
-        staleness_alpha=knob("staleness_alpha"),
-        over_select_frac=knob("over_select_frac"),
-    )
-    sched.extra_overrides = dict(r.provided_extra)
-    return sched
+    return r.impl.cls(r.options)

@@ -49,6 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.data.federated import ClientData, FederatedDataset
+from repro.fl import registry
 from repro.fl.aggregation import (
     WEIGHTED,
     Aggregator,
@@ -143,6 +144,15 @@ class FederatedAlgorithm(ABC):
     ):
         self.fed = fed
         self.config = config
+        #: the algorithm's registered knobs, resolved from ``config.extra``
+        #: (defaulted and bounds-checked by the registry, so an invalid
+        #: value fails here, before any client trains); empty for an
+        #: unregistered subclass
+        self.options: dict = (
+            registry.resolve("algorithm", spec=self.name, config=config).options
+            if self.name in registry.get_family("algorithm").impls
+            else {}
+        )
         self.model_fn = model_fn
         self.rngs = RngFactory(seed)
         self.seed = seed
@@ -223,19 +233,17 @@ class FederatedAlgorithm(ABC):
 
         Used by asynchronous schedulers (:mod:`repro.fl.scheduler`) when
         folding buffered updates: ``(1 + s)^(-alpha)``, FedAsync's
-        polynomial discount, with ``alpha`` the scheduler's
-        ``staleness_alpha`` (``alpha=0`` disables discounting entirely).
+        polynomial discount, with ``alpha`` the scheduler's resolved
+        ``staleness_alpha`` (the config's before ``run`` builds one;
+        ``alpha=0`` disables discounting entirely).
 
         Returns:
             A multiplier in ``[0, 1]``; exactly ``1.0`` for fresh updates.
         """
         if staleness <= 0:
             return 1.0
-        sched = self.scheduler
-        alpha = (
-            sched.staleness_alpha if sched is not None
-            else self.config.staleness_alpha
-        )
+        options = self.scheduler.options if self.scheduler is not None else {}
+        alpha = float(options.get("staleness_alpha", self.config.staleness_alpha))
         return float((1.0 + staleness) ** (-alpha))
 
     def merge(
@@ -414,7 +422,8 @@ class FederatedAlgorithm(ABC):
     #: variates, per-client models, residual-carrying scalars — is
     #: captured automatically.
     _ENGINE_STATE_ATTRS = frozenset({
-        "fed", "config", "model_fn", "rngs", "seed", "model", "model_bytes",
+        "fed", "config", "options", "model_fn", "rngs", "seed", "model",
+        "model_bytes",
         "comm", "history", "_backend",
         "codec", "network", "scheduler", "population",
         "_eligible", "_ran",

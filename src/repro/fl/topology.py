@@ -109,9 +109,11 @@ class Topology:
     #: edge aggregator count (1 = no hierarchical tier)
     edges: int = 1
 
-    def __init__(self, num_clients: int = 0, rngs=None, extra: dict | None = None):
+    def __init__(self, num_clients: int = 0, rngs=None, options: dict | None = None):
         self.num_clients = int(num_clients)
         self.rngs = rngs
+        #: the topology's resolved ``topo_*`` knobs (:func:`make_topology`)
+        self.options = dict(options or {})
 
     def begin(self, algo: "FederatedAlgorithm") -> None:
         """Bind run-scoped collaborators (telemetry, comm) at run start."""
@@ -250,11 +252,9 @@ class HierTopology(Topology):
 
     name = "hier"
 
-    def __init__(self, num_clients: int = 0, rngs=None, extra: dict | None = None):
-        super().__init__(num_clients, rngs, extra)
-        self.edges = int((extra or {}).get("topo_edges", 4))
-        if self.edges < 1:
-            raise ValueError(f"topo_edges must be >= 1, got {self.edges}")
+    def __init__(self, num_clients: int, rngs, options: dict):
+        super().__init__(num_clients, rngs, options)
+        self.edges = int(options["topo_edges"])
         if self.edges > 1 and rngs is None:
             raise ValueError("hier topology with edges >= 2 needs an rng factory")
 
@@ -333,10 +333,7 @@ def make_topology(
 
     Resolution is the registry's (:func:`repro.fl.registry.resolve`):
     ``"auto"`` reads ``REPRO_TOPOLOGY`` (default ``flat`` — the seed
-    path, bit-for-bit).
+    path, bit-for-bit); the topology is built from the resolved options.
     """
     r = registry.resolve("topology", spec=topology, config=config)
-    extra = getattr(config, "extra", None) if config is not None else None
-    if r.provided_extra:
-        extra = {**(extra or {}), **r.provided_extra}
-    return r.impl.cls(num_clients, rngs, extra)
+    return r.impl.cls(num_clients, rngs, r.options)

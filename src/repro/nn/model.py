@@ -4,8 +4,6 @@ execution backend."""
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.nn.layers import Layer, keep_where
@@ -155,9 +153,6 @@ class Sequential:
             if layer.parameters():
                 return layer
         raise ValueError("model has no parametric layers")
-
-    def iter_layers(self) -> Iterator[Layer]:
-        return iter(self.layers)
 
     # -- compute -----------------------------------------------------------
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:

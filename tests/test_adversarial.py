@@ -139,18 +139,21 @@ class TestRoster:
 # poison math (unit level, engine-free)
 # ----------------------------------------------------------------------
 class TestPoisonMath:
-    def _attack(self, cls, **extra):
-        return cls(4, RngFactory(0), {"atk_frac": 1.0, **extra})
+    def _attack(self, name, **extra):
+        cfg = FLConfig(attack=name, extra={"atk_frac": 1.0, **extra})
+        return make_attack(cfg, num_clients=4, rngs=RngFactory(0))
 
     def test_signflip_mirrors_through_reference(self):
-        atk = self._attack(SignFlipAttack)
+        atk = self._attack("signflip")
+        assert isinstance(atk, SignFlipAttack)
         ref = np.array([1.0, 2.0, 3.0])
         u = update(params=[2.0, 2.0, 2.0])
         got = atk.poison_params(None, u, ref, 1)
         np.testing.assert_array_equal(got, 2.0 * ref - u.params)
 
     def test_scale_boosts_delta(self):
-        atk = self._attack(ScaleAttack, atk_scale=10.0)
+        atk = self._attack("scale", atk_scale=10.0)
+        assert isinstance(atk, ScaleAttack)
         ref = np.zeros(3)
         u = update(params=[1.0, -1.0, 0.5])
         got = atk.poison_params(None, u, ref, 1)

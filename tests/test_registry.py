@@ -168,7 +168,9 @@ class TestThreePathAgreement:
             monkeypatch.delenv(var)
         via_inline = make_scheduler(scheduler="buffered:bs=4,sa=0.25")
         for s in (via_config, via_env, via_inline):
-            assert (s.buffer_size, s.staleness_alpha) == (4, 0.25)
+            assert (s.options["buffer_size"], s.options["staleness_alpha"]) == (
+                4, 0.25
+            )
 
     def test_network_knob_three_ways(self, monkeypatch):
         cfg = FLConfig(rounds=1, network="stragglers").with_extra(
@@ -192,8 +194,9 @@ class TestThreePathAgreement:
         assert isinstance(codec, TopKCodec) and codec.frac == 0.125
 
     def test_sched_concurrency_inline_overrides_extra(self):
-        sched = make_scheduler(scheduler="buffered:concurrency=7")
-        assert sched.extra_overrides == {"sched_concurrency": 7}
+        cfg = FLConfig(rounds=1).with_extra(sched_concurrency=3)
+        sched = make_scheduler(cfg, scheduler="buffered:concurrency=7")
+        assert sched.options["sched_concurrency"] == 7
 
     def test_env_set_to_auto_means_unset(self, monkeypatch):
         # an env var of "auto" expresses "no opinion", not a component
@@ -202,15 +205,14 @@ class TestThreePathAgreement:
         assert isinstance(make_codec(FLConfig(rounds=1)), IdentityCodec)
 
     def test_scheduler_defaults_from_declarations_for_other_impls(self):
-        # sync declares no buffered knobs; construction falls back to
-        # the registry-declared defaults, not duplicated literals
-        sched = make_scheduler(scheduler="sync")
-        assert sched.buffer_size == registry.option_default(
-            "scheduler", "buffer_size"
-        )
-        assert sched.staleness_alpha == registry.option_default(
-            "scheduler", "staleness_alpha"
-        )
+        # each scheduler holds exactly its own declared knobs, at their
+        # declared defaults: sync carries none of buffered's
+        for name in ("sync", "semisync", "buffered"):
+            sched = make_scheduler(scheduler=name)
+            spec = registry.get_family("scheduler").impls[name]
+            for o in spec.options:
+                assert sched.options[o.name] == o.default
+        assert "buffer_size" not in make_scheduler(scheduler="sync").options
 
 
 class TestSpecStringErrors:

@@ -383,7 +383,8 @@ class TestPlumbing:
         s = make_scheduler(scheduler="buffered", buffer_size=4,
                            staleness_alpha=1.5)
         assert isinstance(s, BufferedScheduler)
-        assert s.buffer_size == 4 and s.staleness_alpha == 1.5
+        assert s.options["buffer_size"] == 4
+        assert s.options["staleness_alpha"] == 1.5
         assert isinstance(
             make_scheduler(scheduler="semisync"), SemiSyncScheduler
         )
@@ -398,12 +399,13 @@ class TestPlumbing:
         monkeypatch.setenv("REPRO_STALENESS_ALPHA", "0.25")
         s = make_scheduler(scheduler="auto")
         assert isinstance(s, BufferedScheduler)
-        assert s.buffer_size == 7 and s.staleness_alpha == 0.25
+        assert s.options["buffer_size"] == 7
+        assert s.options["staleness_alpha"] == 0.25
         monkeypatch.setenv("REPRO_SCHEDULER", "semisync")
         monkeypatch.setenv("REPRO_OVER_SELECT_FRAC", "0.75")
         s = make_scheduler(scheduler="auto")
         assert isinstance(s, SemiSyncScheduler)
-        assert s.over_select_frac == 0.75
+        assert s.options["over_select_frac"] == 0.75
         monkeypatch.delenv("REPRO_SCHEDULER")
         assert isinstance(make_scheduler(scheduler="auto"), SyncScheduler)
 
