@@ -51,7 +51,7 @@ def principal_angle_matrix(bases: list[np.ndarray]) -> np.ndarray:
     opt("p", int, 3, low=1,
         help="number of left singular vectors spanning each client's "
              "data subspace"),
-    opt("angle_threshold", str, "auto",
+    opt("angle_threshold", float, "auto", choices=("auto",), low=0.0,
         help="dendrogram cut in summed principal-angle degrees, or "
              "'auto' for the largest-gap heuristic"),
     opt("linkage", str, "average",
@@ -70,7 +70,9 @@ class PACFL(ClusteredAlgorithm):
         self.p = int(self.options["p"])
         # "auto" cuts at the largest merge-height gap (PACFL's original
         # threshold is in degrees and tuned per dataset).
-        self.threshold = self.options["angle_threshold"]
+        threshold = self.options["angle_threshold"]
+        auto = str(threshold).strip().lower() == "auto"
+        self.threshold: float | str = "auto" if auto else float(threshold)
         self.linkage = str(self.options["linkage"])
 
     def setup(self) -> None:
@@ -87,5 +89,5 @@ class PACFL(ClusteredAlgorithm):
         if self.threshold == "auto":
             t = largest_gap_threshold(dend, min_clusters=2)
         else:
-            t = float(self.threshold)
+            t = self.threshold
         self.init_clusters(dend.cut(t))

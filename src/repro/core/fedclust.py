@@ -30,7 +30,7 @@ __all__ = ["FedClust"]
 
 
 @register("algorithm", "fedclust", options=[
-    opt("lam", str, "auto",
+    opt("lam", float, "auto", choices=("auto",), low=0.0,
         help="dendrogram cut threshold λ, or 'auto' for the largest-gap "
              "heuristic (the paper tunes λ per dataset)"),
     opt("target_clusters", int, None, optional=True, low=1,
@@ -69,12 +69,9 @@ class FedClust(ClusteredAlgorithm):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         o = self.options
-        if o["lam"] == "auto":
-            self.lam: float | str = "auto"
-        else:
-            self.lam = float(o["lam"])
-            if self.lam < 0:
-                raise ValueError(f"clustering threshold lam must be >= 0, got {self.lam}")
+        lam = o["lam"]
+        auto = str(lam).strip().lower() == "auto"
+        self.lam: float | str = "auto" if auto else float(lam)
         target = o["target_clusters"]
         self.target_clusters = int(target) if target is not None else None
         self.linkage = str(o["linkage"])

@@ -103,14 +103,15 @@ __all__ = [
 #: * losses/params drift multiplicatively with the depth of reordered
 #:   reductions.
 #:
-#: Measured drift is not always small against these bounds.  The LeNet-5
-#: conv goldens (``tests/data/golden_conv.json``) agree on accuracy
-#: exactly and on train loss to a relative 4e-8, but the ResNet-9 one
-#: (``fedavg-resnet-topk`` at ``SMOKE_SCALE``, BatchNorm) reads round-3
-#: accuracy 0.0813 on serial and 0.0577 on vector, a gap of 0.0236, and
-#: train loss 4.2068 against 4.1559, a relative 0.0121 — past
-#: ``VECTOR_LOSS_RTOL``.  That golden pins each backend against its own
-#: capture, not against the other.
+#: Measured drift on the three conv recipes is nil: each recipe's vector
+#: capture in ``tests/data/golden_conv.json`` equals its serial capture
+#: field for field, parameter and eval digests included, and
+#: ``tests/test_golden_conv.py`` asserts it.  Conv2d's cohort columns
+#: come in the serial im2col order, so its gradient sums run in the
+#: serial order.  Before they did, the ResNet-9 recipe (BatchNorm) read
+#: a round-3 accuracy gap of 0.0236 and a train-loss gap of a relative
+#: 0.0121 from Conv2d's sum order alone.  Those recipes are bitwise on
+#: one BLAS build, not by construction, so the bounds stay.
 #:
 #: Byte counters (``cumulative_mb``, ``upload_bytes``, ``download_bytes``)
 #: are metered from array shapes and stay *exact* under ``vector``.

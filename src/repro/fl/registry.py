@@ -120,7 +120,10 @@ class OptionSpec:
         help: one-line description (CLI ``--help``, docs tables).
         low / high: numeric bounds; ``low_inclusive``/``high_inclusive``
             pick between ``[``/``(`` semantics.
-        choices: closed set of legal values (string options).
+        choices: closed set of legal values (string options); on an
+            ``int``/``float`` option, the names it takes besides a
+            number within ``low``/``high`` (``lam``: ``'auto'`` or a
+            float >= 0).
         env: ``REPRO_*`` environment variable tuning this option.
         cli: experiments-CLI flag name without the leading dashes
             (``"topk-frac"``); ``None`` keeps the option off the CLI.
@@ -517,10 +520,17 @@ def check_option(option: OptionSpec, value: Any, label: str | None = None) -> No
             return
         raise ValueError(f"{label} must be set")
     if option.choices is not None:
-        if str(value).strip().lower() not in option.choices:
-            known = "/".join(f"'{c}'" for c in option.choices)
+        if str(value).strip().lower() in option.choices:
+            return
+        known = "/".join(f"'{c}'" for c in option.choices)
+        if option.type is str:
             raise ValueError(f"{label} must be one of {known}, got {value!r}")
-        return
+        try:
+            value = option.type(value)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{label} must be {known} or a number, got {value!r}"
+            ) from None
     if option.type in (int, float):
         value = option.type(value)
         low, high = option.low, option.high

@@ -1,13 +1,16 @@
 """Vectorized im2col / col2im kernels for convolution and pooling.
 
-These are the hot paths of the framework: everything is expressed as fancy
-indexing plus one GEMM, with no Python-level loops over the batch or spatial
-dimensions (per the HPC guides: vectorize, broadcast, reuse buffers).
+These are the hot paths of the framework, with no Python-level loops over
+the batch or spatial dimensions (vectorize, broadcast, reuse buffers): the
+serial kernels are fancy indexing plus one GEMM, and the cohort workspace
+copies each kernel offset's patches as one strided window of a staged
+input, with no index at all.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "conv_output_size",
@@ -57,19 +60,13 @@ def im2col_indices(
 class Im2colPlan:
     """Immutable gather-index workspace for one ``(C, H, W, kernel)`` key.
 
-    The ``(k, i, j)`` arrays (and the derived flat offsets) depend only on
-    the spatial geometry, never on the batch size or the data, so one plan
-    serves every im2col/col2im call with that geometry.  Plans are cached by
-    :func:`im2col_plan`; being pure integer indices they are safe to share
-    across threads.
-
-    ``take_offsets`` is the ``(fh*fw, 1, L)`` intp source pattern of
-    :meth:`CohortConvWorkspace.gather`: for kernel offset ``(fi, fj)`` and
-    output cell ``l``, the input cell's flat index ``r*W + q`` within one
-    unpadded image, or ``H*W`` where the patch reads padding.
+    The ``(k, i, j)`` arrays depend only on the spatial geometry, never on
+    the batch size or the data, so one plan serves every im2col/col2im call
+    with that geometry.  Plans are cached by :func:`im2col_plan`; being
+    pure integer indices they are safe to share across threads.
     """
 
-    __slots__ = ("k", "i", "j", "out_h", "out_w", "padded_hw", "take_offsets")
+    __slots__ = ("k", "i", "j", "out_h", "out_w")
 
     def __init__(
         self, channels: int, h: int, w: int, field_h: int, field_w: int,
@@ -79,14 +76,6 @@ class Im2colPlan:
         self.out_w = conv_output_size(w, field_w, stride, pad)
         self.k, self.i, self.j = im2col_indices(
             (1, channels, h, w), field_h, field_w, stride, pad
-        )
-        self.padded_hw = (h + 2 * pad, w + 2 * pad)
-        # channel 0's rows of (i, j), moved from padded to input coordinates
-        fields = field_h * field_w
-        r, q = self.i[:fields] - pad, self.j[:fields] - pad
-        inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
-        self.take_offsets = (
-            np.where(inside, r * w + q, h * w).astype(np.intp)[:, None, :]
         )
 
 
@@ -156,18 +145,19 @@ class CohortConvWorkspace:
     reallocating per call.  The cohort axis ``C`` is the number of stacked
     client models; each member sees its own batch of ``N`` samples.
 
-    Layout: :meth:`gather` produces ``(C, ch*fh*fw, N*L)`` patch columns
-    (``L = out_h*out_w``) so a single batched GEMM against the stacked
-    ``(C, out_ch, ch*fh*fw)`` kernel computes every member's convolution;
-    :meth:`scatter` is its adjoint.  The gather stages the input
-    channel-major as ``(C, ch, N, H*W+1)``: each image row ends in one cell
-    that stays 0.0 and stands in for every padding cell, so no padded copy
-    is made.  Its ``(fh*fw, N*L)`` intp index (the plan's
-    ``take_offsets`` plus ``n*(H*W+1)`` for image ``n``) is built once per
-    workspace.  The scatter buffer is spatial-outer,
-    ``(H+2p, W+2p, C, N, ch)``, so a kernel offset's slice-add walks
-    contiguous rows of ``out_w*C*N*ch`` values (``C*N*ch`` at stride > 1)
-    rather than rows of ``out_w``.
+    Layout: :meth:`gather` produces ``(C, ch*fh*fw, L*N)`` patch columns
+    (``L = out_h*out_w``) in :func:`im2col`'s column order, output cell
+    major and image minor, so a single batched GEMM against the stacked
+    ``(C, out_ch, ch*fh*fw)`` kernel computes every member's convolution
+    with the serial GEMM's shape and column order; :meth:`scatter` is its
+    adjoint.  The input is staged zero-padded and batch-innermost,
+    ``(C, ch, H+2p, W+2p, N)``.  The patches of kernel offset ``(fi, fj)``,
+    for every output cell and image, are then one strided window of the
+    stage (rows ``fi::stride``, columns ``fj::stride``), and at stride 1
+    each window row is one contiguous run of ``out_w*N`` values.  The
+    scatter adds into a buffer in the same layout, made by the first
+    :meth:`scatter`, so a first layer's or an evaluation's workspace never
+    holds one.
     """
 
     def __init__(
@@ -185,88 +175,74 @@ class CohortConvWorkspace:
         self.pad = int(pad)
         self.stride = int(stride)
         self.field = (int(field_h), int(field_w))
-        self.plan = im2col_plan(ch, h, w, field_h, field_w, stride, pad)
-        hp, wp = self.plan.padded_hw
-        ckk = ch * field_h * field_w
-        self.patch_len = ckk
-        self.out_len = self.plan.out_h * self.plan.out_w
-        lcols = self.out_len
-        hw = h * w
-        #: channel-major input staging (C, ch, N, H*W+1); the last cell of
-        #: each image row is never written and reads as every padding cell
-        self._stage = np.zeros((c, ch, n, hw + 1), dtype=self.dtype)
-        #: flat source of every column entry in the staging buffer's
-        #: (C, ch, N*(H*W+1)) view, per kernel offset: (fh*fw, N*L)
-        self._index = (
-            self.plan.take_offsets
-            + (hw + 1) * np.arange(n, dtype=np.intp)[:, None]
-        ).reshape(field_h * field_w, n * lcols)
-        #: GEMM-ready columns (C, ckk, N, L); viewed as (C, ckk, N*L)
-        self._cols = np.empty((c, ckk, n, lcols), dtype=self.dtype)
-        #: backward scatter target, spatial-outer (H+2p, W+2p, C, N, ch)
-        self._dx_pad = np.empty((hp, wp, c, n, ch), dtype=self.dtype)
+        oh = conv_output_size(h, field_h, stride, pad)
+        ow = conv_output_size(w, field_w, stride, pad)
+        self.out_hw = (oh, ow)
+        self.patch_len = ch * field_h * field_w
+        self.out_len = oh * ow
+        #: zero-padded, batch-innermost input staging (C, ch, H+2p, W+2p, N);
+        #: only the interior is ever written, so the border reads as padding
+        self._stage = np.zeros(
+            (c, ch, h + 2 * pad, w + 2 * pad, n), dtype=self.dtype
+        )
+        #: GEMM-ready columns (C, ckk, L*N), column index l*N + n
+        self._cols = np.empty((c, self.patch_len, self.out_len * n), dtype=self.dtype)
+        #: the stage's kernel-offset windows, (C, ch, fh, fw, oh, ow, N), and
+        #: the columns buffer viewed the same way
+        self._windows = sliding_window_view(
+            self._stage, self.field, axis=(2, 3)
+        )[:, :, ::stride, ::stride].transpose(0, 1, 5, 6, 2, 3, 4)
+        self._cols7 = self._cols.reshape(c, ch, field_h, field_w, oh, ow, n)
+        #: backward scatter target in the stage's layout, made on first use
+        self._dx_pad: np.ndarray | None = None
 
     def gather(self, x: np.ndarray) -> np.ndarray:
-        """Unfold ``(C, N, ch, H, W)`` input into ``(C, ckk, N*L)`` columns.
+        """Unfold ``(C, N, ch, H, W)`` input into ``(C, ckk, L*N)`` columns.
 
         Writes exclusively into the workspace's pre-allocated buffers; the
-        returned array is a reshaped view of the internal columns buffer
-        (valid until the next ``gather`` on this workspace).
+        returned array is the internal columns buffer (valid until the next
+        ``gather`` on this workspace).
 
-        One transposing copy stages ``x`` channel-major, then one
-        ``np.take`` through the workspace's index writes every column
-        entry.  The result is bitwise ``im2col``'s: each entry is a copy of
-        one input value or of the staging row's 0.0 cell, where ``im2col``
-        reads its zero padding.  ``mode="clip"`` never clips (every index
-        is in range); it lets ``take`` write straight into the columns
-        buffer, where the default ``"raise"`` stages ``out=`` through a
-        temporary copy.
+        One transposing copy writes ``x`` into the stage's interior, then
+        one ``np.copyto`` of the window view writes every column entry.
+        The result is bitwise ``im2col``'s per member: each entry is a copy
+        of one input value or of the stage's 0.0 border, where ``im2col``
+        reads its zero padding.
         """
-        c, n, ch, h, w = self.shape
-        fh, fw = self.field
-        # (C, N, ch, H, W) -> the (C, ch, N, H*W) head of each staging row
+        p = self.pad
+        h, w = self.shape[3:]
         np.copyto(
-            self._stage[..., :-1].reshape(c, ch, n, h, w),
-            x.transpose(0, 2, 1, 3, 4),
+            self._stage[:, :, p : p + h, p : p + w], x.transpose(0, 2, 3, 4, 1)
         )
-        np.take(
-            self._stage.reshape(c, ch, -1),
-            self._index,
-            axis=2,
-            out=self._cols.reshape(c, ch, fh * fw, n * self.out_len),
-            mode="clip",
-        )
-        return self._cols.reshape(c, self.patch_len, n * self.out_len)
+        np.copyto(self._cols7, self._windows)
+        return self._cols
 
     def scatter(self, dcols: np.ndarray) -> np.ndarray:
-        """Fold ``(C, ckk, N*L)`` column gradients back to ``(C, N, ch, H, W)``.
+        """Fold ``(C, ckk, L*N)`` column gradients back to ``(C, N, ch, H, W)``.
 
         The adjoint of :meth:`gather` (scatter-add over overlapping
-        patches), bitwise equal to :func:`col2im` per member.  The column
-        gradient is transposed once to ``(fh, fw, oh, ow, C, N, ch)``, so
-        each kernel offset ``(fi, fj)`` adds long contiguous rows into the
-        spatial-outer buffer.  Every input cell receives the same terms as
-        under ``col2im``'s ``np.add.at``, in the same ``(fi, fj)``-major
-        order, starting from 0.0: only the layout differs, never the order
-        of the additions.  Returns a freshly-allocated gradient array (it
-        flows on through the backward chain and must outlive the workspace
-        reuse).
+        patches), bitwise equal to :func:`col2im` per member.  Each kernel
+        offset ``(fi, fj)`` slice-adds its ``(C, ch, oh, ow, N)`` block of
+        ``dcols`` into the same strided window :meth:`gather` copied from.
+        Every input cell receives the same terms as under ``col2im``'s
+        ``np.add.at``, in the same ``(fi, fj)``-major order, starting from
+        0.0: only the layout differs, never the order of the additions.
+        Returns a freshly-allocated gradient array (it flows on through the
+        backward chain and must outlive the workspace reuse).
         """
         c, n, ch, h, w = self.shape
-        p = self.pad
-        s = self.stride
+        p, s = self.pad, self.stride
         fh, fw = self.field
-        oh, ow = self.plan.out_h, self.plan.out_w
+        oh, ow = self.out_hw
+        if self._dx_pad is None:
+            self._dx_pad = np.empty(self._stage.shape, dtype=self.dtype)
         buf = self._dx_pad
         buf.fill(0.0)
-        # (C, ckk, N*L) -> (fh, fw, oh, ow, C, N, ch): the patch axis is
-        # channel-major then (fi, fj) row-major (im2col_indices layout).
-        d7 = np.ascontiguousarray(
-            dcols.reshape(c, ch, fh, fw, n, oh, ow).transpose(2, 3, 5, 6, 0, 4, 1)
-        )
+        blocks = dcols.reshape(c, ch, fh, fw, oh, ow, n)
         # Strided slice-adds instead of np.add.at: each (fi, fj) pass hits
         # every target element at most once.
         for fi in range(fh):
             for fj in range(fw):
-                buf[fi : fi + s * oh : s, fj : fj + s * ow : s] += d7[fi, fj]
-        return buf[p : p + h, p : p + w].transpose(2, 3, 4, 0, 1).copy()
+                window = buf[:, :, fi : fi + s * oh : s, fj : fj + s * ow : s]
+                window += blocks[:, :, fi, fj]
+        return buf[:, :, p : p + h, p : p + w].transpose(0, 4, 1, 2, 3).copy()

@@ -284,6 +284,12 @@ class Conv2d(Layer):
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """Cohort forward over ``(C, N, ch, H, W)`` input.
 
+        The workspace's columns come in the serial im2col's ``(l, n)``
+        order, so each member's GEMMs, forward and backward, have the
+        serial layer's shapes and column order, and its output, dx, dW
+        and db equal the serial layer's byte for byte (pinned per
+        geometry in ``tests/test_cohort_kernels.py``).
+
         A leading axis of 1 with ``C > 1`` members bound is a *shared*
         input: every member convolves the same rows, so the patches are
         gathered once and one GEMM of the stacked ``(C*out, ch*k*k)``
@@ -307,53 +313,45 @@ class Conv2d(Layer):
                 "a shared (1, N, ...) cohort input is for evaluation only"
             )
         ws = self.cohort_workspace(x, keep=train)
-        cols = ws.gather(x)  # (C, ch*k*k, N*L) — workspace-owned buffer
+        cols = ws.gather(x)  # (C, ch*k*k, L*N) — workspace-owned buffer
         if shared:
             w_mat = self.w.many.reshape(c * self.out_channels, -1)
             out = w_mat @ cols[0] + self.b.many.reshape(-1, 1)
         else:
             w_mat = self.w.many.reshape(c, self.out_channels, -1)
             out = np.matmul(w_mat, cols) + self.b.many[:, :, None]
-        out = out.reshape(c, self.out_channels, n, ws.plan.out_h, ws.plan.out_w)
-        out = np.ascontiguousarray(out.transpose(0, 2, 1, 3, 4))
-        if train:
-            # cols lives in the workspace (overwritten by the next gather of
-            # this shape); the backward for this step runs before that
-            self._many_cache = (cols, ws, x.shape)
-        else:
-            self._many_cache = None
+        out = out.reshape(c, self.out_channels, *ws.out_hw, n)
+        out = np.ascontiguousarray(out.transpose(0, 4, 1, 2, 3))
+        # cols lives in the workspace (overwritten by the next gather of
+        # this shape); the backward for this step runs before that
+        self._many_cache = (cols, ws) if train else None
         return out
 
-    def backward_many(self, dout: np.ndarray) -> np.ndarray:
+    def _param_grads_many(self, dout: np.ndarray) -> np.ndarray:
+        """Accumulate the cohort dW and db; returns the ``(C, out, L*N)``
+        dout matrix, built as the serial backward builds its own."""
         if self._many_cache is None:
             raise RuntimeError("backward called before a training forward pass")
-        cols, ws, x_shape = self._many_cache
-        c, n = dout.shape[:2]
-        dout_mat = np.ascontiguousarray(dout.transpose(0, 2, 1, 3, 4)).reshape(
-            c, self.out_channels, -1
+        cols = self._many_cache[0]
+        dout_mat = dout.transpose(0, 2, 3, 4, 1).reshape(
+            dout.shape[0], self.out_channels, -1
         )
         self.b.grad_many += dout_mat.sum(axis=2)
         self.w.grad_many += np.matmul(
             dout_mat, cols.transpose(0, 2, 1)
         ).reshape(self.w.grad_many.shape)
-        w_mat = self.w.many.reshape(c, self.out_channels, -1)
+        return dout_mat
+
+    def backward_many(self, dout: np.ndarray) -> np.ndarray:
+        dout_mat = self._param_grads_many(dout)
+        w_mat = self.w.many.reshape(dout.shape[0], self.out_channels, -1)
         dcols = np.matmul(w_mat.transpose(0, 2, 1), dout_mat)
-        return ws.scatter(dcols)
+        return self._many_cache[1].scatter(dcols)
 
     def backward_many_params_only(self, dout: np.ndarray) -> None:
         # Skip dcols + the col2im scatter entirely: for a first layer the
         # input gradient is dead, and the two are most of the backward.
-        if self._many_cache is None:
-            raise RuntimeError("backward called before a training forward pass")
-        cols, _ws, _shape = self._many_cache
-        c, n = dout.shape[:2]
-        dout_mat = np.ascontiguousarray(dout.transpose(0, 2, 1, 3, 4)).reshape(
-            c, self.out_channels, -1
-        )
-        self.b.grad_many += dout_mat.sum(axis=2)
-        self.w.grad_many += np.matmul(
-            dout_mat, cols.transpose(0, 2, 1)
-        ).reshape(self.w.grad_many.shape)
+        self._param_grads_many(dout)
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:

@@ -8,10 +8,12 @@ BatchNorm's train-mode running statistics (*bitwise*), and a shared
 assert the pre-allocated scratch — im2col plans, cohort conv workspaces,
 codec encode buffers — is the *same object* across calls for a fixed
 shape, and the bitwise tests pin the claims the optimized kernels make
-in their docstrings (take-indexed gather == im2col, slice-add scatter ==
-col2im, the branch-free ReLU/Residual masks == ``np.where``, MaxPool's
-running-compare argmax == ``argmax``, its disjoint fast path and eval
-forward, and ``backward_many_params_only``'s gradients).
+in their docstrings (the window-copy gather == im2col column for column,
+slice-add scatter == col2im, cohort Conv2d == the serial layer per member
+on output, dx, dW and db, the branch-free ReLU/Residual masks ==
+``np.where``, MaxPool's running-compare argmax == ``argmax``, its
+disjoint fast path and eval forward, and ``backward_many_params_only``'s
+gradients).
 """
 
 from __future__ import annotations
@@ -192,15 +194,18 @@ class TestConv2dCohort:
     def test_only_training_caches_workspaces(self, monkeypatch):
         """Evaluation forwards (shared or per-member rows, every row
         count) gather into per-call workspaces, freed with their N-sized
-        gather index on return; the cached plan keeps only the per-geometry
-        offsets.  A training forward keeps its workspace for the next
-        step."""
+        stage and columns on return.  A training forward keeps its
+        workspace for the next step; only a backward that needs dx makes
+        its scatter buffer."""
         made = []
 
         class Tracked(CohortConvWorkspace):
             def __init__(self, *args):
                 super().__init__(*args)
-                made.append((weakref.ref(self), weakref.ref(self._index)))
+                made.append(
+                    (weakref.ref(self), weakref.ref(self._stage),
+                     weakref.ref(self._cols))
+                )
 
         monkeypatch.setattr(layers_module, "CohortConvWorkspace", Tracked)
         layer = Conv2d(1, 2, 3, np.random.default_rng(0), dtype=np.float64)
@@ -211,10 +216,13 @@ class TestConv2dCohort:
         assert layer._cohort_ws == {}
         gc.collect()
         assert len(made) == 6
-        assert all(ws() is None and index() is None for ws, index in made)
-        assert im2col_plan(1, 5, 5, 3, 3, 1, 0).take_offsets.shape == (9, 1, 9)
-        layer.forward_many(np.zeros((3, 4, 1, 5, 5)), train=True)
-        assert len(layer._cohort_ws) == 1
+        assert all(ref() is None for refs in made for ref in refs)
+        out = layer.forward_many(np.zeros((3, 4, 1, 5, 5)), train=True)
+        (ws,) = layer._cohort_ws.values()
+        layer.backward_many_params_only(np.ones_like(out))
+        assert ws._dx_pad is None  # a first layer never scatters
+        layer.backward_many(np.ones_like(out))
+        assert ws._dx_pad.shape == ws._stage.shape
 
     def test_params_only_grads_bitwise(self):
         rng = np.random.default_rng(6)
@@ -397,16 +405,9 @@ class TestCohortConvWorkspace:
         x = x[:, 1 : 1 + n] if layout == "n-slice" else x[:, :n].copy()
         assert x.flags.c_contiguous == (layout != "n-slice")
         ws = CohortConvWorkspace(x.shape, x.dtype, k, k, stride, pad)
-        cols = ws.gather(x)  # (C, ckk, N*L) with column index n*L + l
+        cols = ws.gather(x)  # (C, ckk, L*N), column index l*N + n
         for ci in range(c):
-            ref = im2col(x[ci], k, k, stride, pad)  # (ckk, L*N), col l*N + n
-            got = (
-                cols[ci]
-                .reshape(ws.patch_len, n, ws.out_len)
-                .transpose(0, 2, 1)
-                .reshape(ws.patch_len, -1)
-            )
-            _same_bytes(got, ref)
+            _same_bytes(cols[ci], im2col(x[ci], k, k, stride, pad))
 
     @pytest.mark.parametrize("stride,pad,k,hw,ch,dtype", WORKSPACE_GEOMETRIES)
     def test_scatter_matches_col2im_bitwise(self, stride, pad, k, hw, ch, dtype):
@@ -417,14 +418,39 @@ class TestCohortConvWorkspace:
         dx = ws.scatter(dcols)  # (C, N, ch, H, W)
         assert dx.dtype == dtype and dx.flags.c_contiguous
         for ci in range(c):
-            serial_cols = (
-                dcols[ci]
-                .reshape(ws.patch_len, n, ws.out_len)
-                .transpose(0, 2, 1)
-                .reshape(ws.patch_len, -1)
-            )
-            ref = col2im(serial_cols, (n, ch, h, w), k, k, stride, pad)
-            np.testing.assert_array_equal(dx[ci], ref)
+            _same_bytes(dx[ci], col2im(dcols[ci], (n, ch, h, w), k, k, stride, pad))
+
+    @pytest.mark.parametrize(
+        "stride,pad,k,hw,ch,dtype",
+        WORKSPACE_GEOMETRIES
+        + [pytest.param(2, 0, 3, 7, 2, np.float64, id="2-0-float64")],
+    )
+    @pytest.mark.parametrize("cohort", [1, 3])
+    def test_conv2d_matches_serial_bitwise(
+        self, cohort, stride, pad, k, hw, ch, dtype
+    ):
+        """Per member, the cohort Conv2d's output, dx, dW and db equal the
+        serial layer's byte for byte: the columns come in the serial
+        order, so every GEMM and sum has the serial one's shape and
+        order."""
+        rng = np.random.default_rng(9)
+        members = [
+            Conv2d(ch, 4, k, rng, stride=stride, pad=pad, dtype=dtype)
+            for _ in range(cohort)
+        ]
+        template = Conv2d(
+            ch, 4, k, np.random.default_rng(0), stride=stride, pad=pad, dtype=dtype
+        )
+        _load_members(template, members)
+        x = rng.standard_normal((cohort, 5, ch, hw, hw)).astype(dtype)
+        out = template.forward_many(x)
+        dout = rng.standard_normal(out.shape).astype(dtype)
+        dx = template.backward_many(dout)
+        for c, m in enumerate(members):
+            _same_bytes(out[c], m.forward(x[c]))
+            _same_bytes(dx[c], m.backward(dout[c]))
+            _same_bytes(template.w.grad_many[c], m.w.grad)
+            _same_bytes(template.b.grad_many[c], m.b.grad)
 
     def test_scatter_returns_fresh_array(self):
         ws = CohortConvWorkspace((1, 2, 1, 4, 4), np.float64, 2, 2, 1, 0)
@@ -519,7 +545,9 @@ class TestWorkspaceReuse:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((2, 4, 2, 6, 6))
         ws = conv.cohort_workspace(x)
-        buffers = ("_stage", "_index", "_cols", "_dx_pad")
+        out = conv.forward_many(x)
+        conv.backward_many(rng.standard_normal(out.shape))  # makes _dx_pad
+        buffers = ("_stage", "_cols", "_dx_pad")
         ids = {name: id(getattr(ws, name)) for name in buffers}
         for _ in range(3):  # training steps reuse the same buffers
             out = conv.forward_many(x)

@@ -11,11 +11,13 @@ Dense and ReLU.  These cases run the three benchmark cells, shrunk to
   ``Residual``, MaxPool2d, GlobalAvgPool2d).
 
 Each recipe is captured on ``serial`` and on ``vector`` and compared
-exactly to its own capture in ``tests/data/golden_conv.json``: each
-backend is deterministic on one host, while the two differ from each
-other within the ``VECTOR_*`` contract only (the cohort kernels reorder
-float sums).  A kernel change that reorders sums re-pins these cases
-with ``REPRO_UPDATE_GOLDENS=1`` and records the measured difference.
+exactly to its own capture in ``tests/data/golden_conv.json``.  The two
+captures of a recipe are also equal to each other: Conv2d's cohort
+columns come in the serial im2col order, so every cohort kernel these
+recipes run sums in the serial order, at least on the BLAS build the
+captures were made with.  A kernel change that reorders sums re-pins
+these cases with ``REPRO_UPDATE_GOLDENS=1`` and records the measured
+difference.
 
 Training reaches the capture through losses and parameter digests, but
 evaluation would reach it only through accuracies and IFCA's cluster
@@ -28,9 +30,12 @@ table.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
+
+from golden import DATA_DIR
 
 from repro.algorithms import ifca
 from repro.experiments import SMOKE_SCALE
@@ -121,3 +126,11 @@ def test_recipe_matches_capture(recipe, backend, golden_compare):
         "golden_conv.json", f"{recipe}-{backend}", res.algorithm, res.history,
         eval_digest=eval_digest(res.algorithm, backend),
     )
+
+
+@pytest.mark.parametrize("recipe", sorted(RECIPES))
+def test_vector_capture_equals_serial(recipe):
+    """Each recipe's vector capture is its serial capture, field for
+    field, parameter and eval digests included."""
+    captures = json.loads((DATA_DIR / "golden_conv.json").read_text())
+    assert captures[f"{recipe}-vector"] == captures[f"{recipe}-serial"]

@@ -83,10 +83,9 @@ def _options(fam, impl) -> list:
 
 
 def _outside(o) -> list:
-    """Values just outside each declared bound (or the choices)."""
-    if o.choices is not None:
-        return ["bogus"]
-    out = []
+    """Values just outside each declared bound and the choices (a
+    numeric option may name choices besides its bounded numbers)."""
+    out = ["bogus"] if o.choices is not None else []
     if o.low is not None:
         if not o.low_inclusive:
             out.append(o.type(o.low))
