@@ -53,23 +53,15 @@ class FedAvg(FederatedAlgorithm):
 
 
 @register("algorithm", "fedprox", options=[
-    opt("prox_mu", float, 0.0, low=0.0,
-        help="proximal-term strength μ (0 falls back to the paper's "
-             "common default 0.01)"),
+    # the paper tunes μ per dataset; 0.01 is its common default
+    opt("prox_mu", float, 0.01, low=0.0,
+        help="proximal-term strength μ (0 disables the term)"),
 ], extras_defaults={"prox_mu": 0.01})
 class FedProx(FedAvg):
     """Li et al. (2020): FedAvg plus a proximal term μ/2·||w − w_global||²
     in the local objective.  μ is the ``prox_mu`` option."""
 
     name = "fedprox"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if float(self.options["prox_mu"]) <= 0.0:
-            # The paper tunes mu per dataset; 0.01 is its common default.
-            # Local SGD reads mu from the config, so the config carries it.
-            self.config = self.config.with_extra(prox_mu=0.01)
-            self.options["prox_mu"] = 0.01
 
     def client_task_specs(self, method, argslist):
         # FedProx's update is the default recipe anchored at the
@@ -78,6 +70,7 @@ class FedProx(FedAvg):
         if method == "client_update":
             for spec in specs:
                 spec.prox_center = spec.params
+                spec.prox_mu = float(self.options["prox_mu"])
         return specs
 
 

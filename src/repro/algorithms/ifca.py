@@ -26,7 +26,7 @@ from repro.fl.registry import opt, register
 from repro.fl.server import ClientUpdate
 from repro.fl.training import evaluate_loss
 from repro.nn.model import CohortModel
-from repro.nn.serialization import unflatten_params
+from repro.nn.serialization import flatten_params
 
 __all__ = ["IFCA"]
 
@@ -48,10 +48,10 @@ class IFCA(ClusteredAlgorithm):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.k = int(self.options["num_clusters"])
-        scorer = CohortModel(self.model_fn(self.rngs.make("model_init")), self.k)
-        #: the k cluster models as one cohort, scoring them in one pass;
-        #: None when a layer lacks cohort kernels (then one model at a time)
-        self._scorer = scorer if scorer.supports_cohort() else None
+        #: the k cluster models as one cohort, scoring them in one pass
+        self._scorer = CohortModel(
+            self.model_fn(self.rngs.make("model_init")), self.k
+        )
 
     def setup(self) -> None:
         # Start every client in cluster 0 (assignments are recomputed each
@@ -63,8 +63,6 @@ class IFCA(ClusteredAlgorithm):
         self.cluster_states = []
         for j in range(self.k):
             m = self.model_fn(self.rngs.make("ifca_init", j))
-            from repro.nn.serialization import flatten_params
-
             self.cluster_params.append(flatten_params(m))
             self.cluster_states.append({key: v.copy() for key, v in m.state().items()})
 
@@ -87,18 +85,10 @@ class IFCA(ClusteredAlgorithm):
         with self.telemetry.span(
             "ifca_assign", cat="algorithm", clients=len(clients), models=self.k
         ):
-            if scorer is not None:
-                scorer.load_flat(np.stack(self.cluster_params))
-                if scorer.has_state():
-                    scorer.load_states(self.cluster_states)
-                losses = evaluate_loss(scorer, x[None], y, sizes)
-            else:
-                losses = np.empty((self.k, len(clients)))
-                for j in range(self.k):
-                    unflatten_params(self.model, self.cluster_params[j])
-                    if self.cluster_states[j]:
-                        self.model.load_state(self.cluster_states[j])
-                    losses[j] = evaluate_loss(self.model, x, y, sizes)
+            scorer.load_flat(np.stack(self.cluster_params))
+            if scorer.has_state():
+                scorer.load_states(self.cluster_states)
+            losses = evaluate_loss(scorer, x[None], y, sizes)
         losses[~np.isfinite(losses)] = np.inf
         return [int(j) for j in losses.argmin(axis=0)]
 

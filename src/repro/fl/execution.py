@@ -12,11 +12,12 @@ Both backends run every task in the calling thread:
 ``vector`` (:class:`CohortRunner`)
     Same-shape client tasks are stacked along a leading cohort axis and
     executed as *one* batched tensor program through the ``nn`` layers'
-    ``forward_many``/``backward_many`` kernels.  Batching reorders float
-    accumulation, so this backend trades bit-exactness for a pinned
-    numeric tolerance (``VECTOR_*`` constants below); tasks it cannot
-    batch (bespoke client loops, layers without cohort kernels, singleton
-    groups) run exactly as on ``serial`` and stay bit-for-bit.
+    ``forward_many``/``backward_many`` kernels; a task alone in its shape
+    runs as a cohort of one.  Batching reorders float accumulation, so
+    this backend trades bit-exactness for a pinned numeric tolerance
+    (``VECTOR_*`` constants below).  Bespoke client loops, the one kind
+    of task it does not batch (:func:`runs_as_specs`), run exactly as on
+    ``serial``.
 
 Spec tasks
 ----------
@@ -196,13 +197,14 @@ class ClientTrainSpec:
     round_idx: int
     #: flat parameter vector the client starts from
     params: np.ndarray
-    #: non-trainable buffers installed before training ({} for stateless)
+    #: non-trainable buffers installed before training ({} only for a
+    #: model without buffers)
     state: dict[str, np.ndarray] = field(default_factory=dict)
-    #: FedProx anchor (enables the proximal term, like ``local_train``)
+    #: FedProx anchor and strength μ of the proximal term (``local_train``)
     prox_center: np.ndarray | None = None
-    #: overrides of ``config.local_epochs`` / ``config.lr``
+    prox_mu: float = 0.0
+    #: override of ``config.local_epochs`` (FedClust's round-0 warm-up)
     epochs: int | None = None
-    lr: float | None = None
     #: postprocessor applied to the finished ``ClientUpdate``
     #: (FedClust's partial-weight selection, IFCA's cluster tag); the
     #: task result is its return value
@@ -217,6 +219,7 @@ class ClientEvalSpec:
 
     client_id: int
     params: np.ndarray
+    #: non-trainable buffers ({} only for a model without buffers)
     state: dict[str, np.ndarray] = field(default_factory=dict)
     #: postprocessor applied to the accuracy (IFCA pairs it with the
     #: cluster it evaluated); the task result is its return value
@@ -251,15 +254,37 @@ def runs_as_specs(algorithm: "FederatedAlgorithm", method: str) -> bool:
     )
 
 
+def _require_buffers(
+    algorithm: "FederatedAlgorithm",
+    specs: Sequence[ClientTrainSpec | ClientEvalSpec],
+) -> None:
+    """Refuse specs without buffers for a model that has buffers.
+
+    A task installs everything it starts from; without buffers it would
+    run on whatever the previous task left in the work model.
+
+    Raises:
+        ValueError: if the model has buffers and a spec carries none.
+    """
+    if algorithm.model.state() and not all(s.state for s in specs):
+        raise ValueError(
+            f"{algorithm.name}: the model has buffers but a client task's "
+            "spec carries none; state_for_client and eval_state_for_client "
+            "must return the model's buffers"
+        )
+
+
 def run_spec(
     algorithm: "FederatedAlgorithm", spec: ClientTrainSpec | ClientEvalSpec
 ) -> object:
     """Run one spec on the algorithm's work model: ``local_train`` or
     ``local_eval``, then ``spec.post``.  The task's result."""
+    _require_buffers(algorithm, [spec])
     if isinstance(spec, ClientTrainSpec):
         result = algorithm.local_train(
             spec.client_id, spec.round_idx, spec.params, spec.state,
-            prox_center=spec.prox_center, epochs=spec.epochs, lr=spec.lr,
+            prox_center=spec.prox_center, prox_mu=spec.prox_mu,
+            epochs=spec.epochs,
         )
     else:
         result = algorithm.local_eval(spec.client_id, spec.params, spec.state)
@@ -282,15 +307,12 @@ class CohortRunner(ExecutionBackend):
     ``ClientUpdate``s.  A dispatch of a :func:`spec_task` is built into
     specs at once (``client_task_specs``), so an algorithm may share work
     across its tasks (IFCA scores every cluster model on all of them in
-    one pass); same-shape specs run as one cohort.  The rest runs
-    exactly as on ``serial``, bit for bit:
-
-    * dispatches that :func:`runs_as_specs` refuses — bespoke client
-      loops (SCAFFOLD, FedDyn, Per-FedAvg), or any subclass ``def`` over a
-      spec task or over ``local_train``/``local_eval`` — call the methods;
-    * models with layers without cohort kernels call the methods;
-    * a spec alone in its shape group, and every spec of a stateful model
-      whose specs carry no buffers, goes through :func:`run_spec`.
+    one pass); same-shape specs run as one cohort, and a spec alone in its
+    shape as a cohort of one.  A dispatch leaves this path only when
+    :func:`runs_as_specs` refuses it — bespoke client loops (SCAFFOLD,
+    FedDyn, Per-FedAvg), or any subclass ``def`` over a spec task or over
+    ``local_train``/``local_eval`` — and then calls the methods, exactly
+    as ``serial`` does, bit for bit.
 
     Batched cohorts reproduce the serial math with identical minibatch
     schedules, per-client generators, and operand ordering *within* each
@@ -305,20 +327,11 @@ class CohortRunner(ExecutionBackend):
 
     def __init__(self):
         self._cohorts: dict[int, CohortModel] = {}
-        self._probe: tuple[bool, bool] | None = None
 
     # -- plumbing ----------------------------------------------------------
-    def _template_info(self, algorithm) -> tuple[bool, bool]:
-        """``(batchable, has_state)`` for the run's model architecture."""
-        if self._probe is None:
-            template = algorithm.model_fn(algorithm.rngs.make("model_init"))
-            batchable = all(
-                layer.supports_cohort() for layer in template.layers
-            )
-            self._probe = (batchable, bool(template.state()))
-        return self._probe
-
-    def _cohort_model(self, algorithm, cohort: int) -> CohortModel:
+    def _load(self, algorithm, members) -> CohortModel:
+        """A cohort model holding ``members``' params and buffers."""
+        cohort = len(members)
         cm = self._cohorts.get(cohort)
         if cm is None:
             # a fresh, exclusively-owned template per cohort size; its
@@ -328,84 +341,69 @@ class CohortRunner(ExecutionBackend):
             if len(self._cohorts) >= self._COHORT_CACHE_MAX:
                 self._cohorts.pop(next(iter(self._cohorts)))
             self._cohorts[cohort] = cm
+        cm.load_flat(np.stack([s.params for s in members]))
+        cm.load_states([s.state for s in members])
         return cm
 
     # -- dispatch ----------------------------------------------------------
     def map(self, algorithm, method, argslist):
         if not argslist:
             return []
-        batchable, has_state = self._template_info(algorithm)
-        if not (batchable and runs_as_specs(algorithm, method)):
+        if not runs_as_specs(algorithm, method):
             return SerialBackend.map(algorithm, method, argslist)
         specs = algorithm.client_task_specs(
             method, [tuple(args) for args in argslist]
         )
-        if has_state and any(not s.state for s in specs):
-            # a stateful model whose task carries no buffers relies on the
-            # work model's carryover semantics; don't approximate it
-            return [run_spec(algorithm, s) for s in specs]
+        _require_buffers(algorithm, specs)
         if isinstance(specs[0], ClientTrainSpec):
-            return self._run_train(algorithm, specs, has_state)
-        return self._run_eval(algorithm, specs, has_state)
+            return self._run_train(algorithm, specs)
+        return self._run_eval(algorithm, specs)
 
-    def _run_train(self, algorithm, specs, has_state: bool):
+    def _run_train(self, algorithm, specs):
         from repro.fl.server import ClientUpdate
 
         cfg = algorithm.config
         fed = algorithm.fed
         results: list = [None] * len(specs)
-        # Cohorts must share the dataset/schedule shape; everything else
-        # (params, labels, generators, prox anchors) stacks per member.
+        # Cohorts must share the dataset/schedule shape and the optimizer's
+        # scalars; everything else (params, labels, generators, prox
+        # anchors) stacks per member.
         groups: dict[tuple, list[int]] = {}
         for i, s in enumerate(specs):
             key = (
                 fed[s.client_id].train_x.shape,
                 s.epochs,
-                s.lr,
                 s.prox_center is not None,
+                s.prox_mu,
             )
             groups.setdefault(key, []).append(i)
         for idxs in groups.values():
             members = [specs[i] for i in idxs]
-            if len(members) == 1:
-                results[idxs[0]] = run_spec(algorithm, members[0])
-                continue
-            cm = self._cohort_model(algorithm, len(members))
-            cm.load_flat(np.stack([s.params for s in members]))
-            if has_state:
-                cm.load_states([s.state for s in members])
+            first = members[0]
+            cm = self._load(algorithm, members)
             xs = np.stack([fed[s.client_id].train_x for s in members])
             ys = np.stack([fed[s.client_id].train_y for s in members])
             rngs = [
                 algorithm.rngs.make(f"client{s.client_id}.train", s.round_idx)
                 for s in members
             ]
-            prox = (
-                np.stack([s.prox_center for s in members])
-                if members[0].prox_center is not None
-                else None
-            )
             opt_ = CohortSGD(
                 cm,
-                lr=members[0].lr if members[0].lr is not None else cfg.lr,
+                lr=cfg.lr,
                 momentum=cfg.momentum,
                 weight_decay=cfg.weight_decay,
-                prox_mu=float(cfg.extra.get("prox_mu", 0.0))
-                if prox is not None
-                else 0.0,
+                prox_mu=first.prox_mu,
             )
-            if prox is not None:
-                opt_.set_prox_center(prox)
+            if first.prox_center is not None:
+                opt_.set_prox_center(np.stack([s.prox_center for s in members]))
             losses, steps = local_sgd_many(
                 cm, opt_, xs, ys,
-                epochs=members[0].epochs
-                if members[0].epochs is not None
-                else cfg.local_epochs,
+                epochs=cfg.local_epochs if first.epochs is None else first.epochs,
                 batch_size=cfg.batch_size,
                 rngs=rngs,
             )
             flats = cm.flatten()
-            member_states = cm.states() if has_state else None
+            member_states = cm.states()
             for c, (i, s) in enumerate(zip(idxs, members)):
                 update = ClientUpdate(
                     client_id=s.client_id,
@@ -413,12 +411,12 @@ class CohortRunner(ExecutionBackend):
                     n_samples=fed[s.client_id].n_train,
                     steps=steps,
                     loss=float(losses[c]),
-                    state=member_states[c] if member_states else {},
+                    state=member_states[c],
                 )
                 results[i] = update if s.post is None else s.post(update)
         return results
 
-    def _run_eval(self, algorithm, specs, has_state: bool):
+    def _run_eval(self, algorithm, specs):
         fed = algorithm.fed
         results: list = [None] * len(specs)
         groups: dict[tuple, list[int]] = {}
@@ -426,13 +424,7 @@ class CohortRunner(ExecutionBackend):
             groups.setdefault(fed[s.client_id].test_x.shape, []).append(i)
         for idxs in groups.values():
             members = [specs[i] for i in idxs]
-            if len(members) == 1:
-                results[idxs[0]] = run_spec(algorithm, members[0])
-                continue
-            cm = self._cohort_model(algorithm, len(members))
-            cm.load_flat(np.stack([s.params for s in members]))
-            if has_state:
-                cm.load_states([s.state for s in members])
+            cm = self._load(algorithm, members)
             xs = np.stack([fed[s.client_id].test_x for s in members])
             ys = np.stack([fed[s.client_id].test_y for s in members])
             accs = evaluate_accuracy_many(cm, xs, ys)

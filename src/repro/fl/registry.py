@@ -176,8 +176,8 @@ class ComponentSpec:
     help: str = ""
     #: experiment-harness ``FLConfig.extra`` defaults for this component
     #: (``repro.experiments.configs.method_extras``); may differ from the
-    #: code-level option defaults (e.g. FedProx enables ``prox_mu`` only
-    #: in the experiment harness).
+    #: code-level option defaults (e.g. Per-FedAvg's ``beta`` follows the
+    #: harness scale's ``lr``).
     extras_defaults: dict = dataclass_field(default_factory=dict)
 
 

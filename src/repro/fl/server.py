@@ -717,8 +717,8 @@ class FederatedAlgorithm(ABC):
         params: np.ndarray,
         state: dict[str, np.ndarray] | None = None,
         prox_center: np.ndarray | None = None,
+        prox_mu: float = 0.0,
         epochs: int | None = None,
-        lr: float | None = None,
     ) -> ClientUpdate:
         """Run the standard local-SGD client update and package the result
         (the recipe of every :class:`~repro.fl.execution.ClientTrainSpec`).
@@ -729,10 +729,9 @@ class FederatedAlgorithm(ABC):
             params: flat parameter vector to start from.
             state: non-trainable buffers to install before training (omit
                 only for stateless models).
-            prox_center: FedProx anchor; enables the proximal term with
-                ``config.extra["prox_mu"]``.
+            prox_center: FedProx anchor of the proximal term.
+            prox_mu: strength μ of the proximal term (0 disables it).
             epochs: override for ``config.local_epochs``.
-            lr: override for ``config.lr``.
 
         Returns:
             The packaged :class:`ClientUpdate`.
@@ -745,10 +744,10 @@ class FederatedAlgorithm(ABC):
             model.load_state(state)
         opt = SGD(
             model,
-            lr=lr if lr is not None else cfg.lr,
+            lr=cfg.lr,
             momentum=cfg.momentum,
             weight_decay=cfg.weight_decay,
-            prox_mu=float(cfg.extra.get("prox_mu", 0.0)) if prox_center is not None else 0.0,
+            prox_mu=prox_mu,
         )
         if prox_center is not None:
             center = []

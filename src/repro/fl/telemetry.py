@@ -383,19 +383,10 @@ class Telemetry:
     name = "on"
     enabled = True
 
-    def __init__(
-        self,
-        trace_out: str | None = None,
-        metrics_out: str | None = None,
-        events_out: str | None = None,
-        out_dir: str | None = None,
-        progress: int = 0,
-    ):
-        self.trace_out = trace_out
-        self.metrics_out = metrics_out
-        self.events_out = events_out
-        self.out_dir = out_dir
-        self.progress = int(progress or 0)
+    def __init__(self, options: dict):
+        #: the resolved ``tele_*`` knobs (:func:`make_telemetry`)
+        self.options = options
+        self.progress = int(options["tele_progress"])
         #: optional per-record callback (the live front-end hook):
         #: called as ``on_record(record)`` after every committed record
         self.on_record: Callable[[RoundRecord], None] | None = None
@@ -417,17 +408,19 @@ class Telemetry:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _path(self, explicit: str | None, default_name: str) -> Path | None:
+    def _path(self, option: str, default_name: str) -> Path | None:
+        """The path ``option`` names, else ``default_name`` in ``tele_dir``."""
+        explicit, out_dir = self.options[option], self.options["tele_dir"]
         if explicit:
             return Path(explicit)
-        if self.out_dir:
-            return Path(self.out_dir) / default_name
+        if out_dir:
+            return Path(out_dir) / default_name
         return None
 
     def begin_run(self, algo, resumed_from: int | None = None) -> None:
         """Open the event sink and stamp the run header event."""
         self._origin = time.perf_counter()
-        path = self._path(self.events_out, "events.jsonl")
+        path = self._path("tele_events_out", "events.jsonl")
         if path is not None:
             path.parent.mkdir(parents=True, exist_ok=True)
             # line-buffered so a crashed run leaves a usable partial log
@@ -448,13 +441,13 @@ class Telemetry:
         if self._sink is not None:
             self._sink.close()
             self._sink = None
-        trace_path = self._path(self.trace_out, "trace.json")
+        trace_path = self._path("tele_trace_out", "trace.json")
         if trace_path is not None:
             trace_path.parent.mkdir(parents=True, exist_ok=True)
             trace_path.write_text(
                 json.dumps(self.chrome_trace(), default=_json_default) + "\n"
             )
-        metrics_path = self._path(self.metrics_out, "metrics.json")
+        metrics_path = self._path("tele_metrics_out", "metrics.json")
         if metrics_path is not None:
             metrics_path.parent.mkdir(parents=True, exist_ok=True)
             if metrics_path.suffix == ".csv":
@@ -601,14 +594,7 @@ def make_telemetry(config=None, telemetry: str | None = None):
     r = resolve("telemetry", spec=telemetry, config=config)
     if r.name == "off":
         return NULL_TELEMETRY
-    o = r.options
-    return Telemetry(
-        trace_out=o.get("tele_trace_out"),
-        metrics_out=o.get("tele_metrics_out"),
-        events_out=o.get("tele_events_out"),
-        out_dir=o.get("tele_dir"),
-        progress=o.get("tele_progress") or 0,
-    )
+    return Telemetry(r.options)
 
 
 # ----------------------------------------------------------------------

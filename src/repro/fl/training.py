@@ -193,16 +193,14 @@ def evaluate_loss(
             or a cohort model whose members all score the same rows.
         x: inputs; for a cohort model the shared ``(1, N, ...)`` input.
         y: integer class labels aligned with the ``N`` rows (non-empty).
-        sizes: lengths of consecutive sets concatenated in ``x``/``y``
-            (required for a cohort model).  All sets go through one
-            ``predict`` pass and each is scored on its own slice of the
-            logits, so a single set returns the value the plain call
-            does, bit for bit.
+        sizes: for a cohort model (required there), the lengths of
+            consecutive sets concatenated in ``x``/``y``.  All sets go
+            through one ``predict`` pass, and each member scores each set
+            on its own slice of the logits.
 
     Returns:
-        Mean softmax cross-entropy over the set, or with ``sizes`` the
-        ``(len(sizes),)`` per-set means; for a cohort model the
-        ``(C, len(sizes))`` table, one row per member.
+        Mean softmax cross-entropy over the set; for a cohort model the
+        ``(C, len(sizes))`` table of per-set means, one row per member.
 
     Raises:
         ValueError: on an empty evaluation set.
@@ -210,21 +208,18 @@ def evaluate_loss(
     if len(y) == 0 or (sizes is not None and not all(sizes)):
         raise ValueError("cannot evaluate on an empty set")
     logits = model.predict(x)
-    if sizes is None:
+    if not isinstance(model, CohortModel):
         loss, _ = softmax_cross_entropy(logits, y)
         return loss
     bounds = np.cumsum(sizes)[:-1]
     labels = np.split(y, bounds)
-
-    def per_set(member_logits: np.ndarray) -> np.ndarray:
-        return np.array([
+    return np.array([
+        [
             softmax_cross_entropy(part, lab)[0]
-            for part, lab in zip(np.split(member_logits, bounds), labels)
-        ])
-
-    if isinstance(model, CohortModel):
-        return np.stack([per_set(member) for member in logits])
-    return per_set(logits)
+            for part, lab in zip(np.split(member, bounds), labels)
+        ]
+        for member in logits
+    ])
 
 
 def evaluate_accuracy_many(

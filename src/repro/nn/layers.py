@@ -60,7 +60,10 @@ class Layer:
     parametric layers, each cohort slice is transformed by its own stacked
     parameter slice (bound via :meth:`bind_cohort`).  Parameter-free layers
     inherit an exact default that folds the cohort axis into the batch axis;
-    parametric layers implement stacked einsum/GEMM kernels.
+    every parametric layer must implement stacked kernels, since the
+    ``vector`` backend and IFCA's scorer run every model through them (the
+    default :meth:`forward_many` raises ``NotImplementedError`` naming a
+    parametric layer that does not).
     """
 
     #: True for layers whose Parameters represent a classifier head.  Used by
@@ -97,19 +100,6 @@ class Layer:
         """Stacked ``(C, ...)`` non-trainable buffers of a cohort-bound
         layer (empty for stateless layers)."""
         return {}
-
-    def supports_cohort(self) -> bool:
-        """Whether this layer implements the cohort kernel path.
-
-        True for every built-in: parameter-free layers ride the exact
-        reshape default below; parametric built-ins override the kernels.
-        A third-party parametric layer that has not implemented
-        ``forward_many`` reports False, and the vector backend falls back
-        to serial execution for the whole model.
-        """
-        if not self.parameters():
-            return True
-        return type(self).forward_many is not Layer.forward_many
 
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """Cohort-batched forward: ``(C, N, ...) -> (C, N, ...)``.

@@ -79,9 +79,6 @@ class Residual(Layer):
                 out[f"body.{i}.{key}"] = buf
         return out
 
-    def supports_cohort(self) -> bool:
-        return all(layer.supports_cohort() for layer in self.body)
-
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         out = x
         for layer in self.body:
@@ -228,9 +225,6 @@ class CohortModel:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad_many()
-
-    def supports_cohort(self) -> bool:
-        return all(layer.supports_cohort() for layer in self.template.layers)
 
     # -- flat-vector interface --------------------------------------------
     def load_flat(self, flat: np.ndarray) -> None:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from golden import capture_run
 
 from repro import (
     FedAvg,
@@ -120,7 +124,38 @@ class TestCommunicationAccounting:
 class TestGlobalBaselines:
     def test_fedprox_sets_default_mu(self, fed):
         algo = FedProx(fed, model_fn_for(fed), SMALL_CFG, seed=0)
-        assert algo.config.extra["prox_mu"] > 0
+        assert algo.options["prox_mu"] > 0
+
+    def test_fedprox_default_mu_leaves_config_untouched(self, fed):
+        """A bare config runs the declared μ = 0.01, read from the
+        options into each client's spec; ``config.extra`` stays as given."""
+        bare = FedProx(fed, model_fn_for(fed), SMALL_CFG, seed=0)
+        explicit = FedProx(
+            fed, model_fn_for(fed), SMALL_CFG.with_extra(prox_mu=0.01), seed=0
+        )
+        assert capture_run(bare, bare.run()) == capture_run(
+            explicit, explicit.run()
+        )
+        assert bare.config is SMALL_CFG and SMALL_CFG.extra == {}
+        (spec,) = bare.client_task_specs("client_update", [(0, 1)])
+        assert spec.prox_mu == 0.01
+
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    def test_fedprox_zero_mu_is_fedavg(self, fed, backend):
+        """μ = 0 disables the proximal term: FedProx then runs FedAvg
+        bit for bit, while the default μ moves the run."""
+        cfg = replace(SMALL_CFG, backend=backend)
+        captures = []
+        for method, extra in [
+            ("fedavg", {}), ("fedprox", {"prox_mu": 0.0}), ("fedprox", {}),
+        ]:
+            algo = build_algorithm(
+                method, fed, model_fn_for(fed), cfg.with_extra(**extra), seed=0
+            )
+            captures.append(capture_run(algo, algo.run()))
+        fedavg, zero_mu, default_mu = captures
+        assert zero_mu == fedavg
+        assert default_mu["params_digest"] != fedavg["params_digest"]
 
     def test_fednova_aggregation_normalizes(self, fed):
         """FedNova with equal steps must equal FedAvg's aggregate direction."""

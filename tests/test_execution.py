@@ -15,7 +15,13 @@ import json
 import numpy as np
 import pytest
 
-from golden import DATA_DIR, SIM_SECONDS_RTOL, assert_vector_contract
+from golden import (
+    DATA_DIR,
+    SIM_SECONDS_RTOL,
+    assert_vector_contract,
+    canonical_history,
+    params_digest,
+)
 
 from repro.algorithms import IFCA, FedAvg, FedProx, build_algorithm
 from repro.core.fedclust import FedClust
@@ -30,10 +36,10 @@ from repro.fl.execution import (
     make_backend,
     run_spec,
 )
-from repro.fl.server import ClientUpdate
+from repro.fl.server import ClientUpdate, FederatedAlgorithm
 from repro.nn.layers import BatchNorm, Dense, Flatten, Layer, ReLU
 from repro.nn.model import Sequential
-from repro.nn.models import mlp
+from repro.nn.models import lenet5, mlp
 from repro.nn.parameter import Parameter
 from repro.utils.io import load_history, save_history
 from repro.utils.rng import as_generator
@@ -64,6 +70,50 @@ def bn_model_fn_for(fed):
             Flatten(),
             Dense(d, 16, rng, np.float32, name="fc1"),
             BatchNorm(16, name="bn1"),
+            ReLU(),
+            Dense(16, fed.num_classes, rng, np.float32, name="head",
+                  classifier_head=True),
+        )
+
+    return model_fn
+
+
+def lenet_model_fn_for(fed):
+    def model_fn(rng):
+        return lenet5(fed.num_classes, fed.input_shape, rng=rng)
+
+    return model_fn
+
+
+class Scale(Layer):
+    """A parametric layer with serial kernels only (no ``forward_many``)."""
+
+    def __init__(self, features):
+        self.g = Parameter(np.ones(features, np.float32), "scale.g")
+        self._x = None
+
+    def parameters(self):
+        return [self.g]
+
+    def forward(self, x, train=True):
+        self._x = x if train else None
+        return x * self.g.data
+
+    def backward(self, dout):
+        self.g.grad += (dout * self._x).sum(axis=0)
+        return dout * self.g.data
+
+
+def scale_model_fn_for(fed):
+    """An mlp with a :class:`Scale` layer: a model without cohort kernels."""
+
+    def model_fn(rng):
+        rng = as_generator(rng)
+        d = int(np.prod(fed.input_shape))
+        return Sequential(
+            Flatten(),
+            Dense(d, 16, rng, np.float32, name="fc1"),
+            Scale(16),
             ReLU(),
             Dense(16, fed.num_classes, rng, np.float32, name="head",
                   classifier_head=True),
@@ -211,19 +261,6 @@ class TestIfcaOnVector:
     assigned in one scoring pass, then trains and evaluates as ordinary
     default-recipe cohort tasks."""
 
-    def test_unequal_shards_match_serial(self):
-        """The Dirichlet federation's unequal shards leave singleton
-        train and eval groups, which run the spec on the work model."""
-        from test_registry import TestGoldenEquivalence as G
-
-        fed = G._fed("dirichlet")
-        serial, vector = (
-            run_one(fed, "ifca", backend, num_clusters=2)
-            for backend in ("serial", "vector")
-        )
-        assert_vector_contract(serial, vector)
-        np.testing.assert_array_equal(serial[1].cluster_of, vector[1].cluster_of)
-
     def test_many_client_assignment_equals_per_client(self, fed):
         _, algo = run_one(fed, "ifca", "vector", num_clusters=3)
         ids = list(range(fed.num_clients))
@@ -253,54 +290,81 @@ class TestIfcaOnVector:
 
         monkeypatch.setattr(ifca_mod, "evaluate_loss", counting_loss)
         monkeypatch.setattr(ifca_mod.IFCA, "_best_clusters", counting_best)
-        _, algo = run_one(fed, "ifca", backend, num_clusters=3)
-        assert algo._scorer is not None
+        run_one(fed, "ifca", backend, num_clusters=3)
         assert calls["_best_clusters"] > 0
         assert calls["evaluate_loss"] == calls["_best_clusters"], calls
 
-    def test_layer_without_cohort_kernels_scores_per_model(self, fed):
-        """A parametric layer with no ``forward_many`` leaves IFCA on the
-        per-model scoring loop; both backends still run it, with equal
-        assignments."""
 
-        class Scale(Layer):
-            def __init__(self, features):
-                self.g = Parameter(np.ones(features, np.float32), "scale.g")
-                self._x = None
+class TestEverySpecRunsAsACohort:
+    """Under ``vector`` every spec of a spec dispatch runs through the
+    cohort kernels; a spec alone in its shape group is a cohort of one,
+    and gives the serial stack's results bit for bit."""
 
-            def parameters(self):
-                return [self.g]
+    @pytest.mark.parametrize("model_fn_for", [
+        model_fn_for, bn_model_fn_for, lenet_model_fn_for,
+    ], ids=["mlp", "bn-mlp", "lenet5"])
+    @pytest.mark.parametrize("method,extra", [
+        ("fedavg", {}),
+        ("fedprox", {}),
+        ("fedclust", {"lam": "auto"}),
+        ("ifca", {"num_clusters": 2}),
+    ], ids=["fedavg", "fedprox", "fedclust", "ifca"])
+    def test_unequal_shards_match_serial(
+        self, monkeypatch, model_fn_for, method, extra
+    ):
+        """The Dirichlet federation's unequal shards leave one-member
+        train and eval groups: under ``vector`` no spec dispatch falls
+        back to ``local_train``/``local_eval``, and the run equals the
+        serial run exactly."""
+        from test_registry import TestGoldenEquivalence as G
 
-            def forward(self, x, train=True):
-                self._x = x if train else None
-                return x * self.g.data
+        fed = G._fed("dirichlet")
+        calls = []
+        for recipe in ("local_train", "local_eval"):
+            real = getattr(FederatedAlgorithm, recipe)
 
-            def backward(self, dout):
-                self.g.grad += (dout * self._x).sum(axis=0)
-                return dout * self.g.data
+            def spy(self, *args, _real=real, **kwargs):
+                calls.append(_real.__name__)
+                return _real(self, *args, **kwargs)
 
-        def model_fn_for(fed):
-            def model_fn(rng):
-                rng = as_generator(rng)
-                d = int(np.prod(fed.input_shape))
-                return Sequential(
-                    Flatten(),
-                    Dense(d, 16, rng, np.float32, name="fc1"),
-                    Scale(16),
-                    ReLU(),
-                    Dense(16, fed.num_classes, rng, np.float32, name="head",
-                          classifier_head=True),
-                )
+            monkeypatch.setattr(FederatedAlgorithm, recipe, spy)
+        runs = {}
+        for backend in ("serial", "vector"):
+            calls.clear()
+            history, algo = run_one(fed, method, backend, model_fn_for, **extra)
+            runs[backend] = (canonical_history(history), params_digest(algo))
+            assert bool(calls) == (backend == "serial"), (backend, calls)
+        assert runs["vector"] == runs["serial"]
 
-            return model_fn
+    def test_vector_needs_cohort_kernels(self, fed):
+        """A parametric layer without ``forward_many`` runs on ``serial``
+        only: ``vector`` names the layer instead of falling back."""
+        run_one(fed, "fedavg", "serial", scale_model_fn_for)
+        with pytest.raises(NotImplementedError, match="Scale"):
+            run_one(fed, "fedavg", "vector", scale_model_fn_for)
 
-        serial, vector = (
-            run_one(fed, "ifca", backend, model_fn_for, num_clusters=3)
-            for backend in ("serial", "vector")
-        )
-        assert serial[1]._scorer is None and vector[1]._scorer is None
-        np.testing.assert_array_equal(serial[1].cluster_of, vector[1].cluster_of)
-        np.testing.assert_array_equal(serial[0].accuracies, vector[0].accuracies)
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    def test_ifca_scoring_needs_cohort_kernels(self, fed, backend):
+        """IFCA scores its k models as one cohort on both backends."""
+        with pytest.raises(NotImplementedError, match="Scale"):
+            run_one(fed, "ifca", backend, scale_model_fn_for, num_clusters=3)
+
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    def test_stateful_model_needs_buffers_in_every_spec(self, fed, backend):
+        """A spec without buffers for a model with buffers is refused:
+        the task would run on whatever the previous task left in the
+        work model."""
+
+        class NoBuffers(FedAvg):
+            def state_for_client(self, client_id, round_idx):
+                return {}
+
+            def eval_state_for_client(self, client_id):
+                return {}
+
+        algo = NoBuffers(fed, bn_model_fn_for(fed), config_for(backend))
+        with pytest.raises(ValueError, match="fedavg.*state_for_client"):
+            algo.run()
 
 
 #: every spec task, as (algorithm class, method, extras)

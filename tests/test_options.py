@@ -71,6 +71,7 @@ ATTRIBUTE_OF = {
     "topo_edges": "edges",
     "num_clusters": "k",
     "feddyn_alpha": "alpha",
+    "tele_progress": "progress",
 }
 
 
@@ -194,13 +195,16 @@ class TestComponentsHoldResolvedOptions:
         "method", sorted(registry.get_family("algorithm").impls)
     )
     def test_algorithm(self, method, fed):
-        algo = build_algorithm(method, fed, _model_fn(fed), FLConfig(rounds=1))
-        # FedProx writes its fallback mu into its own config
-        resolved = registry.resolve(
-            "algorithm", spec=method, config=algo.config
-        ).options
+        cfg = FLConfig(rounds=1)
+        algo = build_algorithm(method, fed, _model_fn(fed), cfg)
+        resolved = registry.resolve("algorithm", spec=method, config=cfg).options
         self._assert_holds(algo, resolved)
         assert "options" not in algo.checkpoint_state()
+
+    def test_telemetry(self):
+        cfg = FLConfig(rounds=1, telemetry="on:progress=2")
+        resolved = registry.resolve("telemetry", config=cfg).options
+        self._assert_holds(make_telemetry(cfg), resolved)
 
     def test_flaky_declares_its_own_availability(self):
         net = make_network(FLConfig(network="flaky"))
