@@ -44,6 +44,7 @@ __all__ = [
     "capture_run",
     "compare_capture",
     "params_digest",
+    "pinned_case",
 ]
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -126,19 +127,30 @@ def assert_matches_golden(
     environment, the case is (re)captured into the file instead — run
     the affected tests once with the flag, inspect the diff, and commit.
     """
-    path = DATA_DIR / golden_file
     got = {**capture_run(algo, history), **extra}
+    golden = pinned_case(golden_file, case, got)
+    if golden is not None:
+        compare_capture(golden, got, label=case)
+
+
+def pinned_case(golden_file: str, case: str, got):
+    """The pinned ``case`` of ``tests/data/<golden_file>``.
+
+    With ``REPRO_UPDATE_GOLDENS`` set, ``got`` is written as the case
+    instead, and ``None`` is returned.
+    """
+    path = DATA_DIR / golden_file
     if os.environ.get("REPRO_UPDATE_GOLDENS", "").strip():
         data = json.loads(path.read_text()) if path.exists() else {}
         data[case] = got
         path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        return
+        return None
     data = json.loads(path.read_text())
     assert case in data, (
         f"no golden case {case!r} in {path.name}; regenerate with "
         f"REPRO_UPDATE_GOLDENS=1"
     )
-    compare_capture(data[case], got, label=case)
+    return data[case]
 
 
 def assert_vector_contract(serial, vector, label: str = "vector") -> None:

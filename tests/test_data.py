@@ -44,6 +44,26 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             sample_class_images(protos, np.array([0, 3]), rng=0)
 
+    @pytest.mark.parametrize("arg", ["noise", "lowfreq_noise"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_invalid_noise_scale_raises(self, arg, value):
+        with pytest.raises(ValueError, match=f"^{arg} must be"):
+            make_dataset("cifar10", n_samples=100, size=8, **{arg: value})
+
+    def test_zero_noise_scales_leave_the_prototypes(self):
+        protos = make_prototypes(3, (2, 8, 8), rng=0)
+        labels = np.array([2, 0, 1, 2])
+        x = sample_class_images(protos, labels, rng=0, noise=0.0, lowfreq_noise=0.0)
+        np.testing.assert_array_equal(x, protos[labels])
+
+    @pytest.mark.parametrize(
+        "labels", [np.array([0.7, 1.2]), np.array([0.0, 1.0]), np.array([True, False])]
+    )
+    def test_non_integer_labels_raise(self, labels):
+        protos = make_prototypes(3, (1, 8, 8), rng=0)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            sample_class_images(protos, labels, rng=0)
+
     def test_samples_cluster_around_prototypes(self):
         protos = make_prototypes(2, (1, 8, 8), rng=0, class_sep=5.0)
         labels = np.array([0] * 50 + [1] * 50)
