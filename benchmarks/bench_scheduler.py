@@ -13,8 +13,14 @@ the sync loop is gated by its slowest surviving client every round, so
 ``semisync`` (over-select, cancel the tail) and ``buffered`` (async
 aggregation, flushes never wait for stragglers) reach the sync run's
 accuracy level in <= 0.7x its simulated seconds (asserted — i.e. a
->= ~1.4x simulated time-to-accuracy win) while training the same total
-client-update budget.
+>= ~1.4x simulated time-to-accuracy win) while aggregating the same
+total client-update budget.
+
+It also counts the client updates each run trains (``Scheduler.execute``)
+and delivers (``Scheduler.deliver``).  Arrivals are planned before any
+client trains, so ``semisync`` trains only the uploads it keeps: the
+bench fails unless it executed exactly the updates it delivered, a gate
+that holds on any machine.
 
 Runs standalone too (CI smoke)::
 
@@ -25,11 +31,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from _bench_util import write_bench_json
 from repro.experiments import BENCH_SCALE, SMOKE_SCALE
 from repro.experiments.runner import run_cell
+from repro.fl.scheduler import Scheduler
 
 METHODS = ["fedclust", "fedavg"]
 SCHEDULERS = ["sync", "semisync", "buffered"]
@@ -48,8 +56,32 @@ REQUIRED_TIME_FRACTION = 0.7
 OVER_SELECT_FRAC = 1.0
 
 
+@contextmanager
+def counting_updates():
+    """Count the client updates ``Scheduler.execute`` trains and
+    ``Scheduler.deliver`` delivers while the block runs."""
+    counts = {"executed": 0, "delivered": 0}
+    execute, deliver = Scheduler.execute, Scheduler.deliver
+
+    def counted_execute(self, algo, idx, survivors):
+        updates = execute(self, algo, idx, survivors)
+        counts["executed"] += len(updates)
+        return updates
+
+    def counted_deliver(self, algo, item, idx):
+        counts["delivered"] += 1
+        return deliver(self, algo, item, idx)
+
+    Scheduler.execute, Scheduler.deliver = counted_execute, counted_deliver
+    try:
+        yield counts
+    finally:
+        Scheduler.execute, Scheduler.deliver = execute, deliver
+
+
 def run_tradeoff(scale, methods=METHODS, seed: int = 0) -> list[dict]:
-    """One row per (method, scheduler): accuracy + sim-seconds curves."""
+    """One row per (method, scheduler): accuracy + sim-seconds curves,
+    and the client updates the run trained and delivered."""
     rows = []
     for method in methods:
         sync_row = None
@@ -57,14 +89,16 @@ def run_tradeoff(scale, methods=METHODS, seed: int = 0) -> list[dict]:
             fl_options = {"network": NETWORK, "scheduler": sched}
             if sched == "semisync":
                 fl_options["over_select_frac"] = OVER_SELECT_FRAC
-            res = run_cell(
-                "cifar10", method, "label_skew_20", scale, seed=seed,
-                fl_options=fl_options,
-            )
+            with counting_updates() as counts:
+                res = run_cell(
+                    "cifar10", method, "label_skew_20", scale, seed=seed,
+                    fl_options=fl_options,
+                )
             h = res.history
             row = {
                 "method": method,
                 "scheduler": sched,
+                **counts,
                 "accuracy": 100.0 * h.final_accuracy(),
                 "best_accuracy": 100.0 * h.best_accuracy(),
                 "total_sim_s": h.total_sim_seconds(),
@@ -110,8 +144,9 @@ def render(rows: list[dict], scale_name: str) -> str:
         "aggregates asynchronously and never waits.",
         "",
         f"{'method':10s} {'scheduler':9s} {'acc %':>7s} {'best %':>7s} "
-        f"{'total sim s':>12s} {'to-target s':>12s} {'x-win':>7s}",
-        "-" * 72,
+        f"{'total sim s':>12s} {'to-target s':>12s} {'x-win':>7s} "
+        f"{'trained':>7s} {'delivered':>9s}",
+        "-" * 90,
     ]
     for row in rows:
         win = time_win(rows, row["method"], row["scheduler"])
@@ -119,7 +154,8 @@ def render(rows: list[dict], scale_name: str) -> str:
         tail = f"{'--':>12s} {'--':>7s}" if t is None else f"{t:>12.3f} {win:>6.2f}x"
         lines.append(
             f"{row['method']:10s} {row['scheduler']:9s} {row['accuracy']:>7.2f} "
-            f"{row['best_accuracy']:>7.2f} {row['total_sim_s']:>12.2f} {tail}"
+            f"{row['best_accuracy']:>7.2f} {row['total_sim_s']:>12.2f} {tail} "
+            f"{row['executed']:>7d} {row['delivered']:>9d}"
         )
     lines.append("")
     lines.append("Accuracy-vs-simulated-seconds curves")
@@ -157,12 +193,24 @@ def check_wins(rows: list[dict]) -> None:
             )
 
 
+def check_trained_budget(rows: list[dict]) -> None:
+    """semisync must train exactly the updates it delivers: its
+    cancellations are planned before any client trains."""
+    for row in rows:
+        if row["scheduler"] == "semisync":
+            assert row["executed"] == row["delivered"] > 0, (
+                f"{row['method']}/semisync trained {row['executed']} client "
+                f"updates but delivered {row['delivered']}"
+            )
+
+
 def test_scheduler_tradeoff(benchmark, save_artifact):
     from conftest import run_once
 
     rows = run_once(benchmark, lambda: run_tradeoff(BENCH_SCALE))
     save_artifact("scheduler_tradeoff", render(rows, BENCH_SCALE.name))
     check_wins(rows)
+    check_trained_budget(rows)
     # the async schedules must not collapse training: final accuracy stays
     # within reach of the sync run's
     for method in METHODS:
@@ -196,6 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     print(text)
     print(f"[saved to {path} and {json_path}]")
     check_wins(rows)
+    check_trained_budget(rows)
     return 0
 
 

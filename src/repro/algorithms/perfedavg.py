@@ -85,6 +85,13 @@ class PerFedAvg(FedAvg):
             state={k: v.copy() for k, v in model.state().items()},
         )
 
+    def local_steps(self, client_id: int) -> int:
+        # one meta-step per batch pair, or one plain step for a one-batch
+        # client, per epoch (the loop in ``client_update``)
+        cfg = self.config
+        batches = -(-self.fed[client_id].n_train // cfg.batch_size)
+        return max(cfg.local_epochs * max(batches // 2, 1), 1)
+
     def evaluate_client(self, client_id: int) -> float:
         """Personalize with a few inner steps, then test locally."""
         client = self.fed[client_id]

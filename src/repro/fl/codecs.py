@@ -36,12 +36,16 @@ Purity contract
 ---------------
 
 ``encode`` is a pure function of ``(delta, residual, rng)`` — it never
-mutates codec state.  The engine calls it on the main thread after a
-round's client tasks return, and folds the error-feedback residual in via
-:meth:`Codec.commit` **only for clients whose upload was actually
-delivered** (a deadline-dropped client keeps its residual untouched,
-exactly like a real client whose transmission never completed).  This
-keeps every backend bit-for-bit identical with any codec enabled.
+mutates codec state.  A payload's size depends on the delta's length
+alone, never on its values: :meth:`Codec.wire_nbytes` states it, and
+``encode`` reports exactly that as ``Encoded.nbytes``, so the scheduler
+plans every upload's simulated arrival before the client trains.  The
+engine calls ``encode`` on the main thread after a round's client tasks
+return, and folds the error-feedback residual in via :meth:`Codec.commit`
+**only for clients whose upload was actually delivered** (a
+deadline-dropped client keeps its residual untouched, exactly like a
+real client whose transmission never completed).  This keeps every
+backend bit-for-bit identical with any codec enabled.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ __all__ = [
 ]
 
 #: bytes of per-message framing a non-identity codec pays (vector length
-#: as uint64) — kept explicit so ``encoded_nbytes`` is exact, not modeled
+#: as uint64) — kept explicit so ``wire_nbytes`` is exact, not modeled
 _HEADER_BYTES = 8
 
 
@@ -120,6 +124,11 @@ class Codec(ABC):
     def decode(self, encoded: Encoded) -> np.ndarray:
         """Reconstruct the float64 delta the server receives."""
 
+    @abstractmethod
+    def wire_nbytes(self, n: int) -> int:
+        """Exact wire size of an ``n``-entry delta's payload, headers
+        included: what :meth:`encode` reports as ``Encoded.nbytes``."""
+
     def traced_encode(
         self, client_id: int, delta: np.ndarray, rng: np.random.Generator
     ) -> Encoded:
@@ -138,12 +147,6 @@ class Codec(ABC):
             client=None if client_id is None else int(client_id),
         ):
             return self.decode(encoded)
-
-    def encoded_nbytes(
-        self, client_id: int, delta: np.ndarray, rng: np.random.Generator
-    ) -> int:
-        """Exact wire bytes :meth:`encode` would produce for ``delta``."""
-        return self.encode(client_id, delta, rng).nbytes
 
     def commit(self, client_id: int, encoded: Encoded) -> None:
         """Fold a *delivered* transfer's error-feedback state in.
@@ -178,12 +181,15 @@ class IdentityCodec(Codec):
     def encode(self, client_id, delta, rng) -> Encoded:
         return Encoded(
             payload={"values": delta},
-            nbytes=int(delta.nbytes),
+            nbytes=self.wire_nbytes(delta.size),
             logical_nbytes=int(delta.nbytes),
         )
 
     def decode(self, encoded: Encoded) -> np.ndarray:
         return encoded.payload["values"]
+
+    def wire_nbytes(self, n: int) -> int:
+        return 8 * int(n)
 
 
 @register("codec", "fp16")
@@ -211,12 +217,15 @@ class Fp16Codec(Codec):
         values = np.clip(values, -self._F16_MAX, self._F16_MAX).astype(np.float16)
         return Encoded(
             payload={"values": values},
-            nbytes=int(values.nbytes) + _HEADER_BYTES,
+            nbytes=self.wire_nbytes(delta.size),
             logical_nbytes=int(delta.nbytes),
         )
 
     def decode(self, encoded: Encoded) -> np.ndarray:
         return encoded.payload["values"].astype(np.float64)
+
+    def wire_nbytes(self, n: int) -> int:
+        return 2 * int(n) + _HEADER_BYTES
 
 
 @register("codec", "int8")
@@ -281,7 +290,7 @@ class Int8Codec(Codec):
                     "scale": np.float64(0.0),
                     "nonfinite": True,
                 },
-                nbytes=int(delta.size) + 8 + _HEADER_BYTES,
+                nbytes=self.wire_nbytes(delta.size),
                 logical_nbytes=int(delta.nbytes),
             )
         scale = peak / 127.0
@@ -309,12 +318,15 @@ class Int8Codec(Codec):
             q = np.clip(q, -127, 127).astype(np.int8)
         return Encoded(
             payload={"q": q, "scale": np.float64(scale)},
-            nbytes=int(q.nbytes) + 8 + _HEADER_BYTES,  # +8: the scale
+            nbytes=self.wire_nbytes(delta.size),
             logical_nbytes=int(delta.nbytes),
         )
 
     def decode(self, encoded: Encoded) -> np.ndarray:
         return encoded.payload["q"].astype(np.float64) * float(encoded.payload["scale"])
+
+    def wire_nbytes(self, n: int) -> int:
+        return int(n) + 8 + _HEADER_BYTES  # +8: the scale
 
     def commit(self, client_id: int, encoded: Encoded) -> None:
         if encoded.payload.get("nonfinite"):
@@ -395,7 +407,7 @@ class TopKCodec(Codec):
         compensated = np.add(
             delta, self.residual(client_id, delta.size), out=ws["comp"]
         )
-        k = max(1, math.ceil(self.frac * delta.size))
+        k = self._k(delta.size)
         if k >= delta.size:
             idx = np.arange(delta.size, dtype=np.int32)
         else:
@@ -421,10 +433,18 @@ class TopKCodec(Codec):
         residual_after[idx] = 0.0
         return Encoded(
             payload={"idx": idx, "values": values, "n": np.int64(delta.size)},
-            nbytes=int(idx.nbytes) + int(values.nbytes) + _HEADER_BYTES,
+            nbytes=self.wire_nbytes(delta.size),
             logical_nbytes=int(delta.nbytes),
             residual_after=residual_after,
         )
+
+    def _k(self, n: int) -> int:
+        """``k`` for an ``n``-entry delta (``encode`` sends all n when k >= n)."""
+        return max(1, math.ceil(self.frac * n))
+
+    def wire_nbytes(self, n: int) -> int:
+        # (int32 index, float64 value) per transmitted entry
+        return 12 * min(self._k(n), int(n)) + _HEADER_BYTES
 
     def decode(self, encoded: Encoded) -> np.ndarray:
         out = np.zeros(int(encoded.payload["n"]), dtype=np.float64)

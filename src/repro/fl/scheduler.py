@@ -5,30 +5,41 @@ A :class:`Scheduler` owns rounds 1..T of a federation run (round-0
 loop, on a virtual clock driven by :meth:`NetworkModel.client_seconds
 <repro.fl.network.NetworkModel.client_seconds>`:
 
-    select → ``wire_down`` → ``execute`` → ``encode_upload`` +
-    ``trip_seconds`` per upload → arrival policy (keep, deadline-cut or
-    cancel) → ``deliver`` into the topology sink → ``aggregate`` →
-    record on the eval cadence → checkpoint
+    select → ``wire_down`` → ``trip_seconds`` per survivor → arrival
+    policy (keep, deadline-cut or cancel) → ``execute`` the kept →
+    ``encode_upload`` + ``deliver`` each into the topology sink →
+    ``aggregate`` → record on the eval cadence → checkpoint
+
+Nothing a client computes moves its simulated arrival: a trip reads
+only the download bytes, the upload's wire bytes (every codec sizes its
+payload from the slice length alone) and the step count
+(:meth:`FederatedAlgorithm.local_steps
+<repro.fl.server.FederatedAlgorithm.local_steps>`).  So the policy runs
+on the planned trips before ``execute``: a cancelled or cut client is
+charged in virtual time (its download is metered, its trip ranks it)
+but never trained or encoded.  A kept upload whose actual wire bytes or
+steps differ from its plan fails the run.  A round without a clock
+(``sync`` on an ideal network with no deadline) plans nothing.
 
 Schedulers differ only in their *arrival policy* — which uploads a
 boundary waits for:
 
 ``sync`` — wait for all
     Samples ``sample_rate`` of the roster and keeps every upload the
-    deadline (if any) does not cut.  Each upload is classified the
-    moment it is encoded, in submission order, and delivered before the
-    next one is encoded; the clock only runs when something is simulated
+    deadline (if any) does not cut, classifying the planned trips in
+    submission order; the clock only runs when something is simulated
     (a non-ideal network or a deadline).  With the default configuration
     this is **bit-for-bit** the seed engine on every execution backend.
 
 ``semisync`` — first quorum
-    Over-selects by ``over_select_frac``, ranks the round's uploads by
-    simulated arrival time, keeps the first *quorum* (the nominal cohort
-    of the live roster) and cancels the tail: cancelled uploads never
-    complete, are never metered, and (for error-feedback codecs) never
-    commit their residuals.  Ranking needs the clock, so it always runs,
-    and every kept arrival is logged in ``extras["events"]``.  With
-    ``over_select_frac=0`` it keeps exactly the uploads ``sync`` keeps.
+    Over-selects by ``over_select_frac``, ranks the round's planned
+    trips by simulated arrival time, keeps the first *quorum* (the
+    nominal cohort of the live roster) and cancels the tail: cancelled
+    uploads are never trained, never metered, and (for error-feedback
+    codecs) never commit their residuals.  Ranking needs the clock, so
+    it always runs, and every kept arrival is logged in
+    ``extras["events"]``.  With ``over_select_frac=0`` it keeps exactly
+    the uploads ``sync`` keeps.
 
 ``buffered`` — buffered flush
     Buffered asynchronous aggregation in the FedBuff/FedAsync style,
@@ -273,11 +284,12 @@ class Scheduler:
     policy, :meth:`selection_rate` and :meth:`quorum` (the defaults are
     ``sync``'s: sample at ``sample_rate``, wait for every upload).  The
     loop calls the round primitives — ``wire_down`` (select →
-    availability → download metering → dropout), ``execute`` (the
-    backend sweep), ``encode_upload`` / ``trip_seconds`` / ``deliver``
-    (the wire layer split at the virtual-time boundary) — and the
-    boundary's :meth:`commit` through ``self``, so subclasses and
-    profilers can wrap each one.  One scheduler instance serves one run.
+    availability → download metering → dropout), ``trip_seconds`` (the
+    planned trip), ``execute`` (the backend sweep over the kept
+    clients), ``encode_upload`` / ``deliver`` (the wire layer split at
+    the virtual-time boundary) — and the boundary's :meth:`commit`
+    through ``self``, so subclasses and profilers can wrap each one.
+    One scheduler instance serves one run.
     """
 
     #: registry name; subclasses set this
@@ -329,15 +341,27 @@ class Scheduler:
                     algo, round_idx, selected
                 )
                 spans.unavailable.extend(unavailable)
-                updates = self.execute(algo, round_idx, survivors)
+                quorum = self.quorum(algo)
+                kept, round_sim = self.plan_arrivals(
+                    algo, spans, round_idx, survivors, down_nbytes, quorum
+                )
+                updates = self.execute(algo, round_idx, [c for c, _ in kept])
                 # the topology sink receives each delivered update the
                 # moment it clears the wire (flat: a pass-through list,
                 # bit-for-bit the seed; hier: streaming edge reduction)
                 sink = algo.topology.sink(algo, round_idx)
                 with tele.span("wire_up", cat="wire", uploads=len(updates)):
-                    round_sim = self.arrive(
-                        algo, spans, round_idx, updates, down_nbytes, sink
-                    )
+                    # one upload on the wire at a time: each is encoded and
+                    # delivered before the next, and the loop drops its own
+                    # reference to the update
+                    for seq, (cid, t) in enumerate(kept):
+                        u, updates[seq] = updates[seq], None
+                        item = self.encode_upload(
+                            algo, u, round_idx, planned=t is not None
+                        )
+                        sink.add(self.deliver(algo, item, round_idx))
+                        if quorum is not None:
+                            spans.arrival(cid, t, 0, round_idx)
                 delivered = sink.finish()
                 spans.sim += round_sim
                 self.pop_now += round_sim if self.simulate else 1.0
@@ -346,40 +370,42 @@ class Scheduler:
                 )
                 self.maybe_checkpoint(algo, spans, round_idx)
 
-    def arrive(
+    def plan_arrivals(
         self, algo: "FederatedAlgorithm", spans: _Spans, round_idx: int,
-        updates: list, down_nbytes: dict[int, int], sink,
-    ) -> float:
-        """Keep, deadline-cut or cancel one round's uploads; deliver the kept.
+        survivors: list[int], down_nbytes: dict[int, int], quorum: int | None,
+    ) -> tuple[list[tuple[int, float | None]], float]:
+        """Keep, deadline-cut or cancel one round's survivors on their
+        planned trips, before any of them trains.
 
-        Without a quorum each upload is classified as soon as it is
-        encoded, in submission order, and delivered before the next one
-        is encoded (the loop drops its own reference, so at most one
-        upload is held on the wire).  With a quorum all uploads are
-        encoded first and ranked by ``(arrival time, submission order)``;
-        the kept ones are then delivered in submission order and logged
-        as arrivals.  Returns the round's simulated duration: the last
-        kept arrival, or the whole deadline when anyone was cut.
+        Nothing a client computes moves its arrival (:meth:`trip_seconds`),
+        so the policy runs here, in front of ``execute``: a cancelled or
+        cut client is charged in virtual time but never trained or
+        encoded.  Without a quorum the trips are classified in submission
+        order; a quorum ranks them by ``(arrival time, submission order)``
+        and cancels every one after the quorum-th.  A round without a
+        clock (``sync`` on an ideal network with no deadline) plans
+        nothing and keeps every survivor, with no arrival time.
+
+        Returns:
+            ``(kept, round_sim)``: the kept ``(client id, arrival time)``
+            pairs in submission order, and the round's simulated
+            duration: the last kept arrival, or the whole deadline when
+            anyone was cut.
         """
-        tele = algo.telemetry
-        quorum = self.quorum(algo)
         ranked = quorum is not None
-        clocked = ranked or self.simulate
-
-        def timed(seq: int) -> tuple[float, int, WireItem]:
-            u, updates[seq] = updates[seq], None
-            item = self.encode_upload(algo, u, round_idx)
-            t = self.trip_seconds(algo, item, down_nbytes) if clocked else 0.0
-            return t, seq, item
-
-        arrivals = map(timed, range(len(updates)))
+        if not (ranked or self.simulate):
+            return [(cid, None) for cid in survivors], 0.0
+        tele = algo.telemetry
+        trips = [
+            (self.trip_seconds(algo, cid, down_nbytes, round_idx), seq, cid)
+            for seq, cid in enumerate(survivors)
+        ]
         if ranked:
-            arrivals = sorted(arrivals, key=lambda a: a[:2])
-        kept: list[tuple[int, float, WireItem]] = []
+            trips.sort(key=lambda trip: trip[:2])
+        kept: list[tuple[int, int, float]] = []
         cut = False
         round_sim = 0.0
-        for t, seq, item in arrivals:
-            cid = item.update.client_id
+        for t, seq, cid in trips:
             if ranked and len(kept) >= quorum:
                 # the server stopped waiting when the quorum filled;
                 # everything later is cancelled, deadline or not
@@ -400,21 +426,18 @@ class Scheduler:
                 )
                 tele.count("deadline_drops")
             else:
-                if clocked:
-                    tele.vspan(
-                        "trip", self.pop_now, self.pop_now + t, client=int(cid)
-                    )
-                    round_sim = max(round_sim, t)
-                if ranked:
-                    kept.append((seq, t, item))
-                else:
-                    sink.add(self.deliver(algo, item, round_idx))
-        for seq, t, item in sorted(kept, key=lambda k: k[0]):
-            sink.add(self.deliver(algo, item, round_idx))
-            spans.arrival(item.update.client_id, t, 0, round_idx)
+                tele.vspan(
+                    "trip", self.pop_now, self.pop_now + t, client=int(cid)
+                )
+                round_sim = max(round_sim, t)
+                kept.append((seq, cid, t))
+        kept.sort()
         # the server waits out the budget; a ranked round only cuts when
         # its quorum never filled (every arrival after a cut is late too)
-        return self.deadline if cut else round_sim
+        return (
+            [(cid, t) for _, cid, t in kept],
+            self.deadline if cut else round_sim,
+        )
 
     # ------------------------------------------------------------------
     # steps shared by every scheduler
@@ -616,11 +639,12 @@ class Scheduler:
     def execute(
         self, algo: "FederatedAlgorithm", round_idx: int, survivors: Sequence[int]
     ) -> list["ClientUpdate"]:
-        """Run ``client_update`` for the survivors on the active backend."""
+        """Run ``client_update`` for the kept clients on the active backend."""
         return algo._backend.run_updates(algo, round_idx, survivors)
 
     def encode_upload(
-        self, algo: "FederatedAlgorithm", u: "ClientUpdate", key_idx: int
+        self, algo: "FederatedAlgorithm", u: "ClientUpdate", key_idx: int,
+        planned: bool = False,
     ) -> WireItem:
         """Codec-encode one upload and size it (no metering, no commit).
 
@@ -633,6 +657,11 @@ class Scheduler:
         (:mod:`repro.fl.attacks`): lossy codecs, wire metering, and the
         simulated network all see the poisoned update, identically
         across the sync/semisync/buffered schedulers.
+
+        Raises:
+            RuntimeError: if ``planned`` (the upload's trip was planned
+                before the client trained) and its actual wire bytes or
+                step count differ from :meth:`planned_upload`'s.
         """
         if algo.attack.enabled:
             u = algo.attack.poison_upload(algo, u, key_idx)
@@ -653,15 +682,45 @@ class Scheduler:
                 item.ref_sl = ref[sl].copy()
                 item.sl = sl
                 item.wire_up = encoded.nbytes + overhead
+        if planned:
+            plan = self.planned_upload(algo, u.client_id, key_idx)
+            if (item.wire_up, u.steps) != plan:
+                raise RuntimeError(
+                    f"{type(algo).__name__} ({algo.name!r}): client "
+                    f"{u.client_id}'s upload took {u.steps} steps and "
+                    f"{item.wire_up} wire bytes, but its arrival was planned "
+                    f"from {plan[1]} steps and {plan[0]} bytes before it "
+                    "trained; an algorithm whose loop takes another number "
+                    "of steps must override local_steps"
+                )
         return item
 
+    def planned_upload(
+        self, algo: "FederatedAlgorithm", client_id: int, key_idx: int
+    ) -> tuple[int, int]:
+        """``(wire bytes, steps)`` of the client's upload, before it trains.
+
+        Every codec sizes its payload from the wire slice's length alone
+        (:meth:`Codec.wire_nbytes <repro.fl.codecs.Codec.wire_nbytes>`)
+        and :meth:`FederatedAlgorithm.local_steps
+        <repro.fl.server.FederatedAlgorithm.local_steps>` counts the
+        steps, so neither waits for the client's update.
+        """
+        wire_up = algo.upload_bytes(client_id, key_idx)
+        if wire_up > 0 and not self.identity:
+            n = len(range(algo.model.num_parameters())[algo.wire_slice()])
+            overhead = max(0, wire_up - algo.wire_payload_bytes())
+            wire_up = algo.codec.wire_nbytes(n) + overhead
+        return wire_up, algo.local_steps(client_id)
+
     def trip_seconds(
-        self, algo: "FederatedAlgorithm", item: WireItem, down_nbytes: dict[int, int]
+        self, algo: "FederatedAlgorithm", client_id: int,
+        down_nbytes: dict[int, int], key_idx: int,
     ) -> float:
-        """Simulated seconds for the upload's full client round trip."""
-        u = item.update
+        """Simulated seconds for the client's full planned round trip."""
+        wire_up, steps = self.planned_upload(algo, client_id, key_idx)
         return algo.network.client_seconds(
-            u.client_id, down_nbytes[u.client_id], item.wire_up, u.steps
+            client_id, down_nbytes[client_id], wire_up, steps
         )
 
     def deliver(
@@ -708,19 +767,21 @@ class SemiSyncScheduler(Scheduler):
     """First quorum: over-select, keep the first arrivals, cancel the tail.
 
     Each round samples ``sample_rate * (1 + over_select_frac)`` of the
-    federation, executes every survivor, ranks their simulated round
-    trips, and keeps the first ``quorum`` (= the nominal cohort of the
-    live roster) to arrive.  The rest are cancelled: their uploads never
-    complete, cost no wire bytes, and never commit error-feedback
-    residuals — their ids land in ``RoundRecord.extras["cancelled"]``.
-    The round's simulated duration is the quorum-th arrival, so a single
-    straggler no longer gates the round.  A configured ``deadline``
-    still applies on top (arrivals past it count as ``deadline_dropped``).
+    federation, ranks every survivor's planned round trip, and keeps the
+    first ``quorum`` (= the nominal cohort of the live roster) to
+    arrive.  The rest are cancelled: their uploads never complete, cost
+    no wire bytes, and never commit error-feedback residuals — their ids
+    land in ``RoundRecord.extras["cancelled"]``.  The round's simulated
+    duration is the quorum-th arrival, so a single straggler no longer
+    gates the round.  A configured ``deadline`` still applies on top
+    (arrivals past it count as ``deadline_dropped``).
 
-    Cancelled clients still *train* (in the modeled world their compute
-    happened; the server just ignores the upload), so the simulation pays
-    their real wall-clock cost too — over-selection trades client compute
-    for virtual time, exactly like the deployed systems it models.
+    In the modeled world a cancelled client's compute happened: it is
+    charged in virtual time (its download is metered and its trip ranks
+    it), so over-selection still trades client compute for virtual time,
+    like the deployed systems it models.  Only wall-clock changes: the
+    ranking runs on planned trips before ``execute``, so the simulator
+    never trains or encodes a cancelled client.
     """
 
     name = "semisync"
@@ -880,9 +941,12 @@ class BufferedScheduler(Scheduler):
                 algo, cycle, np.asarray(picks, dtype=int)
             )
             spans.unavailable.extend(unavailable)
-            for u in self.execute(algo, cycle, survivors):
-                item = self.encode_upload(algo, u, cycle)
-                dur = self.trip_seconds(algo, item, down_nbytes)
+            trips = [
+                self.trip_seconds(algo, cid, down_nbytes, cycle)
+                for cid in survivors
+            ]
+            for u, dur in zip(self.execute(algo, cycle, survivors), trips):
+                item = self.encode_upload(algo, u, cycle, planned=True)
                 heapq.heappush(
                     self._heap, (t + dur, self._seq, cycle, self._version, item)
                 )

@@ -11,11 +11,13 @@ runs are bit-for-bit reproducible *and* measurable.
 Between client execution and aggregation sits the **wire layer**
 (:mod:`repro.fl.codecs` / :mod:`repro.fl.network`): each upload's delta is
 encoded by the configured codec (quantization, top-k sparsification), the
-compressed byte count is metered and drives the simulated network timing,
-a per-round deadline may cut late clients, and the server decodes — so
+compressed byte count is metered, and the server decodes — so
 aggregation operates on what was actually transmitted.  All of it runs
 after the round's client tasks return, so it is the same under either
-execution backend (contract below).
+execution backend (contract below).  The simulated network timing, and
+with it a per-round deadline's cuts, is planned before the tasks run,
+from the codec's size for the slice length and :meth:`local_steps
+<FederatedAlgorithm.local_steps>` (:mod:`repro.fl.scheduler`).
 
 Round convention (paper Alg. 1): round 0 is the setup round (FedClust's
 one-shot clustering happens there); training rounds are 1..T.
@@ -371,6 +373,20 @@ class FederatedAlgorithm(ABC):
             ]
         raise ValueError(f"{method!r} is not a spec task of {self.name!r}")
 
+    def local_steps(self, client_id: int) -> int:
+        """SGD steps the client's update takes, known before it trains.
+
+        The scheduler plans each round's simulated arrivals from this
+        count, and a planned upload that reports another ``steps`` fails
+        the run (:meth:`Scheduler.encode_upload
+        <repro.fl.scheduler.Scheduler.encode_upload>`).  This is the
+        default recipe's ``local_epochs × ⌈n_train / batch_size⌉``, which
+        SCAFFOLD's and FedDyn's loops also take; an algorithm whose loop
+        takes another number of steps overrides it (Per-FedAvg).
+        """
+        cfg = self.config
+        return cfg.local_epochs * -(-self.fed[client_id].n_train // cfg.batch_size)
+
     def download_bytes(self, client_id: int, round_idx: int) -> int:
         """Bytes the server sends a selected client this round."""
         return self.model_bytes
@@ -474,9 +490,10 @@ class FederatedAlgorithm(ABC):
         virtual clock (:mod:`repro.fl.population`).  The default ``sync``
         scheduler is the seed round loop: sample clients, drop the
         unavailable (network model), meter downloads, draw dropouts,
-        execute the surviving clients' updates on the configured backend,
-        pass each upload through the wire layer (codec encode → deadline
-        check → meter compressed bytes → decode), aggregate the delivered
+        plan each survivor's simulated trip and cut those a deadline
+        would, execute the kept clients' updates on the configured
+        backend, pass each upload through the wire layer (codec encode →
+        meter compressed bytes → decode), aggregate the delivered
         cohort, and (on eval rounds) record accuracy, communication,
         simulated round time, and wall-clock timing.  ``semisync`` and
         ``buffered`` rearrange the same primitives on a virtual-clock

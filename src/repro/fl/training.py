@@ -17,6 +17,7 @@ from repro.nn.losses import softmax_cross_entropy, softmax_cross_entropy_many
 from repro.nn.model import CohortModel, Sequential
 from repro.nn.optim import SGD, CohortSGD
 from repro.nn.serialization import flatten_grads
+from repro.utils.maths import softmax
 
 __all__ = [
     "local_sgd",
@@ -209,17 +210,32 @@ def evaluate_loss(
         raise ValueError("cannot evaluate on an empty set")
     logits = model.predict(x)
     if not isinstance(model, CohortModel):
-        loss, _ = softmax_cross_entropy(logits, y)
-        return loss
-    bounds = np.cumsum(sizes)[:-1]
-    labels = np.split(y, bounds)
-    return np.array([
-        [
-            softmax_cross_entropy(part, lab)[0]
-            for part, lab in zip(np.split(member, bounds), labels)
-        ]
-        for member in logits
-    ])
+        return float(_mean_nll(logits[None], y, [len(y)])[0, 0])
+    return _mean_nll(logits, y, sizes)
+
+
+def _mean_nll(
+    logits: np.ndarray, y: np.ndarray, sizes: Sequence[int]
+) -> np.ndarray:
+    """``(C, len(sizes))`` mean cross-entropy of each member on each set.
+
+    One softmax over the ``(C, N, classes)`` logits, then each set's mean
+    of ``-log(p + eps)`` over its contiguous rows: bit for bit the loss
+    :func:`softmax_cross_entropy` returns for that member's slice, without
+    building its gradient.
+    """
+    probs = softmax(logits, axis=-1)
+    eps = np.finfo(np.float64).tiny
+    # all-advanced indexing keeps the (C, N) pick C-ordered, so each set's
+    # mean reduces a contiguous run pairwise, as the scalar loss does
+    members = np.arange(len(probs))[:, None]
+    rows = np.arange(len(y))[None, :]
+    logp = np.log(probs[members, rows, np.asarray(y, dtype=np.int64)] + eps)
+    ends = np.cumsum(sizes)
+    return np.stack(
+        [-logp[:, end - n : end].mean(axis=1) for n, end in zip(sizes, ends)],
+        axis=1,
+    )
 
 
 def evaluate_accuracy_many(

@@ -1,7 +1,8 @@
 """Wire-layer codecs: round-trip, error bounds, error feedback, metering.
 
 The contract (see ``docs/architecture.md``): a codec's ``encode`` is pure,
-``encoded_nbytes`` is exact (metered, not modeled), ``decode`` returns a
+its size is ``wire_nbytes(n)`` exactly (metered, not modeled, and a
+function of the delta's length alone), ``decode`` returns a
 float64 vector of the original shape, and the engine's wire layer applies
 all of it after the round's client tasks, so the ``vector`` backend stays
 within its pinned contract of serial (byte metering exact) with any codec
@@ -85,13 +86,51 @@ class TestRoundTrip:
         np.testing.assert_array_equal(codec.decode(enc), delta)
         assert enc.nbytes == delta.nbytes
 
-    def test_encoded_nbytes_matches_encode(self):
+
+class TestSizeContract:
+    """``encode(...).nbytes == wire_nbytes(n)`` for every codec: a payload
+    is sized from the delta's length alone, so the scheduler can plan an
+    upload's arrival before the client trains."""
+
+    #: n = 1, an odd size and an even one
+    SIZES = (1, 257, 60)
+
+    @pytest.mark.parametrize("name", sorted(registry.classes("codec")))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_encode_reports_wire_nbytes(self, name, n):
+        codec = make_codec(codec=name)
+        delta = rng().standard_normal(n)
+        assert codec.encode(0, delta, rng()).nbytes == codec.wire_nbytes(n)
+
+    @pytest.mark.parametrize("frac, n", [(0.05, 1), (0.6, 2), (0.9, 3), (1.0, 7)])
+    def test_topk_keeping_every_entry(self, frac, n):
+        """k = ceil(frac * n) >= n: every entry is sent."""
+        codec = TopKCodec(frac=frac)
+        assert math.ceil(frac * n) >= n
+        enc = codec.encode(0, rng().standard_normal(n), rng())
+        assert enc.payload["idx"].size == n
+        assert enc.nbytes == codec.wire_nbytes(n)
+
+    def test_values_do_not_move_the_size(self):
+        """NaN/inf entries, zeros and a residual leave the size alone."""
+        n = 101
+        weird = rng().standard_normal(n)
+        weird[[3, 50]] = np.nan
+        weird[7] = np.inf
         for name in sorted(registry.classes("codec")):
             codec = make_codec(codec=name)
-            delta = rng().standard_normal(64)
-            assert codec.encoded_nbytes(0, delta, rng()) == codec.encode(
-                0, delta, rng()
-            ).nbytes
+            for delta in (weird, np.zeros(n), rng().standard_normal(n) * 1e30):
+                enc = codec.encode(1, delta, rng())
+                assert enc.nbytes == codec.wire_nbytes(n), name
+                codec.commit(1, enc)
+
+    def test_int8_nonfinite_delta(self):
+        """A non-finite peak zero-encodes at the same size."""
+        codec = Int8Codec()
+        delta = np.array([1.0, np.inf, -2.0])
+        enc = codec.encode(0, delta, rng())
+        assert enc.payload.get("nonfinite")
+        assert enc.nbytes == codec.wire_nbytes(3)
 
 
 class TestQuantization:

@@ -22,6 +22,8 @@ from repro.fl import (
     weighted_average,
 )
 from repro.nn import SGD, mlp
+from repro.nn.losses import softmax_cross_entropy
+from repro.nn.model import CohortModel
 
 
 class TestFLConfig:
@@ -164,6 +166,35 @@ class TestTrainingRoutines:
         loss0 = evaluate_loss(model, x, y)
         local_sgd(model, opt, x, y, epochs=10, batch_size=10, rng=rng)
         assert evaluate_loss(model, x, y) < loss0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+        members=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_evaluate_loss_equals_per_slice_cross_entropy(self, sizes, members, seed):
+        """The loss-only table is bit for bit the per-slice scalar loss
+        (``softmax_cross_entropy``), for a cohort model and a plain one."""
+        rng = np.random.default_rng(seed)
+        model = mlp(5, input_shape=(1, 4, 4), hidden=8, rng=seed)
+        cohort = CohortModel(model, members)
+        cohort.load_flat(rng.normal(size=(members, model.num_parameters())) * 2)
+        x = rng.normal(size=(sum(sizes), 1, 4, 4)).astype(np.float32)
+        y = rng.integers(0, 5, size=sum(sizes))
+        table = evaluate_loss(cohort, x[None], y, sizes)
+        logits = cohort.predict(x[None])
+        bounds = np.cumsum(sizes)[:-1]
+        expected = [
+            [
+                softmax_cross_entropy(part, lab)[0]
+                for part, lab in zip(np.split(member, bounds), np.split(y, bounds))
+            ]
+            for member in logits
+        ]
+        assert table.tobytes() == np.array(expected).tobytes()
+        scalar = evaluate_loss(model, x, y)
+        assert scalar == softmax_cross_entropy(model.predict(x), y)[0]
 
     def test_local_sgd_step_count(self):
         model = mlp(2, input_shape=(1, 2, 2), hidden=4, rng=0)

@@ -17,7 +17,7 @@ import pytest
 
 from golden import assert_vector_contract, canonical_history, params_digest
 
-from repro.algorithms import build_algorithm
+from repro.algorithms import FedAvg, build_algorithm
 from repro.data import build_federated_dataset, make_dataset
 from repro.experiments.configs import SMOKE_SCALE
 from repro.experiments.runner import build_cell, run_cell
@@ -25,6 +25,7 @@ from repro.fl import registry
 from repro.fl.config import FLConfig
 from repro.fl.scheduler import (
     BufferedScheduler,
+    Scheduler,
     SemiSyncScheduler,
     SyncScheduler,
     make_scheduler,
@@ -50,10 +51,12 @@ def model_fn_for(fed):
 
 
 def run_one(fed, method: str, extra: dict | None = None, **cfg_kwargs):
-    cfg = FLConfig(
+    kwargs = dict(
         rounds=3, sample_rate=0.6, local_epochs=1, batch_size=10, lr=0.05,
-        eval_every=1, **cfg_kwargs,
-    ).with_extra(**(extra or {}))
+        eval_every=1,
+    )
+    kwargs.update(cfg_kwargs)
+    cfg = FLConfig(**kwargs).with_extra(**(extra or {}))
     algo = build_algorithm(method, fed, model_fn_for(fed), cfg, seed=0)
     history = algo.run()
     return history, algo
@@ -252,6 +255,149 @@ class TestSemiSync:
         # more downloads (over-selection) but uploads capped at the quorum
         assert int(h.download_bytes.sum()) > int(sync_h.download_bytes.sum())
         assert int(h.upload_bytes.sum()) <= int(sync_h.upload_bytes.sum())
+
+
+class TestPlannedArrivals:
+    """The arrival policy runs on planned trips, before ``execute``.
+
+    A trip reads only the download bytes, the upload's wire size and the
+    step count, so ``semisync`` and a deadline know whom they cancel or
+    cut before anyone trains: ``execute`` sees only the kept clients,
+    while cancellations, deadline cuts, simulated seconds and their
+    events stay those of an engine that trained every survivor first
+    (the pins below were captured from it).
+    """
+
+    #: config overrides -> (cancelled, deadline_dropped, sim_seconds per
+    #: record, and the ``cancel``/``deadline_drop`` events as
+    #: ``(type, client, t, flush)``)
+    CASES = {
+        "semisync": (
+            dict(scheduler="semisync", network="stragglers",
+                 over_select_frac=0.34, sample_rate=0.5),
+            [[2], [0], [0], [0]],
+            [[], [], [], []],
+            [0.40547156337060114, 0.48635242506959453,
+             0.40547156337060114, 0.48635242506959453],
+            [("cancel", 2, 0.48635242506959453, 1),
+             ("cancel", 0, 0.5628123160942137, 2),
+             ("cancel", 0, 0.5628123160942137, 3),
+             ("cancel", 0, 0.5628123160942137, 4)],
+        ),
+        "sync-deadline": (
+            dict(network="stragglers", deadline=0.3, sample_rate=1.0,
+                 dropout_rate=0.3),
+            [[], [], [], []],
+            [[0, 2, 5], [0, 2, 5], [0, 2, 5], [0, 5]],
+            [0.3, 0.3, 0.3, 0.3],
+            [(kind, c, t, r)
+             for r in (1, 2, 3, 4)
+             for kind, c, t in (
+                 ("deadline_drop", 0, 0.5628123160942137),
+                 ("deadline_drop", 2, 0.48635242506959453),
+                 ("deadline_drop", 5, 0.40547156337060114),
+             )
+             if (r, c) != (4, 2)],
+        ),
+    }
+
+    @staticmethod
+    def _spy(monkeypatch) -> dict[str, dict[int, list[int]]]:
+        """Client ids each round executed and delivered, in call order."""
+        seen: dict[str, dict[int, list[int]]] = {"execute": {}, "deliver": {}}
+        execute, deliver = Scheduler.execute, Scheduler.deliver
+
+        def spy_execute(self, algo, idx, survivors):
+            seen["execute"].setdefault(idx, []).extend(int(c) for c in survivors)
+            return execute(self, algo, idx, survivors)
+
+        def spy_deliver(self, algo, item, idx):
+            seen["deliver"].setdefault(idx, []).append(int(item.update.client_id))
+            return deliver(self, algo, item, idx)
+
+        monkeypatch.setattr(Scheduler, "execute", spy_execute)
+        monkeypatch.setattr(Scheduler, "deliver", spy_deliver)
+        return seen
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_executes_only_the_kept(self, fed, monkeypatch, case):
+        overrides, cancelled, dropped, sim, events = self.CASES[case]
+        seen = self._spy(monkeypatch)
+        h, algo = run_one(fed, "fedavg", rounds=4, telemetry="on", **overrides)
+        executed, delivered = (
+            [seen[step].get(r.round, []) for r in h.records]
+            for step in ("execute", "deliver")
+        )
+        assert executed == delivered
+        for r, trained in zip(h.records, executed):
+            lost = set(r.extras.get("cancelled", [])) | set(
+                r.extras.get("deadline_dropped", [])
+            )
+            assert lost and not lost & set(trained)
+        assert [r.extras.get("cancelled", []) for r in h.records] == cancelled
+        assert [r.extras.get("deadline_dropped", []) for r in h.records] == dropped
+        np.testing.assert_allclose(h.sim_seconds, sim, rtol=1e-12)
+        got = [
+            (e["type"], e["client"], e["t"], e["flush"])
+            for e in algo.telemetry.events
+            if e["type"] in ("cancel", "deadline_drop")
+        ]
+        assert [g[:2] + g[3:] for g in got] == [e[:2] + e[3:] for e in events]
+        np.testing.assert_allclose(
+            [g[2] for g in got], [e[2] for e in events], rtol=1e-12
+        )
+
+    def test_unplanned_step_count_fails_under_a_clock(self, fed):
+        """An upload whose steps differ from ``local_steps`` would have
+        arrived at another time than planned: the run fails, naming the
+        algorithm and the client."""
+
+        class ExtraStepFedAvg(FedAvg):
+            def client_update(self, client_id, round_idx):
+                update = super().client_update(client_id, round_idx)
+                update.steps += 1
+                return update
+
+        def run(**cfg_kwargs):
+            cfg = FLConfig(
+                rounds=2, sample_rate=0.6, local_epochs=1, batch_size=10,
+                lr=0.05, eval_every=1, **cfg_kwargs,
+            )
+            return ExtraStepFedAvg(fed, model_fn_for(fed), cfg, seed=0).run()
+
+        for clocked in (dict(network="hetero"), dict(deadline=10.0),
+                        dict(scheduler="semisync"), dict(scheduler="buffered")):
+            with pytest.raises(RuntimeError, match=(
+                r"ExtraStepFedAvg \('fedavg'\): client \d+'s upload took "
+                r"\d+ steps.*override local_steps"
+            )):
+                run(**clocked)
+        # sync on an ideal network with no deadline plans nothing
+        assert len(run().records) == 2
+
+    @pytest.mark.parametrize("batch_size", [7, 10, 40])
+    def test_perfedavg_plans_its_own_steps(self, fed, batch_size):
+        """Per-FedAvg takes one meta-step per batch pair, not one step per
+        batch, and plans with that count (6, 4 and 1 batches per epoch)."""
+        h, algo = run_one(
+            fed, "perfedavg", scheduler="semisync", network="stragglers",
+            over_select_frac=1.0, batch_size=batch_size,
+        )
+        assert any(r.extras.get("cancelled") for r in h.records)
+        n = algo.fed[0].n_train
+        batches = -(-n // batch_size)
+        assert algo.local_steps(0) == max(batches // 2, 1)
+        assert FedAvg.local_steps(algo, 0) == batches
+
+    @pytest.mark.parametrize("method", sorted(registry.classes("algorithm")))
+    def test_every_algorithm_keeps_its_plan(self, fed, method):
+        """Each algorithm's kept uploads take the steps and wire bytes its
+        trips were planned from (a mismatch would raise)."""
+        h, _ = run_one(
+            fed, method, scheduler="semisync", network="stragglers",
+            over_select_frac=1.0, codec="topk",
+        )
+        assert any(r.extras.get("cancelled") for r in h.records)
 
 
 class TestSyncIsSemiSyncWithoutOverSelection:
