@@ -11,9 +11,10 @@ Run as a script, it is the perf-regression gate: ``--gate N --baseline
 ``benchmarks/out/BENCH_N.json`` against the committed baseline and
 exits non-zero when the vectorized path regressed by more than
 ``--max-regression`` (default 25%).  The comparison is on each cell's
-*relative* wall clock — ``vector_s / serial_s``, both measured in the
-same job — so a slower CI runner cannot fail the gate, but a genuinely
-slower vectorized path (relative to the serial loop it replaced) does::
+*relative* wall clock — ``vector_s / ref_s``, where ``ref_s`` is the
+fixed :class:`HostProbe` workload timed in the same job, between the
+cell's timed runs (both medians) — so a slower CI runner cannot fail the
+gate, but a genuinely slower vectorized path does::
 
     PYTHONPATH=src python benchmarks/_bench_util.py --gate 10 \\
         --baseline /tmp/BENCH_10.baseline.json
@@ -24,9 +25,67 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
+
 OUT_DIR = Path(__file__).parent / "out"
+
+
+class HostProbe:
+    """A fixed workload that scales with the host as a federation cell does.
+
+    The yardstick of the time gates: a cell's wall clock divided by this
+    workload's, both timed in the same job, reads the same on a fast and
+    a slow host, and moves only when the cell's own code does.  The
+    workload is the benchmarks' own, the same on every commit, in three
+    parts of about equal time:
+
+    - many small-array numpy calls (a small GEMM, softmax, ReLU,
+      pooling), where dispatch overhead dominates, as in the cells'
+      kernels on 8x8 maps;
+    - a pure-Python dict and string loop, like the engine's glue;
+    - copies of a 16 MB float32 array into a preallocated one: the memory
+      traffic a busy neighbour on the host contends for.
+
+    It follows the design of the probe under ``perfbench/`` without that
+    probe's LeNet-sized 32x32 GEMM part: timed next to the BENCH_SCALE
+    cells in 28 processes on a shared 2-core host, that part tracked the
+    cells worst (correlation 0.2-0.6 of per-process medians, against
+    0.4-0.98 for the small numpy calls).
+    """
+
+    def __init__(self):
+        rng = np.random.default_rng(20240101)
+        self.a = rng.standard_normal((10, 84)).astype(np.float32)
+        self.w = rng.standard_normal((84, 10)).astype(np.float32)
+        self.x = rng.standard_normal((10, 6, 14, 14)).astype(np.float32)
+        self.src = rng.standard_normal(4_000_000).astype(np.float32)
+        self.dst = np.empty_like(self.src)
+        for _ in range(3):  # first-call allocations are not part of a timing
+            self.seconds()
+
+    def _run(self) -> None:
+        for _ in range(30):
+            y = self.a @ self.w
+            y -= y.max(axis=1, keepdims=True)
+            np.exp(y, out=y)
+            relu = np.maximum(self.x, 0.0)
+            relu.reshape(10, 6, 7, 2, 7, 2).max(axis=(3, 5))
+        d: dict[int, int] = {}
+        acc = 0
+        for i in range(60000):
+            d[i & 255] = d.get(i & 255, 0) + i
+            acc += len(str(i)) if i % 7 == 0 else 1
+        for _ in range(4):
+            np.copyto(self.dst, self.src)
+
+    def seconds(self) -> float:
+        """Wall clock of one pass over the workload."""
+        t0 = time.perf_counter()
+        self._run()
+        return time.perf_counter() - t0
 
 
 def write_bench_json(row: dict, name: str) -> Path:
@@ -44,9 +103,11 @@ def gate_regressions(
     """Perf-gate comparison of a fresh bench row against its baseline.
 
     For every cell in the baseline's ``rows``, the gated statistic is the
-    vectorized path's wall clock *relative to the serial loop measured in
-    the same job* (``vector_s / serial_s``) — machine-speed-independent,
-    so only a real slowdown of the vectorized path can trip it.
+    vectorized path's wall clock *relative to the* :class:`HostProbe`
+    *workload timed in the same job* (``vector_s / ref_s``) —
+    machine-speed-independent, so only a real slowdown of the vectorized
+    path can trip it.  The serial loop's ``serial_s`` and the
+    ``speedup`` over it stay in the record, ungated.
 
     Args:
         fresh: the just-generated ``BENCH_N.json`` record.
@@ -67,15 +128,15 @@ def gate_regressions(
             failures.append(f"{cell}: present in baseline, missing from fresh bench")
             continue
         try:
-            base_rel = float(base["vector_s"]) / float(base["serial_s"])
-            fresh_rel = float(row["vector_s"]) / float(row["serial_s"])
+            base_rel = float(base["vector_s"]) / float(base["ref_s"])
+            fresh_rel = float(row["vector_s"]) / float(row["ref_s"])
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             failures.append(f"{cell}: malformed timing row ({exc!r})")
             continue
         limit = (1.0 + max_regression) * base_rel
         if fresh_rel > limit:
             failures.append(
-                f"{cell}: vector/serial wall-clock ratio {fresh_rel:.3f} "
+                f"{cell}: vector/reference wall-clock ratio {fresh_rel:.3f} "
                 f"exceeds baseline {base_rel:.3f} by more than "
                 f"{max_regression:.0%} (limit {limit:.3f})"
             )

@@ -2,7 +2,7 @@
 
 The paper's headline systems claim is communication efficiency (Table 5
 reports Mb to a target accuracy), and the seed engine metered every
-transfer — but always as raw float64 arrays.  This module makes the
+transfer — but always as the raw parameter arrays.  This module makes the
 *representation* of a client's upload pluggable: a codec encodes the
 client's parameter delta into a compressed payload with an exact byte
 count, the tracker meters those compressed bytes, and the server decodes
@@ -12,16 +12,26 @@ accuracy exactly as they would in a real federation.
 Codecs
 ------
 
+A codec's size has two bases.  Against the float64 delta it encodes
+(``Encoded.logical_nbytes``, 8 bytes an entry) ``fp16`` is 4x and
+``int8`` ~8x smaller.  Against what a run meters under ``none`` — the
+parameters in their own dtype, 4 bytes each for the float32 model zoo —
+they are 2x and ~4x smaller.
+
 ``identity`` (name ``"none"``)
-    Raw float64 pass-through; the engine short-circuits it entirely, so
-    the default configuration is bit-for-bit the seed behaviour.
+    Uncompressed pass-through.  The engine short-circuits it entirely (a
+    run never calls its ``encode``) and meters ``upload_bytes()``, the
+    parameters in their own dtype, so the default configuration is
+    bit-for-bit the seed behaviour.
 
 ``fp16``
-    Deterministic cast of the delta to IEEE float16 (4x fewer bytes).
+    Deterministic cast of the delta to IEEE float16 (4x fewer bytes than
+    the float64 delta, 2x fewer than ``none`` meters for float32 models).
 
 ``int8``
     Stochastic uniform quantization to int8 with a per-vector scale
-    (~8x fewer bytes).  Rounding is randomized (unbiased) from a
+    (~8x fewer bytes than the float64 delta, ~4x fewer than ``none``
+    meters for float32 models).  Rounding is randomized (unbiased) from a
     round/client-keyed generator, so all execution backends draw the
     identical noise.
 
@@ -174,7 +184,15 @@ class Codec(ABC):
 
 @register("codec", "none")
 class IdentityCodec(Codec):
-    """Raw float64 pass-through — the seed wire format."""
+    """Uncompressed pass-through — the seed wire format.
+
+    A run never calls :meth:`encode`: the scheduler short-circuits
+    ``none`` and meters ``upload_bytes()``, the parameters in their own
+    dtype (4 bytes each for a float32 model).  :meth:`encode` and
+    :meth:`wire_nbytes` state the float64 delta (8 bytes an entry), the
+    logical base the other codecs' ratios are also quoted against; they
+    serve direct use of the codec.
+    """
 
     name = "none"
 
@@ -194,7 +212,8 @@ class IdentityCodec(Codec):
 
 @register("codec", "fp16")
 class Fp16Codec(Codec):
-    """Deterministic float16 cast (4x smaller than float64).
+    """Deterministic float16 cast: 4x smaller than the float64 delta, and
+    2x smaller than the uploads ``none`` meters for a float32 model.
 
     Entries are clipped to the float16 finite range (±65504) before the
     cast: a delta entry beyond it would otherwise become ±inf, the
@@ -473,11 +492,7 @@ class TopKCodec(Codec):
 
 
 
-def make_codec(
-    config=None,
-    codec: str | None = None,
-    topk_frac: float | None = None,
-) -> Codec:
+def make_codec(config=None, codec: str | None = None) -> Codec:
     """Build the upload codec for one federation run.
 
     Args:
@@ -485,7 +500,6 @@ def make_codec(
             ``codec`` / ``topk_frac`` knobs (optional).
         codec: explicit codec spec overriding the config — a registered
             name, ``"auto"``, or an inline spec like ``"topk:frac=0.05"``.
-        topk_frac: explicit kept fraction for the top-k codec.
 
     Resolution is the registry's (:func:`repro.fl.registry.resolve`):
     ``"auto"`` reads ``REPRO_CODEC`` (default ``none``) and
@@ -496,9 +510,7 @@ def make_codec(
         A fresh :class:`Codec`; one codec instance serves one run (top-k
         holds per-client residual state).
     """
-    r = registry.resolve(
-        "codec", spec=codec, config=config, overrides={"topk_frac": topk_frac}
-    )
+    r = registry.resolve("codec", spec=codec, config=config)
     if r.impl.cls is TopKCodec:
         return TopKCodec(frac=r.options["topk_frac"])
     return r.impl.cls()

@@ -6,13 +6,18 @@ concern of this module, selected via :attr:`repro.fl.config.FLConfig.backend`
 (or the ``REPRO_BACKEND`` environment variable when ``backend="auto"``).
 Both backends run every task in the calling thread:
 
+There is one kernel stack: the ``nn`` layers compute over a leading
+cohort axis (``forward_many``/``backward_many``), and a single model is
+a cohort of one.  The backends differ only in how many clients a cohort
+holds.
+
 ``serial`` (:class:`SerialBackend`)
-    The default: a plain loop over the tasks on the engine's work model.
+    The default: a plain loop over the tasks on the engine's work model,
+    each task a cohort of one.
 
 ``vector`` (:class:`CohortRunner`)
-    Same-shape client tasks are stacked along a leading cohort axis and
-    executed as *one* batched tensor program through the ``nn`` layers'
-    ``forward_many``/``backward_many`` kernels; a task alone in its shape
+    Same-shape client tasks are stacked along the cohort axis and
+    executed as *one* batched tensor program; a task alone in its shape
     runs as a cohort of one.  Batching reorders float accumulation, so
     this backend trades bit-exactness for a pinned numeric tolerance
     (``VECTOR_*`` constants below).  Bespoke client loops, the one kind
@@ -108,8 +113,8 @@ __all__ = [
 #: capture in ``tests/data/golden_conv.json`` equals its serial capture
 #: field for field, parameter and eval digests included, and
 #: ``tests/test_golden_conv.py`` asserts it.  Conv2d's cohort columns
-#: come in the serial im2col order, so its gradient sums run in the
-#: serial order.  Before they did, the ResNet-9 recipe (BatchNorm) read
+#: come in im2col's order, so a member's gradient sums run in the order
+#: of a cohort of one.  Before they did, the ResNet-9 recipe (BatchNorm) read
 #: a round-3 accuracy gap of 0.0236 and a train-loss gap of a relative
 #: 0.0121 from Conv2d's sum order alone.  Those recipes are bitwise on
 #: one BLAS build, not by construction, so the bounds stay.
@@ -172,7 +177,9 @@ class ExecutionBackend(ABC):
 
 @register("backend", "serial")
 class SerialBackend(ExecutionBackend):
-    """Sequential in-process execution — the seed engine's exact behaviour."""
+    """Sequential in-process execution, one task after another, each on
+    the engine's work model as a cohort of one — the seed engine's exact
+    behaviour."""
 
     name = "serial"
 
@@ -314,10 +321,11 @@ class CohortRunner(ExecutionBackend):
     ``local_train``/``local_eval`` — and then calls the methods, exactly
     as ``serial`` does, bit for bit.
 
-    Batched cohorts reproduce the serial math with identical minibatch
-    schedules, per-client generators, and operand ordering *within* each
-    step; only float accumulation order differs (see the module-level
-    ``VECTOR_*`` tolerance contract).  One runner serves one run.
+    Batched cohorts run the kernels ``serial`` runs at one member, with
+    identical minibatch schedules, per-client generators, and operand
+    ordering *within* each step; only float accumulation order may differ
+    (see the module-level ``VECTOR_*`` tolerance contract).  One runner
+    serves one run.
     """
 
     name = "vector"

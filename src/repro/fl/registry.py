@@ -50,8 +50,8 @@ option's canonical name or its short alias (``frac`` for ``topk_frac``,
 ``REPRO_<FAMILY>`` environment variable (which may itself be a full spec
 string), falling back to the family default.  Precedence, least to most
 specific: option default < ``FLConfig`` field / ``extra`` entry <
-explicit keyword override < ``REPRO_<OPTION>`` env var (consulted only
-when the family resolved through ``"auto"``) < inline assignment.
+``REPRO_<OPTION>`` env var (consulted only when the family resolved
+through ``"auto"``) < inline assignment.
 
 Resolution never mutates state; building an instance is each family's
 ``make_*`` factory's job (they all delegate here).  A factory hands the
@@ -226,8 +226,9 @@ _declare(
     module="repro.fl.execution",
     doc=(
         "how the per-round client sweep executes: `serial` runs one client "
-        "after another, `vector` runs cohort-batched kernels and matches "
-        "serial within a pinned, test-enforced tolerance"
+        "after another (each a cohort of one), `vector` batches same-shape "
+        "clients into one cohort and matches serial within a pinned, "
+        "test-enforced tolerance"
     ),
 )
 _declare(
@@ -239,9 +240,12 @@ _declare(
     prefix=None,
     module="repro.fl.codecs",
     doc=(
-        "upload representation; `int8` is unbiased stochastic "
-        "quantization (~8x fewer uplink bytes), `topk` keeps the largest "
-        "entries with per-client error-feedback residuals"
+        "upload representation; `none` meters the parameters in their own "
+        "dtype (4 bytes each for float32 models), `fp16` and `int8` "
+        "(unbiased stochastic quantization) send 4x and ~8x fewer bytes "
+        "than the float64 delta (2x and ~4x fewer than `none` for float32 "
+        "models), `topk` keeps the largest entries with per-client "
+        "error-feedback residuals"
     ),
     example="topk:frac=0.05",
 )
@@ -659,12 +663,7 @@ class Resolved:
     options: dict[str, Any]
 
 
-def resolve(
-    family: str,
-    spec: Any = None,
-    config: Any = None,
-    overrides: dict[str, Any] | None = None,
-) -> Resolved:
+def resolve(family: str, spec: Any = None, config: Any = None) -> Resolved:
     """Resolve one family selection to an implementation plus options.
 
     Args:
@@ -673,10 +672,6 @@ def resolve(
             defers to ``config.<field>``, then the family default.
         config: an ``FLConfig`` supplying the spec field, option fields,
             and ``extra`` knobs (optional).
-        overrides: explicit option overrides (``None`` values ignored) —
-            the ``make_*`` factories' keyword arguments; each is checked
-            against its declaration, and applied only where the
-            implementation declares it.
 
     Returns:
         The :class:`Resolved` selection; construction stays with the
@@ -730,14 +725,6 @@ def resolve(
                 values[o.name] = getattr(config, o.field)
             elif o.name in extra:
                 values[o.name] = extra[o.name]
-    # explicit factory keywords: checked even where the implementation
-    # does not declare them (and so does not apply them)
-    declared = {o.name: o for o in _all_options(fam)}
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            check_option(declared[key], value)
-            if key in values:
-                values[key] = value
     # per-option env vars
     for o in options:
         if not o.env:

@@ -992,13 +992,7 @@ class BufferedScheduler(Scheduler):
         self._mark_sim = float(resume["mark_sim"])
 
 
-def make_scheduler(
-    config=None,
-    scheduler: str | None = None,
-    buffer_size: int | None = None,
-    staleness_alpha: float | None = None,
-    over_select_frac: float | None = None,
-) -> Scheduler:
+def make_scheduler(config=None, scheduler: str | None = None) -> Scheduler:
     """Build the control-loop scheduler for one federation run.
 
     Args:
@@ -1008,12 +1002,6 @@ def make_scheduler(
         scheduler: explicit scheduler spec overriding the config — a
             registered name, ``"auto"``, or an inline spec like
             ``"buffered:bs=8,sa=0.5"``.
-        buffer_size: explicit arrivals-per-flush for ``buffered``
-            (``0``/``None`` defaults to half the concurrency, min 2,
-            capped at the concurrency).
-        staleness_alpha: explicit staleness-discount strength.
-        over_select_frac: explicit over-selection fraction for
-            ``semisync``.
 
     Resolution is the registry's (:func:`repro.fl.registry.resolve`):
     ``"auto"`` reads ``REPRO_SCHEDULER`` (default ``sync``) plus
@@ -1032,16 +1020,7 @@ def make_scheduler(
             scheduler here, before round-0 ``setup``, so every way of
             selecting either knob fails before any client trains.
     """
-    r = registry.resolve(
-        "scheduler",
-        spec=scheduler,
-        config=config,
-        overrides={
-            "buffer_size": buffer_size,
-            "staleness_alpha": staleness_alpha,
-            "over_select_frac": over_select_frac,
-        },
-    )
+    r = registry.resolve("scheduler", spec=scheduler, config=config)
     if r.name == "buffered" and resolve_deadline(config) is not None:
         raise ValueError(
             "deadline does not apply to scheduler 'buffered': it has no "

@@ -767,14 +767,7 @@ class FederatedAlgorithm(ABC):
             prox_mu=prox_mu,
         )
         if prox_center is not None:
-            center = []
-            offset = 0
-            for p in model.parameters():
-                center.append(
-                    prox_center[offset : offset + p.size].reshape(p.shape).astype(p.data.dtype)
-                )
-                offset += p.size
-            opt.set_prox_center(center)
+            opt.set_prox_center(prox_center[None])
         rng = self.rngs.make(f"client{client_id}.train", round_idx)
         loss, steps = local_sgd(
             model,

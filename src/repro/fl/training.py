@@ -1,10 +1,12 @@
 """Local SGD training routines shared by every algorithm's client update.
 
-The ``*_many`` variants are the cohort-batched counterparts used by the
-``vector`` execution backend: they run the same minibatch schedule for a
-whole stack of clients at once over a leading cohort axis, drawing each
-member's shuffles from its own generator so the visit order per client is
-identical to the serial loop.
+The ``*_many`` routines are the implementation: they run one minibatch
+schedule for a whole stack of clients at once over a leading cohort axis
+(:class:`~repro.nn.model.CohortModel`), drawing each member's shuffles
+from its own generator, so a client visits its samples in the same order
+alone or in a cohort.  The one-model routines (:func:`local_sgd`,
+:func:`evaluate_accuracy`, :func:`grad_on_batch`) run them on the model
+as a cohort of one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.losses import softmax_cross_entropy, softmax_cross_entropy_many
+from repro.nn.losses import softmax_cross_entropy_many
 from repro.nn.model import CohortModel, Sequential
 from repro.nn.optim import SGD, CohortSGD
 from repro.nn.serialization import flatten_grads
@@ -36,8 +38,9 @@ def grad_on_batch(
     """Flat gradient and mean loss of one training-mode batch.
 
     The shared building block for algorithms that step on raw gradients
-    instead of an optimizer (SCAFFOLD, FedDyn, Per-FedAvg).  All scratch
-    lives in ``model``.
+    instead of an optimizer (SCAFFOLD, FedDyn, Per-FedAvg): one cohort
+    step of the model as a cohort of one, without the first layer's input
+    gradient.  All scratch lives in ``model``.
 
     Args:
         model: the model to differentiate (gradients are overwritten).
@@ -47,11 +50,13 @@ def grad_on_batch(
     Returns:
         ``(flat_gradient, mean_loss)`` for the batch.
     """
-    model.zero_grad()
-    logits = model.forward(x, train=True)
-    loss, dlogits = softmax_cross_entropy(logits, y)
-    model.backward(dlogits)
-    return flatten_grads(model), loss
+    cohort = model.as_cohort()
+    cohort.zero_grad()
+    losses, dlogits = softmax_cross_entropy_many(
+        cohort.forward(x[None], train=True), np.asarray(y)[None]
+    )
+    cohort.backward(dlogits)
+    return flatten_grads(model), float(losses[0])
 
 
 def minibatches(
@@ -85,7 +90,8 @@ def local_sgd(
     batch_size: int,
     rng: np.random.Generator,
 ) -> tuple[float, int]:
-    """Run ``epochs`` of minibatch SGD on ``(x, y)``.
+    """Run ``epochs`` of minibatch SGD on ``(x, y)``: :func:`local_sgd_many`
+    on the model as a cohort of one.
 
     Args:
         model: the model to train in place.
@@ -100,41 +106,34 @@ def local_sgd(
         ``(mean_loss, num_steps)``; the step count feeds FedNova's
         normalized aggregation.
     """
-    total_loss = 0.0
-    steps = 0
-    for _ in range(epochs):
-        for batch in minibatches(len(y), batch_size, rng):
-            model.zero_grad()
-            logits = model.forward(x[batch], train=True)
-            loss, dlogits = softmax_cross_entropy(logits, y[batch])
-            model.backward(dlogits)
-            opt.step()
-            total_loss += loss
-            steps += 1
-    return total_loss / max(steps, 1), steps
+    losses, steps = local_sgd_many(
+        model.as_cohort(), opt, x[None], y[None], epochs, batch_size, [rng]
+    )
+    return float(losses[0]), steps
 
 
 def local_sgd_many(
     model: CohortModel,
-    opt: CohortSGD,
+    opt: SGD | CohortSGD,
     x: np.ndarray,
     y: np.ndarray,
     epochs: int,
     batch_size: int,
     rngs: list[np.random.Generator],
 ) -> tuple[np.ndarray, int]:
-    """Cohort-batched :func:`local_sgd` over stacked client datasets.
+    """Minibatch SGD for a cohort of clients over stacked datasets.
 
     Args:
         model: cohort model holding one parameter slice per client.
+        opt: optimizer bound to ``model``'s parameters.
         x: ``(cohort, n, ...)`` stacked training inputs (equal ``n``).
         y: ``(cohort, n)`` stacked integer labels.
         epochs: passes over the data (shared across the cohort).
         batch_size: minibatch size (shared across the cohort).
         rngs: one shuffle generator per cohort member, in stack order.
             Each member's epoch permutations come from its own generator,
-            so client ``c`` visits samples in exactly the order the serial
-            loop would with the same generator.
+            so client ``c`` visits samples in exactly the order it would
+            in a cohort of one with the same generator.
 
     Returns:
         ``(mean_losses, num_steps)`` where ``mean_losses`` is the ``(cohort,)``
@@ -162,7 +161,8 @@ def local_sgd_many(
 
 
 def evaluate_accuracy(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
-    """Top-1 accuracy in evaluation mode.
+    """Top-1 accuracy in evaluation mode: :func:`evaluate_accuracy_many`
+    on the model as a cohort of one.
 
     Args:
         model: the model to evaluate (uses ``predict``, i.e. eval mode).
@@ -175,10 +175,8 @@ def evaluate_accuracy(model: Sequential, x: np.ndarray, y: np.ndarray) -> float:
     Raises:
         ValueError: on an empty evaluation set.
     """
-    if len(y) == 0:
-        raise ValueError("cannot evaluate on an empty set")
-    logits = model.predict(x)
-    return float((logits.argmax(axis=1) == y).mean())
+    accs = evaluate_accuracy_many(model.as_cohort(), x[None], np.asarray(y)[None])
+    return float(accs[0])
 
 
 def evaluate_loss(
@@ -241,7 +239,7 @@ def _mean_nll(
 def evaluate_accuracy_many(
     model: CohortModel, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Cohort-batched :func:`evaluate_accuracy` over stacked test sets.
+    """Top-1 accuracy of each member of a cohort, over stacked test sets.
 
     Args:
         model: cohort model holding one parameter slice per client.
@@ -249,9 +247,10 @@ def evaluate_accuracy_many(
         y: ``(cohort, n)`` stacked integer labels.
 
     Returns:
-        ``(cohort,)`` per-member top-1 accuracy; each slice is the value
-        :func:`evaluate_accuracy` would return for that member alone
-        (modulo the batched path's float accumulation order).
+        ``(cohort,)`` per-member top-1 accuracy.
+
+    Raises:
+        ValueError: on an empty evaluation set.
     """
     if y.shape[1] == 0:
         raise ValueError("cannot evaluate on an empty set")

@@ -1,9 +1,10 @@
 """A from-scratch NumPy deep-learning framework.
 
 Provides the neural-network substrate the FedClust reproduction trains:
-layers with explicit backprop, losses, SGD, a model zoo (LeNet-5, ResNet-9,
-VGG-mini, MLP) and flat-vector parameter serialization for federated
-communication.
+layers with explicit backprop over a leading cohort axis (one kernel
+stack; a single model is a cohort of one), losses, SGD, a model zoo
+(LeNet-5, ResNet-9, VGG-mini, MLP) and flat-vector parameter
+serialization for federated communication.
 """
 
 from repro.nn.layers import (

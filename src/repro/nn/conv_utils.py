@@ -1,10 +1,11 @@
 """Vectorized im2col / col2im kernels for convolution and pooling.
 
 These are the hot paths of the framework, with no Python-level loops over
-the batch or spatial dimensions (vectorize, broadcast, reuse buffers): the
-serial kernels are fancy indexing plus one GEMM, and the cohort workspace
-copies each kernel offset's patches as one strided window of a staged
-input, with no index at all.
+the batch or spatial dimensions (vectorize, broadcast, reuse buffers):
+``im2col``/``col2im`` are fancy indexing (max-pooling's training windows,
+and the reference the convolution workspace is tested against), and the
+cohort workspace copies each kernel offset's patches as one strided
+window of a staged input, with no index at all.
 """
 
 from __future__ import annotations
@@ -149,15 +150,15 @@ class CohortConvWorkspace:
     (``L = out_h*out_w``) in :func:`im2col`'s column order, output cell
     major and image minor, so a single batched GEMM against the stacked
     ``(C, out_ch, ch*fh*fw)`` kernel computes every member's convolution
-    with the serial GEMM's shape and column order; :meth:`scatter` is its
-    adjoint.  The input is staged zero-padded and batch-innermost,
-    ``(C, ch, H+2p, W+2p, N)``.  The patches of kernel offset ``(fi, fj)``,
-    for every output cell and image, are then one strided window of the
-    stage (rows ``fi::stride``, columns ``fj::stride``), and at stride 1
-    each window row is one contiguous run of ``out_w*N`` values.  The
-    scatter adds into a buffer in the same layout, made by the first
-    :meth:`scatter`, so a first layer's or an evaluation's workspace never
-    holds one.
+    with the shape and column order of one model's im2col GEMM;
+    :meth:`scatter` is its adjoint.  The input is staged zero-padded and
+    batch-innermost, ``(C, ch, H+2p, W+2p, N)``.  The patches of kernel
+    offset ``(fi, fj)``, for every output cell and image, are then one
+    strided window of the stage (rows ``fi::stride``, columns
+    ``fj::stride``), and at stride 1 each window row is one contiguous run
+    of ``out_w*N`` values.  The scatter adds into a buffer in the same
+    layout, made by the first :meth:`scatter`, so a first layer's or an
+    evaluation's workspace never holds one.
     """
 
     def __init__(

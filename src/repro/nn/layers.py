@@ -1,14 +1,23 @@
 """Layers of the NumPy deep-learning framework.
 
-Every layer implements explicit backprop:
+Every layer implements explicit backprop over a leading *cohort* axis
+``C``, a stack of structurally identical models, one slice per member:
 
-* ``forward(x, train)`` returns the activation and caches whatever the
-  backward pass needs;
-* ``backward(dout)`` returns the gradient w.r.t. the input and *accumulates*
-  gradients into its :class:`~repro.nn.parameter.Parameter` objects.
+* ``forward_many(x, train)`` maps a ``(C, N, ...)`` input to the
+  ``(C, N, ...)`` activation and caches whatever the backward pass needs;
+* ``backward_many(dout)`` returns the gradient w.r.t. the input and
+  *accumulates* each member's gradients into its slice of the stacked
+  :class:`~repro.nn.parameter.Parameter` storage.
 
-All hot paths are vectorized (im2col + GEMM for convolutions, masked scatter
-for max-pooling); there are no Python loops over batch or spatial dims.
+These are a parametric layer's only kernels.  A single model is a cohort
+of one: ``forward``/``backward`` run the cohort kernels at ``C=1``.  The
+parameter-free layers are the other way round: they implement the
+one-model pair, and their cohort kernels fold the cohort axis into the
+batch axis.
+
+All hot paths are vectorized (batched GEMM for dense layers, a strided
+window gather + GEMM for convolutions, masked scatter for max-pooling);
+there are no Python loops over batch or spatial dims.
 """
 
 from __future__ import annotations
@@ -16,12 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import init as _init
-from repro.nn.conv_utils import (
-    CohortConvWorkspace,
-    col2im,
-    conv_output_size,
-    im2col,
-)
+from repro.nn.conv_utils import CohortConvWorkspace, col2im, conv_output_size, im2col
 from repro.nn.parameter import Parameter
 
 __all__ = [
@@ -54,16 +58,17 @@ def keep_where(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
 class Layer:
     """Base class: a differentiable module with (possibly empty) parameters.
 
-    Besides the per-model ``forward``/``backward`` pair, every layer offers
-    a *cohort-batched* kernel path (``forward_many``/``backward_many``) over
-    a leading cohort axis ``C``: the input is ``(C, N, ...)`` and, for
-    parametric layers, each cohort slice is transformed by its own stacked
-    parameter slice (bound via :meth:`bind_cohort`).  Parameter-free layers
-    inherit an exact default that folds the cohort axis into the batch axis;
-    every parametric layer must implement stacked kernels, since the
-    ``vector`` backend and IFCA's scorer run every model through them (the
-    default :meth:`forward_many` raises ``NotImplementedError`` naming a
-    parametric layer that does not).
+    A parametric layer implements one kernel pair, ``forward_many``/
+    ``backward_many`` over a leading cohort axis ``C``: the input is
+    ``(C, N, ...)`` and each cohort slice is transformed by its own
+    stacked parameter slice (sized by :meth:`bind_cohort`).  Its one-model
+    ``forward``/``backward`` are this base's, which run the cohort kernels
+    as a cohort of one.  A parameter-free layer implements
+    ``forward``/``backward`` instead and inherits an exact
+    ``forward_many``/``backward_many`` that fold the cohort axis into the
+    batch axis.  A parametric layer without cohort kernels cannot run:
+    the default :meth:`forward_many` raises ``NotImplementedError`` naming
+    it, on every path.
     """
 
     #: True for layers whose Parameters represent a classifier head.  Used by
@@ -74,14 +79,18 @@ class Layer:
         return []
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        raise NotImplementedError
+        """One model's forward, ``(N, ...) -> (N, ...)``: the cohort kernel
+        at ``C=1``."""
+        return self.forward_many(x[None], train)[0]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """Adjoint of :meth:`forward`: the cohort kernel at ``C=1``."""
+        return self.backward_many(dout[None])[0]
 
     def state(self) -> dict[str, np.ndarray]:
-        """Non-trainable buffers (e.g. batch-norm running stats)."""
-        return {}
+        """Non-trainable buffers (e.g. batch-norm running stats): views of
+        member 0 of :meth:`state_many`."""
+        return {key: buf[0] for key, buf in self.state_many().items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         for key, value in state.items():
@@ -92,25 +101,27 @@ class Layer:
 
     # -- cohort-batched kernel path ---------------------------------------
     def bind_cohort(self, cohort: int) -> None:
-        """Allocate stacked per-cohort parameter (and buffer) storage."""
+        """Resize the stacked parameter (and buffer) storage to ``cohort``
+        members, each a copy of member 0."""
         for p in self.parameters():
             p.bind_cohort(cohort)
 
     def state_many(self) -> dict[str, np.ndarray]:
-        """Stacked ``(C, ...)`` non-trainable buffers of a cohort-bound
-        layer (empty for stateless layers)."""
+        """Stacked ``(C, ...)`` non-trainable buffers (empty for stateless
+        layers)."""
         return {}
 
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """Cohort-batched forward: ``(C, N, ...) -> (C, N, ...)``.
 
         Default (parameter-free layers only): fold the cohort axis into the
-        batch axis and delegate to :meth:`forward` — bitwise identical to
-        per-member calls for all sample-independent layers.
+        batch axis and delegate to the layer's own :meth:`forward` —
+        bitwise identical to per-member calls for all sample-independent
+        layers.
         """
-        if self.parameters():
+        if self.parameters() or type(self).forward is Layer.forward:
             raise NotImplementedError(
-                f"{type(self).__name__} has parameters but no cohort kernel"
+                f"{type(self).__name__} has no cohort kernel"
             )
         c, n = x.shape[:2]
         out = self.forward(x.reshape(c * n, *x.shape[2:]), train)
@@ -168,21 +179,6 @@ class Dense(Layer):
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ValueError(
-                f"Dense expected (N, {self.in_features}) input, got {x.shape}"
-            )
-        self._x = x if train else None
-        return x @ self.w.data + self.b.data
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before a training forward pass")
-        self.w.grad += self._x.T @ dout
-        self.b.grad += dout.sum(axis=0)
-        return dout @ self.w.data.T
-
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_features:
             raise ValueError(
@@ -213,7 +209,7 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
-    """2-D convolution over NCHW input, implemented as im2col + GEMM."""
+    """2-D convolution over NCHW input: a patch gather + GEMM per member."""
 
     def __init__(
         self,
@@ -241,8 +237,6 @@ class Conv2d(Layer):
             f"{name}.w",
         )
         self.b = Parameter(_init.zeros((out_channels,), dtype), f"{name}.b")
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
         #: training forwards' cohort im2col workspaces keyed by (input
         #: shape, dtype); bounded (a training loop sees at most two batch
         #: shapes: full + remainder)
@@ -274,11 +268,11 @@ class Conv2d(Layer):
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """Cohort forward over ``(C, N, ch, H, W)`` input.
 
-        The workspace's columns come in the serial im2col's ``(l, n)``
-        order, so each member's GEMMs, forward and backward, have the
-        serial layer's shapes and column order, and its output, dx, dW
-        and db equal the serial layer's byte for byte (pinned per
-        geometry in ``tests/test_cohort_kernels.py``).
+        The workspace's columns come in ``im2col``'s ``(l, n)`` order, so
+        each member's GEMMs, forward and backward, have the shapes and
+        column order of one model's im2col convolution, and a member's
+        output, dx, dW and db equal those of a cohort of one byte for byte
+        (pinned per geometry in ``tests/test_cohort_kernels.py``).
 
         A leading axis of 1 with ``C > 1`` members bound is a *shared*
         input: every member convolves the same rows, so the patches are
@@ -287,9 +281,9 @@ class Conv2d(Layer):
 
         Only a training forward keeps its workspace: training repeats its
         shapes step after step and the backward reads the columns.  An
-        evaluation forward gathers into a per-call workspace, as the
-        serial im2col does, since its shapes (``predict``'s tail chunks,
-        eval cohorts, scoring passes) seldom recur.
+        evaluation forward gathers into a per-call workspace, since its
+        shapes (``predict``'s tail chunks, eval cohorts, scoring passes)
+        seldom recur.
         """
         if x.ndim != 5 or x.shape[2] != self.in_channels:
             raise ValueError(
@@ -319,7 +313,7 @@ class Conv2d(Layer):
 
     def _param_grads_many(self, dout: np.ndarray) -> np.ndarray:
         """Accumulate the cohort dW and db; returns the ``(C, out, L*N)``
-        dout matrix, built as the serial backward builds its own."""
+        dout matrix."""
         if self._many_cache is None:
             raise RuntimeError("backward called before a training forward pass")
         cols = self._many_cache[0]
@@ -342,38 +336,6 @@ class Conv2d(Layer):
         # Skip dcols + the col2im scatter entirely: for a first layer the
         # input gradient is dead, and the two are most of the backward.
         self._param_grads_many(dout)
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"Conv2d expected (N, {self.in_channels}, H, W) input, got {x.shape}"
-            )
-        n, _, h, w_in = x.shape
-        k = self.kernel_size
-        out_h = conv_output_size(h, k, self.stride, self.pad)
-        out_w = conv_output_size(w_in, k, self.stride, self.pad)
-        cols = im2col(x, k, k, self.stride, self.pad)  # (C*k*k, N*out_h*out_w)
-        w_mat = self.w.data.reshape(self.out_channels, -1)
-        out = w_mat @ cols + self.b.data[:, None]
-        out = out.reshape(self.out_channels, out_h, out_w, n).transpose(3, 0, 1, 2)
-        if train:
-            self._cols = cols
-            self._x_shape = x.shape
-        else:
-            self._cols = None
-            self._x_shape = None
-        return np.ascontiguousarray(out)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before a training forward pass")
-        dout_mat = dout.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
-        self.b.grad += dout_mat.sum(axis=1)
-        self.w.grad += (dout_mat @ self._cols.T).reshape(self.w.data.shape)
-        w_mat = self.w.data.reshape(self.out_channels, -1)
-        dcols = w_mat.T @ dout_mat
-        k = self.kernel_size
-        return col2im(dcols, self._x_shape, k, k, self.stride, self.pad)
 
     def __repr__(self) -> str:
         return (
@@ -526,8 +488,11 @@ class ReLU(Layer):
 class BatchNorm(Layer):
     """Batch normalization for 2-D (N,F) or 4-D (N,C,H,W) activations.
 
-    Running statistics are exposed via :meth:`state` so federated averaging
-    can (and does) synchronize them alongside trainable parameters.
+    Running statistics are stacked per cohort member like the parameters
+    (``running_mean_many``/``running_var_many``, ``(C, F)`` float64;
+    ``running_mean``/``running_var`` are member 0's) and exposed via
+    :meth:`state` so federated averaging can (and does) synchronize them
+    alongside trainable parameters.
     """
 
     def __init__(self, num_features: int, momentum: float = 0.9, eps: float = 1e-5,
@@ -539,83 +504,34 @@ class BatchNorm(Layer):
         self.eps = eps
         self.gamma = Parameter(np.ones(num_features, dtype=dtype), f"{name}.gamma")
         self.beta = Parameter(np.zeros(num_features, dtype=dtype), f"{name}.beta")
-        self.running_mean = np.zeros(num_features, dtype=np.float64)
-        self.running_var = np.ones(num_features, dtype=np.float64)
-        self._cache: tuple | None = None
-        self.running_mean_many: np.ndarray | None = None
-        self.running_var_many: np.ndarray | None = None
+        self.running_mean_many = np.zeros((1, num_features), dtype=np.float64)
+        self.running_var_many = np.ones((1, num_features), dtype=np.float64)
         self._cache_many: tuple | None = None
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
+    @property
+    def running_mean(self) -> np.ndarray:
+        return self.running_mean_many[0]
+
+    @property
+    def running_var(self) -> np.ndarray:
+        return self.running_var_many[0]
 
     def bind_cohort(self, cohort: int) -> None:
         super().bind_cohort(cohort)
-        self.running_mean_many = np.zeros(
-            (cohort, self.num_features), dtype=np.float64
-        )
-        self.running_var_many = np.ones(
-            (cohort, self.num_features), dtype=np.float64
-        )
+        if cohort != len(self.running_mean_many):
+            mean, var = self.running_mean_many[:1], self.running_var_many[:1]
+            self.running_mean_many = np.repeat(mean, cohort, axis=0)
+            self.running_var_many = np.repeat(var, cohort, axis=0)
 
     def state_many(self) -> dict[str, np.ndarray]:
-        if self.running_mean_many is None:
-            return {}
         return {
             "running_mean": self.running_mean_many,
             "running_var": self.running_var_many,
         }
 
-    def _reduce_axes(self, x: np.ndarray) -> tuple[int, ...]:
-        if x.ndim == 2:
-            return (0,)
-        if x.ndim == 4:
-            return (0, 2, 3)
-        raise ValueError(f"BatchNorm supports 2-D or 4-D input, got shape {x.shape}")
-
-    def _expand(self, v: np.ndarray, ndim: int) -> np.ndarray:
-        return v.reshape(1, -1) if ndim == 2 else v.reshape(1, -1, 1, 1)
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        axes = self._reduce_axes(x)
-        if train:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            m = self.momentum
-            self.running_mean *= m
-            self.running_mean += (1 - m) * mean.astype(np.float64)
-            self.running_var *= m
-            self.running_var += (1 - m) * var.astype(np.float64)
-        else:
-            mean = self.running_mean.astype(x.dtype)
-            var = self.running_var.astype(x.dtype)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - self._expand(mean, x.ndim)) * self._expand(inv_std, x.ndim)
-        out = self._expand(self.gamma.data, x.ndim) * x_hat + self._expand(self.beta.data, x.ndim)
-        if train:
-            self._cache = (x_hat, inv_std, axes, x.shape)
-        else:
-            self._cache = None
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before a training forward pass")
-        x_hat, inv_std, axes, x_shape = self._cache
-        m = float(np.prod([x_shape[a] for a in axes]))
-        self.gamma.grad += (dout * x_hat).sum(axis=axes)
-        self.beta.grad += dout.sum(axis=axes)
-        g = self._expand(self.gamma.data, dout.ndim)
-        dxhat = dout * g
-        term1 = dxhat
-        term2 = self._expand(dxhat.sum(axis=axes) / m, dout.ndim)
-        term3 = x_hat * self._expand((dxhat * x_hat).sum(axis=axes) / m, dout.ndim)
-        return (term1 - term2 - term3) * self._expand(inv_std.astype(dout.dtype), dout.ndim)
-
-    # -- cohort-batched kernels -------------------------------------------
     @staticmethod
     def _reduce_axes_many(x: np.ndarray) -> tuple[int, ...]:
         if x.ndim == 3:

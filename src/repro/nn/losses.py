@@ -15,33 +15,22 @@ __all__ = [
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over a batch of integer labels.
+    """Mean softmax cross-entropy over a batch of integer labels: the
+    cohort loss at ``C=1``.
 
     Returns the scalar loss and the gradient w.r.t. ``logits`` (already
     divided by batch size, ready to feed into ``model.backward``).
     """
-    logits = np.asarray(logits)
-    labels = np.asarray(labels).astype(np.int64)
-    if logits.ndim != 2:
-        raise ValueError(f"expected (N, classes) logits, got {logits.shape}")
-    if labels.shape != (logits.shape[0],):
-        raise ValueError(
-            f"labels shape {labels.shape} incompatible with logits {logits.shape}"
-        )
-    n = logits.shape[0]
-    probs = softmax(logits, axis=1)
-    eps = np.finfo(np.float64).tiny
-    loss = float(-np.log(probs[np.arange(n), labels] + eps).mean())
-    dlogits = probs
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    return loss, dlogits.astype(logits.dtype)
+    losses, dlogits = softmax_cross_entropy_many(
+        np.asarray(logits)[None], np.asarray(labels)[None]
+    )
+    return float(losses[0]), dlogits[0]
 
 
 def softmax_cross_entropy_many(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cohort-batched :func:`softmax_cross_entropy`.
+    """Mean softmax cross-entropy of each member of a cohort.
 
     Args:
         logits: ``(C, N, classes)`` stacked logits (one slice per cohort
@@ -50,9 +39,8 @@ def softmax_cross_entropy_many(
 
     Returns:
         ``(losses, dlogits)`` where ``losses`` is the ``(C,)`` per-member
-        mean loss and ``dlogits`` the ``(C, N, classes)`` gradient, each
-        slice exactly the scalar function's math (same eps, same ``1/N``
-        scaling, same dtype cast).
+        mean loss and ``dlogits`` the ``(C, N, classes)`` gradient w.r.t.
+        the logits, already divided by ``N``.
     """
     logits = np.asarray(logits)
     labels = np.asarray(labels).astype(np.int64)

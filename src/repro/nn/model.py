@@ -1,6 +1,12 @@
 """Model containers: ``Sequential`` chains, residual blocks, and the
-cohort-batched :class:`CohortModel` wrapper used by the vectorized
-execution backend."""
+cohort-batched :class:`CohortModel` that runs them.
+
+There is one compute path.  :class:`CohortModel` runs a stack of
+structurally identical models through the layers' cohort kernels
+(``forward_many``/``backward_many``), and a :class:`Sequential`'s own
+``forward``/``backward``/``predict`` run it as a cohort of one
+(:meth:`Sequential.as_cohort`), on the same parameter storage.
+"""
 
 from __future__ import annotations
 
@@ -28,46 +34,6 @@ class Residual(Layer):
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.body for p in layer.parameters()]
 
-    def state(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.body):
-            for key, buf in layer.state().items():
-                out[f"body.{i}.{key}"] = buf
-        return out
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for key, value in state.items():
-            _, idx, sub = key.split(".", 2)
-            self.body[int(idx)].load_state({sub: value})
-
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        out = x
-        for layer in self.body:
-            out = layer.forward(out, train)
-        if out.shape != x.shape:
-            raise ValueError(
-                f"Residual body changed shape {x.shape} -> {out.shape}; "
-                "identity shortcut requires shape preservation"
-            )
-        summed = out + x
-        mask = summed > 0
-        if train:
-            self._mask = mask
-        # the ReLU as ReLU.forward takes it: an integer multiply of the
-        # bits by the mask, bitwise np.where(mask, summed, 0.0) without
-        # its per-element branch
-        return keep_where(summed, mask)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before a training forward pass")
-        dsum = dout * self._mask
-        dbody = dsum
-        for layer in reversed(self.body):
-            dbody = layer.backward(dbody)
-        return dbody + dsum
-
-    # -- cohort-batched kernel path ---------------------------------------
     def bind_cohort(self, cohort: int) -> None:
         for layer in self.body:
             layer.bind_cohort(cohort)
@@ -92,7 +58,10 @@ class Residual(Layer):
         summed = out + x
         mask = summed > 0
         self._mask = mask if train else None
-        return keep_where(summed, mask)  # branch-free, as in forward
+        # the ReLU as ReLU.forward takes it: an integer multiply of the
+        # bits by the mask, bitwise np.where(mask, summed, 0.0) without
+        # its per-element branch
+        return keep_where(summed, mask)
 
     def backward_many(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -114,6 +83,8 @@ class Sequential:
     This is the model object the rest of the library works with: it exposes
     parameter iteration, named-layer access for partial-weight protocols, and
     non-trainable state (batch-norm buffers) for federated synchronization.
+    Its compute runs the layers' cohort kernels as a cohort of one
+    (:meth:`as_cohort`).
     """
 
     def __init__(self, *layers: Layer, name: str = "model"):
@@ -152,28 +123,21 @@ class Sequential:
         raise ValueError("model has no parametric layers")
 
     # -- compute -----------------------------------------------------------
+    def as_cohort(self) -> "CohortModel":
+        """This model as a cohort of one, on its own parameter and buffer
+        storage: nothing is copied."""
+        return CohortModel(self, 1)
+
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        out = x
-        for layer in self.layers:
-            out = layer.forward(out, train)
-        return out
+        return self.as_cohort().forward(x[None], train)[0]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        grad = dout
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+        """Backward with the input gradient (the first layer's dx)."""
+        return self.as_cohort().backward(dout[None], need_input_grad=True)[0]
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Evaluation-mode forward in batches; returns logits."""
-        if x.shape[0] <= batch_size:
-            # One forward for small sets: skips the single-element
-            # concatenate, which would copy the whole logits array.
-            return self.forward(x, train=False)
-        outs = []
-        for start in range(0, x.shape[0], batch_size):
-            outs.append(self.forward(x[start : start + batch_size], train=False))
-        return np.concatenate(outs, axis=0)
+        return self.as_cohort().predict(x[None], batch_size)[0]
 
     # -- state -------------------------------------------------------------
     def state(self) -> dict[str, np.ndarray]:
@@ -196,17 +160,20 @@ class Sequential:
 class CohortModel:
     """A stack of ``cohort`` structurally identical models, one tensor each.
 
-    Wraps a *private* :class:`Sequential` template whose parameters are
-    cohort-bound (``Parameter.many``: ``(cohort, *shape)``), so one batched
-    forward/backward trains every member at once — the compute spine of the
-    ``vector`` execution backend.  The serial interface is preserved at the
-    edges: :meth:`load_flat`/:meth:`flatten` speak the engine's flat float64
-    per-client vectors, and :meth:`states` unstacks per-member non-trainable
-    buffers.
+    Wraps a :class:`Sequential` template whose parameters and buffers it
+    sizes to ``cohort`` members (``Parameter.many``: ``(cohort, *shape)``;
+    members the template did not hold start as copies of member 0), so one
+    batched forward/backward trains every member at once — the compute
+    spine of every client task.  The per-client interface is preserved at
+    the edges: :meth:`load_flat`/:meth:`flatten` speak the engine's flat
+    float64 per-client vectors, and :meth:`states` unstacks per-member
+    non-trainable buffers.
 
-    The template must be exclusively owned (its regular ``data``/``grad``
-    and caches are unused but its cohort storage and layer caches are
-    mutated on every call); never wrap an engine's shared work model.
+    The wrapper owns no storage: it works on the template's, and its
+    layer caches are mutated on every call.  A cohort of one over a
+    single model (:meth:`Sequential.as_cohort`) is that model; a larger
+    cohort resizes the template, so wrap only a template nothing else
+    uses.
     """
 
     def __init__(self, template: Sequential, cohort: int):
@@ -223,8 +190,7 @@ class CohortModel:
         return self.template.parameters()
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad_many()
+        self.template.zero_grad()
 
     # -- flat-vector interface --------------------------------------------
     def load_flat(self, flat: np.ndarray) -> None:
@@ -250,7 +216,7 @@ class CohortModel:
         """``(cohort, P)`` float64 stacked flat vectors (one per member).
 
         Row ``c`` is bitwise what ``flatten_params`` would return for a
-        serial model holding member ``c``'s parameters.
+        model holding member ``c``'s parameters.
         """
         return np.concatenate(
             [
@@ -278,10 +244,8 @@ class CohortModel:
         layers = self.template.layers
         for layer in reversed(layers[1:]):
             grad = layer.backward_many(grad)
-        if need_input_grad or not layers:
-            if layers:
-                grad = layers[0].backward_many(grad)
-            return grad
+        if need_input_grad:
+            return layers[0].backward_many(grad)
         layers[0].backward_many_params_only(grad)
         return None
 

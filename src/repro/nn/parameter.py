@@ -8,26 +8,29 @@ __all__ = ["Parameter"]
 
 
 class Parameter:
-    """A named trainable tensor with an accumulated gradient.
+    """A named trainable tensor of a cohort of models, with its gradient.
 
-    The framework uses explicit backprop: layers write into ``grad`` during
-    ``backward`` and optimizers read/clear it.  ``data`` and ``grad`` always
-    share dtype and shape.
-
-    A parameter may additionally be *cohort-bound* (:meth:`bind_cohort`):
-    ``many``/``grad_many`` then hold ``(cohort, *shape)`` stacked values for
-    the vectorized execution path (one slice per client model), while
-    ``data``/``grad`` keep serving the serial path untouched.
+    The one storage is stacked: ``many``/``grad_many`` hold ``(C, *shape)``
+    values and gradients, one slice per cohort member, and every layer
+    kernel reads and writes them.  A model's parameters start as a cohort
+    of one; :meth:`bind_cohort` resizes the stack.  ``data``/``grad`` are
+    views of member 0, so a single model (``C=1``) reads and writes its
+    values through them with no copy between two stores.  Layers write
+    into the gradients during ``backward`` and optimizers read/clear them;
+    values and gradients always share dtype and shape.
     """
 
-    __slots__ = ("name", "data", "grad", "many", "grad_many")
+    __slots__ = ("name", "many", "grad_many", "data", "grad")
 
     def __init__(self, data: np.ndarray, name: str = "param"):
         self.name = name
-        self.data = np.ascontiguousarray(data)
-        self.grad = np.zeros_like(self.data)
-        self.many: np.ndarray | None = None
-        self.grad_many: np.ndarray | None = None
+        self._stack(np.ascontiguousarray(data)[None])
+
+    def _stack(self, many: np.ndarray) -> None:
+        self.many = many
+        self.grad_many = np.zeros_like(many)
+        self.data = many[0]
+        self.grad = self.grad_many[0]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -39,26 +42,24 @@ class Parameter:
 
     @property
     def nbytes(self) -> int:
-        """Bytes occupied by the value (what a client would transmit)."""
+        """Bytes occupied by one member's value (what a client would
+        transmit)."""
         return int(self.data.nbytes)
 
     def zero_grad(self) -> None:
-        self.grad.fill(0.0)
-
-    def bind_cohort(self, cohort: int) -> None:
-        """Allocate ``(cohort, *shape)`` stacked value/gradient storage."""
-        if cohort <= 0:
-            raise ValueError(f"cohort size must be positive, got {cohort}")
-        self.many = np.zeros((cohort,) + self.data.shape, dtype=self.data.dtype)
-        self.grad_many = np.zeros_like(self.many)
-
-    def zero_grad_many(self) -> None:
-        if self.grad_many is None:
-            raise RuntimeError(f"parameter {self.name!r} is not cohort-bound")
         self.grad_many.fill(0.0)
 
+    def bind_cohort(self, cohort: int) -> None:
+        """Resize the stack to ``cohort`` members, each a copy of member 0
+        (a no-op at the current size)."""
+        if cohort <= 0:
+            raise ValueError(f"cohort size must be positive, got {cohort}")
+        if cohort != len(self.many):
+            self._stack(np.repeat(self.many[:1], cohort, axis=0))
+
     def copy_(self, value: np.ndarray) -> None:
-        """In-place overwrite of the value (keeps optimizer state views valid)."""
+        """In-place overwrite of member 0's value (keeps optimizer state
+        views valid)."""
         value = np.asarray(value, dtype=self.data.dtype)
         if value.shape != self.data.shape:
             raise ValueError(

@@ -307,7 +307,7 @@ class TestFactoryAndConfig:
         assert set(registry.classes("codec")) == {"none", "fp16", "int8", "topk"}
         assert isinstance(make_codec(codec="none"), IdentityCodec)
         assert isinstance(make_codec(codec="fp16"), Fp16Codec)
-        c = make_codec(codec="topk", topk_frac=0.2)
+        c = make_codec(codec="topk:frac=0.2")
         assert isinstance(c, TopKCodec) and c.frac == 0.2
 
     def test_unknown_codec_rejected(self):
@@ -353,6 +353,27 @@ class TestEngineIntegration:
         assert a_default.comm.total_logical_up == 2 * a_default.comm.total_up
         assert a_default.comm.total_logical_down == a_default.comm.total_down
         assert (h_default.sim_seconds == 0.0).all()
+
+    def test_none_meters_model_bytes_and_never_encodes(self, fed, monkeypatch):
+        """The scheduler short-circuits ``none``: no upload is encoded,
+        and each one meters ``upload_bytes()``, the parameters in their
+        own dtype (float32 here), which is half the float64 size
+        ``IdentityCodec`` states."""
+        encoded = []
+        real = IdentityCodec.encode
+
+        def spy(self, client_id, *args):
+            encoded.append(client_id)
+            return real(self, client_id, *args)
+
+        monkeypatch.setattr(IdentityCodec, "encode", spy)
+        h, algo = run_one(fed, "fedavg", codec="none")
+        n = algo.model.num_parameters()
+        assert encoded == []
+        assert algo.model_bytes == 4 * n == IdentityCodec().wire_nbytes(n) // 2
+        for record in h.records:  # sync, ideal network: every pick delivers
+            picked = algo.select_clients(record.round)
+            assert record.upload_bytes == len(picked) * algo.model_bytes
 
     @pytest.mark.parametrize("codec", ["fp16", "int8", "topk"])
     def test_compressed_uplink_metered(self, fed, codec):

@@ -1,19 +1,23 @@
-"""Cohort-batched kernel contracts: the ``vector`` backend's numeric spine.
+"""Cohort-batched kernel contracts: the numeric spine of every client task.
 
-Property tests (hypothesis) pin the tentpole guarantee layer by layer:
-``forward_many``/``backward_many`` on a stacked cohort equals per-member
-serial ``forward``/``backward`` within :data:`COHORT_RTOL`, including
-BatchNorm's train-mode running statistics (*bitwise*), and a shared
-``(1, N, ...)`` input that every member reads.  Workspace-reuse tests
-assert the pre-allocated scratch — im2col plans, cohort conv workspaces,
-codec encode buffers — is the *same object* across calls for a fixed
-shape, and the bitwise tests pin the claims the optimized kernels make
-in their docstrings (the window-copy gather == im2col column for column,
-slice-add scatter == col2im, cohort Conv2d == the serial layer per member
-on output, dx, dW and db, the branch-free ReLU/Residual masks ==
-``np.where``, MaxPool's running-compare argmax == ``argmax``, its
-disjoint fast path and eval forward, and ``backward_many_params_only``'s
-gradients).
+A parametric layer's only kernels are ``forward_many``/``backward_many``
+over a leading cohort axis; one model is a cohort of one (its
+``forward``/``backward`` run them at ``C=1``).  Property tests
+(hypothesis) pin layer by layer that a ``C``-member cohort equals ``C``
+one-member cohorts within :data:`COHORT_RTOL`, including BatchNorm's
+train-mode running statistics (*bitwise*), and a shared ``(1, N, ...)``
+input that every member reads.  Workspace-reuse tests assert the
+pre-allocated scratch — im2col plans, cohort conv workspaces, codec
+encode buffers — is the *same object* across calls for a fixed shape, and
+the bitwise tests pin the claims the optimized kernels make in their
+docstrings (the window-copy gather == im2col column for column, slice-add
+scatter == col2im, a cohort Conv2d member == a cohort of one on output,
+dx, dW and db, the branch-free ReLU/Residual masks == ``np.where``,
+MaxPool's running-compare argmax == ``argmax``, its disjoint fast path and
+eval forward, and ``backward_many_params_only``'s gradients).  The
+independent references stay: ``im2col``/``col2im`` here, and the
+finite-difference gradchecks and the naive convolution in
+``tests/test_nn_gradcheck.py``.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fl import training
 from repro.fl.codecs import Int8Codec, TopKCodec
 from repro.nn import layers as layers_module
+from repro.nn import losses
 from repro.nn.conv_utils import CohortConvWorkspace, col2im, im2col, im2col_plan
 from repro.nn.layers import (
     BatchNorm,
@@ -42,8 +48,8 @@ from repro.nn.model import CohortModel, Residual, Sequential
 from repro.nn.models import build_model
 from repro.nn.optim import SGD, CohortSGD
 
-#: pinned tolerance of the cohort kernels vs the serial per-member kernels:
-#: the only numeric difference is batched-GEMM reduction order, so the
+#: pinned tolerance of a C-member cohort vs C one-member cohorts: the only
+#: numeric difference allowed is batched-GEMM reduction order, so the
 #: bound is far tighter than the backend-level VECTOR_* tolerances
 COHORT_RTOL = 1e-7
 COHORT_ATOL = 1e-9
@@ -121,8 +127,8 @@ class TestDenseCohort:
         layer.forward_many(x)
         layer.backward_many(dout)
         gw, gb = layer.w.grad_many.copy(), layer.b.grad_many.copy()
-        layer.w.zero_grad_many()
-        layer.b.zero_grad_many()
+        layer.w.zero_grad()
+        layer.b.zero_grad()
         layer.forward_many(x)
         layer.backward_many_params_only(dout)
         np.testing.assert_array_equal(layer.w.grad_many, gw)
@@ -234,8 +240,8 @@ class TestConv2dCohort:
         dout = rng.standard_normal(out.shape)
         layer.backward_many(dout)
         gw, gb = layer.w.grad_many.copy(), layer.b.grad_many.copy()
-        layer.w.zero_grad_many()
-        layer.b.zero_grad_many()
+        layer.w.zero_grad()
+        layer.b.zero_grad()
         layer.forward_many(x)
         layer.backward_many_params_only(dout)
         np.testing.assert_array_equal(layer.w.grad_many, gw)
@@ -292,7 +298,6 @@ class TestBranchFreeMasks:
         bn = BatchNorm(ch, dtype=dtype)
         block = Residual(bn)
         block.bind_cohort(cohort)
-        bn.running_mean[:] = rng.uniform(-0.5, 0.5, ch)
         bn.running_mean_many[:] = rng.uniform(-0.5, 0.5, (cohort, ch))
         bn.running_var_many[:] = rng.uniform(0.5, 2.0, (cohort, ch))
         bn.gamma.many[:] = rng.uniform(0.5, 2.0, (cohort, ch))
@@ -368,6 +373,78 @@ class TestBatchNormCohort:
             )
 
 
+class TestOneStack:
+    """Each kernel has one implementation: a single model runs the cohort
+    code as a cohort of one, on the same storage."""
+
+    @pytest.mark.parametrize("cls", [Dense, Conv2d, BatchNorm, Residual])
+    def test_parametric_layers_define_only_cohort_kernels(self, cls):
+        assert not {"forward", "backward"} & set(vars(cls))
+        assert {"forward_many", "backward_many"} <= set(vars(cls))
+
+    def test_one_sgd_step(self):
+        assert SGD.step is CohortSGD.step
+
+    def test_parameter_is_one_stacked_store(self):
+        layer = BatchNorm(3, dtype=np.float64)
+        p = layer.gamma
+        p.data[:] = [1.0, 2.0, 3.0]
+        layer.running_mean[:] = [4.0, 5.0, 6.0]
+        assert p.many.shape == (1, 3) and p.grad_many.shape == (1, 3)
+        assert np.shares_memory(p.data, p.many)
+        assert np.shares_memory(p.grad, p.grad_many)
+        buffer = layer.state()["running_mean"]
+        assert np.shares_memory(buffer, layer.running_mean_many)
+        layer.bind_cohort(2)  # new members start as copies of member 0
+        np.testing.assert_array_equal(p.many, [[1.0, 2.0, 3.0]] * 2)
+        np.testing.assert_array_equal(
+            layer.running_mean_many, [[4.0, 5.0, 6.0]] * 2
+        )
+        assert np.shares_memory(p.data, p.many[0])
+
+    def test_one_model_routines_run_the_cohort_code(self, monkeypatch):
+        ran = []  # (routine, cohort size) of every cohort-code call
+        for module, name in [
+            (training, "local_sgd_many"),
+            (training, "evaluate_accuracy_many"),
+            (training, "softmax_cross_entropy_many"),
+            (losses, "softmax_cross_entropy_many"),
+        ]:
+            real = getattr(module, name)
+
+            def spy(first, *args, _real=real, _name=f"{module.__name__}.{name}",
+                    **kwargs):
+                # a cohort model, or the (C, N, classes) logits
+                size = first.cohort if isinstance(first, CohortModel) else len(first)
+                ran.append((_name, size))
+                return _real(first, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        def routines(call):
+            ran.clear()
+            call()
+            assert {size for _, size in ran} == {1}
+            return {name for name, _ in ran}
+
+        model = _member_mlp(0, 6, 5, 4)
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((8, 6)), rng.integers(0, 4, 8)
+        assert "repro.fl.training.local_sgd_many" in routines(
+            lambda: training.local_sgd(model, SGD(model, lr=0.1), x, y, 1, 4, rng)
+        )
+        assert routines(lambda: training.evaluate_accuracy(model, x, y)) == {
+            "repro.fl.training.evaluate_accuracy_many"
+        }
+        assert routines(lambda: training.grad_on_batch(model, x, y)) == {
+            "repro.fl.training.softmax_cross_entropy_many"
+        }
+        logits = model.forward(x)
+        assert routines(lambda: losses.softmax_cross_entropy(logits, y)) == {
+            "repro.nn.losses.softmax_cross_entropy_many"
+        }
+
+
 #: (stride, pad, k, hw, ch, dtype) of the conv workspace's bitwise pins
 WORKSPACE_GEOMETRIES = [
     pytest.param(1, 0, 3, 6, 2, np.float64, id="1-0"),
@@ -429,10 +506,10 @@ class TestCohortConvWorkspace:
     def test_conv2d_matches_serial_bitwise(
         self, cohort, stride, pad, k, hw, ch, dtype
     ):
-        """Per member, the cohort Conv2d's output, dx, dW and db equal the
-        serial layer's byte for byte: the columns come in the serial
-        order, so every GEMM and sum has the serial one's shape and
-        order."""
+        """Per member, the cohort Conv2d's output, dx, dW and db equal a
+        cohort of one's byte for byte: the columns come in ``im2col``'s
+        order, so every GEMM and sum has a one-model im2col convolution's
+        shape and order."""
         rng = np.random.default_rng(9)
         members = [
             Conv2d(ch, 4, k, rng, stride=stride, pad=pad, dtype=dtype)
@@ -693,6 +770,8 @@ class TestCohortModelAndSGD:
         (0.5, 0.0, 0.1),
     ])
     def test_fused_updates_match_member_sgd(self, momentum, weight_decay, prox_mu):
+        """A C-member cohort's fused steps equal C one-member cohorts
+        (each member model with its own ``SGD``) stepped alone."""
         cohort, n, din, hidden, classes = 3, 8, 6, 5, 4
         members = [_member_mlp(10 + c, din, hidden, classes) for c in range(cohort)]
         cm = CohortModel(_member_mlp(0, din, hidden, classes), cohort)
@@ -704,7 +783,7 @@ class TestCohortModelAndSGD:
         if prox_mu:
             opt_many.set_prox_center(cm.flatten())
             for m, o in zip(members, opts):
-                o.set_prox_center([p.data.copy() for p in m.parameters()])
+                o.set_prox_center(_flat(m)[None])
         rng = np.random.default_rng(1)
         for _ in range(3):
             x = rng.standard_normal((cohort, n, din))

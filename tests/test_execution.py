@@ -86,7 +86,7 @@ def lenet_model_fn_for(fed):
 
 
 class Scale(Layer):
-    """A parametric layer with serial kernels only (no ``forward_many``)."""
+    """A parametric layer with one-model kernels only (no ``forward_many``)."""
 
     def __init__(self, features):
         self.g = Parameter(np.ones(features, np.float32), "scale.g")
@@ -296,9 +296,10 @@ class TestIfcaOnVector:
 
 
 class TestEverySpecRunsAsACohort:
-    """Under ``vector`` every spec of a spec dispatch runs through the
-    cohort kernels; a spec alone in its shape group is a cohort of one,
-    and gives the serial stack's results bit for bit."""
+    """Under ``vector`` every spec of a spec dispatch runs in
+    ``CohortRunner``'s cohorts, a spec alone in its shape group as a
+    cohort of one.  ``serial`` runs each spec's recipe on the work model
+    as a cohort of one, so the two agree bit for bit."""
 
     @pytest.mark.parametrize("model_fn_for", [
         model_fn_for, bn_model_fn_for, lenet_model_fn_for,
@@ -314,12 +315,14 @@ class TestEverySpecRunsAsACohort:
     ):
         """The Dirichlet federation's unequal shards leave one-member
         train and eval groups: under ``vector`` no spec dispatch falls
-        back to ``local_train``/``local_eval``, and the run equals the
-        serial run exactly."""
+        back to ``local_train``/``local_eval``; under ``serial`` every
+        task runs them, and they train and evaluate cohorts of one.  The
+        runs are equal exactly."""
+        import repro.fl.training as training
         from test_registry import TestGoldenEquivalence as G
 
         fed = G._fed("dirichlet")
-        calls = []
+        calls, cohorts = [], []
         for recipe in ("local_train", "local_eval"):
             real = getattr(FederatedAlgorithm, recipe)
 
@@ -328,20 +331,33 @@ class TestEverySpecRunsAsACohort:
                 return _real(self, *args, **kwargs)
 
             monkeypatch.setattr(FederatedAlgorithm, recipe, spy)
+        # the recipes' cohort routines (CohortRunner imports its own names)
+        for name in ("local_sgd_many", "evaluate_accuracy_many"):
+            real = getattr(training, name)
+
+            def cohort_spy(model, *args, _real=real, **kwargs):
+                cohorts.append(model.cohort)
+                return _real(model, *args, **kwargs)
+
+            monkeypatch.setattr(training, name, cohort_spy)
         runs = {}
         for backend in ("serial", "vector"):
             calls.clear()
+            cohorts.clear()
             history, algo = run_one(fed, method, backend, model_fn_for, **extra)
             runs[backend] = (canonical_history(history), params_digest(algo))
             assert bool(calls) == (backend == "serial"), (backend, calls)
+            assert set(cohorts) == ({1} if backend == "serial" else set())
         assert runs["vector"] == runs["serial"]
 
     def test_vector_needs_cohort_kernels(self, fed):
-        """A parametric layer without ``forward_many`` runs on ``serial``
-        only: ``vector`` names the layer instead of falling back."""
-        run_one(fed, "fedavg", "serial", scale_model_fn_for)
-        with pytest.raises(NotImplementedError, match="Scale"):
-            run_one(fed, "fedavg", "vector", scale_model_fn_for)
+        """A parametric layer without ``forward_many`` runs on neither
+        backend: its cohort kernels would be its only kernels, since
+        ``serial`` runs each model as a cohort of one, so both backends
+        name the layer."""
+        for backend in ("serial", "vector"):
+            with pytest.raises(NotImplementedError, match="Scale"):
+                run_one(fed, "fedavg", backend, scale_model_fn_for)
 
     @pytest.mark.parametrize("backend", ["serial", "vector"])
     def test_ifca_scoring_needs_cohort_kernels(self, fed, backend):
@@ -365,6 +381,25 @@ class TestEverySpecRunsAsACohort:
         algo = NoBuffers(fed, bn_model_fn_for(fed), config_for(backend))
         with pytest.raises(ValueError, match="fedavg.*state_for_client"):
             algo.run()
+
+
+class TestBespokeLoopGoldens:
+    """SCAFFOLD, FedDyn and Per-FedAvg step on raw gradients in client
+    loops of their own (``grad_on_batch``), through Dense, BatchNorm and
+    Conv2d.  Each loop is pinned in ``tests/data/golden_bespoke.json`` on
+    the three test models, as captured on ``serial``; ``vector`` runs the
+    same loops and reproduces the capture."""
+
+    MODELS = {
+        "mlp": model_fn_for, "bn-mlp": bn_model_fn_for, "lenet5": lenet_model_fn_for,
+    }
+
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    @pytest.mark.parametrize("model", list(MODELS))
+    @pytest.mark.parametrize("method", ["scaffold", "feddyn", "perfedavg"])
+    def test_matches_pinned_capture(self, fed, golden_compare, method, model, backend):
+        history, algo = run_one(fed, method, backend, self.MODELS[model])
+        golden_compare("golden_bespoke.json", f"{method}-{model}", algo, history)
 
 
 #: every spec task, as (algorithm class, method, extras)

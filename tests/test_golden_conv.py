@@ -12,10 +12,11 @@ Dense and ReLU.  These cases run the three benchmark cells, shrunk to
 
 Each recipe is captured on ``serial`` and on ``vector`` and compared
 exactly to its own capture in ``tests/data/golden_conv.json``.  The two
-captures of a recipe are also equal to each other: Conv2d's cohort
-columns come in the serial im2col order, so every cohort kernel these
-recipes run sums in the serial order, at least on the BLAS build the
-captures were made with.  A kernel change that reorders sums re-pins
+captures of a recipe are also equal to each other: ``serial`` runs the
+same cohort kernels one client at a time, and Conv2d's cohort columns
+come in im2col's order, so a member of a larger cohort sums in the order
+of a cohort of one, at least on the BLAS build the captures were made
+with.  A kernel change that reorders sums re-pins
 these cases with ``REPRO_UPDATE_GOLDENS=1`` and records the measured
 difference.
 

@@ -153,8 +153,7 @@ class TestSGD:
     def test_prox_pulls_to_center(self):
         m = self._tiny()
         opt = SGD(m, lr=0.1, prox_mu=1.0)
-        center = [np.zeros_like(p.data) for p in m.parameters()]
-        opt.set_prox_center(center)
+        opt.set_prox_center(np.zeros((1, m.num_parameters())))
         p = m.parameters()[0]
         p.grad[:] = 0.0
         before = p.data.copy()
@@ -165,7 +164,9 @@ class TestSGD:
         m = self._tiny()
         opt = SGD(m, lr=0.1, prox_mu=1.0)
         with pytest.raises(ValueError):
-            opt.set_prox_center([np.zeros((3, 3))])
+            opt.set_prox_center(np.zeros((1, 3)))
+        with pytest.raises(ValueError):  # one stacked vector per member
+            opt.set_prox_center(np.zeros(m.num_parameters()))
 
     def test_reset_state_clears_momentum(self):
         m = self._tiny()

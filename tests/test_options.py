@@ -150,15 +150,6 @@ class TestEveryDeclaredBoundIsEnforced:
                 )
                 FACTORIES[family](cfg)
 
-    def test_factory_keyword_checked_where_it_does_not_apply(self):
-        with pytest.raises(ValueError, match="buffer_size"):
-            make_scheduler(scheduler="sync", buffer_size=-1)
-        with pytest.raises(ValueError, match="topk_frac"):
-            make_codec(codec="none", topk_frac=5.0)
-        assert "buffer_size" not in make_scheduler(
-            scheduler="sync", buffer_size=4
-        ).options
-
     @pytest.mark.parametrize("method, extra", [
         ("fedclust", {"selection_k": 0}),
         ("cfl", {"min_cluster_size": 0}),

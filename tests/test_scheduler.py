@@ -526,8 +526,7 @@ class TestPlumbing:
             "sync", "semisync", "buffered",
         }
         assert isinstance(make_scheduler(scheduler="sync"), SyncScheduler)
-        s = make_scheduler(scheduler="buffered", buffer_size=4,
-                           staleness_alpha=1.5)
+        s = make_scheduler(scheduler="buffered:bs=4,sa=1.5")
         assert isinstance(s, BufferedScheduler)
         assert s.options["buffer_size"] == 4
         assert s.options["staleness_alpha"] == 1.5
