@@ -115,7 +115,7 @@ class FedClust(ClusteredAlgorithm):
         return run_spec(self, spec)
 
     def client_task_specs(self, method, argslist):
-        # The round-0 warm-up is the default local_train recipe from θ⁰;
+        # The round-0 warm-up is the default local-SGD recipe from θ⁰;
         # only the partial-weight selection differs, and that runs as a
         # postprocessor on the finished update.
         if method != "client_partial_weights":

@@ -63,7 +63,7 @@ class ExperimentScale:
 
         Any field can be overridden by keyword — including the
         client-execution backend (``backend="vector"``), which changes
-        wall-clock time and, within its pinned tolerance, nothing else.
+        wall-clock time and nothing else.
         """
         base = dict(
             rounds=self.rounds,

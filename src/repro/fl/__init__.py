@@ -24,7 +24,7 @@ from repro.fl.codecs import (
 )
 from repro.fl.comm import MB, CommTracker
 from repro.fl.config import FLConfig
-from repro.fl.execution import ExecutionBackend, SerialBackend, make_backend
+from repro.fl.execution import SerialBackend, make_backend
 from repro.fl.network import (
     ClientLink,
     FlakyNetwork,
@@ -102,7 +102,6 @@ __all__ = [
     "SemiSyncScheduler",
     "BufferedScheduler",
     "make_scheduler",
-    "ExecutionBackend",
     "SerialBackend",
     "make_backend",
     "PopulationModel",

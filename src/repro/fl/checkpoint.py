@@ -41,10 +41,8 @@ component family's registry-resolved implementation + options (so env
 refuses a mismatched fingerprint with a :class:`ValueError` naming every
 differing field.  The execution backend is deliberately *excluded*, so a
 run crashed under ``serial`` may resume under ``vector`` and back.  A
-resume on the same backend is bit-for-bit; a cross-backend resume matches
-the unbroken run within the ``vector`` backend's numeric contract
-(:mod:`repro.fl.execution`: accuracy within ``VECTOR_ACC_ATOL``, train
-loss within ``VECTOR_LOSS_RTOL``, byte counters and extras exact).
+resume is bit-for-bit either way: both backends are the one task runner
+and compare exactly (:mod:`repro.fl.execution`).
 ``checkpoint_every`` / ``checkpoint_dir`` are excluded too — the save
 cadence must not pin the resumed run's.
 """
@@ -103,7 +101,7 @@ _CONFIG_FIELDS = (
 )
 #: component families whose resolved (name, options) enter the fingerprint;
 #: ``backend`` is excluded — how client tasks execute is not run state, so
-#: resuming on the other backend is legal (within the ``VECTOR_*`` contract)
+#: resuming on the other backend is legal (and bit for bit)
 _FINGERPRINT_FAMILIES = (
     "codec", "network", "scheduler", "population", "attack", "aggregator",
     "topology",

@@ -40,9 +40,9 @@ class FLConfig:
     #: still pays the download; the upload never happens.
     dropout_rate: float = 0.0
     #: client-execution backend (:mod:`repro.fl.execution`): ``"serial"``
-    #: (a plain loop over the clients), ``"vector"`` (cohort-batched
-    #: kernels, within a pinned tolerance of serial), or ``"auto"``
-    #: (resolve from ``REPRO_BACKEND``, defaulting to serial)
+    #: (one client after another, each a cohort of one), ``"vector"``
+    #: (same-shape clients batched into one cohort, bit for bit serial),
+    #: or ``"auto"`` (resolve from ``REPRO_BACKEND``, defaulting to serial)
     backend: str = "auto"
     #: upload codec (:mod:`repro.fl.codecs`): ``"none"``, ``"fp16"``,
     #: ``"int8"``, ``"topk"``, ``"auto"`` (resolve from ``REPRO_CODEC``,

@@ -1,43 +1,45 @@
-"""Client-execution backends for the federated round loop.
+"""The task runner: how the engine executes a dispatch of client tasks.
 
 The engine (:class:`repro.fl.server.FederatedAlgorithm`) simulates every
 selected client per round.  How those per-client tasks *execute* is the
 concern of this module, selected via :attr:`repro.fl.config.FLConfig.backend`
 (or the ``REPRO_BACKEND`` environment variable when ``backend="auto"``).
-Both backends run every task in the calling thread:
-
-There is one kernel stack: the ``nn`` layers compute over a leading
-cohort axis (``forward_many``/``backward_many``), and a single model is
-a cohort of one.  The backends differ only in how many clients a cohort
-holds.
+There is one runner, :class:`CohortRunner`, and it runs every task in the
+calling thread.  The ``nn`` layers compute over a leading cohort axis
+(``forward_many``/``backward_many``), and a single model is a cohort of
+one.  The two backends are the runner with two groupings:
 
 ``serial`` (:class:`SerialBackend`)
-    The default: a plain loop over the tasks on the engine's work model,
-    each task a cohort of one.
+    The default: every task is a group of its own, a cohort of one on the
+    engine's work model.  It is the reference that ``vector``'s grouping
+    must reproduce exactly.
 
 ``vector`` (:class:`CohortRunner`)
     Same-shape client tasks are stacked along the cohort axis and
     executed as *one* batched tensor program; a task alone in its shape
-    runs as a cohort of one.  Batching reorders float accumulation, so
-    this backend trades bit-exactness for a pinned numeric tolerance
-    (``VECTOR_*`` constants below).  Bespoke client loops, the one kind
-    of task it does not batch (:func:`runs_as_specs`), run exactly as on
-    ``serial``.
+    runs as a cohort of one on the work model, as on ``serial``.
+
+The two agree bit for bit: histories, parameters and buffers compare with
+``==`` in the tests on every CI leg.  That is measured, not guaranteed by
+construction: a cohort's kernels could in principle sum in another order
+than a cohort of one's.  If a leg ever differs, find the kernel whose
+cohort and one-member forms diverge and make them agree; do not add a
+tolerance back.
 
 Spec tasks
 ----------
 
-A task whose recipe is the engine's default — install a model, run
-``local_train``'s SGD loop or ``local_eval``'s accuracy, optionally
-post-process the result — is written once, as the
-:class:`ClientTrainSpec`/:class:`ClientEvalSpec` that
-``FederatedAlgorithm.client_task_specs`` builds.  Its method is marked
+A task whose recipe is the engine's default — install a model, run the
+local-SGD loop or measure accuracy, optionally post-process the result —
+is written once, as the :class:`ClientTrainSpec`/:class:`ClientEvalSpec`
+that ``FederatedAlgorithm.client_task_specs`` builds, and the recipe
+itself exists once, in :class:`CohortRunner`.  A task method is marked
 :func:`spec_task` and its body builds the one-task spec and hands it to
-:func:`run_spec`, which is all ``serial`` runs; ``vector`` builds the
-specs of a whole dispatch at once and batches them.  A subclass that
-replaces such a method with its own ``def``, or replaces
-``local_train``/``local_eval``, leaves the spec path: its dispatches run
-the methods, on either backend (:func:`runs_as_specs`).
+:func:`run_spec`, the runner applied to one spec; a dispatch builds the
+specs of all its tasks at once and runs them on either backend.  A
+subclass that replaces such a method with its own ``def`` leaves the spec
+path: its dispatches call the methods, on either backend
+(:func:`runs_as_specs`).
 
 There is no multi-core backend: multi-core scale-out is out of scope, and
 ``vector`` on one core outran a process pool on two on every measured cell
@@ -60,13 +62,13 @@ Client-side work is written as a pure function of
 
 Checkpoint/resume and event-log replay depend on it (a resumed or
 replayed round re-derives every draw from its key), and so does
-:class:`CohortRunner`, which advances all members of a cohort together
-instead of running one client task after another.
+:class:`CohortRunner`, which builds a dispatch's specs before it runs any
+and advances all members of a cohort together instead of running one
+client task after another.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -82,7 +84,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.fl.server import ClientUpdate, FederatedAlgorithm
 
 __all__ = [
-    "ExecutionBackend",
     "SerialBackend",
     "CohortRunner",
     "ClientTrainSpec",
@@ -92,101 +93,12 @@ __all__ = [
     "runs_as_specs",
     "make_backend",
     "VECTOR_ACC_ATOL",
-    "VECTOR_LOSS_RTOL",
-    "VECTOR_PARAM_RTOL",
 ]
 
-#: Numeric contract of the ``vector`` backend against the serial path.
-#: Cohort batching changes only float *accumulation order* (stacked GEMMs
-#: and fused reductions), never the algorithm, so per-round metrics agree
-#: to within accumulated rounding noise.  The bounds are enforced by
-#: ``tests/test_execution.py`` and ``tests/golden.py``; see
-#: ``docs/architecture.md`` for what has been measured against them:
-#:
-#: * accuracy is an argmax statistic over at most a few hundred test
-#:   samples per client — a single boundary flip moves it by 1/n, so the
-#:   tolerance admits a handful of flipped samples per federation;
-#: * losses/params drift multiplicatively with the depth of reordered
-#:   reductions.
-#:
-#: Measured drift on the three conv recipes is nil: each recipe's vector
-#: capture in ``tests/data/golden_conv.json`` equals its serial capture
-#: field for field, parameter and eval digests included, and
-#: ``tests/test_golden_conv.py`` asserts it.  Conv2d's cohort columns
-#: come in im2col's order, so a member's gradient sums run in the order
-#: of a cohort of one.  Before they did, the ResNet-9 recipe (BatchNorm) read
-#: a round-3 accuracy gap of 0.0236 and a train-loss gap of a relative
-#: 0.0121 from Conv2d's sum order alone.  Those recipes are bitwise on
-#: one BLAS build, not by construction, so the bounds stay.
-#:
-#: Byte counters (``cumulative_mb``, ``upload_bytes``, ``download_bytes``)
-#: are metered from array shapes and stay *exact* under ``vector``.
+#: Kept only because the benchmark (``perfbench/workloads.py``) imports it
+#: for its seed-0 accuracy pin; nothing in the program or its tests reads
+#: it, since the backends compare exactly.  It goes once that pin is exact.
 VECTOR_ACC_ATOL = 0.05
-VECTOR_LOSS_RTOL = 1e-2
-VECTOR_PARAM_RTOL = 1e-4
-
-
-class ExecutionBackend(ABC):
-    """How the engine executes a batch of per-client tasks.
-
-    A *task* is a bound-method call on the algorithm — ``client_update``,
-    ``evaluate_client``, or an algorithm-specific round-0 method such as
-    FedClust's ``client_partial_weights``.  Backends guarantee that the
-    returned list is ordered like the submitted argument list.
-    """
-
-    #: registry name; subclasses set this
-    name: str = "base"
-
-    @abstractmethod
-    def map(
-        self,
-        algorithm: "FederatedAlgorithm",
-        method: str,
-        argslist: Sequence[tuple],
-    ) -> list:
-        """Execute ``getattr(algorithm, method)(*args)`` for each args tuple.
-
-        Args:
-            algorithm: the running federation (one backend instance serves
-                one algorithm run).
-            method: name of the algorithm method to call for each task.
-            argslist: one positional-argument tuple per task.
-
-        Returns:
-            The task results, in the order of ``argslist`` (never in
-            completion order).
-        """
-
-    def run_updates(
-        self,
-        algorithm: "FederatedAlgorithm",
-        round_idx: int,
-        client_ids: Iterable[int],
-    ) -> list["ClientUpdate"]:
-        """Run ``client_update`` for every id in ``client_ids`` (in order)."""
-        tasks = [(int(c), round_idx) for c in client_ids]
-        with algorithm.telemetry.span(
-            "execute", cat="backend", backend=self.name, clients=len(tasks)
-        ):
-            return self.map(algorithm, "client_update", tasks)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
-
-
-@register("backend", "serial")
-class SerialBackend(ExecutionBackend):
-    """Sequential in-process execution, one task after another, each on
-    the engine's work model as a cohort of one — the seed engine's exact
-    behaviour."""
-
-    name = "serial"
-
-    @staticmethod
-    def map(algorithm, method, argslist):
-        fn = getattr(algorithm, method)
-        return [fn(*args) for args in argslist]
 
 
 @dataclass
@@ -195,9 +107,10 @@ class ClientTrainSpec:
 
     ``FederatedAlgorithm.client_task_specs`` returns one of these per task
     of a training :func:`spec_task` (``client_update``, FedClust's
-    ``client_partial_weights``).  :func:`run_spec` runs it through
-    ``local_train``; :class:`CohortRunner` runs a dispatch's specs as
-    slices of one batched cohort.
+    ``client_partial_weights``).  :class:`CohortRunner` runs a dispatch's
+    specs as members of cohorts: install ``params``/``state``, run the
+    local-SGD loop from the client's keyed generator, package a
+    ``ClientUpdate``.
     """
 
     client_id: int
@@ -207,7 +120,7 @@ class ClientTrainSpec:
     #: non-trainable buffers installed before training ({} only for a
     #: model without buffers)
     state: dict[str, np.ndarray] = field(default_factory=dict)
-    #: FedProx anchor and strength μ of the proximal term (``local_train``)
+    #: FedProx anchor and strength μ of the proximal term
     prox_center: np.ndarray | None = None
     prox_mu: float = 0.0
     #: override of ``config.local_epochs`` (FedClust's round-0 warm-up)
@@ -222,7 +135,7 @@ class ClientTrainSpec:
 class ClientEvalSpec:
     """Declarative description of one default-recipe evaluation task
     (``evaluate_client``): install ``params``/``state``, measure top-1
-    accuracy on the client's local test set (``local_eval``)."""
+    accuracy on the client's local test set."""
 
     client_id: int
     params: np.ndarray
@@ -248,17 +161,10 @@ def runs_as_specs(algorithm: "FederatedAlgorithm", method: str) -> bool:
     """Whether a dispatch of ``method`` may run as specs.
 
     It may when ``method`` is a :func:`spec_task` that no bespoke ``def``
-    of a subclass replaces, and ``local_train``/``local_eval`` are the
-    engine's.  Otherwise only the methods say what the tasks do, and the
-    dispatch calls them.
+    of a subclass replaces.  Otherwise only the methods say what the
+    tasks do, and the dispatch calls them.
     """
-    from repro.fl.server import FederatedAlgorithm  # import cycle guard
-
-    cls = type(algorithm)
-    return getattr(getattr(cls, method), "spec_task", False) and all(
-        getattr(cls, recipe) is getattr(FederatedAlgorithm, recipe)
-        for recipe in ("local_train", "local_eval")
-    )
+    return getattr(getattr(type(algorithm), method), "spec_task", False)
 
 
 def _require_buffers(
@@ -281,32 +187,17 @@ def _require_buffers(
         )
 
 
-def run_spec(
-    algorithm: "FederatedAlgorithm", spec: ClientTrainSpec | ClientEvalSpec
-) -> object:
-    """Run one spec on the algorithm's work model: ``local_train`` or
-    ``local_eval``, then ``spec.post``.  The task's result."""
-    _require_buffers(algorithm, [spec])
-    if isinstance(spec, ClientTrainSpec):
-        result = algorithm.local_train(
-            spec.client_id, spec.round_idx, spec.params, spec.state,
-            prox_center=spec.prox_center, prox_mu=spec.prox_mu,
-            epochs=spec.epochs,
-        )
-    else:
-        result = algorithm.local_eval(spec.client_id, spec.params, spec.state)
-    return result if spec.post is None else spec.post(result)
-
-
 @register("backend", "vector")
-class CohortRunner(ExecutionBackend):
-    """Cohort-batched execution: one stacked tensor program per round.
+class CohortRunner:
+    """The task runner: one stacked tensor program per group of tasks.
 
-    This backend removes the per-client Python loop: all same-shape tasks
-    of a dispatch are stacked along a leading *cohort axis* and executed
-    as one batched forward/backward/update per step through the ``nn``
-    layers' ``forward_many``/``backward_many`` kernels and
-    :class:`CohortSGD` — the throughput lever on a single core.
+    All same-shape tasks of a dispatch are stacked along a leading
+    *cohort axis* and executed as one batched forward/backward/update per
+    step through the ``nn`` layers' ``forward_many``/``backward_many``
+    kernels and :class:`CohortSGD` — the throughput lever on a single
+    core.  A group of one runs on the algorithm's work model
+    (``algorithm.model.as_cohort()``); a larger group on a template of its
+    own size, built once per run.
 
     The batching is strictly an implementation detail of *how* the default
     client recipe executes; everything downstream (``aggregate``/``merge``,
@@ -314,18 +205,15 @@ class CohortRunner(ExecutionBackend):
     ``ClientUpdate``s.  A dispatch of a :func:`spec_task` is built into
     specs at once (``client_task_specs``), so an algorithm may share work
     across its tasks (IFCA scores every cluster model on all of them in
-    one pass); same-shape specs run as one cohort, and a spec alone in its
-    shape as a cohort of one.  A dispatch leaves this path only when
-    :func:`runs_as_specs` refuses it — bespoke client loops (SCAFFOLD,
-    FedDyn, Per-FedAvg), or any subclass ``def`` over a spec task or over
-    ``local_train``/``local_eval`` — and then calls the methods, exactly
-    as ``serial`` does, bit for bit.
+    one pass).  A dispatch leaves this path only when :func:`runs_as_specs`
+    refuses it — bespoke client loops (SCAFFOLD, FedDyn, Per-FedAvg), or
+    any subclass ``def`` over a spec task — and then calls the methods.
 
-    Batched cohorts run the kernels ``serial`` runs at one member, with
-    identical minibatch schedules, per-client generators, and operand
-    ordering *within* each step; only float accumulation order may differ
-    (see the module-level ``VECTOR_*`` tolerance contract).  One runner
-    serves one run.
+    Every group runs the same kernels, with identical minibatch
+    schedules, per-client generators, and operand ordering within each
+    step, so a member's result equals the one it gets alone (see the
+    module docstring: measured bitwise, checked with ``==``).  Subclasses
+    change only the grouping (:meth:`_group`).  One runner serves one run.
     """
 
     name = "vector"
@@ -336,11 +224,20 @@ class CohortRunner(ExecutionBackend):
     def __init__(self):
         self._cohorts: dict[int, CohortModel] = {}
 
+    @staticmethod
+    def _group(keys: Sequence[tuple]) -> list[list[int]]:
+        """The cohorts of a dispatch, as lists of spec indices: specs
+        with equal keys (data shapes and optimizer scalars) run as one."""
+        groups: dict[tuple, list[int]] = {}
+        for i, key in enumerate(keys):
+            groups.setdefault(key, []).append(i)
+        return list(groups.values())
+
     # -- plumbing ----------------------------------------------------------
     def _load(self, algorithm, members) -> CohortModel:
         """A cohort model holding ``members``' params and buffers."""
         cohort = len(members)
-        cm = self._cohorts.get(cohort)
+        cm = algorithm.model.as_cohort() if cohort == 1 else self._cohorts.get(cohort)
         if cm is None:
             # a fresh, exclusively-owned template per cohort size; its
             # initial weights are irrelevant (load_flat overwrites them)
@@ -354,14 +251,59 @@ class CohortRunner(ExecutionBackend):
         return cm
 
     # -- dispatch ----------------------------------------------------------
-    def map(self, algorithm, method, argslist):
+    def run_updates(
+        self,
+        algorithm: "FederatedAlgorithm",
+        round_idx: int,
+        client_ids: Iterable[int],
+    ) -> list["ClientUpdate"]:
+        """Run ``client_update`` for every id in ``client_ids`` (in order)."""
+        tasks = [(int(c), round_idx) for c in client_ids]
+        with algorithm.telemetry.span(
+            "execute", cat="backend", backend=self.name, clients=len(tasks)
+        ):
+            return self.map(algorithm, "client_update", tasks)
+
+    def map(
+        self,
+        algorithm: "FederatedAlgorithm",
+        method: str,
+        argslist: Sequence[tuple],
+    ) -> list:
+        """Execute ``getattr(algorithm, method)(*args)`` for each args tuple.
+
+        A *task* is a bound-method call on the algorithm —
+        ``client_update``, ``evaluate_client``, or an algorithm-specific
+        round-0 method such as FedClust's ``client_partial_weights``.  A
+        spec task's dispatch is built into specs at once and run
+        (:meth:`run_specs`); any other calls the method once per task.
+
+        Args:
+            algorithm: the running federation (one runner serves one
+                algorithm run).
+            method: name of the algorithm method to call for each task.
+            argslist: one positional-argument tuple per task.
+
+        Returns:
+            The task results, in the order of ``argslist``.
+        """
         if not argslist:
             return []
         if not runs_as_specs(algorithm, method):
-            return SerialBackend.map(algorithm, method, argslist)
-        specs = algorithm.client_task_specs(
-            method, [tuple(args) for args in argslist]
+            fn = getattr(algorithm, method)
+            return [fn(*args) for args in argslist]
+        return self.run_specs(
+            algorithm,
+            algorithm.client_task_specs(method, [tuple(args) for args in argslist]),
         )
+
+    def run_specs(
+        self,
+        algorithm: "FederatedAlgorithm",
+        specs: Sequence[ClientTrainSpec | ClientEvalSpec],
+    ) -> list:
+        """Run one dispatch's specs (all train or all eval), each result
+        passed through its spec's ``post``, in spec order."""
         _require_buffers(algorithm, specs)
         if isinstance(specs[0], ClientTrainSpec):
             return self._run_train(algorithm, specs)
@@ -376,16 +318,12 @@ class CohortRunner(ExecutionBackend):
         # Cohorts must share the dataset/schedule shape and the optimizer's
         # scalars; everything else (params, labels, generators, prox
         # anchors) stacks per member.
-        groups: dict[tuple, list[int]] = {}
-        for i, s in enumerate(specs):
-            key = (
-                fed[s.client_id].train_x.shape,
-                s.epochs,
-                s.prox_center is not None,
-                s.prox_mu,
-            )
-            groups.setdefault(key, []).append(i)
-        for idxs in groups.values():
+        keys = [
+            (fed[s.client_id].train_x.shape, s.epochs,
+             s.prox_center is not None, s.prox_mu)
+            for s in specs
+        ]
+        for idxs in self._group(keys):
             members = [specs[i] for i in idxs]
             first = members[0]
             cm = self._load(algorithm, members)
@@ -427,10 +365,8 @@ class CohortRunner(ExecutionBackend):
     def _run_eval(self, algorithm, specs):
         fed = algorithm.fed
         results: list = [None] * len(specs)
-        groups: dict[tuple, list[int]] = {}
-        for i, s in enumerate(specs):
-            groups.setdefault(fed[s.client_id].test_x.shape, []).append(i)
-        for idxs in groups.values():
+        keys = [fed[s.client_id].test_x.shape for s in specs]
+        for idxs in self._group(keys):
             members = [specs[i] for i in idxs]
             cm = self._load(algorithm, members)
             xs = np.stack([fed[s.client_id].test_x for s in members])
@@ -442,7 +378,33 @@ class CohortRunner(ExecutionBackend):
         return results
 
 
-def make_backend(config=None, backend: str | None = None) -> ExecutionBackend:
+@register("backend", "serial")
+class SerialBackend(CohortRunner):
+    """The runner with every task a group of its own: each trains or
+    evaluates as a cohort of one on the engine's work model, one after
+    another — the default, and the reference ``vector`` reproduces."""
+
+    name = "serial"
+
+    @staticmethod
+    def _group(keys: Sequence[tuple]) -> list[list[int]]:
+        return [[i] for i in range(len(keys))]
+
+
+def run_spec(
+    algorithm: "FederatedAlgorithm", spec: ClientTrainSpec | ClientEvalSpec
+) -> object:
+    """The runner applied to one spec, as a cohort of one on the
+    algorithm's work model: the task's result (``spec.post`` applied).
+
+    A :func:`spec_task` body calls this, never :meth:`CohortRunner.map`:
+    a subclass ``def`` whose ``super()`` call reached ``map`` would be
+    dispatched back to itself.
+    """
+    return SerialBackend().run_specs(algorithm, [spec])[0]
+
+
+def make_backend(config=None, backend: str | None = None) -> CohortRunner:
     """Build the execution backend for one federation run.
 
     Args:
@@ -457,6 +419,7 @@ def make_backend(config=None, backend: str | None = None) -> ExecutionBackend:
     code.
 
     Returns:
-        A fresh :class:`ExecutionBackend` for one run.
+        A fresh :class:`CohortRunner` (``serial`` or ``vector``) for one
+        run.
     """
     return registry.resolve("backend", spec=backend, config=config).impl.cls()

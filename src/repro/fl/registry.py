@@ -227,8 +227,8 @@ _declare(
     doc=(
         "how the per-round client sweep executes: `serial` runs one client "
         "after another (each a cohort of one), `vector` batches same-shape "
-        "clients into one cohort and matches serial within a pinned, "
-        "test-enforced tolerance"
+        "clients into one cohort; both run the one task runner, and the "
+        "tests check that their results are equal bit for bit"
     ),
 )
 _declare(

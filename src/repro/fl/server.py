@@ -35,10 +35,13 @@ function of ``(server state, client id, round index)``:
   client/round-specific key, never from a shared sequential generator.
 
 Checkpoint/resume and event-log replay rely on this (a resumed round
-re-derives every draw from its key), and so does the ``vector`` backend
-(:mod:`repro.fl.execution`), which trains a round's batchable clients
-together as one cohort instead of one after another.  ``self.model`` is
-shared scratch: a task may overwrite its parameters and buffers freely.
+re-derives every draw from its key), and so does the task runner
+(:class:`~repro.fl.execution.CohortRunner`), which builds a dispatch's
+tasks at once and, under ``vector``, trains a round's same-shape clients
+together as one cohort instead of one after another.  Either backend runs
+the one recipe in the runner, and their results compare exactly.
+``self.model`` is shared scratch: a task may overwrite its parameters and
+buffers freely, and a cohort of one trains on it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.data.federated import ClientData, FederatedDataset
+from repro.data.federated import FederatedDataset
 from repro.fl import registry
 from repro.fl.aggregation import (
     WEIGHTED,
@@ -73,7 +76,7 @@ from repro.fl.config import FLConfig
 from repro.fl.execution import (
     ClientEvalSpec,
     ClientTrainSpec,
-    ExecutionBackend,
+    CohortRunner,
     SerialBackend,
     make_backend,
     run_spec,
@@ -86,10 +89,11 @@ from repro.fl.sampling import sample_clients
 from repro.fl.scheduler import Scheduler, make_scheduler
 from repro.fl.telemetry import NULL_TELEMETRY, make_telemetry
 from repro.fl.topology import FLAT_TOPOLOGY, Topology, make_topology
-from repro.fl.training import evaluate_accuracy, local_sgd
+# not called here: the benchmark's tracer (perfbench/layertrace.py)
+# patches ``server.local_sgd`` by name, so the name must stay importable
+from repro.fl.training import local_sgd  # noqa: F401
 from repro.nn.model import Sequential
-from repro.nn.optim import SGD
-from repro.nn.serialization import flatten_params, param_nbytes, unflatten_params
+from repro.nn.serialization import param_nbytes
 from repro.utils.rng import RngFactory
 
 __all__ = ["ClientUpdate", "FederatedAlgorithm", "weighted_average", "average_states"]
@@ -165,7 +169,7 @@ class FederatedAlgorithm(ABC):
         self.model_bytes = param_nbytes(self.model)
         self.comm = CommTracker()
         self.history = History(self.name, fed.name)
-        self._backend: ExecutionBackend | None = None
+        self._backend: CohortRunner | None = None
         #: wire layer, built by ``run`` from the config (introspectable
         #: afterwards: ``algo.codec.name``, ``algo.network.name``)
         self.codec: Codec | None = None
@@ -333,12 +337,12 @@ class FederatedAlgorithm(ABC):
         This is the one statement of each default-recipe task
         (:mod:`repro.fl.execution`, "Spec tasks"): the task method runs
         the one spec built from its own arguments through
-        :func:`~repro.fl.execution.run_spec`, and the ``vector`` backend
-        builds a whole dispatch at once and batches it.  Building at once
-        lets an algorithm share work across its tasks (IFCA scores every
-        cluster model on all of them in one pass).  The base answers for
-        ``client_update`` (``local_train`` from ``params_for_client``/
-        ``state_for_client``) and ``evaluate_client`` (``local_eval`` of
+        :func:`~repro.fl.execution.run_spec`, and either backend builds a
+        whole dispatch at once and runs it.  Building at once lets an
+        algorithm share work across its tasks (IFCA scores every cluster
+        model on all of them in one pass).  The base answers for
+        ``client_update`` (local SGD from ``params_for_client``/
+        ``state_for_client``) and ``evaluate_client`` (the accuracy of
         ``eval_params_for_client``/``eval_state_for_client``).  An
         algorithm changes a task's inputs by overriding this (FedProx's
         proximal anchor, IFCA's argmin cluster), and adds a task by
@@ -467,11 +471,10 @@ class FederatedAlgorithm(ABC):
             setattr(self, key, value)
 
     def _map_clients(self, method: str, argslist: list[tuple]) -> list:
-        """Run per-client tasks through the active backend (serial when no
-        run is in progress, e.g. in tests that call hooks directly)."""
-        if self._backend is None:
-            return SerialBackend.map(self, method, argslist)
-        return self._backend.map(self, method, argslist)
+        """Run per-client tasks through the active backend (a fresh
+        ``serial`` one when no run is in progress, e.g. in tests that call
+        hooks directly)."""
+        return (self._backend or SerialBackend()).map(self, method, argslist)
 
     # ------------------------------------------------------------------
     # engine
@@ -727,66 +730,6 @@ class FederatedAlgorithm(ABC):
         (spec,) = self.client_task_specs("client_update", [(client_id, round_idx)])
         return run_spec(self, spec)
 
-    def local_train(
-        self,
-        client_id: int,
-        round_idx: int,
-        params: np.ndarray,
-        state: dict[str, np.ndarray] | None = None,
-        prox_center: np.ndarray | None = None,
-        prox_mu: float = 0.0,
-        epochs: int | None = None,
-    ) -> ClientUpdate:
-        """Run the standard local-SGD client update and package the result
-        (the recipe of every :class:`~repro.fl.execution.ClientTrainSpec`).
-
-        Args:
-            client_id: which client's data to train on.
-            round_idx: current round (keys the client's training RNG).
-            params: flat parameter vector to start from.
-            state: non-trainable buffers to install before training (omit
-                only for stateless models).
-            prox_center: FedProx anchor of the proximal term.
-            prox_mu: strength μ of the proximal term (0 disables it).
-            epochs: override for ``config.local_epochs``.
-
-        Returns:
-            The packaged :class:`ClientUpdate`.
-        """
-        cfg = self.config
-        client = self.fed[client_id]
-        model = self.model
-        unflatten_params(model, params)
-        if state:
-            model.load_state(state)
-        opt = SGD(
-            model,
-            lr=cfg.lr,
-            momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-            prox_mu=prox_mu,
-        )
-        if prox_center is not None:
-            opt.set_prox_center(prox_center[None])
-        rng = self.rngs.make(f"client{client_id}.train", round_idx)
-        loss, steps = local_sgd(
-            model,
-            opt,
-            client.train_x,
-            client.train_y,
-            epochs=epochs if epochs is not None else cfg.local_epochs,
-            batch_size=cfg.batch_size,
-            rng=rng,
-        )
-        return ClientUpdate(
-            client_id=client_id,
-            params=flatten_params(model),
-            n_samples=client.n_train,
-            steps=steps,
-            loss=loss,
-            state={k: v.copy() for k, v in model.state().items()},
-        )
-
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
@@ -832,19 +775,3 @@ class FederatedAlgorithm(ABC):
         """
         (spec,) = self.client_task_specs("evaluate_client", [(client_id,)])
         return run_spec(self, spec)
-
-    def local_eval(
-        self,
-        client_id: int,
-        params: np.ndarray,
-        state: dict[str, np.ndarray] | None = None,
-    ) -> float:
-        """Top-1 accuracy of ``params``/``state`` on a client's local test
-        set, measured on the work model (the evaluation counterpart of
-        :meth:`local_train`)."""
-        client: ClientData = self.fed[client_id]
-        model = self.model
-        unflatten_params(model, params)
-        if state:
-            model.load_state(state)
-        return evaluate_accuracy(model, client.test_x, client.test_y)

@@ -1,10 +1,11 @@
-"""The benchmark's tracer finds every name it imports or patches.
+"""The benchmark finds every name it imports, patches or selects.
 
 ``perfbench/layertrace.py`` wraps public functions and methods of
-``src/`` by name, so renaming one of them breaks the benchmark's traced
-runs.  The benchmark's own self-tests run whole cells, on one Python
-version; this check is cheap, so a rename fails the tier-1 suite on
-every version instead.
+``src/`` by name, and ``perfbench/workloads.py`` selects registry
+families and options by name (``backend: vector``), so renaming one of
+them breaks the benchmark.  The benchmark's own self-tests run whole
+cells, on one Python version; these checks are cheap, so a rename fails
+the tier-1 suite on every version instead.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.fl import registry
+from repro.fl.config import FLConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,3 +66,13 @@ def test_patched_names_exist_for_every_workload():
         if not hasattr(owner, attr)
     ]
     assert not missing, missing
+
+
+def test_workload_options_resolve():
+    """Every workload's ``fl_options`` name registered families, options
+    and values, so a config built from them validates."""
+    for workload in _load("workloads").WORKLOADS.values():
+        config_overrides, extra_overrides = registry.apply_options(
+            workload.fl_options
+        )
+        FLConfig(**config_overrides).with_extra(**extra_overrides)

@@ -256,15 +256,18 @@ class TestResumeEquivalence:
         with pytest.raises(ValueError, match="roster"):
             fresh.run(resume_from=ckpt)
 
-    def test_cross_backend_resume(self, tmp_path):
+    @pytest.mark.parametrize("saved_on,resumed_on", [
+        ("serial", "vector"), ("vector", "serial"),
+    ])
+    def test_cross_backend_resume(self, tmp_path, saved_on, resumed_on):
         """The backend is not part of the fingerprint, so a checkpoint from
-        a serial run legally resumes under ``vector``; the result matches
-        the unbroken serial run within the vector contract."""
-        algo, saved = _checkpointed_cell(tmp_path, {"backend": "serial"})
-        serial_h = algo.run()
-        resumed = _cell({"rounds": ROUNDS}, {"backend": "vector"})
+        one backend legally resumes under the other; the result equals
+        the unbroken run exactly."""
+        algo, saved = _checkpointed_cell(tmp_path, {"backend": saved_on})
+        unbroken = algo.run()
+        resumed = _cell({"rounds": ROUNDS}, {"backend": resumed_on})
         history = resumed.run(resume_from=str(saved[2]))
-        assert_vector_contract((serial_h, algo), (history, resumed))
+        assert_vector_contract((unbroken, algo), (history, resumed))
 
     def test_resume_from_final_checkpoint_is_complete_history(self, tmp_path):
         base = _baseline(fl_options={"scheduler": "sync"})

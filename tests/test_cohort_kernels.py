@@ -48,9 +48,10 @@ from repro.nn.model import CohortModel, Residual, Sequential
 from repro.nn.models import build_model
 from repro.nn.optim import SGD, CohortSGD
 
-#: pinned tolerance of a C-member cohort vs C one-member cohorts: the only
-#: numeric difference allowed is batched-GEMM reduction order, so the
-#: bound is far tighter than the backend-level VECTOR_* tolerances
+#: tolerance of a C-member cohort vs C one-member cohorts, layer by layer
+#: on random inputs; the end-to-end backend comparisons (tests/golden.py)
+#: are exact, so a layer whose two forms sum in different orders fails
+#: those even where it passes here
 COHORT_RTOL = 1e-7
 COHORT_ATOL = 1e-9
 

@@ -1,41 +1,27 @@
 """Execution backends: serial / vector equivalence and plumbing.
 
 The engine's promise (see ``docs/architecture.md``) is that the execution
-backend changes wall-clock time and, for ``vector``, float accumulation
-order only: histories agree within the pinned ``VECTOR_*`` tolerance, and
-communication bills and cluster assignments exactly, because client tasks
-are pure functions of ``(server state, client id, round)`` and every
-random draw is keyed by name, not call order.
+backend changes wall-clock time only.  Both backends are the one task
+runner (``CohortRunner``) and differ only in how many clients share a
+cohort, so histories, parameters, buffers, communication bills and
+cluster assignments agree exactly: client tasks are pure functions of
+``(server state, client id, round)`` and every random draw is keyed by
+name, not call order.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
-from golden import (
-    DATA_DIR,
-    SIM_SECONDS_RTOL,
-    assert_vector_contract,
-    canonical_history,
-    params_digest,
-)
+from golden import assert_vector_contract, canonical_history, params_digest
 
 from repro.algorithms import IFCA, FedAvg, FedProx, build_algorithm
 from repro.core.fedclust import FedClust
 from repro.data import build_federated_dataset, make_dataset
-from repro.fl import registry
+from repro.fl import execution, registry
 from repro.fl.config import FLConfig
-from repro.fl.execution import (
-    VECTOR_ACC_ATOL,
-    VECTOR_LOSS_RTOL,
-    CohortRunner,
-    SerialBackend,
-    make_backend,
-    run_spec,
-)
+from repro.fl.execution import CohortRunner, SerialBackend, make_backend, run_spec
 from repro.fl.server import ClientUpdate, FederatedAlgorithm
 from repro.nn.layers import BatchNorm, Dense, Flatten, Layer, ReLU
 from repro.nn.model import Sequential
@@ -137,12 +123,10 @@ def run_one(fed, method: str, backend: str, model_fn_for=model_fn_for, **extra):
 
 
 class TestBackendEquivalence:
-    """Serial and vector runs of a model with BatchNorm buffers agree
-    within the ``VECTOR_*`` contract, and on cluster assignments exactly
-    (the vector path stacks and unstacks each member's running stats;
-    ``TestVectorBackendEquivalence`` covers the stateless model).  The
-    names say bit-identical; only the contract is asserted, because
-    whether ``vector`` comes out bitwise depends on the BLAS build."""
+    """Serial and vector runs of a model with BatchNorm buffers are bit
+    identical, cluster assignments included (the vector path stacks and
+    unstacks each member's running stats; ``TestVectorBackendEquivalence``
+    covers the stateless model)."""
 
     @pytest.mark.parametrize("method,extra", [
         ("fedclust", {"lam": "auto"}),
@@ -169,9 +153,8 @@ class TestBackendEquivalence:
                                  lam="auto")
         _, algo = run_one(fed, "fedclust", "vector", bn_model_fn_for,
                           lam="auto")
-        np.testing.assert_allclose(
-            algo.per_client_accuracy(), serial_algo.per_client_accuracy(),
-            atol=VECTOR_ACC_ATOL,
+        np.testing.assert_array_equal(
+            algo.per_client_accuracy(), serial_algo.per_client_accuracy()
         )
 
 
@@ -202,8 +185,8 @@ class TestRoundTiming:
 class TestBackendPlumbing:
     def test_registry_and_factory(self):
         assert set(registry.classes("backend")) == {"serial", "vector"}
-        assert isinstance(make_backend(backend="serial"), SerialBackend)
-        assert isinstance(make_backend(backend="vector"), CohortRunner)
+        assert type(make_backend(backend="serial")) is SerialBackend
+        assert type(make_backend(backend="vector")) is CohortRunner
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
@@ -211,9 +194,9 @@ class TestBackendPlumbing:
 
     def test_auto_resolves_from_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "vector")
-        assert isinstance(make_backend(backend="auto"), CohortRunner)
+        assert type(make_backend(backend="auto")) is CohortRunner
         monkeypatch.delenv("REPRO_BACKEND")
-        assert isinstance(make_backend(backend="auto"), SerialBackend)
+        assert type(make_backend(backend="auto")) is SerialBackend
 
     def test_config_validates_backend_fields(self):
         with pytest.raises(ValueError, match="backend"):
@@ -246,6 +229,20 @@ class TestBackendPlumbing:
             assert [u.client_id for u in updates] == [3, 0, 5]
 
 
+class TestOneRunner:
+    """``CohortRunner`` is the one task runner: the default recipe exists
+    once, and ``serial`` is the runner with one task per group."""
+
+    def test_engine_has_no_recipe_of_its_own(self):
+        for recipe in ("local_train", "local_eval"):
+            assert not hasattr(FederatedAlgorithm, recipe), recipe
+
+    def test_serial_overrides_only_the_grouping(self):
+        assert issubclass(SerialBackend, CohortRunner)
+        own = {k for k in vars(SerialBackend) if not k.startswith("__")}
+        assert own == {"name", "_group"}, own
+
+
 class TestIfcaAssignmentRefresh:
     def test_unsampled_clients_get_assignments(self, fed):
         """Evaluation refreshes ``cluster_of`` for every client, including
@@ -269,6 +266,29 @@ class TestIfcaOnVector:
         assert len(set(per_client)) > 1
         assert algo._best_clusters(ids) == per_client
         assert algo._best_clusters(ids[::-1]) == per_client[::-1]
+
+    def test_one_scoring_pass_per_dispatch_on_both_backends(
+        self, fed, monkeypatch
+    ):
+        """``serial`` builds a dispatch's specs at once, as ``vector``
+        does, so it scores the dispatch in one pass, not one per task."""
+        import repro.algorithms.ifca as ifca_mod
+
+        passes = []
+        real_best = ifca_mod.IFCA._best_clusters
+
+        def counting_best(self, client_ids):
+            passes.append(len(client_ids))
+            return real_best(self, client_ids)
+
+        monkeypatch.setattr(ifca_mod.IFCA, "_best_clusters", counting_best)
+        counts = {}
+        for backend in ("serial", "vector"):
+            passes.clear()
+            run_one(fed, "ifca", backend, num_clusters=3)
+            counts[backend] = list(passes)
+        assert counts["serial"] == counts["vector"]
+        assert max(counts["serial"]) > 1
 
     @pytest.mark.parametrize("backend", ["serial", "vector"])
     def test_one_loss_call_per_scoring_pass(self, fed, monkeypatch, backend):
@@ -296,10 +316,11 @@ class TestIfcaOnVector:
 
 
 class TestEverySpecRunsAsACohort:
-    """Under ``vector`` every spec of a spec dispatch runs in
-    ``CohortRunner``'s cohorts, a spec alone in its shape group as a
-    cohort of one.  ``serial`` runs each spec's recipe on the work model
-    as a cohort of one, so the two agree bit for bit."""
+    """Both backends run every spec of a spec dispatch in
+    ``CohortRunner``'s cohorts: ``serial`` each spec alone, as a cohort of
+    one on the work model; ``vector`` same-shape specs together, and a
+    spec alone in its shape group on the work model too.  The two agree
+    bit for bit."""
 
     @pytest.mark.parametrize("model_fn_for", [
         model_fn_for, bn_model_fn_for, lenet_model_fn_for,
@@ -314,40 +335,43 @@ class TestEverySpecRunsAsACohort:
         self, monkeypatch, model_fn_for, method, extra
     ):
         """The Dirichlet federation's unequal shards leave one-member
-        train and eval groups: under ``vector`` no spec dispatch falls
-        back to ``local_train``/``local_eval``; under ``serial`` every
-        task runs them, and they train and evaluate cohorts of one.  The
-        runs are equal exactly."""
-        import repro.fl.training as training
+        train and eval groups.  Under ``serial`` every task trains and
+        evaluates as a cohort of one whose template is the work model;
+        under ``vector`` so does every one-member group, and the runner
+        builds templates only for larger groups.  The runs are equal
+        exactly."""
         from test_registry import TestGoldenEquivalence as G
 
         fed = G._fed("dirichlet")
-        calls, cohorts = [], []
-        for recipe in ("local_train", "local_eval"):
-            real = getattr(FederatedAlgorithm, recipe)
-
-            def spy(self, *args, _real=real, **kwargs):
-                calls.append(_real.__name__)
-                return _real(self, *args, **kwargs)
-
-            monkeypatch.setattr(FederatedAlgorithm, recipe, spy)
-        # the recipes' cohort routines (CohortRunner imports its own names)
+        cohorts, built = [], []
+        # the recipe's cohort routines, under the names the runner calls
         for name in ("local_sgd_many", "evaluate_accuracy_many"):
-            real = getattr(training, name)
+            real = getattr(execution, name)
 
             def cohort_spy(model, *args, _real=real, **kwargs):
-                cohorts.append(model.cohort)
+                cohorts.append((model.cohort, model.template))
                 return _real(model, *args, **kwargs)
 
-            monkeypatch.setattr(training, name, cohort_spy)
+            monkeypatch.setattr(execution, name, cohort_spy)
+        real_cohort_model = execution.CohortModel
+
+        def building(template, cohort):
+            built.append(cohort)
+            return real_cohort_model(template, cohort)
+
+        monkeypatch.setattr(execution, "CohortModel", building)
         runs = {}
         for backend in ("serial", "vector"):
-            calls.clear()
             cohorts.clear()
+            built.clear()
             history, algo = run_one(fed, method, backend, model_fn_for, **extra)
             runs[backend] = (canonical_history(history), params_digest(algo))
-            assert bool(calls) == (backend == "serial"), (backend, calls)
-            assert set(cohorts) == ({1} if backend == "serial" else set())
+            on_work_model = {(c, t is algo.model) for c, t in cohorts}
+            if backend == "serial":
+                assert on_work_model == {(1, True)} and not built
+            else:
+                assert (1, True) in on_work_model and (1, False) not in on_work_model
+                assert 1 not in built, built
         assert runs["vector"] == runs["serial"]
 
     def test_vector_needs_cohort_kernels(self, fed):
@@ -435,9 +459,9 @@ def assert_same_result(got, want):
 
 class TestOneOverrideRule:
     """``runs_as_specs`` decides, in one place, which dispatches run as
-    specs.  Under ``vector`` a subclass ``def`` over a spec task, or over
-    ``local_train``/``local_eval``, is called for every task, and its
-    ``super()`` call returns what the parent's spec gives."""
+    specs.  Under ``vector`` a subclass ``def`` over a spec task is called
+    for every task, and its ``super()`` call returns what the parent's
+    spec gives."""
 
     @pytest.mark.parametrize(
         "parent,method,extra", SPEC_TASKS,
@@ -460,22 +484,6 @@ class TestOneOverrideRule:
         tasks = [args for name, args in dispatched if name == method]
         assert tasks and calls == tasks
 
-    @pytest.mark.parametrize("recipe,method", [
-        ("local_train", "client_update"),
-        ("local_eval", "evaluate_client"),
-    ])
-    def test_recipe_def_runs_every_task(self, fed, dispatched, recipe, method):
-        calls = []
-
-        def bespoke(self, client_id, *args, **kwargs):
-            calls.append(client_id)
-            return getattr(super(Bespoke, self), recipe)(client_id, *args, **kwargs)
-
-        Bespoke = type("BespokeFedAvg", (FedAvg,), {recipe: bespoke})
-        Bespoke(fed, model_fn_for(fed), config_for("vector")).run()
-        tasks = [args[0] for name, args in dispatched if name == method]
-        assert tasks and calls == tasks
-
     def test_unmarked_task_is_not_a_spec(self, fed):
         algo = FedAvg(fed, model_fn_for(fed), config_for("serial"))
         with pytest.raises(ValueError, match="not a spec task"):
@@ -495,11 +503,10 @@ class TestCliEnvHygiene:
 
 class TestVectorBackendEquivalence:
     """The opt-in ``vector`` backend stacks same-shape client models into
-    one cohort tensor and runs batched kernels; histories must stay within
-    the pinned tolerances (``VECTOR_*`` in ``repro.fl.execution``) across
-    algorithm families, with byte metering exact.  Families with bespoke
-    client loops (scaffold) serial-fallback by design and come out
-    bit-for-bit."""
+    one cohort tensor and runs batched kernels; histories, parameters and
+    byte metering must equal ``serial``'s across algorithm families.
+    Families with bespoke client loops (scaffold) call their methods on
+    both backends."""
 
     @pytest.mark.parametrize("method,extra", [
         ("fedavg", {}),
@@ -509,8 +516,7 @@ class TestVectorBackendEquivalence:
         ("fedclust", {"lam": "auto"}),
         ("ifca", {"num_clusters": 2}),
     ])
-    def test_within_pinned_tolerance_vs_serial(self, fed, method, extra):
-        # the wire path is outside the batched compute: metering is exact
+    def test_equals_serial(self, fed, method, extra):
         assert_vector_contract(
             run_one(fed, method, "serial", **extra),
             run_one(fed, method, "vector", **extra),
@@ -518,76 +524,24 @@ class TestVectorBackendEquivalence:
 
     @pytest.mark.parametrize("method", ["fedavg", "ifca"])
     def test_batched_kernels_actually_run(self, fed, monkeypatch, method):
-        """Guard against silent serial fallback: the default recipe must
-        go through the fused cohort trainer and evaluator, not the
-        per-client loop."""
-        import repro.fl.execution as exec_mod
+        """Guard against a silent one-task-per-group run: both backends
+        reach the cohort trainer and evaluator, so under ``vector`` each
+        must see a cohort of more than one member."""
+        largest = {"local_sgd_many": 0, "evaluate_accuracy_many": 0}
 
-        calls = {"local_sgd_many": 0, "evaluate_accuracy_many": 0}
+        def recording(name):
+            real = getattr(execution, name)
 
-        def counting(name):
-            real = getattr(exec_mod, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
+            def wrapper(model, *args, **kwargs):
+                largest[name] = max(largest[name], model.cohort)
+                return real(model, *args, **kwargs)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(exec_mod, name, counting(name))
+        for name in largest:
+            monkeypatch.setattr(execution, name, recording(name))
         run_one(fed, method, "vector")
-        assert all(calls.values()), calls
-
-
-class TestVectorGoldenTolerance:
-    """Acceptance pin: vector histories match the committed *serial*
-    goldens (tests/data/golden_registry.json) within the documented
-    tolerance — accuracy at ``VECTOR_ACC_ATOL``, train loss at
-    ``VECTOR_LOSS_RTOL``, byte counters and extras exact, ``sim_seconds``
-    at the golden rtol."""
-
-    #: golden cases whose client recipe the CohortRunner batches; hook-
-    #: overridden cases are exercised by the fallback tests above
-    CASES = [
-        "fedavg-default",
-        "fedclust-default",
-        "fedavg-int8-hetero",
-        "fedclust-dirichlet",
-        "ifca-flaky",
-    ]
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_vector_matches_pinned_serial_golden(self, case):
-        from test_registry import TestGoldenEquivalence as G
-
-        method, cfg_kw, extra, *rest = G.CASES[case]
-        fed = G._fed(rest[0] if rest else "label_skew")
-        cfg = FLConfig(
-            rounds=3, sample_rate=0.6, local_epochs=1, batch_size=10,
-            lr=0.05, eval_every=1, backend="vector", **cfg_kw
-        ).with_extra(**extra)
-        algo = build_algorithm(method, fed, model_fn_for(fed), cfg, seed=0)
-        history = algo.run()
-
-        golden = json.loads(
-            (DATA_DIR / "golden_registry.json").read_text()
-        )[case]
-        d = history.as_dict()
-        np.testing.assert_allclose(
-            d["accuracy"], golden["accuracy"], atol=VECTOR_ACC_ATOL
-        )
-        np.testing.assert_allclose(
-            d["train_loss"], golden["train_loss"], rtol=VECTOR_LOSS_RTOL
-        )
-        for key in ("cumulative_mb", "upload_bytes", "download_bytes",
-                    "extras"):
-            assert d[key] == golden[key], (
-                f"{case}.{key} diverged from the serial golden"
-            )
-        np.testing.assert_allclose(
-            d["sim_seconds"], golden["sim_seconds"], rtol=SIM_SECONDS_RTOL
-        )
+        assert min(largest.values()) > 1, largest
 
 
 class TestRunGuards:

@@ -398,21 +398,24 @@ class TestComponentsAndDocs:
 
 
 class TestGoldenEquivalence:
-    """Default resolution reproduces the pre-refactor engine capture.
+    """Default resolution reproduces the pre-refactor engine capture, on
+    both backends.
 
     The capture (tests/data/golden_registry.json) was generated on the
     pre-registry engine (see CHANGES.md PR 4): small federations across
-    algorithms, backends, codecs, networks, and schedulers.  Comparison
-    semantics live in ``tests/golden.py`` (exact equality everywhere
-    except ``sim_seconds`` at rtol 1e-12: an event clock accumulates
-    globally, sync sums per-round maxima); ``REPRO_UPDATE_GOLDENS=1``
-    regenerates the capture through the same helper.
+    algorithms, backends, codecs, networks, and schedulers.  Each case
+    runs on ``serial`` and on ``vector`` against the one capture.
+    Comparison semantics live in ``tests/golden.py`` (exact equality
+    everywhere except ``sim_seconds`` at rtol 1e-12: an event clock
+    accumulates globally, sync sums per-round maxima);
+    ``REPRO_UPDATE_GOLDENS=1`` regenerates the capture through the same
+    helper.
     """
 
     CASES = {
         "fedavg-default": ("fedavg", dict(), dict()),
         "fedclust-default": ("fedclust", dict(), dict(lam="auto")),
-        # the pinned capture's key; the default backend reproduces it
+        # the pinned capture's key; both backends reproduce it
         "scaffold-thread": ("scaffold", dict(), dict()),
         "lg-int8-uniform": ("lg", dict(codec="int8", network="uniform"),
                             dict()),
@@ -457,12 +460,13 @@ class TestGoldenEquivalence:
         )
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_pre_refactor_capture(self, case, golden_compare):
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    def test_matches_pre_refactor_capture(self, backend, case, golden_compare):
         method, cfg_kw, extra, *rest = self.CASES[case]
         fed = self._fed(rest[0] if rest else "label_skew")
         cfg = FLConfig(
             rounds=3, sample_rate=0.6, local_epochs=1, batch_size=10,
-            lr=0.05, eval_every=1, **cfg_kw
+            lr=0.05, eval_every=1, backend=backend, **cfg_kw
         ).with_extra(**extra)
 
         def model_fn(rng):
