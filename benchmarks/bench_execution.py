@@ -30,6 +30,15 @@ MaxPool's training ``forward_many`` on a ``(10, 10, 16, 8, 8)`` float32
 input against ``x.copy()``.  Both sides scale with the host, so the
 ratios do not; a kernel that costs more copies than
 :data:`MAX_KERNEL_COPY_RATIOS` allows fails the run.
+
+Under its ``paper_eval`` key (outside ``rows`` too) the row records one
+PAPER_SCALE-shaped evaluation dispatch through ``CohortRunner``: LeNet-5
+at width 1.0 scoring 100 clients of 100 test rows each at 16x16 (the
+paper's 50,000 CIFAR-10 images split evenly).  It records the wall clock
+(median of 3 runs, ungated) and the tracemalloc peak of one run as a
+multiple of the 30.7 MB the dispatch's test inputs take.  A byte count
+over a byte count does not depend on the host; a peak above
+:data:`MAX_PAPER_EVAL_PEAK_RATIO` fails the run.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import argparse
 import os
 import statistics
 import time
+import tracemalloc
 
 if __name__ == "__main__":
     # One BLAS thread, set before numpy loads (as perfbench/run.py does).
@@ -51,8 +61,13 @@ import numpy as np
 
 from _bench_util import HostProbe, write_bench_json
 from conftest import run_once
-from repro.experiments import BENCH_SCALE
+from repro.algorithms import build_algorithm
+from repro.data import build_federated_dataset, make_dataset
+from repro.experiments import BENCH_SCALE, PAPER_SCALE
+from repro.experiments.configs import make_model_fn
 from repro.experiments.runner import run_cell
+from repro.fl.config import FLConfig
+from repro.fl.execution import CohortRunner
 from repro.nn.conv_utils import CohortConvWorkspace
 from repro.nn.layers import MaxPool2d, ReLU
 
@@ -74,6 +89,12 @@ VECTOR_REPS = 15
 MAX_KERNEL_COPY_RATIOS = {
     "gather": 25.0, "gather_lenet": 2.0, "relu": 15.0, "maxpool": 55.0,
 }
+#: most the paper-shaped evaluation dispatch may allocate, in multiples of
+#: its test inputs' bytes.  On a 2-core Xeon (numpy 2.4) it read 0.32 in
+#: member blocks (each client alone: its 7.7 MB of conv1 columns are over
+#: ``COHORT_STEP_BYTES``) and 31.6 as one 100-member cohort, which
+#: gathered 768 MB of conv1 columns and raised the RSS from 352 to 1184 MB
+MAX_PAPER_EVAL_PEAK_RATIO = 1.0
 
 
 def _time_cell(
@@ -149,6 +170,48 @@ def time_forward_kernels(repeats: int = 5, number: int = 20) -> dict:
     return out
 
 
+def measure_paper_eval(reps: int = 3) -> dict:
+    """Wall clock (median of ``reps`` runs after a warm-up) and
+    tracemalloc peak (one more run) of one ``evaluate_client`` dispatch
+    over every client of a PAPER_SCALE-shaped CIFAR-10 federation, split
+    evenly so that every client holds 100 test rows: one same-shape
+    group of 100 LeNet-5 (width 1.0) members."""
+    scale = PAPER_SCALE
+    data = make_dataset(
+        "cifar10", seed=0, n_samples=scale.n_samples, size=scale.image_size
+    )
+    fed = build_federated_dataset(data, "iid", num_clients=scale.num_clients, rng=0)
+    del data
+    algo = build_algorithm(
+        "fedavg", fed, make_model_fn("cifar10", fed, scale),
+        FLConfig(backend="vector"), seed=0,
+    )
+    algo.setup()
+    runner = CohortRunner()
+    tasks = [(c,) for c in range(fed.num_clients)]
+    runner.map(algo, "evaluate_client", tasks)  # untimed warm-up
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        runner.map(algo, "evaluate_client", tasks)
+        times.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        runner.map(algo, "evaluate_client", tasks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    inputs = sum(fed[c].test_x.nbytes for c in range(fed.num_clients))
+    return {
+        "clients": fed.num_clients,
+        "test_rows": len(fed[0].test_x),
+        "input_mb": round(inputs / 1e6, 2),
+        "wall_s": round(statistics.median(times), 4),
+        "peak_mb": round(peak / 1e6, 2),
+        "peak_ratio": round(peak / inputs, 3),
+    }
+
+
 def run_vector_study() -> dict:
     """Measure every :data:`VECTOR_CELLS` cell under serial and vector,
     check that accuracies and byte metering are equal, and time the
@@ -176,6 +239,7 @@ def run_vector_study() -> dict:
         "rows": rows,
         "min_speedup": min(r["speedup"] for r in rows.values()),
         "kernels": time_forward_kernels(),
+        "paper_eval": measure_paper_eval(),
     }
 
 
@@ -202,6 +266,13 @@ def _render_vector(row: dict) -> str:
             f"{k['copy_s'] * 1e3:.4f} ms = {k['ratio']:>6.2f}x "
             f"(<= {MAX_KERNEL_COPY_RATIOS[name]}x)"
         )
+    ev = row["paper_eval"]
+    lines.append(
+        f"paper-shaped evaluation ({ev['clients']} clients x "
+        f"{ev['test_rows']} rows, LeNet-5 at 16x16): {ev['wall_s']:.3f}s, "
+        f"peak {ev['peak_mb']:.1f} MB = {ev['peak_ratio']:.2f}x its "
+        f"{ev['input_mb']:.1f} MB of inputs (<= {MAX_PAPER_EVAL_PEAK_RATIO}x)"
+    )
     return "\n".join(lines)
 
 
@@ -214,6 +285,11 @@ def _check_vector(row: dict) -> None:
     assert not slow, (
         f"forward kernels cost more same-size copies than allowed: {slow} "
         f"(limits {MAX_KERNEL_COPY_RATIOS})"
+    )
+    peak = row["paper_eval"]["peak_ratio"]
+    assert peak <= MAX_PAPER_EVAL_PEAK_RATIO, (
+        f"the paper-shaped evaluation dispatch peaked at {peak}x its inputs "
+        f"(limit {MAX_PAPER_EVAL_PEAK_RATIO}x)"
     )
 
 

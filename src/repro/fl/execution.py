@@ -17,7 +17,10 @@ one.  The two backends are the runner with two groupings:
 ``vector`` (:class:`CohortRunner`)
     Same-shape client tasks are stacked along the cohort axis and
     executed as *one* batched tensor program; a task alone in its shape
-    runs as a cohort of one on the work model, as on ``serial``.
+    runs as a cohort of one on the work model, as on ``serial``.  A
+    group whose largest step buffer would exceed
+    :data:`COHORT_STEP_BYTES` runs as the fewest near-equal member blocks
+    that fit, so memory follows the block, not the dispatch.
 
 The two agree bit for bit: histories, parameters and buffers compare with
 ``==`` in the tests on every CI leg.  That is measured, not guaranteed by
@@ -70,14 +73,14 @@ client task after another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.fl import registry
 from repro.fl.registry import register
 from repro.fl.training import evaluate_accuracy_many, local_sgd_many
-from repro.nn.model import CohortModel
+from repro.nn.model import PREDICT_ROWS, CohortModel
 from repro.nn.optim import CohortSGD
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -92,6 +95,7 @@ __all__ = [
     "run_spec",
     "runs_as_specs",
     "make_backend",
+    "COHORT_STEP_BYTES",
     "VECTOR_ACC_ATOL",
 ]
 
@@ -99,6 +103,14 @@ __all__ = [
 #: for its seed-0 accuracy pin; nothing in the program or its tests reads
 #: it, since the backends compare exactly.  It goes once that pin is exact.
 VECTOR_ACC_ATOL = 0.05
+
+#: most bytes the largest buffer of one cohort step may take: a group of
+#: same-shape tasks whose step would hold more (a Conv2d's im2col columns,
+#: ``Sequential.row_nbytes`` per member and row) runs as the fewest
+#: near-equal member blocks that fit, and a member over it runs alone.
+#: Only round-0 and evaluation dispatches of 40-100 clients exceed it in
+#: the benchmark cells; chosen by a measured sweep (docs/architecture.md).
+COHORT_STEP_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -195,8 +207,10 @@ class CohortRunner:
     *cohort axis* and executed as one batched forward/backward/update per
     step through the ``nn`` layers' ``forward_many``/``backward_many``
     kernels and :class:`CohortSGD` — the throughput lever on a single
-    core.  A group of one runs on the algorithm's work model
-    (``algorithm.model.as_cohort()``); a larger group on a template of its
+    core.  A group splits into member blocks where its largest step
+    buffer would exceed :data:`COHORT_STEP_BYTES` (:meth:`_blocks`).  A
+    cohort of one runs on the algorithm's work model
+    (``algorithm.model.as_cohort()``); a larger one on a template of its
     own size, built once per run.
 
     The batching is strictly an implementation detail of *how* the default
@@ -212,8 +226,9 @@ class CohortRunner:
     Every group runs the same kernels, with identical minibatch
     schedules, per-client generators, and operand ordering within each
     step, so a member's result equals the one it gets alone (see the
-    module docstring: measured bitwise, checked with ``==``).  Subclasses
-    change only the grouping (:meth:`_group`).  One runner serves one run.
+    module docstring: measured bitwise, checked with ``==``), in a cohort
+    of any size.  Subclasses change only the grouping (:meth:`_group`).
+    One runner serves one run.
     """
 
     name = "vector"
@@ -223,15 +238,47 @@ class CohortRunner:
 
     def __init__(self):
         self._cohorts: dict[int, CohortModel] = {}
+        #: the work model's ``row_nbytes`` per (sample shape, dtype)
+        self._row_nbytes: dict[tuple, int] = {}
 
     @staticmethod
     def _group(keys: Sequence[tuple]) -> list[list[int]]:
-        """The cohorts of a dispatch, as lists of spec indices: specs
-        with equal keys (data shapes and optimizer scalars) run as one."""
+        """The groups of a dispatch, as lists of spec indices: specs with
+        equal keys (data shapes and optimizer scalars) may share a
+        cohort."""
         groups: dict[tuple, list[int]] = {}
         for i, key in enumerate(keys):
             groups.setdefault(key, []).append(i)
         return list(groups.values())
+
+    def _blocks(
+        self,
+        algorithm,
+        keys: Sequence[tuple],
+        data: Sequence[np.ndarray],
+        rows: int,
+    ) -> Iterator[list[int]]:
+        """The cohorts of a dispatch, as lists of spec indices.
+
+        Each group of :meth:`_group` runs as the fewest near-equal blocks
+        of consecutive members whose largest step buffer fits
+        :data:`COHORT_STEP_BYTES`: ``data[i]`` is spec ``i``'s input
+        array, and one member's step takes at most ``rows`` of its rows.
+        A member's result does not depend on its block, so the blocks
+        bound memory and change no byte of the results.
+        """
+        for idxs in self._group(keys):
+            if len(idxs) == 1:
+                yield idxs
+                continue
+            x = data[idxs[0]]
+            key = (x.shape[1:], x.dtype.str)
+            if key not in self._row_nbytes:
+                self._row_nbytes[key] = algorithm.model.row_nbytes(*key)
+            member = max(1, min(len(x), rows) * self._row_nbytes[key])
+            count = -(-len(idxs) // max(1, COHORT_STEP_BYTES // member))
+            ends = [len(idxs) * b // count for b in range(count + 1)]
+            yield from (idxs[a:b] for a, b in zip(ends, ends[1:]))
 
     # -- plumbing ----------------------------------------------------------
     def _load(self, algorithm, members) -> CohortModel:
@@ -323,11 +370,12 @@ class CohortRunner:
              s.prox_center is not None, s.prox_mu)
             for s in specs
         ]
-        for idxs in self._group(keys):
+        data = [fed[s.client_id].train_x for s in specs]
+        for idxs in self._blocks(algorithm, keys, data, cfg.batch_size):
             members = [specs[i] for i in idxs]
             first = members[0]
             cm = self._load(algorithm, members)
-            xs = np.stack([fed[s.client_id].train_x for s in members])
+            xs = np.stack([data[i] for i in idxs])
             ys = np.stack([fed[s.client_id].train_y for s in members])
             rngs = [
                 algorithm.rngs.make(f"client{s.client_id}.train", s.round_idx)
@@ -366,10 +414,11 @@ class CohortRunner:
         fed = algorithm.fed
         results: list = [None] * len(specs)
         keys = [fed[s.client_id].test_x.shape for s in specs]
-        for idxs in self._group(keys):
+        data = [fed[s.client_id].test_x for s in specs]
+        for idxs in self._blocks(algorithm, keys, data, PREDICT_ROWS):
             members = [specs[i] for i in idxs]
             cm = self._load(algorithm, members)
-            xs = np.stack([fed[s.client_id].test_x for s in members])
+            xs = np.stack([data[i] for i in idxs])
             ys = np.stack([fed[s.client_id].test_y for s in members])
             accs = evaluate_accuracy_many(cm, xs, ys)
             for acc, i, s in zip(accs, idxs, members):

@@ -227,8 +227,10 @@ _declare(
     doc=(
         "how the per-round client sweep executes: `serial` runs one client "
         "after another (each a cohort of one), `vector` batches same-shape "
-        "clients into one cohort; both run the one task runner, and the "
-        "tests check that their results are equal bit for bit"
+        "clients into cohorts whose largest step buffer fits 4 MiB "
+        "(`COHORT_STEP_BYTES`; a larger group runs as near-equal member "
+        "blocks); both run the one task runner, and the tests check that "
+        "their results are equal bit for bit"
     ),
 )
 _declare(

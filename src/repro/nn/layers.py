@@ -281,9 +281,15 @@ class Conv2d(Layer):
 
         Only a training forward keeps its workspace: training repeats its
         shapes step after step and the backward reads the columns.  An
-        evaluation forward gathers into a per-call workspace, since its
-        shapes (``predict``'s tail chunks, eval cohorts, scoring passes)
-        seldom recur.
+        evaluation forward gathers into a per-call workspace, freed on
+        return.  Its shapes (``predict``'s tail chunks, an evaluation's
+        member blocks, scoring passes) recur far less often than
+        training's, and a cache would hold each one's columns to the end
+        of the run:
+        with evaluation workspaces cached, ``fedclust-lenet`` (whose
+        evaluations run in blocks of 12 and 13 members) peaked at 94-102
+        MB instead of 92 MB and was no faster (519-538 against 516-524
+        updates/s, three alternating 12-s perfbench runs each).
         """
         if x.ndim != 5 or x.shape[2] != self.in_channels:
             raise ValueError(
@@ -547,26 +553,55 @@ class BatchNorm(Layer):
         # v is (C, F): align F with the feature axis, broadcast the rest
         return v[:, None, :] if ndim == 3 else v[:, None, :, None, None]
 
+    def _sum_many(self, x: np.ndarray) -> np.ndarray:
+        """``x.sum(axis=self._reduce_axes_many(x))``, ``(C, F)``, in the
+        same order of additions.
+
+        On maps of fewer than 8 cells (ResNet-9's 2x2 and 1x1), numpy's
+        reduction calls its inner loop once per member, row and feature,
+        for a run of at most 7 values.  Below 8 terms its pairwise sum is
+        a plain left-to-right loop, and the rows then accumulate in
+        order, so adding the cells slice by slice and then summing over
+        the rows adds the same terms in the same order.  With a single
+        feature numpy fuses the rows and the cells into one pairwise run,
+        so that case keeps the reduction.  Values, infinities and signed
+        zeros come out the same; which payload a NaN+NaN sum keeps is up
+        to the loop, so NaN payloads may differ.
+        """
+        if x.ndim == 5 and x.shape[2] > 1 and x.shape[3] * x.shape[4] < 8:
+            cells = x.reshape(*x.shape[:3], -1)
+            rows = cells[..., 0].copy()
+            for i in range(1, cells.shape[3]):
+                rows += cells[..., i]
+            return rows.sum(axis=1)
+        return x.sum(axis=self._reduce_axes_many(x))
+
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         axes = self._reduce_axes_many(x)
+        expand = self._expand_many
         if train:
-            mean = x.mean(axis=axes)  # (C, F)
-            var = x.var(axis=axes)
+            # x.mean and x.var bit for bit, with x summed and centred
+            # once: each sum is divided in place in its own dtype, as
+            # numpy's _mean/_var do (dividing by the np.intp count out of
+            # place would promote float32 to float64)
+            count = np.intp(np.prod([x.shape[a] for a in axes]))
+            mean = self._sum_many(x)  # (C, F)
+            np.true_divide(mean, count, out=mean, casting="unsafe")
+            x_hat = x - expand(mean, x.ndim)
+            var = self._sum_many(x_hat * x_hat)
+            np.true_divide(var, count, out=var, casting="unsafe")
             m = self.momentum
             self.running_mean_many *= m
             self.running_mean_many += (1 - m) * mean.astype(np.float64)
             self.running_var_many *= m
             self.running_var_many += (1 - m) * var.astype(np.float64)
         else:
-            mean = self.running_mean_many.astype(x.dtype)
+            x_hat = x - expand(self.running_mean_many.astype(x.dtype), x.ndim)
             var = self.running_var_many.astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - self._expand_many(mean, x.ndim)) * self._expand_many(
-            inv_std, x.ndim
-        )
-        out = (
-            self._expand_many(self.gamma.many, x.ndim) * x_hat
-            + self._expand_many(self.beta.many, x.ndim)
+        x_hat *= expand(inv_std, x.ndim)
+        out = expand(self.gamma.many, x.ndim) * x_hat + expand(
+            self.beta.many, x.ndim
         )
         self._cache_many = (x_hat, inv_std, axes, x.shape) if train else None
         return out
@@ -576,13 +611,13 @@ class BatchNorm(Layer):
             raise RuntimeError("backward called before a training forward pass")
         x_hat, inv_std, axes, x_shape = self._cache_many
         m = float(np.prod([x_shape[a] for a in axes]))
-        self.gamma.grad_many += (dout * x_hat).sum(axis=axes)
-        self.beta.grad_many += dout.sum(axis=axes)
+        self.gamma.grad_many += self._sum_many(dout * x_hat)
+        self.beta.grad_many += self._sum_many(dout)
         g = self._expand_many(self.gamma.many, dout.ndim)
         dxhat = dout * g
-        term2 = self._expand_many(dxhat.sum(axis=axes) / m, dout.ndim)
+        term2 = self._expand_many(self._sum_many(dxhat) / m, dout.ndim)
         term3 = x_hat * self._expand_many(
-            (dxhat * x_hat).sum(axis=axes) / m, dout.ndim
+            self._sum_many(dxhat * x_hat) / m, dout.ndim
         )
         return (dxhat - term2 - term3) * self._expand_many(
             inv_std.astype(dout.dtype), dout.ndim

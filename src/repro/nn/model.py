@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Layer, keep_where
+from repro.nn.layers import Conv2d, Layer, keep_where
 from repro.nn.parameter import Parameter
 
-__all__ = ["Sequential", "Residual", "CohortModel"]
+__all__ = ["Sequential", "Residual", "CohortModel", "PREDICT_ROWS"]
+
+#: rows per evaluation forward in ``predict`` (its default chunk)
+PREDICT_ROWS = 256
 
 
 class Residual(Layer):
@@ -77,6 +80,22 @@ class Residual(Layer):
         return f"Residual({inner})"
 
 
+def _largest_row_nbytes(layers: list[Layer], x: np.ndarray) -> int:
+    """:meth:`Sequential.row_nbytes` over ``layers`` from the one-row
+    input ``x`` (a Residual's body is walked from the block's input)."""
+    largest = 0
+    for layer in layers:
+        out = layer.forward_many(x, train=False)
+        largest = max(largest, x[0, 0].nbytes)
+        if isinstance(layer, Conv2d):
+            patch = layer.in_channels * layer.kernel_size**2
+            largest = max(largest, patch * out[0, 0, 0].size * x.itemsize)
+        elif isinstance(layer, Residual):
+            largest = max(largest, _largest_row_nbytes(layer.body, x))
+        x = out
+    return largest
+
+
 class Sequential:
     """An ordered chain of layers with whole-model forward/backward.
 
@@ -135,9 +154,22 @@ class Sequential:
         """Backward with the input gradient (the first layer's dx)."""
         return self.as_cohort().backward(dout[None], need_input_grad=True)[0]
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch_size: int = PREDICT_ROWS) -> np.ndarray:
         """Evaluation-mode forward in batches; returns logits."""
         return self.as_cohort().predict(x[None], batch_size)[0]
+
+    def row_nbytes(self, sample_shape: tuple[int, ...], dtype) -> int:
+        """Bytes of the largest buffer one sample row of one member takes
+        in a forward: a layer's input, or a Conv2d's im2col columns
+        (``in_ch*k*k*oh*ow`` values).
+
+        Walks one zero row through the model in evaluation mode, so the
+        sizes follow the layers' own geometry.  Like any forward, the walk
+        replaces the layers' cached activations; it changes no parameter
+        or buffer.
+        """
+        x = np.zeros((1, 1, *sample_shape), dtype=dtype)
+        return _largest_row_nbytes(self.layers, x)
 
     # -- state -------------------------------------------------------------
     def state(self) -> dict[str, np.ndarray]:
@@ -249,7 +281,7 @@ class CohortModel:
         layers[0].backward_many_params_only(grad)
         return None
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch_size: int = PREDICT_ROWS) -> np.ndarray:
         """Evaluation-mode forward in chunks along the sample axis."""
         if x.shape[1] <= batch_size:
             return self.forward(x, train=False)

@@ -14,9 +14,10 @@ docstrings (the window-copy gather == im2col column for column, slice-add
 scatter == col2im, a cohort Conv2d member == a cohort of one on output,
 dx, dW and db, the branch-free ReLU/Residual masks == ``np.where``,
 MaxPool's running-compare argmax == ``argmax``, its disjoint fast path and
-eval forward, and ``backward_many_params_only``'s gradients).  The
-independent references stay: ``im2col``/``col2im`` here, and the
-finite-difference gradchecks and the naive convolution in
+eval forward, BatchNorm's one-sum statistics == its plain mean/var
+expressions, NaN payloads aside, and ``backward_many_params_only``'s
+gradients).  The independent references stay: ``im2col``/``col2im``
+here, and the finite-difference gradchecks and the naive convolution in
 ``tests/test_nn_gradcheck.py``.
 """
 
@@ -372,6 +373,119 @@ class TestBatchNormCohort:
             np.testing.assert_array_equal(
                 template.running_mean_many[c], m.running_mean
             )
+
+
+class ReferenceBatchNorm(BatchNorm):
+    """BatchNorm's cohort kernels in their plain expressions (``x.mean``,
+    ``x.var``, three centrings, ``.sum(axis=axes)`` throughout): the
+    reference the layer's one-sum statistics must reproduce."""
+
+    def forward_many(self, x, train=True):
+        axes = self._reduce_axes_many(x)
+        if train:
+            mean = x.mean(axis=axes)
+            var = x.var(axis=axes)
+            m = self.momentum
+            self.running_mean_many *= m
+            self.running_mean_many += (1 - m) * mean.astype(np.float64)
+            self.running_var_many *= m
+            self.running_var_many += (1 - m) * var.astype(np.float64)
+        else:
+            mean = self.running_mean_many.astype(x.dtype)
+            var = self.running_var_many.astype(x.dtype)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        x_hat = (x - self._expand_many(mean, x.ndim)) * self._expand_many(
+            inv_std, x.ndim
+        )
+        out = (
+            self._expand_many(self.gamma.many, x.ndim) * x_hat
+            + self._expand_many(self.beta.many, x.ndim)
+        )
+        self._cache_many = (x_hat, inv_std, axes, x.shape) if train else None
+        return out
+
+    def backward_many(self, dout):
+        x_hat, inv_std, axes, x_shape = self._cache_many
+        m = float(np.prod([x_shape[a] for a in axes]))
+        self.gamma.grad_many += (dout * x_hat).sum(axis=axes)
+        self.beta.grad_many += dout.sum(axis=axes)
+        g = self._expand_many(self.gamma.many, dout.ndim)
+        dxhat = dout * g
+        term2 = self._expand_many(dxhat.sum(axis=axes) / m, dout.ndim)
+        term3 = x_hat * self._expand_many(
+            (dxhat * x_hat).sum(axis=axes) / m, dout.ndim
+        )
+        return (dxhat - term2 - term3) * self._expand_many(
+            inv_std.astype(dout.dtype), dout.ndim
+        )
+
+
+def _same_bits_but_nan_payloads(actual, expected):
+    """Byte equality, except that a NaN may carry another payload: IEEE
+    754 leaves which operand's payload a NaN+NaN sum keeps to the
+    implementation, and numpy's scalar and SIMD loops choose differently."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    assert actual[~nan].tobytes() == expected[~nan].tobytes()
+
+
+class TestBatchNormStatisticsOnce:
+    """``BatchNorm.forward_many`` sums its input once and centres it once,
+    dividing each sum in place as numpy's ``_mean``/``_var`` do, and on
+    maps of fewer than 8 cells both passes reduce the cells by slice adds
+    and then the rows.  Every output, input gradient, gamma/beta gradient
+    and running statistic equals :class:`ReferenceBatchNorm`'s bit for
+    bit, on NaNs, infinities, signed zeros and subnormals too."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [
+        (3, 5, 4),  # a Dense activation
+        (2, 4, 3, 8, 8),  # 64 cells: numpy's reduction
+        (2, 3, 5, 3, 3),  # 9 cells: pairwise blocks of 8
+        (10, 10, 8, 2, 2),  # ResNet-9's 2x2 and 1x1 maps: slice adds
+        (10, 10, 8, 1, 1),
+        (3, 9, 4, 1, 3),
+        (2, 6, 1, 2, 2),  # one feature: numpy fuses rows and cells
+    ])
+    @pytest.mark.parametrize("values", ["normal", "edge", "zeros"])
+    def test_matches_reference_expressions(self, shape, dtype, values):
+        rng = np.random.default_rng(sum(shape))
+        cohort, features = shape[0], shape[2]
+        layers = [ReferenceBatchNorm(features, dtype=dtype),
+                  BatchNorm(features, dtype=dtype)]
+        gamma = rng.standard_normal((cohort, features)).astype(dtype)
+        beta = rng.standard_normal((cohort, features)).astype(dtype)
+        for layer in layers:
+            layer.bind_cohort(cohort)
+            layer.gamma.many[:] = gamma
+            layer.beta.many[:] = beta
+
+        def draw(full_shape):
+            if values == "edge":
+                return _edge_floats(rng, full_shape, dtype)
+            x = rng.standard_normal(full_shape).astype(dtype)
+            if values == "zeros":  # mostly +0.0 and -0.0, by x's sign
+                x *= rng.random(full_shape) < 0.3
+            return x
+
+        with np.errstate(all="ignore"):
+            for _ in range(2):  # the running stats carry across steps
+                x, dout = draw(shape), draw(shape)
+                outs = [
+                    (layer.forward_many(x), layer.backward_many(dout))
+                    for layer in layers
+                ]
+                for got, want in zip(outs[1], outs[0]):
+                    _same_bits_but_nan_payloads(got, want)
+            for x in (draw(shape), draw((1, *shape[1:]))):  # eval, shared
+                ref, new = (layer.forward_many(x, train=False) for layer in layers)
+                _same_bits_but_nan_payloads(new, ref)
+        ref, new = layers
+        for name in ("running_mean_many", "running_var_many"):
+            _same_bits_but_nan_payloads(getattr(new, name), getattr(ref, name))
+        for p_new, p_ref in zip(new.parameters(), ref.parameters()):
+            _same_bits_but_nan_payloads(p_new.grad_many, p_ref.grad_many)
 
 
 class TestOneStack:

@@ -23,8 +23,8 @@ from repro.fl import execution, registry
 from repro.fl.config import FLConfig
 from repro.fl.execution import CohortRunner, SerialBackend, make_backend, run_spec
 from repro.fl.server import ClientUpdate, FederatedAlgorithm
-from repro.nn.layers import BatchNorm, Dense, Flatten, Layer, ReLU
-from repro.nn.model import Sequential
+from repro.nn.layers import BatchNorm, Conv2d, Dense, Flatten, Layer, ReLU
+from repro.nn.model import Residual, Sequential
 from repro.nn.models import lenet5, mlp
 from repro.nn.parameter import Parameter
 from repro.utils.io import load_history, save_history
@@ -405,6 +405,107 @@ class TestEverySpecRunsAsACohort:
         algo = NoBuffers(fed, bn_model_fn_for(fed), config_for(backend))
         with pytest.raises(ValueError, match="fedavg.*state_for_client"):
             algo.run()
+
+
+class TestMemoryBoundedBlocks:
+    """``CohortRunner`` runs each same-shape group of a dispatch as the
+    fewest near-equal blocks of members whose largest step buffer fits
+    ``COHORT_STEP_BYTES``: a Conv2d's im2col columns (or, without one, the
+    largest layer input) per member row, times the rows of one step.  A
+    member's result does not depend on its block, so a run split into
+    blocks equals ``serial`` and an unsplit ``vector`` run exactly."""
+
+    def test_row_bytes_follow_the_layer_geometry(self):
+        shape = (3, 8, 8)
+        # LeNet-5's conv1 columns: 3 channels x 5x5 patches x 8x8 outputs
+        lenet = lenet5(10, shape, rng=0)
+        assert lenet.row_nbytes(shape, np.float32) == 3 * 25 * 64 * 4
+        assert lenet.row_nbytes(shape, np.float64) == 3 * 25 * 64 * 8
+        # no Conv2d: the largest layer input, here the image itself
+        assert mlp(10, shape, hidden=16, rng=0).row_nbytes(shape, np.float32) == 768
+        # a Conv2d inside a Residual body is walked from the block's input
+        rng = np.random.default_rng(0)
+        residual = Sequential(
+            Residual(Conv2d(3, 3, 3, rng, pad=1), ReLU()),
+            Flatten(),
+            Dense(3 * 64, 10, rng, classifier_head=True),
+        )
+        assert residual.row_nbytes(shape, np.float32) == 3 * 9 * 64 * 4
+
+    def test_blocks_are_near_equal_and_fit_the_budget(self, fed, monkeypatch):
+        algo = FedAvg(fed, lenet_model_fn_for(fed), config_for("vector"))
+        x = fed[0].train_x
+        member = 10 * algo.model.row_nbytes(x.shape[1:], x.dtype)
+        keys = [(x.shape,)] * 7
+
+        def blocks(budget, runner=CohortRunner(), rows=x):
+            monkeypatch.setattr(execution, "COHORT_STEP_BYTES", budget)
+            return list(runner._blocks(algo, keys, [rows] * 7, 10))
+
+        # a group under the budget stays one block
+        assert blocks(7 * member) == [list(range(7))]
+        for fit in (2, 3, 4, 6):
+            got = blocks(fit * member + member - 1)
+            sizes = [len(b) for b in got]
+            # the fewest blocks that fit, in order, sizes within one
+            assert len(got) == -(-7 // fit) and max(sizes) <= fit
+            assert max(sizes) - min(sizes) <= 1
+            assert sum(got, []) == list(range(7))
+        # a member over the budget runs alone
+        assert blocks(member - 1) == [[i] for i in range(7)]
+        # serial's one-task groups never reach the budget
+        assert blocks(1, SerialBackend()) == [[i] for i in range(7)]
+        # rowless members form one block, which the recipe then refuses
+        assert blocks(member, rows=x[:0]) == [list(range(7))]
+
+    @pytest.mark.parametrize("model_fn_for", [
+        bn_model_fn_for, lenet_model_fn_for,
+    ], ids=["bn-mlp", "lenet5"])
+    @pytest.mark.parametrize("method,extra", [
+        ("fedavg", {}),
+        ("fedprox", {}),
+        ("fedclust", {"lam": "auto"}),
+        ("ifca", {"num_clusters": 2}),
+    ], ids=["fedavg", "fedprox", "fedclust", "ifca"])
+    def test_split_run_equals_serial_and_unsplit(
+        self, fed, monkeypatch, model_fn_for, method, extra
+    ):
+        """With the budget at two members' steps, every dispatch splits
+        (FedClust's round 0, training, evaluation): training and
+        evaluation cohorts hold at most two members, and the run equals
+        ``serial`` and the unsplit ``vector`` run bit for bit."""
+        cohorts = []
+        for name in ("local_sgd_many", "evaluate_accuracy_many"):
+            real = getattr(execution, name)
+
+            def cohort_spy(model, *args, _real=real, _name=name, **kwargs):
+                cohorts.append((_name, model.cohort))
+                return _real(model, *args, **kwargs)
+
+            monkeypatch.setattr(execution, name, cohort_spy)
+        shape = fed.input_shape
+        rows = max(min(fed[0].n_train, 10), len(fed[0].test_x))
+        two = 2 * rows * model_fn_for(fed)(0).row_nbytes(shape, np.float32)
+        runs, largest = {}, {}
+        for label, backend, budget in (
+            ("serial", "serial", execution.COHORT_STEP_BYTES),
+            ("unsplit", "vector", execution.COHORT_STEP_BYTES),
+            ("split", "vector", two),
+        ):
+            monkeypatch.setattr(execution, "COHORT_STEP_BYTES", budget)
+            cohorts.clear()
+            history, algo = run_one(fed, method, backend, model_fn_for, **extra)
+            runs[label] = (canonical_history(history), params_digest(algo))
+            largest[label] = {
+                name: max(c for n, c in cohorts if n == name)
+                for name in ("local_sgd_many", "evaluate_accuracy_many")
+            }
+        assert min(largest["unsplit"].values()) > 2, largest
+        assert largest["split"] == {
+            "local_sgd_many": 2, "evaluate_accuracy_many": 2,
+        }, largest
+        assert runs["split"] == runs["serial"]
+        assert runs["unsplit"] == runs["serial"]
 
 
 class TestBespokeLoopGoldens:

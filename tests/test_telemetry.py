@@ -55,7 +55,8 @@ from repro.fl.telemetry import (
     replay_history,
 )
 from repro.nn.models import mlp
-from test_registry import TestGoldenEquivalence
+# bound under a non-Test name, so pytest collects the goldens once
+from test_registry import TestGoldenEquivalence as Golden
 
 ROUNDS = 3
 
@@ -226,12 +227,12 @@ class TestGoldenReplay:
     the JSONL event log alone.
     """
 
-    @pytest.mark.parametrize("case", sorted(TestGoldenEquivalence.CASES))
+    @pytest.mark.parametrize("case", sorted(Golden.CASES))
     def test_golden_with_telemetry_replays(
         self, case, tmp_path, golden_compare
     ):
-        method, cfg_kw, extra, *rest = TestGoldenEquivalence.CASES[case]
-        fed = TestGoldenEquivalence._fed(rest[0] if rest else "label_skew")
+        method, cfg_kw, extra, *rest = Golden.CASES[case]
+        fed = Golden._fed(rest[0] if rest else "label_skew")
         cfg = FLConfig(
             rounds=3, sample_rate=0.6, local_epochs=1, batch_size=10,
             lr=0.05, eval_every=1, telemetry="on", **cfg_kw

@@ -52,14 +52,15 @@ from repro.nn.models import mlp
 from repro.utils.rng import RngFactory
 from test_checkpoint import DRIVER, ROUNDS, SRC, _baseline, _cell, \
     _checkpointed_cell
-from test_registry import TestGoldenEquivalence
+# bound under a non-Test name, so pytest collects the goldens once
+from test_registry import TestGoldenEquivalence as Golden
 from test_telemetry import _assert_replays_exactly
 
 HIER2 = {"topology": "hier:edges=2"}
 
 
 def _golden_fed():
-    return TestGoldenEquivalence._fed()
+    return Golden._fed()
 
 
 def _golden_cfg(**kw):
@@ -108,10 +109,10 @@ class TestHierDegenerate:
     # fednova and the clustered methods reject a hierarchical tier by
     # design; the degenerate hier IS allowed there (edges=1 implies no
     # pre-reduction), so every golden case stays in scope.
-    @pytest.mark.parametrize("case", sorted(TestGoldenEquivalence.CASES))
+    @pytest.mark.parametrize("case", sorted(Golden.CASES))
     def test_single_edge_matches_golden_capture(self, case, golden_compare):
-        method, cfg_kw, extra, *rest = TestGoldenEquivalence.CASES[case]
-        fed = TestGoldenEquivalence._fed(rest[0] if rest else "label_skew")
+        method, cfg_kw, extra, *rest = Golden.CASES[case]
+        fed = Golden._fed(rest[0] if rest else "label_skew")
         cfg = _golden_cfg(topology="hier:edges=1", **cfg_kw).with_extra(**extra)
         algo = build_algorithm(method, fed, _model_fn(fed), cfg, seed=0)
         history = algo.run()
