@@ -48,6 +48,11 @@ class CFL(ClusteredAlgorithm):
         # latest update direction per client (None until first participation)
         self._deltas: list[np.ndarray | None] = [None] * self.fed.num_clients
 
+    def on_join(self, client_id: int, key_idx: int) -> dict:
+        # a joiner has no update direction yet, like the roster at setup
+        self._deltas += [None] * (client_id + 1 - len(self._deltas))
+        return super().on_join(client_id, key_idx)
+
     def aggregate(self, round_idx: int, updates: list[ClientUpdate]) -> None:
         for u in updates:
             gid = int(self.cluster_of[u.client_id])

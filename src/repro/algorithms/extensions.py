@@ -7,8 +7,9 @@ FedDyn (Acar et al., 2021 — a dynamic regularizer aligning local and global
 stationary points).  They are implemented here as optional baselines so the
 heterogeneity benches can ablate against the full global-method family.
 
-Both need per-step gradient corrections, so they run their own minibatch
-loops over flat parameter vectors instead of the engine's ``local_sgd``.
+Both need per-step gradient corrections, so their specs carry a client
+loop of their own (``ClientTrainSpec.loop``): plain SGD on float64 master
+weights along a corrected gradient, over a cohort's ``(C, P)`` stacks.
 """
 
 from __future__ import annotations
@@ -18,14 +19,45 @@ import numpy as np
 from repro.algorithms.global_baselines import FedAvg
 from repro.fl.registry import opt, register
 from repro.fl.server import ClientUpdate
-from repro.fl.training import grad_on_batch, minibatches
-from repro.nn.serialization import unflatten_params
+from repro.fl.training import grad_on_batch_many, minibatches_many
 
 __all__ = ["Scaffold", "FedDyn"]
 
 
+class _CorrectedSGD(FedAvg):
+    """FedAvg whose clients step plain SGD, without momentum, on float64
+    master weights along a corrected gradient.
+
+    A subclass states the correction: its ``_direction(members)`` returns
+    ``direction(grads, params)``, the ``(C, P)`` step direction of the
+    cohort block ``members`` at its master weights.
+    """
+
+    def client_task_specs(self, method, argslist):
+        specs = super().client_task_specs(method, argslist)
+        if method == "client_update":
+            for spec in specs:
+                spec.loop = self._train
+        return specs
+
+    def _train(self, model, members, x, y, rngs):
+        cfg = self.config
+        params = np.stack([s.params for s in members])
+        direction = self._direction(members)
+        rows = np.arange(len(members))[:, None]
+        total_loss, steps = np.zeros(len(members)), 0
+        for _ in range(cfg.local_epochs):
+            for idx in minibatches_many(y.shape[1], cfg.batch_size, rngs):
+                model.load_flat(params)
+                grads, losses = grad_on_batch_many(model, x[rows, idx], y[rows, idx])
+                params -= cfg.lr * direction(grads, params)
+                total_loss += losses
+                steps += 1
+        return total_loss / max(steps, 1), steps, params
+
+
 @register("algorithm", "scaffold")
-class Scaffold(FedAvg):
+class Scaffold(_CorrectedSGD):
     """SCAFFOLD: stochastic controlled averaging.
 
     Every client step is corrected by ``c - c_i`` (server minus client
@@ -43,44 +75,36 @@ class Scaffold(FedAvg):
         self.c_global = np.zeros(dim)
         self.c_client = [np.zeros(dim) for _ in range(self.fed.num_clients)]
 
-    def client_update(self, client_id: int, round_idx: int) -> ClientUpdate:
-        cfg = self.config
-        client = self.fed[client_id]
-        x_global = self.global_params
-        params = x_global.copy()
-        unflatten_params(self.model, params)
-        if self.global_state:
-            self.model.load_state(self.global_state)
-        correction = self.c_global - self.c_client[client_id]
-        rng = self.rngs.make(f"client{client_id}.train", round_idx)
-        total_loss, steps = 0.0, 0
-        for _ in range(cfg.local_epochs):
-            for batch in minibatches(client.n_train, cfg.batch_size, rng):
-                unflatten_params(self.model, params)
-                g, loss = grad_on_batch(
-                    self.model, client.train_x[batch], client.train_y[batch]
-                )
-                params -= cfg.lr * (g + correction)
-                total_loss += loss
-                steps += 1
+    def on_join(self, client_id: int, key_idx: int) -> dict:
+        # a joiner starts from a zero control variate, as the roster did
+        self.c_client += [np.zeros_like(self.c_global)
+                          for _ in range(len(self.c_client), client_id + 1)]
+        return super().on_join(client_id, key_idx)
+
+    def client_task_specs(self, method, argslist):
+        specs = super().client_task_specs(method, argslist)
+        if method == "client_update":
+            for spec in specs:
+                spec.post = self._with_control_variate
+        return specs
+
+    def _direction(self, members):
+        correction = self.c_global - np.stack(
+            [self.c_client[s.client_id] for s in members]
+        )
+        return lambda grads, params: grads + correction
+
+    def _with_control_variate(self, update: ClientUpdate) -> ClientUpdate:
         # Option II control update: c_i+ = c_i - c + (x - y_i) / (K * lr).
         # The new variate travels back via extras; ``aggregate`` installs it
         # (client tasks never write server state — execution contract).
-        c_new = (
-            self.c_client[client_id]
+        update.extras["c_new"] = (
+            self.c_client[update.client_id]
             - self.c_global
-            + (x_global - params) / (max(steps, 1) * cfg.lr)
+            + (self.global_params - update.params)
+            / (max(update.steps, 1) * self.config.lr)
         )
-        unflatten_params(self.model, params)
-        return ClientUpdate(
-            client_id=client_id,
-            params=params,
-            n_samples=client.n_train,
-            steps=steps,
-            loss=total_loss / max(steps, 1),
-            state={k: v.copy() for k, v in self.model.state().items()},
-            extras={"c_new": c_new},
-        )
+        return update
 
     def aggregate(self, round_idx: int, updates: list[ClientUpdate]) -> None:
         if not updates:
@@ -109,7 +133,7 @@ class Scaffold(FedAvg):
         help="dynamic-regularizer strength aligning local and global "
              "stationary points"),
 ])
-class FedDyn(FedAvg):
+class FedDyn(_CorrectedSGD):
     """FedDyn: federated learning with dynamic regularization.
 
     Each client adds ``-<grad_prev_i, w> + (alpha/2)||w - w_t||^2`` to its
@@ -130,37 +154,18 @@ class FedDyn(FedAvg):
         self.h = np.zeros(dim)
         self.prev_grad = [np.zeros(dim) for _ in range(self.fed.num_clients)]
 
-    def client_update(self, client_id: int, round_idx: int) -> ClientUpdate:
-        cfg = self.config
-        client = self.fed[client_id]
-        w_t = self.global_params
-        params = w_t.copy()
-        unflatten_params(self.model, params)
-        if self.global_state:
-            self.model.load_state(self.global_state)
-        rng = self.rngs.make(f"client{client_id}.train", round_idx)
-        total_loss, steps = 0.0, 0
-        for _ in range(cfg.local_epochs):
-            for batch in minibatches(client.n_train, cfg.batch_size, rng):
-                unflatten_params(self.model, params)
-                g, loss = grad_on_batch(
-                    self.model, client.train_x[batch], client.train_y[batch]
-                )
-                g = g - self.prev_grad[client_id] + self.alpha * (params - w_t)
-                params -= cfg.lr * g
-                total_loss += loss
-                steps += 1
+    def on_join(self, client_id: int, key_idx: int) -> dict:
+        # a joiner starts from a zero linear term, as the roster did
+        self.prev_grad += [np.zeros_like(self.h)
+                           for _ in range(len(self.prev_grad), client_id + 1)]
+        return super().on_join(client_id, key_idx)
+
+    def _direction(self, members):
         # The updated linear-term gradient is folded in by ``aggregate``
         # (client tasks never write server state — execution contract).
-        unflatten_params(self.model, params)
-        return ClientUpdate(
-            client_id=client_id,
-            params=params,
-            n_samples=client.n_train,
-            steps=steps,
-            loss=total_loss / max(steps, 1),
-            state={k: v.copy() for k, v in self.model.state().items()},
-        )
+        prev = np.stack([self.prev_grad[s.client_id] for s in members])
+        w_t = self.global_params
+        return lambda grads, params: grads - prev + self.alpha * (params - w_t)
 
     def aggregate(self, round_idx: int, updates: list[ClientUpdate]) -> None:
         if not updates:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.clustered import ClusteredAlgorithm
-from repro.fl.execution import ClientEvalSpec, ClientTrainSpec, run_spec, spec_task
+from repro.fl.execution import ClientEvalSpec, ClientTrainSpec, spec_task
 from repro.fl.registry import opt, register
 from repro.fl.server import ClientUpdate
 from repro.fl.training import evaluate_loss
@@ -150,8 +150,8 @@ class IFCA(ClusteredAlgorithm):
         cluster by local *training* loss (test labels are never used for
         assignment), paired with that cluster so
         :meth:`per_client_accuracy` can record it without re-scoring."""
-        (spec,) = self.client_task_specs("_evaluate_with_cluster", [(client_id,)])
-        return run_spec(self, spec)
+        (result,) = self._map_clients("_evaluate_with_cluster", [(client_id,)])
+        return result
 
     def per_client_accuracy(self) -> np.ndarray:
         """Every client's accuracy, refreshing ``cluster_of`` as it goes.

@@ -48,19 +48,24 @@ class LGFedAvg(FederatedAlgorithm):
         )
 
     def setup(self) -> None:
-        init = flatten_params(self.model)
-        # Paper §5.1: models are initialized randomly per client for LG
-        # (instead of warm-starting from many FedAvg rounds).
-        self.client_params = []
-        for cid in range(self.fed.num_clients):
+        self.global_part = flatten_params(self.model)[self._global_slice].copy()
+        self.client_params, self.client_states = [], []
+        self._add_clients(self.fed.num_clients)
+
+    def on_join(self, client_id: int, key_idx: int) -> dict:
+        self._add_clients(client_id + 1)
+        return {}
+
+    def _add_clients(self, count: int) -> None:
+        """Give every client id below ``count`` without a model its own
+        random one (its ``lg_init`` draw) and θ⁰'s buffers."""
+        init_state = self.model_fn(self.rngs.make("model_init")).state()
+        for cid in range(len(self.client_params), count):
+            # Paper §5.1: models are initialized randomly per client for LG
+            # (instead of warm-starting from many FedAvg rounds).
             m = self.model_fn(self.rngs.make("lg_init", cid))
             self.client_params.append(flatten_params(m))
-        self.global_part = init[self._global_slice].copy()
-        init_state = {k: v.copy() for k, v in self.model.state().items()}
-        self.client_states = [
-            {k: v.copy() for k, v in init_state.items()}
-            for _ in range(self.fed.num_clients)
-        ]
+            self.client_states.append({k: v.copy() for k, v in init_state.items()})
 
     def params_for_client(self, client_id: int, round_idx: int) -> np.ndarray:
         params = self.client_params[client_id].copy()

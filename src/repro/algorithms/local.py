@@ -24,13 +24,21 @@ class Local(FederatedAlgorithm):
     name = "local"
 
     def setup(self) -> None:
-        init = flatten_params(self.model)
-        init_state = {k: v.copy() for k, v in self.model.state().items()}
-        self.client_params = [init.copy() for _ in range(self.fed.num_clients)]
-        self.client_states = [
-            {k: v.copy() for k, v in init_state.items()}
-            for _ in range(self.fed.num_clients)
-        ]
+        self.client_params, self.client_states = [], []
+        self._add_clients(self.fed.num_clients)
+
+    def on_join(self, client_id: int, key_idx: int) -> dict:
+        self._add_clients(client_id + 1)
+        return {}
+
+    def _add_clients(self, count: int) -> None:
+        """Give every client id below ``count`` without a model θ⁰, the
+        initial model, re-derived from its key."""
+        theta0 = self.model_fn(self.rngs.make("model_init"))
+        init, init_state = flatten_params(theta0), theta0.state()
+        for _ in range(len(self.client_params), count):
+            self.client_params.append(init.copy())
+            self.client_states.append({k: v.copy() for k, v in init_state.items()})
 
     def params_for_client(self, client_id: int, round_idx: int) -> np.ndarray:
         return self.client_params[client_id]

@@ -14,9 +14,7 @@ import numpy as np
 
 from repro.algorithms.global_baselines import FedAvg
 from repro.fl.registry import SCALE_LR, opt, register
-from repro.fl.server import ClientUpdate
-from repro.fl.training import evaluate_accuracy, grad_on_batch, minibatches
-from repro.nn.serialization import flatten_params, unflatten_params
+from repro.fl.training import grad_on_batch_many, minibatches_many
 
 __all__ = ["PerFedAvg"]
 
@@ -32,7 +30,13 @@ __all__ = ["PerFedAvg"]
 ], extras_defaults={"alpha": 1e-2, "beta": SCALE_LR, "personalize_epochs": 1})
 class PerFedAvg(FedAvg):
     """First-order MAML federated averaging (see module docstring);
-    knobs: ``alpha``, ``beta``, ``personalize_epochs``."""
+    knobs: ``alpha``, ``beta``, ``personalize_epochs``.
+
+    Both client tasks are specs: training carries the meta-step loop
+    (:meth:`_meta_train`), evaluation the personalisation
+    (:meth:`_personalize`), each written once over a cohort's ``(C, P)``
+    float64 master weights.
+    """
 
     name = "perfedavg"
 
@@ -45,65 +49,55 @@ class PerFedAvg(FedAvg):
         self.beta = float(o["beta"] if o["beta"] is not None else self.config.lr)
         self.personalize_epochs = int(o["personalize_epochs"])
 
-    def client_update(self, client_id: int, round_idx: int) -> ClientUpdate:
+    def client_task_specs(self, method, argslist):
+        specs = super().client_task_specs(method, argslist)
+        for spec in specs:
+            if method == "client_update":
+                spec.loop = self._meta_train
+            else:  # evaluate_client
+                spec.adapt = self._personalize
+        return specs
+
+    def _meta_train(self, model, members, x, y, rngs):
         cfg = self.config
-        client = self.fed[client_id]
-        model = self.model
-        params = self.params_for_client(client_id, round_idx).copy()
-        state = self.state_for_client(client_id, round_idx)
-        unflatten_params(model, params)
-        if state:
-            model.load_state(state)
-        rng = self.rngs.make(f"client{client_id}.train", round_idx)
-        x, y = client.train_x, client.train_y
-        total_loss, steps = 0.0, 0
+        params = np.stack([s.params for s in members])
+        rows = np.arange(len(members))[:, None]
+
+        def grads_at(flat, idx):
+            model.load_flat(flat)
+            return grad_on_batch_many(model, x[rows, idx], y[rows, idx])
+
+        total_loss, steps = np.zeros(len(members)), 0
         for _ in range(cfg.local_epochs):
-            batches = minibatches(len(y), cfg.batch_size, rng)
-            # consume batches in pairs: inner step on b1, outer grad on b2
-            for k in range(0, len(batches) - 1, 2):
-                b1, b2 = batches[k], batches[k + 1]
-                unflatten_params(model, params)
-                g1, _ = grad_on_batch(model, x[b1], y[b1])
-                unflatten_params(model, params - self.alpha * g1)
-                g2, loss = grad_on_batch(model, x[b2], y[b2])
+            batches = minibatches_many(y.shape[1], cfg.batch_size, rngs)
+            # consume batches in pairs: inner step on b1, outer grad on b2;
+            # a one-batch client takes a plain step (no inner step)
+            pairs = list(zip(batches[::2], batches[1::2])) or [(None, batches[0])]
+            for b1, b2 in pairs:
+                inner = params
+                if b1 is not None:
+                    inner = params - self.alpha * grads_at(params, b1)[0]
+                g2, losses = grads_at(inner, b2)
                 params -= self.beta * g2
-                total_loss += loss
+                total_loss += losses
                 steps += 1
-            if len(batches) == 1:  # tiny client: plain step
-                unflatten_params(model, params)
-                g1, loss = grad_on_batch(model, x[batches[0]], y[batches[0]])
-                params -= self.beta * g1
-                total_loss += loss
-                steps += 1
-        unflatten_params(model, params)
-        return ClientUpdate(
-            client_id=client_id,
-            params=params,
-            n_samples=client.n_train,
-            steps=max(steps, 1),
-            loss=total_loss / max(steps, 1),
-            state={k: v.copy() for k, v in model.state().items()},
-        )
+        return total_loss / max(steps, 1), max(steps, 1), params
 
     def local_steps(self, client_id: int) -> int:
         # one meta-step per batch pair, or one plain step for a one-batch
-        # client, per epoch (the loop in ``client_update``)
+        # client, per epoch (the loop in ``_meta_train``)
         cfg = self.config
         batches = -(-self.fed[client_id].n_train // cfg.batch_size)
         return max(cfg.local_epochs * max(batches // 2, 1), 1)
 
-    def evaluate_client(self, client_id: int) -> float:
-        """Personalize with a few inner steps, then test locally."""
-        client = self.fed[client_id]
-        model = self.model
-        params = self.global_params.copy()
-        unflatten_params(model, params)
-        if self.global_state:
-            model.load_state(self.global_state)
-        rng = self.rngs.make(f"client{client_id}.personalize")
+    def _personalize(self, model, members, x, y):
+        """Personalize the loaded global model with a few α-steps on each
+        client's training data, before it is tested locally."""
+        params = np.stack([s.params for s in members])
+        rngs = [self.rngs.make(f"client{s.client_id}.personalize") for s in members]
+        rows = np.arange(len(members))[:, None]
         for _ in range(self.personalize_epochs):
-            for batch in minibatches(client.n_train, self.config.batch_size, rng):
-                g, _ = grad_on_batch(model, client.train_x[batch], client.train_y[batch])
-                params -= self.alpha * g
-                unflatten_params(model, params)
-        return evaluate_accuracy(model, client.test_x, client.test_y)
+            for idx in minibatches_many(y.shape[1], self.config.batch_size, rngs):
+                grads, _ = grad_on_batch_many(model, x[rows, idx], y[rows, idx])
+                params -= self.alpha * grads
+                model.load_flat(params)

@@ -22,7 +22,7 @@ from repro.algorithms.clustered import ClusteredAlgorithm
 from repro.clustering.distance import proximity_matrix
 from repro.clustering.hierarchical import Dendrogram, agglomerative, largest_gap_threshold
 from repro.core.weight_selection import select_weights, selection_nbytes
-from repro.fl.execution import ClientTrainSpec, run_spec, spec_task
+from repro.fl.execution import ClientTrainSpec, spec_task
 from repro.fl.registry import opt, register
 from repro.nn.serialization import flatten_params, unflatten_params
 
@@ -111,8 +111,8 @@ class FedClust(ClusteredAlgorithm):
         Returns:
             The flat partial-weight vector selected by ``self.selection``.
         """
-        (spec,) = self.client_task_specs("client_partial_weights", [(client_id,)])
-        return run_spec(self, spec)
+        (partial,) = self._map_clients("client_partial_weights", [(client_id,)])
+        return partial
 
     def client_task_specs(self, method, argslist):
         # The round-0 warm-up is the default local-SGD recipe from θ⁰;

@@ -32,17 +32,16 @@ tolerance back.
 Spec tasks
 ----------
 
-A task whose recipe is the engine's default — install a model, run the
-local-SGD loop or measure accuracy, optionally post-process the result —
-is written once, as the :class:`ClientTrainSpec`/:class:`ClientEvalSpec`
-that ``FederatedAlgorithm.client_task_specs`` builds, and the recipe
-itself exists once, in :class:`CohortRunner`.  A task method is marked
-:func:`spec_task` and its body builds the one-task spec and hands it to
-:func:`run_spec`, the runner applied to one spec; a dispatch builds the
-specs of all its tasks at once and runs them on either backend.  A
-subclass that replaces such a method with its own ``def`` leaves the spec
-path: its dispatches call the methods, on either backend
-(:func:`runs_as_specs`).
+Every client task is written once, as the
+:class:`ClientTrainSpec`/:class:`ClientEvalSpec` that
+``FederatedAlgorithm.client_task_specs`` builds, and the recipe that runs
+a spec exists once, in :class:`CohortRunner`: install a model, run the
+local-SGD loop (or the spec's own ``loop``) or measure accuracy (after the
+spec's ``adapt``), optionally post-process the result.  A task method is
+marked :func:`spec_task` and its body dispatches its one task through the
+runner; a dispatch builds the specs of all its tasks at once and runs them
+on either backend.  A subclass ``def`` over such a method would never be
+called, so its dispatches raise instead (:func:`runs_as_specs`).
 
 There is no multi-core backend: multi-core scale-out is out of scope, and
 ``vector`` on one core outran a process pool on two on every measured cell
@@ -92,7 +91,6 @@ __all__ = [
     "ClientTrainSpec",
     "ClientEvalSpec",
     "spec_task",
-    "run_spec",
     "runs_as_specs",
     "make_backend",
     "COHORT_STEP_BYTES",
@@ -115,14 +113,14 @@ COHORT_STEP_BYTES = 4 * 2**20
 
 @dataclass
 class ClientTrainSpec:
-    """Declarative description of one default-recipe training task.
+    """Declarative description of one training task.
 
     ``FederatedAlgorithm.client_task_specs`` returns one of these per task
     of a training :func:`spec_task` (``client_update``, FedClust's
     ``client_partial_weights``).  :class:`CohortRunner` runs a dispatch's
     specs as members of cohorts: install ``params``/``state``, run the
-    local-SGD loop from the client's keyed generator, package a
-    ``ClientUpdate``.
+    local-SGD loop (or ``loop``) from the client's keyed generator,
+    package a ``ClientUpdate``.
     """
 
     client_id: int
@@ -137,22 +135,38 @@ class ClientTrainSpec:
     prox_mu: float = 0.0
     #: override of ``config.local_epochs`` (FedClust's round-0 warm-up)
     epochs: int | None = None
+    #: a client loop of its own in place of the default ``CohortSGD`` +
+    #: ``local_sgd_many`` recipe (SCAFFOLD, FedDyn, Per-FedAvg):
+    #: ``loop(model, specs, x, y, rngs)`` trains the loaded cohort block
+    #: ``model`` of ``specs`` on their stacked ``(C, n, ...)`` training
+    #: data from their ``client{id}.train`` generators and returns the
+    #: ``(C,)`` mean losses, the shared step count and the ``(C, P)``
+    #: trained flat vectors; specs share a cohort only with specs of the
+    #: same loop
+    loop: Callable[..., tuple[np.ndarray, int, np.ndarray]] | None = None
     #: postprocessor applied to the finished ``ClientUpdate``
-    #: (FedClust's partial-weight selection, IFCA's cluster tag); the
-    #: task result is its return value
+    #: (FedClust's partial-weight selection, IFCA's cluster tag,
+    #: SCAFFOLD's control variate); the task result is its return value
     post: Callable[["ClientUpdate"], object] | None = None
 
 
 @dataclass
 class ClientEvalSpec:
-    """Declarative description of one default-recipe evaluation task
-    (``evaluate_client``): install ``params``/``state``, measure top-1
-    accuracy on the client's local test set."""
+    """Declarative description of one evaluation task
+    (``evaluate_client``): install ``params``/``state``, optionally
+    ``adapt`` the model, measure top-1 accuracy on the client's local test
+    set."""
 
     client_id: int
     params: np.ndarray
     #: non-trainable buffers ({} only for a model without buffers)
     state: dict[str, np.ndarray] = field(default_factory=dict)
+    #: ``adapt(model, specs, x, y)`` changes the loaded cohort block
+    #: ``model`` of ``specs`` in place from their stacked ``(C, n, ...)``
+    #: training data before accuracy is measured (Per-FedAvg's
+    #: personalisation); specs share a cohort only with specs of the same
+    #: ``adapt`` and training shape
+    adapt: Callable[..., None] | None = None
     #: postprocessor applied to the accuracy (IFCA pairs it with the
     #: cluster it evaluated); the task result is its return value
     post: Callable[[float], object] | None = None
@@ -161,22 +175,30 @@ class ClientEvalSpec:
 def spec_task(method):
     """Mark an algorithm method as a spec task.
 
-    The method's body must be :func:`run_spec` on the one spec that
-    ``client_task_specs(method.__name__, [args])`` builds, so a backend
-    may build and run a whole dispatch's specs instead of calling it.
+    Its tasks are the specs that ``client_task_specs(method.__name__,
+    argslist)`` builds, and the method's body dispatches its one task
+    through ``FederatedAlgorithm._map_clients``: a backend builds and runs
+    a whole dispatch's specs and never calls the method.
     """
     method.spec_task = True
     return method
 
 
-def runs_as_specs(algorithm: "FederatedAlgorithm", method: str) -> bool:
-    """Whether a dispatch of ``method`` may run as specs.
+def runs_as_specs(algorithm: "FederatedAlgorithm", method: str) -> None:
+    """Refuse a dispatch of ``method`` unless it is a :func:`spec_task`.
 
-    It may when ``method`` is a :func:`spec_task` that no bespoke ``def``
-    of a subclass replaces.  Otherwise only the methods say what the
-    tasks do, and the dispatch calls them.
+    Every dispatch runs as specs, so a subclass ``def`` over a spec task
+    would never be called; it raises here rather than be skipped.
+
+    Raises:
+        TypeError: naming the class and the method.
     """
-    return getattr(getattr(type(algorithm), method), "spec_task", False)
+    if not getattr(getattr(type(algorithm), method), "spec_task", False):
+        raise TypeError(
+            f"{type(algorithm).__name__}.{method} is not a spec task, so no "
+            "backend would call it: state the task in client_task_specs "
+            "instead (a spec's loop, adapt or post) and drop the def"
+        )
 
 
 def _require_buffers(
@@ -213,15 +235,15 @@ class CohortRunner:
     (``algorithm.model.as_cohort()``); a larger one on a template of its
     own size, built once per run.
 
-    The batching is strictly an implementation detail of *how* the default
-    client recipe executes; everything downstream (``aggregate``/``merge``,
+    The batching is strictly an implementation detail of *how* client
+    tasks execute; everything downstream (``aggregate``/``merge``,
     codecs, attacks, topology) receives ordinary per-client
     ``ClientUpdate``s.  A dispatch of a :func:`spec_task` is built into
     specs at once (``client_task_specs``), so an algorithm may share work
     across its tasks (IFCA scores every cluster model on all of them in
-    one pass).  A dispatch leaves this path only when :func:`runs_as_specs`
-    refuses it — bespoke client loops (SCAFFOLD, FedDyn, Per-FedAvg), or
-    any subclass ``def`` over a spec task — and then calls the methods.
+    one pass).  Client loops of their own (SCAFFOLD, FedDyn, Per-FedAvg)
+    run on the same cohort blocks, through a spec's ``loop`` or
+    ``adapt``.
 
     Every group runs the same kernels, with identical minibatch
     schedules, per-client generators, and operand ordering within each
@@ -317,13 +339,13 @@ class CohortRunner:
         method: str,
         argslist: Sequence[tuple],
     ) -> list:
-        """Execute ``getattr(algorithm, method)(*args)`` for each args tuple.
+        """The results of ``getattr(algorithm, method)(*args)`` for each
+        args tuple, without calling the method.
 
-        A *task* is a bound-method call on the algorithm —
-        ``client_update``, ``evaluate_client``, or an algorithm-specific
-        round-0 method such as FedClust's ``client_partial_weights``.  A
-        spec task's dispatch is built into specs at once and run
-        (:meth:`run_specs`); any other calls the method once per task.
+        ``method`` is a :func:`spec_task` — ``client_update``,
+        ``evaluate_client``, or an algorithm-specific one such as
+        FedClust's round-0 ``client_partial_weights``.  The dispatch is
+        built into specs at once and run (:meth:`run_specs`).
 
         Args:
             algorithm: the running federation (one runner serves one
@@ -333,12 +355,14 @@ class CohortRunner:
 
         Returns:
             The task results, in the order of ``argslist``.
+
+        Raises:
+            TypeError: when a subclass ``def`` replaces the spec task
+                (:func:`runs_as_specs`).
         """
         if not argslist:
             return []
-        if not runs_as_specs(algorithm, method):
-            fn = getattr(algorithm, method)
-            return [fn(*args) for args in argslist]
+        runs_as_specs(algorithm, method)
         return self.run_specs(
             algorithm,
             algorithm.client_task_specs(method, [tuple(args) for args in argslist]),
@@ -362,12 +386,12 @@ class CohortRunner:
         cfg = algorithm.config
         fed = algorithm.fed
         results: list = [None] * len(specs)
-        # Cohorts must share the dataset/schedule shape and the optimizer's
-        # scalars; everything else (params, labels, generators, prox
-        # anchors) stacks per member.
+        # Cohorts must share the dataset/schedule shape, the optimizer's
+        # scalars and the loop; everything else (params, labels,
+        # generators, prox anchors) stacks per member.
         keys = [
             (fed[s.client_id].train_x.shape, s.epochs,
-             s.prox_center is not None, s.prox_mu)
+             s.prox_center is not None, s.prox_mu, s.loop)
             for s in specs
         ]
         data = [fed[s.client_id].train_x for s in specs]
@@ -381,22 +405,25 @@ class CohortRunner:
                 algorithm.rngs.make(f"client{s.client_id}.train", s.round_idx)
                 for s in members
             ]
-            opt_ = CohortSGD(
-                cm,
-                lr=cfg.lr,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-                prox_mu=first.prox_mu,
-            )
-            if first.prox_center is not None:
-                opt_.set_prox_center(np.stack([s.prox_center for s in members]))
-            losses, steps = local_sgd_many(
-                cm, opt_, xs, ys,
-                epochs=cfg.local_epochs if first.epochs is None else first.epochs,
-                batch_size=cfg.batch_size,
-                rngs=rngs,
-            )
-            flats = cm.flatten()
+            if first.loop is not None:
+                losses, steps, flats = first.loop(cm, members, xs, ys, rngs)
+            else:
+                opt_ = CohortSGD(
+                    cm,
+                    lr=cfg.lr,
+                    momentum=cfg.momentum,
+                    weight_decay=cfg.weight_decay,
+                    prox_mu=first.prox_mu,
+                )
+                if first.prox_center is not None:
+                    opt_.set_prox_center(np.stack([s.prox_center for s in members]))
+                losses, steps = local_sgd_many(
+                    cm, opt_, xs, ys,
+                    epochs=cfg.local_epochs if first.epochs is None else first.epochs,
+                    batch_size=cfg.batch_size,
+                    rngs=rngs,
+                )
+                flats = cm.flatten()
             member_states = cm.states()
             for c, (i, s) in enumerate(zip(idxs, members)):
                 update = ClientUpdate(
@@ -413,11 +440,21 @@ class CohortRunner:
     def _run_eval(self, algorithm, specs):
         fed = algorithm.fed
         results: list = [None] * len(specs)
-        keys = [fed[s.client_id].test_x.shape for s in specs]
+        keys = [
+            (fed[s.client_id].test_x.shape, s.adapt,
+             None if s.adapt is None else fed[s.client_id].train_x.shape)
+            for s in specs
+        ]
         data = [fed[s.client_id].test_x for s in specs]
         for idxs in self._blocks(algorithm, keys, data, PREDICT_ROWS):
             members = [specs[i] for i in idxs]
             cm = self._load(algorithm, members)
+            if members[0].adapt is not None:
+                members[0].adapt(
+                    cm, members,
+                    np.stack([fed[s.client_id].train_x for s in members]),
+                    np.stack([fed[s.client_id].train_y for s in members]),
+                )
             xs = np.stack([data[i] for i in idxs])
             ys = np.stack([fed[s.client_id].test_y for s in members])
             accs = evaluate_accuracy_many(cm, xs, ys)
@@ -438,19 +475,6 @@ class SerialBackend(CohortRunner):
     @staticmethod
     def _group(keys: Sequence[tuple]) -> list[list[int]]:
         return [[i] for i in range(len(keys))]
-
-
-def run_spec(
-    algorithm: "FederatedAlgorithm", spec: ClientTrainSpec | ClientEvalSpec
-) -> object:
-    """The runner applied to one spec, as a cohort of one on the
-    algorithm's work model: the task's result (``spec.post`` applied).
-
-    A :func:`spec_task` body calls this, never :meth:`CohortRunner.map`:
-    a subclass ``def`` whose ``super()`` call reached ``map`` would be
-    dispatched back to itself.
-    """
-    return SerialBackend().run_specs(algorithm, [spec])[0]
 
 
 def make_backend(config=None, backend: str | None = None) -> CohortRunner:

@@ -1,9 +1,10 @@
 """The federated simulation engine.
 
-One round loop serves all ten algorithms: subclasses override *which model a
+One round loop serves every algorithm: subclasses override *which model a
 client trains* (``params_for_client``), *how updates combine*
-(``aggregate``), and optionally the client update itself
-(``client_update``).  Communication is metered per transfer from actual
+(``aggregate``), and optionally *what a client task does*
+(``client_task_specs``: its inputs, a client loop of its own, a
+postprocessor).  Communication is metered per transfer from actual
 array byte sizes, every random draw comes from a named child of the run's
 root seed, and per-round wall-clock time is recorded in the history, so
 runs are bit-for-bit reproducible *and* measurable.
@@ -79,7 +80,6 @@ from repro.fl.execution import (
     CohortRunner,
     SerialBackend,
     make_backend,
-    run_spec,
     spec_task,
 )
 from repro.fl.network import NetworkModel, make_network
@@ -334,20 +334,21 @@ class FederatedAlgorithm(ABC):
     ) -> "list[ClientTrainSpec] | list[ClientEvalSpec]":
         """The tasks of one dispatch of a spec task, as specs.
 
-        This is the one statement of each default-recipe task
-        (:mod:`repro.fl.execution`, "Spec tasks"): the task method runs
-        the one spec built from its own arguments through
-        :func:`~repro.fl.execution.run_spec`, and either backend builds a
-        whole dispatch at once and runs it.  Building at once lets an
-        algorithm share work across its tasks (IFCA scores every cluster
-        model on all of them in one pass).  The base answers for
-        ``client_update`` (local SGD from ``params_for_client``/
-        ``state_for_client``) and ``evaluate_client`` (the accuracy of
+        This is the one statement of each client task
+        (:mod:`repro.fl.execution`, "Spec tasks"): either backend builds a
+        whole dispatch at once and runs it, a task method's own call
+        included.  Building at once lets an algorithm share work across
+        its tasks (IFCA scores every cluster model on all of them in one
+        pass).  The base answers for ``client_update`` (local SGD from
+        ``params_for_client``/``state_for_client``) and
+        ``evaluate_client`` (the accuracy of
         ``eval_params_for_client``/``eval_state_for_client``).  An
-        algorithm changes a task's inputs by overriding this (FedProx's
-        proximal anchor, IFCA's argmin cluster), and adds a task by
-        answering for a new :func:`~repro.fl.execution.spec_task` method
-        here (FedClust's round-0 warm-up).
+        algorithm changes a task by overriding this: its inputs (FedProx's
+        proximal anchor, IFCA's argmin cluster), its client loop (a spec's
+        ``loop`` or ``adapt``: SCAFFOLD, FedDyn, Per-FedAvg) or its result
+        (``post``), and adds a task by answering for a new
+        :func:`~repro.fl.execution.spec_task` method here (FedClust's
+        round-0 warm-up).
 
         Args:
             method: the spec task's method name.
@@ -385,8 +386,8 @@ class FederatedAlgorithm(ABC):
         the run (:meth:`Scheduler.encode_upload
         <repro.fl.scheduler.Scheduler.encode_upload>`).  This is the
         default recipe's ``local_epochs × ⌈n_train / batch_size⌉``, which
-        SCAFFOLD's and FedDyn's loops also take; an algorithm whose loop
-        takes another number of steps overrides it (Per-FedAvg).
+        SCAFFOLD's and FedDyn's spec loops also take; an algorithm whose
+        loop takes another number of steps overrides it (Per-FedAvg).
         """
         cfg = self.config
         return cfg.local_epochs * -(-self.fed[client_id].n_train // cfg.batch_size)
@@ -471,9 +472,9 @@ class FederatedAlgorithm(ABC):
             setattr(self, key, value)
 
     def _map_clients(self, method: str, argslist: list[tuple]) -> list:
-        """Run per-client tasks through the active backend (a fresh
-        ``serial`` one when no run is in progress, e.g. in tests that call
-        hooks directly)."""
+        """Run a dispatch of the spec task ``method`` through the active
+        backend (a fresh ``serial`` one when no run is in progress, e.g.
+        in tests that call hooks directly)."""
         return (self._backend or SerialBackend()).map(self, method, argslist)
 
     # ------------------------------------------------------------------
@@ -722,13 +723,13 @@ class FederatedAlgorithm(ABC):
 
     @spec_task
     def client_update(self, client_id: int, round_idx: int) -> ClientUpdate:
-        """Default client behaviour: local SGD from the assigned model, as
-        :meth:`client_task_specs` states it.
+        """One client's local update, as :meth:`client_task_specs` states
+        it (by default, local SGD from the assigned model).
 
         Pure with respect to server state (see the module docstring).
         """
-        (spec,) = self.client_task_specs("client_update", [(client_id, round_idx)])
-        return run_spec(self, spec)
+        (update,) = self._map_clients("client_update", [(client_id, round_idx)])
+        return update
 
     # ------------------------------------------------------------------
     # evaluation
@@ -773,5 +774,5 @@ class FederatedAlgorithm(ABC):
 
         Pure with respect to server state (see the module docstring).
         """
-        (spec,) = self.client_task_specs("evaluate_client", [(client_id,)])
-        return run_spec(self, spec)
+        (acc,) = self._map_clients("evaluate_client", [(client_id,)])
+        return acc

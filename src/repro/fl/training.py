@@ -5,8 +5,7 @@ schedule for a whole stack of clients at once over a leading cohort axis
 (:class:`~repro.nn.model.CohortModel`), drawing each member's shuffles
 from its own generator, so a client visits its samples in the same order
 alone or in a cohort.  The one-model routines (:func:`local_sgd`,
-:func:`evaluate_accuracy`, :func:`grad_on_batch`) run them on the model
-as a cohort of one.
+:func:`evaluate_accuracy`) run them on the model as a cohort of one.
 """
 
 from __future__ import annotations
@@ -18,45 +17,44 @@ import numpy as np
 from repro.nn.losses import softmax_cross_entropy_many
 from repro.nn.model import CohortModel, Sequential
 from repro.nn.optim import SGD, CohortSGD
-from repro.nn.serialization import flatten_grads
 from repro.utils.maths import softmax
 
 __all__ = [
     "local_sgd",
     "local_sgd_many",
-    "grad_on_batch",
+    "grad_on_batch_many",
     "evaluate_accuracy",
     "evaluate_accuracy_many",
     "evaluate_loss",
     "minibatches",
+    "minibatches_many",
 ]
 
 
-def grad_on_batch(
-    model: Sequential, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Flat gradient and mean loss of one training-mode batch.
+def grad_on_batch_many(
+    model: CohortModel, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gradients and mean losses of one training-mode batch per member.
 
-    The shared building block for algorithms that step on raw gradients
+    The building block of the client loops that step on raw gradients
     instead of an optimizer (SCAFFOLD, FedDyn, Per-FedAvg): one cohort
-    step of the model as a cohort of one, without the first layer's input
-    gradient.  All scratch lives in ``model``.
+    forward and backward, without the first layer's input gradient.
 
     Args:
-        model: the model to differentiate (gradients are overwritten).
-        x: batch inputs.
-        y: integer class labels aligned with ``x``.
+        model: the cohort to differentiate (gradients are overwritten).
+        x: ``(cohort, B, ...)`` stacked batch inputs.
+        y: ``(cohort, B)`` stacked integer labels.
 
     Returns:
-        ``(flat_gradient, mean_loss)`` for the batch.
+        ``(grads, losses)``: the ``(cohort, P)`` float64 flat gradients,
+        each row laid out as ``flatten_params``, and the ``(cohort,)``
+        mean losses.
     """
-    cohort = model.as_cohort()
-    cohort.zero_grad()
-    losses, dlogits = softmax_cross_entropy_many(
-        cohort.forward(x[None], train=True), np.asarray(y)[None]
-    )
-    cohort.backward(dlogits)
-    return flatten_grads(model), float(losses[0])
+    model.zero_grad()
+    losses, dlogits = softmax_cross_entropy_many(model.forward(x, train=True), y)
+    model.backward(dlogits)
+    grads = [p.grad_many.reshape(model.cohort, -1) for p in model.parameters()]
+    return np.concatenate(grads, axis=1).astype(np.float64), losses
 
 
 def minibatches(
@@ -79,6 +77,21 @@ def minibatches(
         raise ValueError(f"need at least one sample, got {n}")
     perm = rng.permutation(n)
     return [perm[s : s + batch_size] for s in range(0, n, batch_size)]
+
+
+def minibatches_many(
+    n: int, batch_size: int, rngs: Sequence[np.random.Generator]
+) -> list[np.ndarray]:
+    """One epoch's minibatches for a cohort of equal-size datasets.
+
+    Step ``s``'s array stacks every member's ``s``-th batch of
+    :func:`minibatches`, drawn from its own generator, in ``rngs`` order.
+
+    Returns:
+        ``(cohort, b)`` index arrays, one per step.
+    """
+    batches = [minibatches(n, batch_size, rng) for rng in rngs]
+    return [np.stack(step) for step in zip(*batches)]
 
 
 def local_sgd(
@@ -147,9 +160,7 @@ def local_sgd_many(
     steps = 0
     rows = np.arange(cohort)[:, None]
     for _ in range(epochs):
-        batches = [minibatches(n, batch_size, rng) for rng in rngs]
-        for s in range(len(batches[0])):
-            idx = np.stack([b[s] for b in batches])
+        for idx in minibatches_many(n, batch_size, rngs):
             model.zero_grad()
             logits = model.forward(x[rows, idx], train=True)
             losses, dlogits = softmax_cross_entropy_many(logits, y[rows, idx])

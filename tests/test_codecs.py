@@ -499,13 +499,19 @@ class TestNumericHardening:
         aggregate (accuracy and parameters stay finite)."""
         from repro.fl.server import FederatedAlgorithm
 
+        def poison(u):
+            if u.client_id == 0:
+                u.params = u.params.copy()
+                u.params[0] = 1e38  # delta overflows float16
+            return u
+
         class PoisonedFedAvg(FedAvg):
-            def client_update(self, client_id, round_idx):
-                u = super().client_update(client_id, round_idx)
-                if client_id == 0:
-                    u.params = u.params.copy()
-                    u.params[0] = 1e38  # delta overflows float16
-                return u
+            def client_task_specs(self, method, argslist):
+                specs = super().client_task_specs(method, argslist)
+                if method == "client_update":
+                    for spec in specs:
+                        spec.post = poison
+                return specs
 
         cfg = FLConfig(
             rounds=2, sample_rate=1.0, local_epochs=1, batch_size=10,

@@ -551,9 +551,9 @@ class TestOneStack:
         assert routines(lambda: training.evaluate_accuracy(model, x, y)) == {
             "repro.fl.training.evaluate_accuracy_many"
         }
-        assert routines(lambda: training.grad_on_batch(model, x, y)) == {
-            "repro.fl.training.softmax_cross_entropy_many"
-        }
+        assert routines(
+            lambda: training.grad_on_batch_many(model.as_cohort(), x[None], y[None])
+        ) == {"repro.fl.training.softmax_cross_entropy_many"}
         logits = model.forward(x)
         assert routines(lambda: losses.softmax_cross_entropy(logits, y)) == {
             "repro.nn.losses.softmax_cross_entropy_many"

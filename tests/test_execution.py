@@ -16,15 +16,17 @@ import pytest
 
 from golden import assert_vector_contract, canonical_history, params_digest
 
-from repro.algorithms import IFCA, FedAvg, FedProx, build_algorithm
+from repro.algorithms import (
+    IFCA, FedAvg, FedDyn, FedProx, PerFedAvg, Scaffold, build_algorithm,
+)
 from repro.core.fedclust import FedClust
 from repro.data import build_federated_dataset, make_dataset
 from repro.fl import execution, registry
 from repro.fl.config import FLConfig
-from repro.fl.execution import CohortRunner, SerialBackend, make_backend, run_spec
-from repro.fl.server import ClientUpdate, FederatedAlgorithm
+from repro.fl.execution import CohortRunner, SerialBackend, make_backend
+from repro.fl.server import FederatedAlgorithm
 from repro.nn.layers import BatchNorm, Conv2d, Dense, Flatten, Layer, ReLU
-from repro.nn.model import Residual, Sequential
+from repro.nn.model import CohortModel, Residual, Sequential
 from repro.nn.models import lenet5, mlp
 from repro.nn.parameter import Parameter
 from repro.utils.io import load_history, save_history
@@ -120,6 +122,36 @@ def run_one(fed, method: str, backend: str, model_fn_for=model_fn_for, **extra):
     algo = build_algorithm(method, fed, model_fn_for(fed), cfg, seed=0)
     history = algo.run()
     return history, algo
+
+
+#: every routine the runner hands a cohort block to, as (owner, name): the
+#: default recipe's, under the names the runner calls, and the spec loops
+COHORT_ROUTINES = [
+    (execution, "local_sgd_many"),
+    (execution, "evaluate_accuracy_many"),
+    (Scaffold, "_train"),
+    (FedDyn, "_train"),
+    (PerFedAvg, "_meta_train"),
+    (PerFedAvg, "_personalize"),
+]
+
+
+@pytest.fixture
+def cohort_calls(monkeypatch):
+    """``(routine name, cohort model)`` of every call of a
+    :data:`COHORT_ROUTINES` routine."""
+    calls = []
+    for owner, name in COHORT_ROUTINES:
+        real = getattr(owner, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(
+                (_name, next(a for a in args if isinstance(a, CohortModel)))
+            )
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 class TestBackendEquivalence:
@@ -330,29 +362,25 @@ class TestEverySpecRunsAsACohort:
         ("fedprox", {}),
         ("fedclust", {"lam": "auto"}),
         ("ifca", {"num_clusters": 2}),
-    ], ids=["fedavg", "fedprox", "fedclust", "ifca"])
+        ("scaffold", {}),
+        ("feddyn", {}),
+        ("perfedavg", {}),
+    ], ids=["fedavg", "fedprox", "fedclust", "ifca", "scaffold", "feddyn",
+            "perfedavg"])
     def test_unequal_shards_match_serial(
-        self, monkeypatch, model_fn_for, method, extra
+        self, monkeypatch, cohort_calls, model_fn_for, method, extra
     ):
         """The Dirichlet federation's unequal shards leave one-member
         train and eval groups.  Under ``serial`` every task trains and
         evaluates as a cohort of one whose template is the work model;
         under ``vector`` so does every one-member group, and the runner
-        builds templates only for larger groups.  The runs are equal
-        exactly."""
+        builds templates only for larger groups.  The spec loops
+        (SCAFFOLD, FedDyn, Per-FedAvg) run on the same blocks.  The runs
+        are equal exactly."""
         from test_registry import TestGoldenEquivalence as G
 
         fed = G._fed("dirichlet")
-        cohorts, built = [], []
-        # the recipe's cohort routines, under the names the runner calls
-        for name in ("local_sgd_many", "evaluate_accuracy_many"):
-            real = getattr(execution, name)
-
-            def cohort_spy(model, *args, _real=real, **kwargs):
-                cohorts.append((model.cohort, model.template))
-                return _real(model, *args, **kwargs)
-
-            monkeypatch.setattr(execution, name, cohort_spy)
+        built = []
         real_cohort_model = execution.CohortModel
 
         def building(template, cohort):
@@ -362,11 +390,13 @@ class TestEverySpecRunsAsACohort:
         monkeypatch.setattr(execution, "CohortModel", building)
         runs = {}
         for backend in ("serial", "vector"):
-            cohorts.clear()
+            cohort_calls.clear()
             built.clear()
             history, algo = run_one(fed, method, backend, model_fn_for, **extra)
             runs[backend] = (canonical_history(history), params_digest(algo))
-            on_work_model = {(c, t is algo.model) for c, t in cohorts}
+            on_work_model = {
+                (cm.cohort, cm.template is algo.model) for _, cm in cohort_calls
+            }
             if backend == "serial":
                 assert on_work_model == {(1, True)} and not built
             else:
@@ -510,10 +540,11 @@ class TestMemoryBoundedBlocks:
 
 class TestBespokeLoopGoldens:
     """SCAFFOLD, FedDyn and Per-FedAvg step on raw gradients in client
-    loops of their own (``grad_on_batch``), through Dense, BatchNorm and
-    Conv2d.  Each loop is pinned in ``tests/data/golden_bespoke.json`` on
-    the three test models, as captured on ``serial``; ``vector`` runs the
-    same loops and reproduces the capture."""
+    loops of their own (a spec's ``loop`` or ``adapt`` over
+    ``grad_on_batch_many``), through Dense, BatchNorm and Conv2d.  Each
+    loop is pinned in ``tests/data/golden_bespoke.json`` on the three test
+    models, as captured on ``serial``; ``vector`` runs the same loops over
+    larger cohorts and reproduces the capture."""
 
     MODELS = {
         "mlp": model_fn_for, "bn-mlp": bn_model_fn_for, "lenet5": lenet_model_fn_for,
@@ -538,52 +569,27 @@ SPEC_TASKS = [
 ]
 
 
-@pytest.fixture
-def dispatched(monkeypatch):
-    """Every task ``CohortRunner.map`` receives, as ``(method, args)``."""
-    tasks = []
-    real_map = CohortRunner.map
-
-    def recording_map(runner, algorithm, method, argslist):
-        tasks.extend((method, tuple(args)) for args in argslist)
-        return real_map(runner, algorithm, method, argslist)
-
-    monkeypatch.setattr(CohortRunner, "map", recording_map)
-    return tasks
-
-
-def assert_same_result(got, want):
-    if isinstance(got, ClientUpdate):
-        got, want = vars(got), vars(want)
-    np.testing.assert_equal(got, want)
-
-
 class TestOneOverrideRule:
-    """``runs_as_specs`` decides, in one place, which dispatches run as
-    specs.  Under ``vector`` a subclass ``def`` over a spec task is called
-    for every task, and its ``super()`` call returns what the parent's
-    spec gives."""
+    """Every dispatch runs as specs, so a subclass ``def`` over a spec
+    task would never be called: ``runs_as_specs`` refuses its dispatch
+    with a ``TypeError`` that names the class and the method and points
+    at ``client_task_specs``, on both backends."""
 
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
     @pytest.mark.parametrize(
         "parent,method,extra", SPEC_TASKS,
         ids=[f"{cls.name}.{method}" for cls, method, _ in SPEC_TASKS],
     )
-    def test_bespoke_def_runs_every_task(
-        self, fed, dispatched, parent, method, extra
-    ):
-        calls = []
-
+    def test_bespoke_def_is_refused(self, fed, backend, parent, method, extra):
         def bespoke(self, *args):
-            got = getattr(super(Bespoke, self), method)(*args)
-            (spec,) = self.client_task_specs(method, [args])
-            assert_same_result(got, run_spec(self, spec))
-            calls.append(args)
-            return got
+            return getattr(super(Bespoke, self), method)(*args)
 
         Bespoke = type(f"Bespoke{parent.__name__}", (parent,), {method: bespoke})
-        Bespoke(fed, model_fn_for(fed), config_for("vector", **extra)).run()
-        tasks = [args for name, args in dispatched if name == method]
-        assert tasks and calls == tasks
+        algo = Bespoke(fed, model_fn_for(fed), config_for(backend, **extra))
+        with pytest.raises(
+            TypeError, match=rf"Bespoke{parent.__name__}\.{method} .*client_task_specs"
+        ):
+            algo.run()
 
     def test_unmarked_task_is_not_a_spec(self, fed):
         algo = FedAvg(fed, model_fn_for(fed), config_for("serial"))
@@ -605,9 +611,8 @@ class TestCliEnvHygiene:
 class TestVectorBackendEquivalence:
     """The opt-in ``vector`` backend stacks same-shape client models into
     one cohort tensor and runs batched kernels; histories, parameters and
-    byte metering must equal ``serial``'s across algorithm families.
-    Families with bespoke client loops (scaffold) call their methods on
-    both backends."""
+    byte metering must equal ``serial``'s across algorithm families,
+    those with client loops of their own (scaffold) included."""
 
     @pytest.mark.parametrize("method,extra", [
         ("fedavg", {}),
@@ -623,25 +628,22 @@ class TestVectorBackendEquivalence:
             run_one(fed, method, "vector", **extra),
         )
 
-    @pytest.mark.parametrize("method", ["fedavg", "ifca"])
-    def test_batched_kernels_actually_run(self, fed, monkeypatch, method):
-        """Guard against a silent one-task-per-group run: both backends
-        reach the cohort trainer and evaluator, so under ``vector`` each
-        must see a cohort of more than one member."""
-        largest = {"local_sgd_many": 0, "evaluate_accuracy_many": 0}
-
-        def recording(name):
-            real = getattr(execution, name)
-
-            def wrapper(model, *args, **kwargs):
-                largest[name] = max(largest[name], model.cohort)
-                return real(model, *args, **kwargs)
-
-            return wrapper
-
-        for name in largest:
-            monkeypatch.setattr(execution, name, recording(name))
+    @pytest.mark.parametrize("method,routines", [
+        ("fedavg", {"local_sgd_many", "evaluate_accuracy_many"}),
+        ("ifca", {"local_sgd_many", "evaluate_accuracy_many"}),
+        ("scaffold", {"_train", "evaluate_accuracy_many"}),
+        ("feddyn", {"_train", "evaluate_accuracy_many"}),
+        ("perfedavg", {"_meta_train", "_personalize", "evaluate_accuracy_many"}),
+    ])
+    def test_batched_kernels_actually_run(self, fed, cohort_calls, method, routines):
+        """Guard against a silent one-task-per-group run: under ``vector``
+        each routine that trains, adapts or evaluates a cohort block must
+        see a cohort of more than one member."""
         run_one(fed, method, "vector")
+        largest = {}
+        for name, cm in cohort_calls:
+            largest[name] = max(largest.get(name, 0), cm.cohort)
+        assert set(largest) == routines, largest
         assert min(largest.values()) > 1, largest
 
 

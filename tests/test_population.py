@@ -372,6 +372,25 @@ class TestGrowth:
         assert "cluster" not in h.population_events("join")[0]
         assert algo.fed.num_clients == 10
 
+    @pytest.mark.parametrize("backend", ["serial", "vector"])
+    @pytest.mark.parametrize("population", [
+        "growth:joiners=2,join_start=1,join_every=1",
+        "churn:session=6,gap=2,joiners=2,join_start=2,join_every=2",
+    ], ids=["growth", "churn"])
+    @pytest.mark.parametrize("method", ["scaffold", "feddyn", "local", "lg", "cfl"])
+    def test_joiners_get_per_client_state(self, method, population, backend):
+        """A joiner gets the per-client state the roster started with
+        (SCAFFOLD a zero control variate, FedDyn a zero linear term, Local
+        θ⁰, LG-FedAvg its own ``lg_init`` draw, CFL no update direction),
+        so the run trains and evaluates it instead of failing on a list
+        sized to the roster."""
+        h, algo = run_one(
+            fresh_fed(10), method, population=population, backend=backend,
+        )
+        joiners = [e["client"] for e in h.population_events("join")]
+        assert joiners == [8, 9]
+        assert len(algo.per_client_accuracy()) == 10
+
     def test_seeded_weights_match_or_beat_random_assignment(self):
         # the acceptance scenario: weight-driven newcomer assignment vs
         # the random ablation, same seeds, same churned federation

@@ -352,11 +352,17 @@ class TestPlannedArrivals:
         arrived at another time than planned: the run fails, naming the
         algorithm and the client."""
 
+        def one_more_step(update):
+            update.steps += 1
+            return update
+
         class ExtraStepFedAvg(FedAvg):
-            def client_update(self, client_id, round_idx):
-                update = super().client_update(client_id, round_idx)
-                update.steps += 1
-                return update
+            def client_task_specs(self, method, argslist):
+                specs = super().client_task_specs(method, argslist)
+                if method == "client_update":
+                    for spec in specs:
+                        spec.post = one_more_step
+                return specs
 
         def run(**cfg_kwargs):
             cfg = FLConfig(
