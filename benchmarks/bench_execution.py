@@ -20,15 +20,19 @@ baseline:
 Run as a script (CI's way), it pins BLAS to one thread before numpy
 loads, so the cells and the reference run single-threaded alike.
 
-The row also gates four cohort forward kernels, each timed against a
-same-size copy on the same runner (best of 5), under its ``kernels`` key
-(outside ``rows``, so the ``--gate 10`` comparison does not see it): the
-conv patch gather on ResNet-9's ``(10, 10, 32, 2, 2)`` input at k=3,
-pad 1 and on LeNet-5 conv1's ``(10, 10, 3, 8, 8)`` input at k=5, pad 2,
-each against ``np.copyto`` of its columns, and ``ReLU.forward_many`` and
-MaxPool's training ``forward_many`` on a ``(10, 10, 16, 8, 8)`` float32
-input against ``x.copy()``.  Both sides scale with the host, so the
-ratios do not; a kernel that costs more copies than
+The row also gates six cohort kernels, each timed against a same-size
+copy on the same runner (best of 5), under its ``kernels`` key (outside
+``rows``, so the ``--gate 10`` comparison does not see it).  Each takes
+the batch-innermost ``(C, ch, H, W, N)`` activations the model hands it,
+at cohort 10 and batch 10, in float32: the conv patch gather on
+ResNet-9's 2x2 stage ``(10, 32, 2, 2, 10)`` at k=3, pad 1 and on LeNet-5
+conv1's ``(10, 3, 8, 8, 10)`` at k=5, pad 2, each against ``np.copyto``
+of its columns; the conv input-gradient scatter on the same ResNet-9
+geometry and on LeNet-5 conv2's ``(10, 2, 4, 4, 10)`` at k=5, pad 2,
+each against ``np.copyto`` of its column gradient; and
+``ReLU.forward_many`` and MaxPool's training ``forward_many`` on a
+``(10, 16, 8, 8, 10)`` input against ``x.copy()``.  Both sides scale
+with the host, so the ratios do not; a kernel that costs more copies than
 :data:`MAX_KERNEL_COPY_RATIOS` allows fails the run.
 
 Under its ``paper_eval`` key (outside ``rows`` too) the row records one
@@ -79,15 +83,21 @@ VECTOR_CELLS = [("cifar10", "fedclust"), ("cifar10", "fedavg")]
 #: their median against the reference's, and on a shared 2-core host
 #: that ratio settled within about 8% of its middle at 15 runs
 VECTOR_REPS = 15
-#: most each cohort forward kernel may cost, in same-size copies.  On a
-#: 2-core Xeon (numpy 2.4, three runs) the window-copy gather read
-#: 5.1-5.5 on ResNet-9's input and 1.14-1.21 on LeNet-5 conv1's, the
-#: branch-free ReLU 4.0-4.7 and the running-compare MaxPool argmax
-#: 43-48.  The take-indexed gather it replaced read 12-15 and 4.1-4.7,
-#: and fails the LeNet gate; the slice-copy gather, ``np.where`` ReLU
-#: and ``argmax(axis=0)`` MaxPool before it read 33-48, 47-58 and 71-91
+#: most each gated cohort kernel may cost, in same-size copies.  On a
+#: 2-core Xeon (numpy 2.4, three runs), with the batch-innermost inputs,
+#: the window-copy gather read 4.1-4.6 on ResNet-9's input and 0.94-1.06
+#: on LeNet-5 conv1's, the interior-only scatter 10.7-11.1 on ResNet-9's
+#: and 18.3-20.2 on LeNet-5 conv2's, the branch-free ReLU 3.6-4.7 and the
+#: running-compare MaxPool argmax over its copied window rows 17.7-21.6.
+#: On the (C, N, ch, H, W) inputs before, the same kernels read 4.5-5.2,
+#: 1.12-1.19, 22.6-23.1 (a scatter over the padded map, then a transposing
+#: copy out), 21.0-23.8, 3.9-4.4 and 39-45 (MaxPool through im2col).  The
+#: take-indexed gather before those read 12-15 and 4.1-4.7, and fails the
+#: LeNet gate; the slice-copy gather, ``np.where`` ReLU and
+#: ``argmax(axis=0)`` MaxPool before it read 33-48, 47-58 and 71-91
 MAX_KERNEL_COPY_RATIOS = {
-    "gather": 25.0, "gather_lenet": 2.0, "relu": 15.0, "maxpool": 55.0,
+    "gather": 25.0, "gather_lenet": 2.0, "scatter": 20.0, "scatter_lenet": 40.0,
+    "relu": 15.0, "maxpool": 40.0,
 }
 #: most the paper-shaped evaluation dispatch may allocate, in multiples of
 #: its test inputs' bytes.  On a 2-core Xeon (numpy 2.4) it read 0.32 in
@@ -129,8 +139,8 @@ def _time_cell(
     return statistics.median(cells), ref, result
 
 
-def time_forward_kernels(repeats: int = 5, number: int = 20) -> dict:
-    """Seconds per call of each gated forward kernel and of its same-size
+def time_kernels(repeats: int = 5, number: int = 20) -> dict:
+    """Seconds per call of each gated kernel and of its same-size
     copy (the best of ``repeats`` loops of ``number`` calls), and their
     ratio, keyed like :data:`MAX_KERNEL_COPY_RATIOS`."""
     rng = np.random.default_rng(0)
@@ -142,7 +152,14 @@ def time_forward_kernels(repeats: int = 5, number: int = 20) -> dict:
         cols_dst = np.empty_like(cols)
         return lambda: ws.gather(x_conv), lambda: np.copyto(cols_dst, cols)
 
-    x = rng.standard_normal((10, 10, 16, 8, 8)).astype(np.float32)
+    def scatter_pair(shape, k, pad):
+        ws = CohortConvWorkspace(shape, np.float32, k, k, 1, pad)
+        cols_shape = (shape[0], ws.patch_len, ws.out_len * shape[4])
+        dcols = rng.standard_normal(cols_shape).astype(np.float32)
+        dcols_dst = np.empty_like(dcols)
+        return lambda: ws.scatter(dcols), lambda: np.copyto(dcols_dst, dcols)
+
+    x = rng.standard_normal((10, 16, 8, 8, 10)).astype(np.float32)
     relu, pool = ReLU(), MaxPool2d(2)
 
     def best(fn) -> float:
@@ -156,8 +173,10 @@ def time_forward_kernels(repeats: int = 5, number: int = 20) -> dict:
         return min(times)
 
     pairs = {
-        "gather": gather_pair((10, 10, 32, 2, 2), 3, 1),
-        "gather_lenet": gather_pair((10, 10, 3, 8, 8), 5, 2),
+        "gather": gather_pair((10, 32, 2, 2, 10), 3, 1),
+        "gather_lenet": gather_pair((10, 3, 8, 8, 10), 5, 2),
+        "scatter": scatter_pair((10, 32, 2, 2, 10), 3, 1),
+        "scatter_lenet": scatter_pair((10, 2, 4, 4, 10), 5, 2),
         "relu": (lambda: relu.forward_many(x), x.copy),
         "maxpool": (lambda: pool.forward_many(x), x.copy),
     }
@@ -215,7 +234,7 @@ def measure_paper_eval(reps: int = 3) -> dict:
 def run_vector_study() -> dict:
     """Measure every :data:`VECTOR_CELLS` cell under serial and vector,
     check that accuracies and byte metering are equal, and time the
-    gated forward kernels.  Returns the BENCH_10 row."""
+    gated cohort kernels.  Returns the BENCH_10 row."""
     rows = {}
     probe = HostProbe()
     for dataset, method in VECTOR_CELLS:
@@ -238,7 +257,7 @@ def run_vector_study() -> dict:
         "cpu_count": os.cpu_count(),
         "rows": rows,
         "min_speedup": min(r["speedup"] for r in rows.values()),
-        "kernels": time_forward_kernels(),
+        "kernels": time_kernels(),
         "paper_eval": measure_paper_eval(),
     }
 
@@ -259,7 +278,7 @@ def _render_vector(row: dict) -> str:
         )
     lines.append("")
     lines.append("accuracies and bytes equal serial's (checked exactly)")
-    lines.append("forward kernels, in same-size copies (gate):")
+    lines.append("cohort kernels, in same-size copies (gate):")
     for name, k in row["kernels"].items():
         lines.append(
             f"  {name:13s}{k['kernel_s'] * 1e3:>8.3f} ms / copy "
@@ -283,7 +302,7 @@ def _check_vector(row: dict) -> None:
         if k["ratio"] > MAX_KERNEL_COPY_RATIOS[name]
     }
     assert not slow, (
-        f"forward kernels cost more same-size copies than allowed: {slow} "
+        f"cohort kernels cost more same-size copies than allowed: {slow} "
         f"(limits {MAX_KERNEL_COPY_RATIOS})"
     )
     peak = row["paper_eval"]["peak_ratio"]

@@ -3,20 +3,32 @@
 Every layer implements explicit backprop over a leading *cohort* axis
 ``C``, a stack of structurally identical models, one slice per member:
 
-* ``forward_many(x, train)`` maps a ``(C, N, ...)`` input to the
-  ``(C, N, ...)`` activation and caches whatever the backward pass needs;
+* ``forward_many(x, train)`` maps a cohort activation to the next one and
+  caches whatever the backward pass needs;
 * ``backward_many(dout)`` returns the gradient w.r.t. the input and
   *accumulates* each member's gradients into its slice of the stacked
   :class:`~repro.nn.parameter.Parameter` storage.
 
-These are a parametric layer's only kernels.  A single model is a cohort
-of one: ``forward``/``backward`` run the cohort kernels at ``C=1``.  The
-parameter-free layers are the other way round: they implement the
-one-model pair, and their cohort kernels fold the cohort axis into the
-batch axis.
+Cohort activations come in two layouts.  Images are ``(C, ch, H, W, N)``:
+the cohort, the channels, the map, and the batch innermost.  Conv2d's
+GEMM emits that layout as it stands, its patch gather reads it with a
+plain copy, and a pooling window row or a BatchNorm plane is a run of
+``N`` contiguous values.  Anything else is rows, ``(C, N, ...)``
+(``Dense``'s ``(C, N, F)``); ``Flatten`` and ``GlobalAvgPool2d`` turn
+images into rows in the one-model feature order.  Callers never see the
+image layout: ``CohortModel`` converts ``(C, N, ch, H, W)`` batches at
+its edges (see :func:`to_kernel_layout`), and a layer's one-model
+``forward``/``backward`` convert NCHW arrays and run the cohort kernels
+at ``C=1``.
+
+A parametric layer implements ``forward_many``/``backward_many``.  A
+parameter-free layer that treats channels (or rows) independently
+(``ReLU``, ``MaxPool2d``) implements ``forward_folded``/
+``backward_folded`` over one activation whose cohort axis is folded into
+its first axis, and inherits the folding cohort kernels.
 
 All hot paths are vectorized (batched GEMM for dense layers, a strided
-window gather + GEMM for convolutions, masked scatter for max-pooling);
+window gather + GEMM for convolutions, window compares for max-pooling);
 there are no Python loops over batch or spatial dims.
 """
 
@@ -25,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import init as _init
-from repro.nn.conv_utils import CohortConvWorkspace, col2im, conv_output_size, im2col
+from repro.nn.conv_utils import CohortConvWorkspace, conv_output_size
 from repro.nn.parameter import Parameter
 
 __all__ = [
@@ -37,7 +49,20 @@ __all__ = [
     "Flatten",
     "ReLU",
     "BatchNorm",
+    "to_kernel_layout",
+    "from_kernel_layout",
 ]
+
+
+def to_kernel_layout(x: np.ndarray) -> np.ndarray:
+    """A cohort batch as the layers take it: ``(C, N, ch, H, W)`` images
+    become a ``(C, ch, H, W, N)`` view; rows pass through."""
+    return x.transpose(0, 2, 3, 4, 1) if x.ndim == 5 else x
+
+
+def from_kernel_layout(x: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`to_kernel_layout`, as a contiguous array."""
+    return np.ascontiguousarray(x.transpose(0, 4, 1, 2, 3)) if x.ndim == 5 else x
 
 
 def keep_where(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -55,20 +80,49 @@ def keep_where(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.multiply(x.view(ints), mask, dtype=ints).view(x.dtype)
 
 
+def _pairwise_cells(v: np.ndarray) -> np.ndarray:
+    """``(C, F, L, N) -> (C, F, N)`` for ``L >= 8``: each ``(c, f, n)``'s
+    ``L`` cells summed in the order of numpy's pairwise sum over one
+    contiguous run.
+
+    Up to 128 cells that is 8 running sums over the cells ``j, j+8,
+    ...``, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
+    leftover cells in order; above, the sums of two halves split at a
+    multiple of 8.  The running sums are slice adds of whole blocks of 8
+    cells, each a run of ``8*N`` values.
+    """
+    cells = v.shape[2]
+    if cells > 128:
+        half = cells // 2 - (cells // 2) % 8
+        return _pairwise_cells(v[:, :, :half]) + _pairwise_cells(v[:, :, half:])
+    blocks = cells - cells % 8
+    r = v[:, :, :8].copy()
+    for i in range(8, blocks, 8):
+        r += v[:, :, i : i + 8]
+    r = r.transpose(2, 0, 1, 3)
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(blocks, cells):
+        out += v[:, :, i]
+    return out
+
+
 class Layer:
     """Base class: a differentiable module with (possibly empty) parameters.
 
     A parametric layer implements one kernel pair, ``forward_many``/
-    ``backward_many`` over a leading cohort axis ``C``: the input is
-    ``(C, N, ...)`` and each cohort slice is transformed by its own
-    stacked parameter slice (sized by :meth:`bind_cohort`).  Its one-model
-    ``forward``/``backward`` are this base's, which run the cohort kernels
-    as a cohort of one.  A parameter-free layer implements
-    ``forward``/``backward`` instead and inherits an exact
-    ``forward_many``/``backward_many`` that fold the cohort axis into the
-    batch axis.  A parametric layer without cohort kernels cannot run:
-    the default :meth:`forward_many` raises ``NotImplementedError`` naming
-    it, on every path.
+    ``backward_many`` over a leading cohort axis ``C`` (images
+    ``(C, ch, H, W, N)``, rows ``(C, N, ...)``), each cohort slice
+    transformed by its own stacked parameter slice (sized by
+    :meth:`bind_cohort`).  The one-model ``forward``/``backward`` are this
+    base's for every layer: they run the cohort kernels as a cohort of
+    one, converting NCHW images at the edge.  A parameter-free layer
+    implements ``forward_folded``/``backward_folded`` instead and
+    inherits a ``forward_many``/``backward_many`` that fold the cohort
+    axis into the first axis; a layer that changes the layout (``Flatten``,
+    ``GlobalAvgPool2d``) implements the cohort kernels itself.  A
+    parametric layer without cohort kernels cannot run: the default
+    :meth:`forward_many` raises ``NotImplementedError`` naming it, on
+    every path.
     """
 
     #: True for layers whose Parameters represent a classifier head.  Used by
@@ -79,13 +133,13 @@ class Layer:
         return []
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        """One model's forward, ``(N, ...) -> (N, ...)``: the cohort kernel
-        at ``C=1``."""
-        return self.forward_many(x[None], train)[0]
+        """One model's forward, ``(N, ...) -> (N, ...)`` with images NCHW:
+        the cohort kernel at ``C=1``."""
+        return from_kernel_layout(self.forward_many(to_kernel_layout(x[None]), train))[0]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """Adjoint of :meth:`forward`: the cohort kernel at ``C=1``."""
-        return self.backward_many(dout[None])[0]
+        return from_kernel_layout(self.backward_many(to_kernel_layout(dout[None])))[0]
 
     def state(self) -> dict[str, np.ndarray]:
         """Non-trainable buffers (e.g. batch-norm running stats): views of
@@ -111,37 +165,47 @@ class Layer:
         layers)."""
         return {}
 
+    def forward_folded(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """A parameter-free layer's kernel over one activation whose cohort
+        axis is folded into its first axis: ``(C*ch, H, W, N)`` images or
+        ``(C*N, ...)`` rows."""
+        raise NotImplementedError(f"{type(self).__name__} has no cohort kernel")
+
+    def backward_folded(self, dout: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`forward_folded`."""
+        raise NotImplementedError(f"{type(self).__name__} has no cohort kernel")
+
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        """Cohort-batched forward: ``(C, N, ...) -> (C, N, ...)``.
+        """Cohort-batched forward.
 
         Default (parameter-free layers only): fold the cohort axis into the
-        batch axis and delegate to the layer's own :meth:`forward` —
-        bitwise identical to per-member calls for all sample-independent
-        layers.
+        first axis and run :meth:`forward_folded`, which treats every
+        channel (or row) alike, so a member's slice equals a cohort of
+        one's bit for bit.
         """
-        if self.parameters() or type(self).forward is Layer.forward:
+        if self.parameters():
             raise NotImplementedError(
                 f"{type(self).__name__} has no cohort kernel"
             )
-        c, n = x.shape[:2]
-        out = self.forward(x.reshape(c * n, *x.shape[2:]), train)
-        return out.reshape(c, n, *out.shape[1:])
+        out = self.forward_folded(x.reshape(-1, *x.shape[2:]), train)
+        return out.reshape(x.shape[0], x.shape[1], *out.shape[1:])
 
     def backward_many(self, dout: np.ndarray) -> np.ndarray:
         """Cohort-batched backward: adjoint of :meth:`forward_many`."""
-        c, n = dout.shape[:2]
-        dx = self.backward(dout.reshape(c * n, *dout.shape[2:]))
-        return dx.reshape(c, n, *dx.shape[1:])
+        dx = self.backward_folded(dout.reshape(-1, *dout.shape[2:]))
+        return dx.reshape(dout.shape[0], dout.shape[1], *dx.shape[1:])
 
     def backward_many_params_only(self, dout: np.ndarray) -> None:
         """Accumulate cohort parameter gradients without computing dx.
 
         Used for the *first* layer of a model, whose input gradient nobody
         consumes — for convolutions that skips the input-gradient GEMM and
-        the col2im scatter, most of a convolution's backward cost.
-        Parameter gradients are bitwise identical to :meth:`backward_many`'s.
+        the scatter, most of a convolution's backward cost, and a
+        parameter-free layer does nothing.  Parameter gradients are
+        bitwise identical to :meth:`backward_many`'s.
         """
-        self.backward_many(dout)
+        if self.parameters():
+            self.backward_many(dout)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -209,7 +273,7 @@ class Dense(Layer):
 
 
 class Conv2d(Layer):
-    """2-D convolution over NCHW input: a patch gather + GEMM per member."""
+    """2-D convolution: a strided patch gather + one batched GEMM."""
 
     def __init__(
         self,
@@ -237,7 +301,7 @@ class Conv2d(Layer):
             f"{name}.w",
         )
         self.b = Parameter(_init.zeros((out_channels,), dtype), f"{name}.b")
-        #: training forwards' cohort im2col workspaces keyed by (input
+        #: training forwards' cohort patch workspaces keyed by (input
         #: shape, dtype); bounded (a training loop sees at most two batch
         #: shapes: full + remainder)
         self._cohort_ws: dict[tuple, CohortConvWorkspace] = {}
@@ -249,7 +313,7 @@ class Conv2d(Layer):
     def cohort_workspace(
         self, x: np.ndarray, keep: bool = True
     ) -> CohortConvWorkspace:
-        """The im2col workspace for ``x``'s shape: cached for reuse, or with
+        """The patch workspace for ``x``'s shape: cached for reuse, or with
         ``keep=False`` (when not cached already) built for one call and
         freed after it."""
         key = (x.shape, np.dtype(x.dtype).str)
@@ -266,13 +330,15 @@ class Conv2d(Layer):
         return ws
 
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        """Cohort forward over ``(C, N, ch, H, W)`` input.
+        """Cohort forward, ``(C, ch, H, W, N) -> (C, out, oh, ow, N)``.
 
         The workspace's columns come in ``im2col``'s ``(l, n)`` order, so
         each member's GEMMs, forward and backward, have the shapes and
         column order of one model's im2col convolution, and a member's
         output, dx, dW and db equal those of a cohort of one byte for byte
-        (pinned per geometry in ``tests/test_cohort_kernels.py``).
+        (pinned per geometry in ``tests/test_cohort_kernels.py``).  The
+        forward GEMM's ``(C, out, L*N)`` result is the output, and the
+        backward reads ``dout`` by a reshape.
 
         A leading axis of 1 with ``C > 1`` members bound is a *shared*
         input: every member convolves the same rows, so the patches are
@@ -291,12 +357,12 @@ class Conv2d(Layer):
         MB instead of 92 MB and was no faster (519-538 against 516-524
         updates/s, three alternating 12-s perfbench runs each).
         """
-        if x.ndim != 5 or x.shape[2] != self.in_channels:
+        if x.ndim != 5 or x.shape[1] != self.in_channels:
             raise ValueError(
-                f"Conv2d expected (C, N, {self.in_channels}, H, W) cohort "
+                f"Conv2d expected (C, {self.in_channels}, H, W, N) cohort "
                 f"input, got {x.shape}"
             )
-        c, n = self.w.many.shape[0], x.shape[1]
+        c, n = self.w.many.shape[0], x.shape[4]
         shared = x.shape[0] == 1 and c > 1
         if shared and train:
             raise ValueError(
@@ -310,23 +376,27 @@ class Conv2d(Layer):
         else:
             w_mat = self.w.many.reshape(c, self.out_channels, -1)
             out = np.matmul(w_mat, cols) + self.b.many[:, :, None]
-        out = out.reshape(c, self.out_channels, *ws.out_hw, n)
-        out = np.ascontiguousarray(out.transpose(0, 4, 1, 2, 3))
         # cols lives in the workspace (overwritten by the next gather of
         # this shape); the backward for this step runs before that
         self._many_cache = (cols, ws) if train else None
-        return out
+        return out.reshape(c, self.out_channels, *ws.out_hw, n)
 
     def _param_grads_many(self, dout: np.ndarray) -> np.ndarray:
         """Accumulate the cohort dW and db; returns the ``(C, out, L*N)``
         dout matrix."""
         if self._many_cache is None:
             raise RuntimeError("backward called before a training forward pass")
-        cols = self._many_cache[0]
-        dout_mat = dout.transpose(0, 2, 3, 4, 1).reshape(
-            dout.shape[0], self.out_channels, -1
-        )
-        self.b.grad_many += dout_mat.sum(axis=2)
+        cols, ws = self._many_cache
+        c = dout.shape[0]
+        dout_mat = np.ascontiguousarray(dout).reshape(c, self.out_channels, -1)
+        if ws.out_len == 1:
+            # A one-cell map: one model's NCHW dout, viewed as this matrix,
+            # is strided, and numpy adds its N rows in order, not as one
+            # pairwise run; the rows are added in that order here too.
+            db = np.ascontiguousarray(dout_mat.transpose(0, 2, 1)).sum(axis=1)
+        else:
+            db = dout_mat.sum(axis=2)
+        self.b.grad_many += db
         self.w.grad_many += np.matmul(
             dout_mat, cols.transpose(0, 2, 1)
         ).reshape(self.w.grad_many.shape)
@@ -339,8 +409,8 @@ class Conv2d(Layer):
         return self._many_cache[1].scatter(dcols)
 
     def backward_many_params_only(self, dout: np.ndarray) -> None:
-        # Skip dcols + the col2im scatter entirely: for a first layer the
-        # input gradient is dead, and the two are most of the backward.
+        # Skip dcols + the scatter entirely: for a first layer the input
+        # gradient is dead, and the two are most of the backward.
         self._param_grads_many(dout)
 
     def __repr__(self) -> str:
@@ -351,7 +421,8 @@ class Conv2d(Layer):
 
 
 class MaxPool2d(Layer):
-    """Max pooling; the backward scatters gradients to argmax positions."""
+    """Max pooling; the backward routes each window's gradient to its
+    argmax."""
 
     def __init__(self, size: int = 2, stride: int | None = None):
         if size <= 0:
@@ -360,113 +431,122 @@ class MaxPool2d(Layer):
         self.stride = stride if stride is not None else size
         self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        n, c, h, w = x.shape
+    def forward_folded(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """``(B, H, W, N) -> (B, oh, ow, N)``, ``B`` the folded channels."""
+        _, h, w, _ = x.shape
         s, k = self.stride, self.size
-        out_h = conv_output_size(h, k, s, 0)
-        out_w = conv_output_size(w, k, s, 0)
+        oh = conv_output_size(h, k, s, 0)
+        ow = conv_output_size(w, k, s, 0)
+        # the k*k window rows, (k*k, B, oh, ow, N): row fi*k + fj holds
+        # every window's tap (fi, fj), copied once from its strided view
+        rows = np.empty((k * k, x.shape[0], oh, ow, x.shape[3]), dtype=x.dtype)
+        for fi in range(k):
+            for fj in range(k):
+                rows[fi * k + fj] = x[:, fi : fi + s * oh : s, fj : fj + s * ow : s]
         if not train:
-            # Evaluation: a running elementwise max over the k*k strided
-            # window views, with no im2col, argmax or gather.  Equal in
-            # value to that path (NaN propagates; of a -0/+0 tie either
-            # zero may win); training keeps it because the backward needs
-            # the argmax.
+            # Evaluation: a running elementwise max down the rows, with no
+            # argmax.  Equal in value to training's (NaN propagates; of a
+            # -0/+0 tie either zero may win); training keeps the argmax
+            # because the backward needs it.
             self._cache = None
-            views = [
-                x[:, :, fi : fi + s * out_h : s, fj : fj + s * out_w : s]
-                for fi in range(k)
-                for fj in range(k)
-            ]
-            out = views[0].copy()
-            for view in views[1:]:
-                np.maximum(out, view, out=out)
-            return out
-        # Treat channels as batch so each column is one pooling window.
-        x_resh = x.reshape(n * c, 1, h, w)
-        cols = im2col(x_resh, k, k, s, 0)  # (k*k, n*c*out_h*out_w)
-        # The argmax by a running compare down the k*k rows, a few
-        # whole-row ufuncs, where cols.argmax(axis=0) transposes the
-        # columns and calls argmax once per k*k-value window.  Row t takes
-        # a window where it is not <= the best so far (greater, or NaN)
-        # and the best is not NaN, so the first max and the first NaN win,
-        # as in numpy's argmax.  np.maximum carries the best (NaN sticks);
-        # t only grows, so np.maximum(arg, upd * t) sets arg to t exactly
-        # where upd holds.
-        best = cols[0].copy()
-        argmax = np.zeros(cols.shape[1], dtype=np.intp)
+            return np.maximum.reduce(rows, axis=0)
+        # The argmax by a running compare down the k*k rows: row t takes a
+        # window where it is not <= the best so far (greater, or NaN) and
+        # the best is not NaN, so the first max and the first NaN win, as
+        # in numpy's argmax.  The best so far is the row the argmax
+        # selects, taken branch-free: its bits, as integers, move by
+        # (row - best) * upd, which wraps to the row's bits exactly where
+        # upd holds.  t only grows, so np.maximum(arg, upd * t) sets arg
+        # to t exactly where upd holds.
+        out = rows[0].copy()
+        ints = np.dtype(f"i{out.itemsize}")
+        bits, row_bits = out.view(ints), rows.view(ints)
+        tap = np.min_scalar_type(k * k - 1).type  # uint8 up to 16x16 windows
+        argmax = np.zeros(out.shape, dtype=tap)
         for t in range(1, k * k):
-            row = cols[t]
-            upd = ~(row <= best) & (best == best)  # best == best: not NaN
-            np.maximum(best, row, out=best)
-            np.maximum(argmax, upd * t, out=argmax)
-        out = cols[argmax, np.arange(cols.shape[1])]
-        out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
-        self._cache = (x.shape, cols.shape, argmax)
-        return np.ascontiguousarray(out)
+            upd = np.greater(out == out, rows[t] <= out)  # not NaN, not <=
+            step = np.subtract(row_bits[t], bits)
+            step *= upd
+            bits += step
+            np.maximum(argmax, upd * tap(t), out=argmax)
+        self._cache = (x.shape, argmax)
+        return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward_folded(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training forward pass")
-        x_shape, cols_shape, argmax = self._cache
-        n, c, h, w = x_shape
+        x_shape, argmax = self._cache
         k, s = self.size, self.stride
-        oh, ow = dout.shape[2], dout.shape[3]
-        dcols = np.zeros(cols_shape, dtype=dout.dtype)
-        dout_flat = dout.reshape(n * c, -1).reshape(n * c, oh, ow)
-        dout_cols = dout_flat.transpose(1, 2, 0).reshape(-1)
-        dcols[argmax, np.arange(cols_shape[1])] = dout_cols
-        if s >= k:
-            # Non-overlapping windows: every input cell receives at most
-            # one gradient, so the col2im scatter-add over zeros is a pure
-            # strided assignment (bitwise identical, no np.add.at).
-            dx = np.zeros((n * c, h, w), dtype=dout.dtype)
-            d5 = dcols.reshape(k, k, oh, ow, n * c)
-            for fi in range(k):
-                for fj in range(k):
-                    dx[:, fi : fi + s * oh : s, fj : fj + s * ow : s] = (
-                        d5[fi, fj].transpose(2, 0, 1)
-                    )
-            return dx.reshape(n, c, h, w)
-        dx = col2im(dcols, (n * c, 1, h, w), k, k, s, 0)
-        return dx.reshape(n, c, h, w)
+        _, oh, ow, _ = dout.shape
+        dx = np.zeros(x_shape, dtype=dout.dtype)
+        ints = np.dtype(f"i{dx.itemsize}")
+        dout_bits, dx_bits = dout.view(ints), dx.view(ints)
+        for fi in range(k):
+            for fj in range(k):
+                routed = argmax == fi * k + fj
+                taps = (slice(None), slice(fi, fi + s * oh, s), slice(fj, fj + s * ow, s))
+                if s >= k:
+                    # Disjoint windows: every input cell receives at most
+                    # one gradient, so the scatter-add over zeros is a
+                    # plain strided write of keep_where(dout, routed)
+                    # (-0.0 stays -0.0).
+                    np.multiply(dout_bits, routed, out=dx_bits[taps])
+                else:
+                    # Overlapping windows add in (fi, fj) order from 0.0.
+                    dx[taps] += keep_where(dout, routed)
+        return dx
 
     def __repr__(self) -> str:
         return f"MaxPool2d(size={self.size}, stride={self.stride})"
 
 
 class GlobalAvgPool2d(Layer):
-    """Collapse each feature map to its mean: (N,C,H,W) -> (N,C)."""
+    """Collapse each feature map to its mean: ``(C, ch, H, W, N)`` images
+    to ``(C, N, ch)`` rows."""
 
     def __init__(self):
         self._hw: tuple[int, int] | None = None
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._hw = x.shape[2:]
-        return x.mean(axis=(2, 3))
+    def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        self._hw = x.shape[2:4]
+        # the mean over one model's contiguous NCHW maps, in its order
+        return np.ascontiguousarray(x.transpose(0, 4, 1, 2, 3)).mean(axis=(3, 4))
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward_many(self, dout: np.ndarray) -> np.ndarray:
         if self._hw is None:
             raise RuntimeError("backward called before a forward pass")
         h, w = self._hw
         scale = 1.0 / (h * w)
+        c, n, ch = dout.shape
         return np.broadcast_to(
-            (dout * scale)[:, :, None, None], (*dout.shape, h, w)
+            (dout * scale).transpose(0, 2, 1)[:, :, None, None, :], (c, ch, h, w, n)
         ).copy()
 
 
 class Flatten(Layer):
-    """(N, ...) -> (N, prod(...))."""
+    """Images ``(C, ch, H, W, N)`` (or rows ``(C, N, ...)``) to
+    ``(C, N, features)`` rows, in one model's ``(ch, H, W)`` order."""
 
     def __init__(self):
         self._shape: tuple[int, ...] | None = None
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        if x.ndim == 5:
+            # contiguous, as one model's rows are: the (ch, H, W) axes of
+            # the transposed view would merge into a strided feature axis,
+            # and BLAS sums a transposed operand in another order
+            x = from_kernel_layout(x)
+        return x.reshape(x.shape[0], x.shape[1], -1)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward_many(self, dout: np.ndarray) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called before a forward pass")
+        if len(self._shape) == 5:
+            c, ch, h, w, n = self._shape
+            return np.ascontiguousarray(
+                dout.reshape(c, n, ch, h, w).transpose(0, 2, 3, 4, 1)
+            )
         return dout.reshape(self._shape)
 
 
@@ -476,7 +556,7 @@ class ReLU(Layer):
     def __init__(self):
         self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward_folded(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         mask = x > 0
         if train:
             self._mask = mask
@@ -485,14 +565,15 @@ class ReLU(Layer):
         # about half True
         return keep_where(x, mask)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward_folded(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before a training forward pass")
         return dout * self._mask
 
 
 class BatchNorm(Layer):
-    """Batch normalization for 2-D (N,F) or 4-D (N,C,H,W) activations.
+    """Batch normalization over rows ``(C, N, F)`` or images
+    ``(C, F, H, W, N)``, per feature ``F``.
 
     Running statistics are stacked per cohort member like the parameters
     (``running_mean_many``/``running_var_many``, ``(C, F)`` float64;
@@ -543,38 +624,51 @@ class BatchNorm(Layer):
         if x.ndim == 3:
             return (1,)
         if x.ndim == 5:
-            return (1, 3, 4)
+            return (2, 3, 4)
         raise ValueError(
-            f"cohort BatchNorm supports (C,N,F) or (C,N,Ch,H,W), got {x.shape}"
+            f"cohort BatchNorm supports (C,N,F) or (C,F,H,W,N), got {x.shape}"
         )
 
     @staticmethod
     def _expand_many(v: np.ndarray, ndim: int) -> np.ndarray:
         # v is (C, F): align F with the feature axis, broadcast the rest
-        return v[:, None, :] if ndim == 3 else v[:, None, :, None, None]
+        return v[:, None, :] if ndim == 3 else v[:, :, None, None, None]
 
     def _sum_many(self, x: np.ndarray) -> np.ndarray:
-        """``x.sum(axis=self._reduce_axes_many(x))``, ``(C, F)``, in the
-        same order of additions.
+        """``(C, F)`` per-feature sums in the order numpy reduces one
+        model's ``(N, F)`` rows or ``(N, F, H, W)`` maps.
 
-        On maps of fewer than 8 cells (ResNet-9's 2x2 and 1x1), numpy's
-        reduction calls its inner loop once per member, row and feature,
-        for a run of at most 7 values.  Below 8 terms its pairwise sum is
-        a plain left-to-right loop, and the rows then accumulate in
-        order, so adding the cells slice by slice and then summing over
-        the rows adds the same terms in the same order.  With a single
-        feature numpy fuses the rows and the cells into one pairwise run,
-        so that case keeps the reduction.  Values, infinities and signed
-        zeros come out the same; which payload a NaN+NaN sum keeps is up
-        to the loop, so NaN payloads may differ.
+        There numpy sums each row's cells as one pairwise run and adds the
+        rows in order from +0.0; with a single feature it fuses the rows
+        and the cells into one pairwise run.  Here the cells of a
+        ``(C, F, H, W, N)`` image lie ``N`` apart, so the runs are summed
+        plane by plane over the rows: under 8 cells (ResNet-9's 2x2 and
+        1x1 maps) numpy's run is a plain running sum, taken over
+        ``(N, C*F)`` planes so that the rows come out ready for their own
+        running sum; from 8 cells by :func:`_pairwise_cells`.  A
+        one-feature map is copied to a contiguous ``(C, 1, N, H, W)`` and
+        summed as the fused run.  Running sums start from the
+        first term where numpy's start from 0.0, which changes only the
+        sign of a zero partial sum, lost when the rows are added to +0.0.
+        Values, infinities and signed zeros come out the same; which
+        payload a NaN+NaN sum keeps is up to the loop, so NaN payloads may
+        differ.
         """
-        if x.ndim == 5 and x.shape[2] > 1 and x.shape[3] * x.shape[4] < 8:
-            cells = x.reshape(*x.shape[:3], -1)
-            rows = cells[..., 0].copy()
-            for i in range(1, cells.shape[3]):
-                rows += cells[..., i]
-            return rows.sum(axis=1)
-        return x.sum(axis=self._reduce_axes_many(x))
+        if x.ndim == 3:
+            return x.sum(axis=1)
+        c, f, h, w, n = x.shape
+        if f == 1:
+            run = np.ascontiguousarray(x.transpose(0, 1, 4, 2, 3))
+            return run.reshape(c, 1, -1).sum(axis=2)
+        if h * w < 8:
+            cells = x.reshape(c * f, h * w, n).transpose(1, 2, 0)  # (L, N, C*F)
+            rows = np.array(cells[0], order="C")
+            for i in range(1, h * w):
+                rows += cells[i]
+        else:
+            rows = _pairwise_cells(x.reshape(c, f, h * w, n)).reshape(c * f, n).T
+        # a reduction over the outer axis adds the rows in order from +0.0
+        return np.ascontiguousarray(rows).sum(axis=0).reshape(c, f)
 
     def forward_many(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         axes = self._reduce_axes_many(x)

@@ -5,14 +5,23 @@ There is one compute path.  :class:`CohortModel` runs a stack of
 structurally identical models through the layers' cohort kernels
 (``forward_many``/``backward_many``), and a :class:`Sequential`'s own
 ``forward``/``backward``/``predict`` run it as a cohort of one
-(:meth:`Sequential.as_cohort`), on the same parameter storage.
+(:meth:`Sequential.as_cohort`), on the same parameter storage.  Its
+``forward``/``backward`` are where ``(C, N, ch, H, W)`` image batches meet
+the layers' ``(C, ch, H, W, N)`` layout: converted once on the way in and
+once on the way out, never between layers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Conv2d, Layer, keep_where
+from repro.nn.layers import (
+    Conv2d,
+    Layer,
+    from_kernel_layout,
+    keep_where,
+    to_kernel_layout,
+)
 from repro.nn.parameter import Parameter
 
 __all__ = ["Sequential", "Residual", "CohortModel", "PREDICT_ROWS"]
@@ -81,15 +90,16 @@ class Residual(Layer):
 
 
 def _largest_row_nbytes(layers: list[Layer], x: np.ndarray) -> int:
-    """:meth:`Sequential.row_nbytes` over ``layers`` from the one-row
-    input ``x`` (a Residual's body is walked from the block's input)."""
+    """:meth:`Sequential.row_nbytes` over ``layers`` from the one-row,
+    one-member input ``x`` in the layers' layout (a Residual's body is
+    walked from the block's input)."""
     largest = 0
     for layer in layers:
         out = layer.forward_many(x, train=False)
-        largest = max(largest, x[0, 0].nbytes)
+        largest = max(largest, x.nbytes)
         if isinstance(layer, Conv2d):
             patch = layer.in_channels * layer.kernel_size**2
-            largest = max(largest, patch * out[0, 0, 0].size * x.itemsize)
+            largest = max(largest, patch * out[0, 0].size * x.itemsize)
         elif isinstance(layer, Residual):
             largest = max(largest, _largest_row_nbytes(layer.body, x))
         x = out
@@ -169,7 +179,7 @@ class Sequential:
         or buffer.
         """
         x = np.zeros((1, 1, *sample_shape), dtype=dtype)
-        return _largest_row_nbytes(self.layers, x)
+        return _largest_row_nbytes(self.layers, to_kernel_layout(x))
 
     # -- state -------------------------------------------------------------
     def state(self) -> dict[str, np.ndarray]:
@@ -260,24 +270,25 @@ class CohortModel:
 
     # -- compute -----------------------------------------------------------
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        """Batched forward over ``(cohort, N, ...)`` input."""
-        out = x
+        """Batched forward over ``(cohort, N, ...)`` input (images
+        ``(cohort, N, ch, H, W)``)."""
+        out = to_kernel_layout(x)
         for layer in self.template.layers:
             out = layer.forward_many(out, train)
-        return out
+        return from_kernel_layout(out)
 
     def backward(self, dout: np.ndarray, need_input_grad: bool = False) -> np.ndarray | None:
         """Cohort backward.  With ``need_input_grad=False`` (the training
         default) the first layer accumulates parameter gradients only and
         skips its dx — for convolutions that drops the input-gradient GEMM
-        and the col2im scatter, most of a convolution's backward cost.
+        and the scatter, most of a convolution's backward cost.
         Parameter gradients are bitwise identical either way."""
-        grad = dout
+        grad = to_kernel_layout(dout)
         layers = self.template.layers
         for layer in reversed(layers[1:]):
             grad = layer.backward_many(grad)
         if need_input_grad:
-            return layers[0].backward_many(grad)
+            return from_kernel_layout(layers[0].backward_many(grad))
         layers[0].backward_many_params_only(grad)
         return None
 

@@ -2,22 +2,27 @@
 
 A parametric layer's only kernels are ``forward_many``/``backward_many``
 over a leading cohort axis; one model is a cohort of one (its
-``forward``/``backward`` run them at ``C=1``).  Property tests
+``forward``/``backward`` run them at ``C=1``).  The kernels take images
+as ``(C, ch, H, W, N)``: the tests draw ``(C, N, ch, H, W)`` batches, as
+``CohortModel`` takes them, and convert with
+:func:`~repro.nn.layers.to_kernel_layout` (a view, as at a model's first
+layer) or a contiguous copy of it (as between layers).  Property tests
 (hypothesis) pin layer by layer that a ``C``-member cohort equals ``C``
 one-member cohorts within :data:`COHORT_RTOL`, including BatchNorm's
 train-mode running statistics (*bitwise*), and a shared ``(1, N, ...)``
 input that every member reads.  Workspace-reuse tests assert the
-pre-allocated scratch — im2col plans, cohort conv workspaces, codec
-encode buffers — is the *same object* across calls for a fixed shape, and
-the bitwise tests pin the claims the optimized kernels make in their
-docstrings (the window-copy gather == im2col column for column, slice-add
-scatter == col2im, a cohort Conv2d member == a cohort of one on output,
-dx, dW and db, the branch-free ReLU/Residual masks == ``np.where``,
-MaxPool's running-compare argmax == ``argmax``, its disjoint fast path and
-eval forward, BatchNorm's one-sum statistics == its plain mean/var
-expressions, NaN payloads aside, and ``backward_many_params_only``'s
-gradients).  The independent references stay: ``im2col``/``col2im``
-here, and the finite-difference gradchecks and the naive convolution in
+pre-allocated scratch — cohort conv workspaces, codec encode buffers — is
+the *same object* across calls for a fixed shape, and the bitwise tests
+pin the claims the optimized kernels make in their docstrings (the
+window-copy gather == im2col column for column, the interior-only
+slice-add scatter == col2im, a cohort Conv2d member == a cohort of one on
+output, dx, dW and db, the branch-free ReLU/Residual masks ==
+``np.where``, MaxPool's running-compare argmax == ``argmax``, its
+disjoint fast path and eval forward, BatchNorm's one-pass statistics ==
+the plain mean/var expressions over one model's NCHW maps, NaN payloads
+aside, and ``backward_many_params_only``'s gradients).  The independent
+references stay: ``im2col``/``col2im`` in ``tests/conv_reference.py``,
+and the finite-difference gradchecks and the naive convolution in
 ``tests/test_nn_gradcheck.py``.
 """
 
@@ -31,11 +36,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conv_reference import col2im, im2col
 from repro.fl import training
 from repro.fl.codecs import Int8Codec, TopKCodec
 from repro.nn import layers as layers_module
 from repro.nn import losses
-from repro.nn.conv_utils import CohortConvWorkspace, col2im, im2col, im2col_plan
+from repro.nn.conv_utils import CohortConvWorkspace
 from repro.nn.layers import (
     BatchNorm,
     Conv2d,
@@ -44,6 +50,8 @@ from repro.nn.layers import (
     GlobalAvgPool2d,
     MaxPool2d,
     ReLU,
+    from_kernel_layout,
+    to_kernel_layout,
 )
 from repro.nn.model import CohortModel, Residual, Sequential
 from repro.nn.models import build_model
@@ -98,6 +106,12 @@ def _edge_floats(rng, shape, dtype):
 def _same_bytes(actual, expected):
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
+
+
+def _kernel(x):
+    """A ``(C, N, ch, H, W)`` batch as a contiguous kernel-layout array,
+    as one layer hands it to the next."""
+    return np.ascontiguousarray(to_kernel_layout(x))
 
 
 class TestDenseCohort:
@@ -157,9 +171,9 @@ class TestConv2dCohort:
         )
         _load_members(template, members)
         x = rng.standard_normal((cohort, n, cin, h, h))
-        out_many = template.forward_many(x)
+        out_many = from_kernel_layout(template.forward_many(_kernel(x)))
         dout = rng.standard_normal(out_many.shape)
-        dx_many = template.backward_many(dout)
+        dx_many = from_kernel_layout(template.backward_many(_kernel(dout)))
         for c, m in enumerate(members):
             _close(out_many[c], m.forward(x[c]))
             _close(dx_many[c], m.backward(dout[c]))
@@ -186,7 +200,7 @@ class TestConv2dCohort:
         )
         _load_members(template, members)
         x = rng.standard_normal((1, n, cin, h, h))
-        out_many = template.forward_many(x, train=False)
+        out_many = from_kernel_layout(template.forward_many(_kernel(x), train=False))
         assert out_many.shape[0] == cohort
         for c, m in enumerate(members):
             _close(out_many[c], m.forward(x[0], train=False))
@@ -194,18 +208,20 @@ class TestConv2dCohort:
     def test_shared_input_rejects_training(self):
         layer = Conv2d(1, 2, 3, np.random.default_rng(0), dtype=np.float64)
         layer.bind_cohort(3)
-        x = np.zeros((1, 2, 1, 5, 5))
+        x = np.zeros((1, 1, 5, 5, 2))  # (1, ch, H, W, N)
         with pytest.raises(ValueError, match="evaluation only"):
             layer.forward_many(x, train=True)
-        assert layer.forward_many(x, train=False).shape == (3, 2, 2, 3, 3)
+        assert layer.forward_many(x, train=False).shape == (3, 2, 3, 3, 2)
 
     def test_only_training_caches_workspaces(self, monkeypatch):
         """Evaluation forwards (shared or per-member rows, every row
         count) gather into per-call workspaces, freed with their N-sized
         stage and columns on return.  A training forward keeps its
-        workspace for the next step; only a backward that needs dx makes
-        its scatter buffer."""
+        workspace for the next step, and the workspace owns only those
+        two buffers: the scatter adds into the fresh dx it returns.  A
+        first layer never scatters."""
         made = []
+        scatters = []
 
         class Tracked(CohortConvWorkspace):
             def __init__(self, *args):
@@ -215,29 +231,36 @@ class TestConv2dCohort:
                      weakref.ref(self._cols))
                 )
 
+            def scatter(self, dcols):
+                scatters.append(dcols.shape)
+                return super().scatter(dcols)
+
         monkeypatch.setattr(layers_module, "CohortConvWorkspace", Tracked)
         layer = Conv2d(1, 2, 3, np.random.default_rng(0), dtype=np.float64)
         layer.bind_cohort(3)
         for n in (256, 200, 7):
-            layer.forward_many(np.zeros((1, n, 1, 5, 5)), train=False)
-            layer.forward_many(np.zeros((3, n, 1, 5, 5)), train=False)
+            layer.forward_many(np.zeros((1, 1, 5, 5, n)), train=False)
+            layer.forward_many(np.zeros((3, 1, 5, 5, n)), train=False)
         assert layer._cohort_ws == {}
         gc.collect()
         assert len(made) == 6
         assert all(ref() is None for refs in made for ref in refs)
-        out = layer.forward_many(np.zeros((3, 4, 1, 5, 5)), train=True)
+        out = layer.forward_many(np.zeros((3, 1, 5, 5, 4)), train=True)
         (ws,) = layer._cohort_ws.values()
         layer.backward_many_params_only(np.ones_like(out))
-        assert ws._dx_pad is None  # a first layer never scatters
-        layer.backward_many(np.ones_like(out))
-        assert ws._dx_pad.shape == ws._stage.shape
+        assert scatters == []  # a first layer never scatters
+        dx = layer.backward_many(np.ones_like(out))
+        assert len(scatters) == 1
+        owned = {k for k, v in vars(ws).items() if isinstance(v, np.ndarray) and v.base is None}
+        assert owned == {"_stage", "_cols"}
+        assert not any(np.shares_memory(dx, getattr(ws, k)) for k in owned)
 
     def test_params_only_grads_bitwise(self):
         rng = np.random.default_rng(6)
         layer = Conv2d(2, 3, 3, rng, pad=1, dtype=np.float64)
         layer.bind_cohort(2)
         layer.w.many[:] = rng.standard_normal(layer.w.many.shape)
-        x = rng.standard_normal((2, 4, 2, 6, 6))
+        x = _kernel(rng.standard_normal((2, 4, 2, 6, 6)))
         out = layer.forward_many(x)
         dout = rng.standard_normal(out.shape)
         layer.backward_many(dout)
@@ -251,8 +274,9 @@ class TestConv2dCohort:
 
 
 class TestParameterFreeCohortDefault:
-    """The base-class fold-into-batch default must be *bitwise* the
-    per-member result for every sample-independent layer."""
+    """A parameter-free layer's cohort kernels (the base class's fold of
+    the cohort axis into the first axis, or Flatten's and
+    GlobalAvgPool2d's own) must be *bitwise* the per-member result."""
 
     @pytest.mark.parametrize("factory,shape", [
         (ReLU, (3, 4, 5)),
@@ -267,9 +291,9 @@ class TestParameterFreeCohortDefault:
         cohort = shape[0]
         template = factory()
         members = [factory() for _ in range(cohort)]
-        out_many = template.forward_many(x)
+        out_many = from_kernel_layout(template.forward_many(_kernel(x)))
         dout = rng.standard_normal(out_many.shape)
-        dx_many = template.backward_many(dout)
+        dx_many = from_kernel_layout(template.backward_many(_kernel(dout)))
         for c, m in enumerate(members):
             np.testing.assert_array_equal(out_many[c], m.forward(x[c]))
             np.testing.assert_array_equal(dx_many[c], m.backward(dout[c]))
@@ -287,7 +311,7 @@ class TestBranchFreeMasks:
         ref = np.where(x > 0, x, 0.0)
         _same_bytes(ReLU().forward(x[0]), ref[0])
         _same_bytes(ReLU().forward(x[0], train=False), ref[0])
-        _same_bytes(ReLU().forward_many(x), ref)
+        _same_bytes(ReLU().forward_many(_kernel(x)), _kernel(ref))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_residual_matches_where(self, dtype):
@@ -312,6 +336,7 @@ class TestBranchFreeMasks:
             block.forward(x[0], train=False),
             oracle(bn.forward(x[0], train=False) + x[0]),
         )
+        x = _kernel(x)
         _same_bytes(
             block.forward_many(x, train=False),
             oracle(bn.forward_many(x, train=False) + x),
@@ -364,9 +389,9 @@ class TestBatchNormCohort:
         template = BatchNorm(ch, dtype=np.float64)
         _load_members(template, members)
         x = rng.standard_normal((cohort, n, ch, 5, 5))
-        out_many = template.forward_many(x)
+        out_many = from_kernel_layout(template.forward_many(_kernel(x)))
         dout = rng.standard_normal(x.shape)
-        dx_many = template.backward_many(dout)
+        dx_many = from_kernel_layout(template.backward_many(_kernel(dout)))
         for c, m in enumerate(members):
             _close(out_many[c], m.forward(x[c]))
             _close(dx_many[c], m.backward(dout[c]))
@@ -375,13 +400,24 @@ class TestBatchNormCohort:
             )
 
 
+def _batch_axes(x):
+    """One model's reduction axes and feature broadcast, over a
+    ``(C, N, F)`` or ``(C, N, F, H, W)`` batch."""
+    if x.ndim == 3:
+        return (1,), lambda v: v[:, None, :]
+    return (1, 3, 4), lambda v: v[:, None, :, None, None]
+
+
 class ReferenceBatchNorm(BatchNorm):
     """BatchNorm's cohort kernels in their plain expressions (``x.mean``,
-    ``x.var``, three centrings, ``.sum(axis=axes)`` throughout): the
-    reference the layer's one-sum statistics must reproduce."""
+    ``x.var``, three centrings, ``.sum(axis=axes)`` throughout) over the
+    contiguous ``(C, N, F, H, W)`` batch, as one model's NCHW maps
+    reduce: the reference the layer's kernel-layout statistics must
+    reproduce."""
 
     def forward_many(self, x, train=True):
-        axes = self._reduce_axes_many(x)
+        x = from_kernel_layout(x)
+        axes, expand = _batch_axes(x)
         if train:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
@@ -394,29 +430,23 @@ class ReferenceBatchNorm(BatchNorm):
             mean = self.running_mean_many.astype(x.dtype)
             var = self.running_var_many.astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - self._expand_many(mean, x.ndim)) * self._expand_many(
-            inv_std, x.ndim
-        )
-        out = (
-            self._expand_many(self.gamma.many, x.ndim) * x_hat
-            + self._expand_many(self.beta.many, x.ndim)
-        )
+        x_hat = (x - expand(mean)) * expand(inv_std)
+        out = expand(self.gamma.many) * x_hat + expand(self.beta.many)
         self._cache_many = (x_hat, inv_std, axes, x.shape) if train else None
-        return out
+        return to_kernel_layout(out)
 
     def backward_many(self, dout):
+        dout = from_kernel_layout(dout)
         x_hat, inv_std, axes, x_shape = self._cache_many
+        _, expand = _batch_axes(dout)
         m = float(np.prod([x_shape[a] for a in axes]))
         self.gamma.grad_many += (dout * x_hat).sum(axis=axes)
         self.beta.grad_many += dout.sum(axis=axes)
-        g = self._expand_many(self.gamma.many, dout.ndim)
-        dxhat = dout * g
-        term2 = self._expand_many(dxhat.sum(axis=axes) / m, dout.ndim)
-        term3 = x_hat * self._expand_many(
-            (dxhat * x_hat).sum(axis=axes) / m, dout.ndim
-        )
-        return (dxhat - term2 - term3) * self._expand_many(
-            inv_std.astype(dout.dtype), dout.ndim
+        dxhat = dout * expand(self.gamma.many)
+        term2 = expand(dxhat.sum(axis=axes) / m)
+        term3 = x_hat * expand((dxhat * x_hat).sum(axis=axes) / m)
+        return to_kernel_layout(
+            (dxhat - term2 - term3) * expand(inv_std.astype(dout.dtype))
         )
 
 
@@ -432,21 +462,25 @@ def _same_bits_but_nan_payloads(actual, expected):
 
 class TestBatchNormStatisticsOnce:
     """``BatchNorm.forward_many`` sums its input once and centres it once,
-    dividing each sum in place as numpy's ``_mean``/``_var`` do, and on
-    maps of fewer than 8 cells both passes reduce the cells by slice adds
-    and then the rows.  Every output, input gradient, gamma/beta gradient
-    and running statistic equals :class:`ReferenceBatchNorm`'s bit for
-    bit, on NaNs, infinities, signed zeros and subnormals too."""
+    dividing each sum in place as numpy's ``_mean``/``_var`` do, and sums
+    each kernel-layout image in the order numpy reduces one model's NCHW
+    maps: pairwise over each row's cells, by cell planes, then the rows
+    in order.  Every output, input gradient, gamma/beta gradient and
+    running statistic equals :class:`ReferenceBatchNorm`'s bit for bit,
+    on NaNs, infinities, signed zeros and subnormals too.  Shapes are
+    ``(C, N, F, H, W)``."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [
         (3, 5, 4),  # a Dense activation
-        (2, 4, 3, 8, 8),  # 64 cells: numpy's reduction
-        (2, 3, 5, 3, 3),  # 9 cells: pairwise blocks of 8
-        (10, 10, 8, 2, 2),  # ResNet-9's 2x2 and 1x1 maps: slice adds
+        (2, 4, 3, 8, 8),  # 64 cells: eight running sums of 8
+        (2, 3, 5, 3, 3),  # 9 cells: one block of 8 and a leftover cell
+        (10, 10, 8, 2, 2),  # ResNet-9's 2x2 and 1x1 maps: one running sum
         (10, 10, 8, 1, 1),
         (3, 9, 4, 1, 3),
         (2, 6, 1, 2, 2),  # one feature: numpy fuses rows and cells
+        (2, 3, 3, 12, 12),  # 144 cells: two pairwise halves
+        (2, 1, 5, 1, 1),  # one row
     ])
     @pytest.mark.parametrize("values", ["normal", "edge", "zeros"])
     def test_matches_reference_expressions(self, shape, dtype, values):
@@ -471,14 +505,14 @@ class TestBatchNormStatisticsOnce:
 
         with np.errstate(all="ignore"):
             for _ in range(2):  # the running stats carry across steps
-                x, dout = draw(shape), draw(shape)
+                x, dout = _kernel(draw(shape)), _kernel(draw(shape))
                 outs = [
                     (layer.forward_many(x), layer.backward_many(dout))
                     for layer in layers
                 ]
                 for got, want in zip(outs[1], outs[0]):
                     _same_bits_but_nan_payloads(got, want)
-            for x in (draw(shape), draw((1, *shape[1:]))):  # eval, shared
+            for x in (_kernel(draw(shape)), _kernel(draw((1, *shape[1:])))):  # eval, shared
                 ref, new = (layer.forward_many(x, train=False) for layer in layers)
                 _same_bits_but_nan_payloads(new, ref)
         ref, new = layers
@@ -583,7 +617,8 @@ class TestCohortConvWorkspace:
             for case in WORKSPACE_GEOMETRIES
         ]
         + [
-            # CohortModel.predict's chunks: an N-axis slice of (C, N, ...)
+            # CohortModel.predict's chunks at a first layer: the kernel
+            # view of an N-axis slice of (C, N, ...)
             pytest.param(1, 1, 3, 2, 4, np.float32, "n-slice", id="resnet-2x2-n-slice"),
             pytest.param(1, 2, 5, 4, 3, np.float64, "n-slice", id="lenet-k5-p2-n-slice"),
             # IFCA's scoring pass: one (1, N, ...) input every member reads
@@ -595,9 +630,10 @@ class TestCohortConvWorkspace:
         c, n, h, w = (1 if layout == "shared" else 2), 3, hw, hw
         x = _edge_floats(rng, (c, 2 * n + 1, ch, h, w), dtype)
         x = x[:, 1 : 1 + n] if layout == "n-slice" else x[:, :n].copy()
-        assert x.flags.c_contiguous == (layout != "n-slice")
-        ws = CohortConvWorkspace(x.shape, x.dtype, k, k, stride, pad)
-        cols = ws.gather(x)  # (C, ckk, L*N), column index l*N + n
+        xk = to_kernel_layout(x) if layout == "n-slice" else _kernel(x)
+        assert xk.flags.c_contiguous == (layout != "n-slice")
+        ws = CohortConvWorkspace(xk.shape, x.dtype, k, k, stride, pad)
+        cols = ws.gather(xk)  # (C, ckk, L*N), column index l*N + n
         for ci in range(c):
             _same_bytes(cols[ci], im2col(x[ci], k, k, stride, pad))
 
@@ -605,10 +641,11 @@ class TestCohortConvWorkspace:
     def test_scatter_matches_col2im_bitwise(self, stride, pad, k, hw, ch, dtype):
         rng = np.random.default_rng(1)
         c, n, h, w = 2, 3, hw, hw
-        ws = CohortConvWorkspace((c, n, ch, h, w), dtype, k, k, stride, pad)
+        ws = CohortConvWorkspace((c, ch, h, w, n), dtype, k, k, stride, pad)
         dcols = rng.standard_normal((c, ws.patch_len, n * ws.out_len)).astype(dtype)
-        dx = ws.scatter(dcols)  # (C, N, ch, H, W)
+        dx = ws.scatter(dcols)  # (C, ch, H, W, N)
         assert dx.dtype == dtype and dx.flags.c_contiguous
+        dx = from_kernel_layout(dx)
         for ci in range(c):
             _same_bytes(dx[ci], col2im(dcols[ci], (n, ch, h, w), k, k, stride, pad))
 
@@ -635,9 +672,9 @@ class TestCohortConvWorkspace:
         )
         _load_members(template, members)
         x = rng.standard_normal((cohort, 5, ch, hw, hw)).astype(dtype)
-        out = template.forward_many(x)
+        out = from_kernel_layout(template.forward_many(_kernel(x)))
         dout = rng.standard_normal(out.shape).astype(dtype)
-        dx = template.backward_many(dout)
+        dx = from_kernel_layout(template.backward_many(_kernel(dout)))
         for c, m in enumerate(members):
             _same_bytes(out[c], m.forward(x[c]))
             _same_bytes(dx[c], m.backward(dout[c]))
@@ -645,7 +682,7 @@ class TestCohortConvWorkspace:
             _same_bytes(template.b.grad_many[c], m.b.grad)
 
     def test_scatter_returns_fresh_array(self):
-        ws = CohortConvWorkspace((1, 2, 1, 4, 4), np.float64, 2, 2, 1, 0)
+        ws = CohortConvWorkspace((1, 1, 4, 4, 2), np.float64, 2, 2, 1, 0)
         dcols = np.ones((1, ws.patch_len, 2 * ws.out_len))
         a = ws.scatter(dcols)
         b = ws.scatter(dcols)
@@ -662,15 +699,16 @@ class TestMaxPoolDisjointFastPath:
         out = layer.forward(x)
         dout = rng.standard_normal(out.shape)
         dx = layer.backward(dout)
-        # reference: the generic col2im scatter over the same sparse dcols
-        x_shape, cols_shape, argmax = layer._cache
-        n, c, h, w = x_shape
+        # reference: the generic col2im scatter over dcols that hold each
+        # window's gradient at its argmax
+        n, c, h, w = x.shape
         oh, ow = out.shape[2], out.shape[3]
-        dcols = np.zeros(cols_shape, dtype=dout.dtype)
+        cols = im2col(x.reshape(n * c, 1, h, w), size, size, stride, 0)
+        dcols = np.zeros(cols.shape, dtype=dout.dtype)
         dout_cols = (
             dout.reshape(n * c, oh, ow).transpose(1, 2, 0).reshape(-1)
         )
-        dcols[argmax, np.arange(cols_shape[1])] = dout_cols
+        dcols[cols.argmax(axis=0), np.arange(cols.shape[1])] = dout_cols
         ref = col2im(dcols, (n * c, 1, h, w), size, size, stride, 0)
         np.testing.assert_array_equal(dx, ref.reshape(n, c, h, w))
 
@@ -691,7 +729,7 @@ class TestMaxPoolEvalForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_eval_forward_matches_im2col_path(self, size, stride, dtype):
         """The eval forward's max over strided window views equals the
-        training forward's im2col argmax gather, on inputs full of ties,
+        training forward's argmax-selected output, on inputs full of ties,
         signed zeros and NaNs, for disjoint and overlapping windows."""
         x = _pool_input(dtype)
         layer = MaxPool2d(size, stride)
@@ -710,36 +748,64 @@ class TestMaxPoolTrainingArgmax:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_training_argmax_matches_numpy(self, size, stride, dtype):
         """The running-compare argmax the training forward caches is
-        ``cols.argmax(axis=0)``'s: the first max and the first NaN win."""
+        ``cols.argmax(axis=0)``'s over im2col's window columns: the first
+        max and the first NaN win."""
         x = _pool_input(dtype)
         layer = MaxPool2d(size, stride)
         out = layer.forward(x, train=True)
-        x_shape, cols_shape, argmax = layer._cache
-        n, c, h, w = x_shape
+        x_shape, argmax = layer._cache  # (ch, H, W, N), (ch, oh, ow, N)
+        n, c, h, w = x.shape
+        assert x_shape == (c, h, w, n)
         cols = im2col(x.reshape(n * c, 1, h, w), size, size, stride, 0)
-        assert cols.shape == cols_shape
-        _same_bytes(argmax, cols.argmax(axis=0))
+        want = cols.argmax(axis=0).reshape(*out.shape[2:], n, c)
+        np.testing.assert_array_equal(argmax, want.transpose(3, 0, 1, 2))
         ref = cols[cols.argmax(axis=0), np.arange(cols.shape[1])]
         _same_bytes(out.transpose(2, 3, 0, 1).reshape(-1), ref)
+
+    @pytest.mark.parametrize("stride", [17, 3])
+    def test_large_window_argmax_and_backward(self, stride):
+        """A 17x17 window has 289 taps, past a uint8 argmax: the argmax,
+        the selected output and the routed backward still match im2col's
+        and col2im's, for disjoint and overlapping windows."""
+        rng = np.random.default_rng(9)
+        x = rng.integers(-2, 3, size=(2, 2, 36, 36)).astype(np.float32)
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[1, 1, 16, 16] = 9.0  # the first window's last tap, 288
+        x[0, 0, 33, 33] = np.nan  # a tap past 255 of the last windows
+        layer = MaxPool2d(17, stride)
+        out = layer.forward(x, train=True)
+        _, argmax = layer._cache
+        n, c, h, w = x.shape
+        oh, ow = out.shape[2:]
+        cols = im2col(x.reshape(n * c, 1, h, w), 17, 17, stride, 0)
+        want = cols.argmax(axis=0)
+        assert want.max() > 255
+        np.testing.assert_array_equal(
+            argmax, want.reshape(oh, ow, n, c).transpose(3, 0, 1, 2)
+        )
+        ref = cols[want, np.arange(cols.shape[1])]
+        _same_bytes(out.transpose(2, 3, 0, 1).reshape(-1), ref)
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        dcols = np.zeros(cols.shape, dtype=dout.dtype)
+        dcols[want, np.arange(cols.shape[1])] = (
+            dout.reshape(n * c, oh, ow).transpose(1, 2, 0).reshape(-1)
+        )
+        ref_dx = col2im(dcols, (n * c, 1, h, w), 17, 17, stride, 0)
+        np.testing.assert_array_equal(layer.backward(dout), ref_dx.reshape(x.shape))
 
 
 class TestWorkspaceReuse:
     """Fixed shape -> the *same* pre-allocated scratch object every call."""
 
-    def test_im2col_plan_is_cached(self):
-        p1 = im2col_plan(2, 6, 6, 3, 3, 1, 1)
-        p2 = im2col_plan(2, 6, 6, 3, 3, 1, 1)
-        assert p1 is p2
-
     def test_conv_cohort_workspace_stable_across_steps(self):
         conv = Conv2d(2, 3, 3, np.random.default_rng(0), pad=1, dtype=np.float64)
         conv.bind_cohort(2)
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((2, 4, 2, 6, 6))
+        x = _kernel(rng.standard_normal((2, 4, 2, 6, 6)))
         ws = conv.cohort_workspace(x)
         out = conv.forward_many(x)
-        conv.backward_many(rng.standard_normal(out.shape))  # makes _dx_pad
-        buffers = ("_stage", "_cols", "_dx_pad")
+        conv.backward_many(rng.standard_normal(out.shape))
+        buffers = ("_stage", "_cols")
         ids = {name: id(getattr(ws, name)) for name in buffers}
         for _ in range(3):  # training steps reuse the same buffers
             out = conv.forward_many(x)
@@ -748,7 +814,7 @@ class TestWorkspaceReuse:
             assert again is ws
             assert {name: id(getattr(again, name)) for name in buffers} == ids
         # a different batch shape gets its own workspace without evicting
-        x2 = rng.standard_normal((2, 5, 2, 6, 6))
+        x2 = _kernel(rng.standard_normal((2, 5, 2, 6, 6)))
         assert conv.cohort_workspace(x2) is not ws
         assert conv.cohort_workspace(x) is ws
 
@@ -756,7 +822,7 @@ class TestWorkspaceReuse:
         conv = Conv2d(1, 1, 1, np.random.default_rng(0), dtype=np.float64)
         conv.bind_cohort(1)
         for n in range(1, 12):
-            conv.cohort_workspace(np.zeros((1, n, 1, 3, 3)))
+            conv.cohort_workspace(np.zeros((1, 1, 3, 3, n)))
         assert len(conv._cohort_ws) <= 8
 
     def test_int8_scratch_stable_and_bounded(self):
@@ -934,7 +1000,7 @@ class TestCohortModelAndSGD:
         """The training default (``need_input_grad=False``) returns None,
         skips the first layer's dx, and leaves every parameter gradient
         bitwise what the full backward computes — with a conv first layer,
-        where the skipped col2im scatter is the expensive kernel."""
+        where the skipped scatter is the expensive kernel."""
         cohort, n, classes = 2, 4, 3
         cm = CohortModel(_member_cnn(0, classes), cohort)
         rng = np.random.default_rng(3)

@@ -27,7 +27,7 @@ from repro.fl.execution import CohortRunner, SerialBackend, make_backend
 from repro.fl.server import FederatedAlgorithm
 from repro.nn.layers import BatchNorm, Conv2d, Dense, Flatten, Layer, ReLU
 from repro.nn.model import CohortModel, Residual, Sequential
-from repro.nn.models import lenet5, mlp
+from repro.nn.models import lenet5, mlp, resnet9
 from repro.nn.parameter import Parameter
 from repro.utils.io import load_history, save_history
 from repro.utils.rng import as_generator
@@ -461,6 +461,16 @@ class TestMemoryBoundedBlocks:
             Dense(3 * 64, 10, rng, classifier_head=True),
         )
         assert residual.row_nbytes(shape, np.float32) == 3 * 9 * 64 * 4
+        # the benchmark and paper models: the largest columns, independent
+        # of the layers' activation layout, so member blocks stay put
+        big = (3, 16, 16)
+        # LeNet-5's conv1 at 16x16
+        assert lenet5(10, big, rng=0).row_nbytes(big, np.float32) == 76800
+        # ResNet-9's stage-1 conv (8 or 64 channels, 3x3, at the full map)
+        bench = resnet9(100, shape, width=0.125, rng=0)
+        assert bench.row_nbytes(shape, np.float32) == 8 * 9 * 64 * 4 == 18432
+        paper = resnet9(100, big, width=1.0, rng=0)
+        assert paper.row_nbytes(big, np.float32) == 64 * 9 * 256 * 4 == 589824
 
     def test_blocks_are_near_equal_and_fit_the_budget(self, fed, monkeypatch):
         algo = FedAvg(fed, lenet_model_fn_for(fed), config_for("vector"))

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conv_reference import col2im, im2col
 from repro.nn import Conv2d, Dense, Flatten, MaxPool2d, ReLU
-from repro.nn.conv_utils import col2im, conv_output_size, im2col
+from repro.nn.conv_utils import conv_output_size
 
 RNG = np.random.default_rng(0)
 
