@@ -82,7 +82,7 @@ __all__ = [
 #: leading bytes identifying a repro checkpoint file
 MAGIC = b"REPROCKP"
 #: bump on any incompatible change to the payload layout
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 #: header after MAGIC: format version, payload length, sha256 digest
 _HEADER = struct.Struct(">IQ32s")
 

@@ -14,11 +14,13 @@ wall-clock timing so execution-backend speedups are measurable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-__all__ = ["RoundRecord", "History"]
+__all__ = [
+    "RoundRecord", "History", "RECORD_SCALARS", "FACT_TYPES", "record_extras",
+]
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,8 @@ class RoundRecord:
         download_bytes: server→client wire bytes for the span.
         sim_seconds: simulated network + compute seconds for the span
             (0.0 under the ideal network with no deadline).
-        extras: free-form per-record annotations.  The engine stores
+        extras: free-form per-record annotations, folded from the span's
+            facts by :func:`record_extras`.  The engine stores
             ``"deadline_dropped"`` (client ids a deadline cut during the
             span) and ``"unavailable"`` (ids skipped by the availability
             draw) when non-empty.  Event-driven schedulers
@@ -66,6 +69,42 @@ class RoundRecord:
     download_bytes: int = 0
     sim_seconds: float = 0.0
     extras: dict = field(default_factory=dict)
+
+
+#: a record's scalar fields (all but ``extras``), in declaration order
+RECORD_SCALARS = tuple(f.name for f in fields(RoundRecord) if f.name != "extras")
+
+#: each fact type a record folds into ``extras``, in key order: its key,
+#: and whether the key keeps only the client id of each fact
+_FOLDS = (
+    ("deadline_drop", "deadline_dropped", True),
+    ("unavailable", "unavailable", True),
+    ("cancel", "cancelled", True),
+    ("arrival", "events", False),
+    ("population", "population", False),
+)
+#: the telemetry event types that are record facts
+FACT_TYPES = tuple(type_ for type_, _, _ in _FOLDS)
+
+
+def record_extras(facts: list[tuple[str, dict]]) -> dict:
+    """Fold one record span's facts into its ``RoundRecord.extras``.
+
+    ``facts`` are ``(type, fields)`` pairs in the order they happened,
+    ``fields`` being the telemetry event's fields without ``type`` and
+    ``seq``.  The live record (:meth:`Scheduler.commit
+    <repro.fl.scheduler.Scheduler.commit>`) and
+    :func:`~repro.fl.telemetry.replay_history` both build their extras
+    here.  Each non-empty key lists its facts in order: a cut, skipped
+    or cancelled client as its id, an arrival or a population event as
+    its whole field dict.
+    """
+    extras: dict = {}
+    for type_, key, ids_only in _FOLDS:
+        folded = [f["client"] if ids_only else f for t, f in facts if t == type_]
+        if folded:
+            extras[key] = folded
+    return extras
 
 
 class History:
@@ -235,14 +274,7 @@ class History:
             "setup_seconds": self.setup_seconds,
             "records": [
                 {
-                    "round": r.round,
-                    "accuracy": r.accuracy,
-                    "train_loss": r.train_loss,
-                    "cumulative_mb": r.cumulative_mb,
-                    "seconds": r.seconds,
-                    "upload_bytes": r.upload_bytes,
-                    "download_bytes": r.download_bytes,
-                    "sim_seconds": r.sim_seconds,
+                    **{k: getattr(r, k) for k in RECORD_SCALARS},
                     "extras": dict(r.extras),
                 }
                 for r in self.records

@@ -84,6 +84,7 @@ floating-point reductions see a canonical operand order.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import time
 from dataclasses import dataclass
@@ -94,7 +95,7 @@ import numpy as np
 from repro.fl import registry
 from repro.fl.checkpoint import Checkpointer
 from repro.fl.codecs import Encoded, IdentityCodec
-from repro.fl.history import RoundRecord
+from repro.fl.history import RoundRecord, record_extras
 from repro.fl.network import IdealNetwork, resolve_deadline
 from repro.fl.registry import opt, register
 
@@ -161,122 +162,6 @@ class WireItem:
     sl: slice | None = None
 
 
-class _Spans(object):
-    """Per-record span accumulators shared by every scheduler.
-
-    Mirrors the seed engine's bookkeeping exactly: wall-clock and
-    simulated seconds, wire bytes, deadline casualties, and availability
-    skips accumulate between evaluation records and reset at each one.
-    """
-
-    def __init__(self, algo: "FederatedAlgorithm"):
-        self.algo = algo
-        self.mark = time.perf_counter()
-        self.last_up = 0
-        self.last_down = 0
-        self.sim = 0.0
-        self.dropped: list[int] = []
-        self.unavailable: list[int] = []
-        self.cancelled: list[int] = []
-        self.events: list[dict] = []
-        self.pop_events: list[dict] = []
-
-    def arrival(self, client: int, t: float, staleness: int, flush: int) -> None:
-        """Log one delivered upload: an ``extras["events"]`` entry plus an
-        ``arrival`` telemetry event."""
-        event = {
-            "client": int(client),
-            "t": float(t),
-            "staleness": int(staleness),
-            "flush": int(flush),
-        }
-        self.events.append(event)
-        self.algo.telemetry.emit("arrival", **event)
-
-    def flush_record(self, round_idx: int, delivered: list["ClientUpdate"]) -> None:
-        """Evaluate and append one :class:`RoundRecord`, then reset spans."""
-        algo = self.algo
-        acc = algo.evaluate()
-        mean_loss = (
-            float(np.mean([u.loss for u in delivered])) if delivered else 0.0
-        )
-        extras: dict = {}
-        if self.dropped:
-            extras["deadline_dropped"] = list(self.dropped)
-        if self.unavailable:
-            extras["unavailable"] = list(self.unavailable)
-        if self.cancelled:
-            extras["cancelled"] = list(self.cancelled)
-        if self.events:
-            extras["events"] = list(self.events)
-        if self.pop_events:
-            extras["population"] = list(self.pop_events)
-        tele = algo.telemetry
-        if tele.enabled:
-            resident = getattr(algo.fed, "resident_shards", None)
-            if resident is not None:
-                # the lazy dataset's materialized-shard count: the LRU's
-                # set is order-independent (pure keyed materialization),
-                # so the gauge is deterministic and may live in records
-                tele.gauge("resident_shards", int(resident()))
-            # deterministic per-record metric deltas (bytes, event
-            # counts, virtual-clock staleness — never wall clocks), so
-            # telemetry-enabled histories stay bit-for-bit reproducible
-            extras["metrics"] = tele.metrics_snapshot()
-        now = time.perf_counter()
-        record = RoundRecord(
-            round=round_idx,
-            accuracy=acc,
-            train_loss=mean_loss,
-            cumulative_mb=algo.comm.total_mb(),
-            seconds=now - self.mark,
-            upload_bytes=algo.comm.total_up - self.last_up,
-            download_bytes=algo.comm.total_down - self.last_down,
-            sim_seconds=self.sim,
-            extras=extras,
-        )
-        algo.history.append(record)
-        tele.record(record)
-        self.mark = now
-        self.last_up, self.last_down = algo.comm.total_up, algo.comm.total_down
-        self.sim = 0.0
-        self.dropped = []
-        self.unavailable = []
-        self.cancelled = []
-        self.events = []
-        self.pop_events = []
-
-    def state_dict(self) -> dict:
-        """Picklable snapshot of the partial span (checkpointing).
-
-        Wall-clock ``mark`` is excluded: a resumed span restarts its
-        wall-clock measurement, which is why checkpoint equality is
-        defined over everything *except* the ``seconds`` fields.
-        """
-        return {
-            "sim": self.sim,
-            "last_up": self.last_up,
-            "last_down": self.last_down,
-            "dropped": list(self.dropped),
-            "unavailable": list(self.unavailable),
-            "cancelled": list(self.cancelled),
-            "events": [dict(e) for e in self.events],
-            "pop_events": [dict(e) for e in self.pop_events],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a partial span (the wall-clock mark restarts at now)."""
-        self.sim = float(state["sim"])
-        self.last_up = int(state["last_up"])
-        self.last_down = int(state["last_down"])
-        self.dropped = list(state["dropped"])
-        self.unavailable = list(state["unavailable"])
-        self.cancelled = list(state["cancelled"])
-        self.events = [dict(e) for e in state["events"]]
-        self.pop_events = [dict(e) for e in state["pop_events"]]
-        self.mark = time.perf_counter()
-
-
 class Scheduler:
     """Owns a federation's control loop (rounds 1..T, after ``setup``).
 
@@ -289,11 +174,22 @@ class Scheduler:
     clients), ``encode_upload`` / ``deliver`` (the wire layer split at
     the virtual-time boundary) — and the boundary's :meth:`commit`
     through ``self``, so subclasses and profilers can wrap each one.
-    One scheduler instance serves one run.
+
+    One scheduler instance serves one run, so it also holds the run's
+    *open span*, the rounds (or flushes) since the last record: their
+    simulated seconds ``sim``, the wire-byte marks ``last_up`` /
+    ``last_down``, the wall-clock ``mark``, and ``facts``, one ``(type,
+    fields)`` pair per deadline cut, unavailable client, cancel, arrival
+    and population event (:meth:`note`).  Each record folds and empties
+    it (:meth:`commit`).
     """
 
     #: registry name; subclasses set this
     name: str = "base"
+    #: what a checkpoint saves and a resume restores, by attribute name:
+    #: the population clock and the open span (its wall mark restarts, so
+    #: resume equality excludes the ``seconds`` fields)
+    STATE = ("pop_now", "sim", "last_up", "last_down", "facts")
 
     def __init__(self, options: dict):
         #: the scheduler's resolved knobs (:func:`make_scheduler`): field
@@ -329,21 +225,18 @@ class Scheduler:
         """
         cfg = algo.config
         tele = algo.telemetry
-        spans = self.begin(algo, resume)
+        self.begin(algo, resume)
         start = 1 if resume is None else int(resume["round"]) + 1
         for round_idx in range(start, cfg.rounds + 1):
             with tele.span("round", cat="scheduler", round=round_idx):
-                self.advance_population(algo, spans, round_idx, self.pop_now)
+                self.advance_population(algo, round_idx, self.pop_now)
                 selected = algo.select_clients(
                     round_idx, self.selection_rate(cfg)
                 )
-                survivors, down_nbytes, unavailable = self.wire_down(
-                    algo, round_idx, selected
-                )
-                spans.unavailable.extend(unavailable)
+                survivors, down_nbytes = self.wire_down(algo, round_idx, selected)
                 quorum = self.quorum(algo)
                 kept, round_sim = self.plan_arrivals(
-                    algo, spans, round_idx, survivors, down_nbytes, quorum
+                    algo, round_idx, survivors, down_nbytes, quorum
                 )
                 updates = self.execute(algo, round_idx, [c for c, _ in kept])
                 # the topology sink receives each delivered update the
@@ -361,17 +254,18 @@ class Scheduler:
                         )
                         sink.add(self.deliver(algo, item, round_idx))
                         if quorum is not None:
-                            spans.arrival(cid, t, 0, round_idx)
+                            self.note(
+                                algo, "arrival", client=cid, t=float(t),
+                                staleness=0, flush=round_idx,
+                            )
                 delivered = sink.finish()
-                spans.sim += round_sim
+                self.sim += round_sim
                 self.pop_now += round_sim if self.simulate else 1.0
-                self.commit(
-                    algo, spans, round_idx, cfg.rounds, sink.added, delivered
-                )
-                self.maybe_checkpoint(algo, spans, round_idx)
+                self.commit(algo, round_idx, cfg.rounds, sink.losses, delivered)
+                self.maybe_checkpoint(algo, round_idx)
 
     def plan_arrivals(
-        self, algo: "FederatedAlgorithm", spans: _Spans, round_idx: int,
+        self, algo: "FederatedAlgorithm", round_idx: int,
         survivors: list[int], down_nbytes: dict[int, int], quorum: int | None,
     ) -> tuple[list[tuple[int, float | None]], float]:
         """Keep, deadline-cut or cancel one round's survivors on their
@@ -409,21 +303,16 @@ class Scheduler:
             if ranked and len(kept) >= quorum:
                 # the server stopped waiting when the quorum filled;
                 # everything later is cancelled, deadline or not
-                spans.cancelled.append(cid)
-                tele.emit(
-                    "cancel", client=int(cid), t=float(t), flush=int(round_idx)
-                )
+                self.note(algo, "cancel", client=cid, t=float(t), flush=round_idx)
                 tele.count("cancellations")
             elif self.deadline is not None and t > self.deadline:
                 # cut off mid-round: the upload never completes (not
                 # metered), error-feedback residuals stay as they were,
                 # and the update is discarded
-                spans.dropped.append(cid)
-                cut = True
-                tele.emit(
-                    "deadline_drop", client=int(cid), t=float(t),
-                    flush=int(round_idx),
+                self.note(
+                    algo, "deadline_drop", client=cid, t=float(t), flush=round_idx
                 )
+                cut = True
                 tele.count("deadline_drops")
             else:
                 tele.vspan(
@@ -442,11 +331,10 @@ class Scheduler:
     # ------------------------------------------------------------------
     # steps shared by every scheduler
     # ------------------------------------------------------------------
-    def begin(self, algo: "FederatedAlgorithm", resume: dict | None) -> _Spans:
+    def begin(self, algo: "FederatedAlgorithm", resume: dict | None) -> None:
         """Resolve the run's wire-layer flags and open its record span.
 
-        Call once, before the loop; ``resume`` restores the population
-        clock and the partial span (what every scheduler checkpoints).
+        Call once, before the loop; ``resume`` restores :attr:`STATE`.
         """
         self.deadline = resolve_deadline(algo.config)
         self.identity = isinstance(algo.codec, IdentityCodec)
@@ -467,37 +355,78 @@ class Scheduler:
         self.pop_now = 0.0
         #: periodic checkpoint writer (``None`` = checkpointing disabled)
         self._checkpointer = Checkpointer.from_config(algo.config)
-        spans = _Spans(algo)
+        # the open span; the first one also covers round-0 setup traffic
+        self.mark = time.perf_counter()
+        self.sim = 0.0
+        self.last_up = self.last_down = 0
+        self.facts: list[tuple[str, dict]] = []
         if resume is not None:
-            self.pop_now = float(resume["pop_now"])
-            spans.load_state_dict(resume["spans"])
-        return spans
+            # shallow copies: the run appends to the saved lists, and the
+            # checkpoint it resumes from stays as saved
+            for name in self.STATE:
+                setattr(self, name, copy.copy(resume[name]))
+
+    def note(self, algo: "FederatedAlgorithm", type_: str, /, **fields) -> None:
+        """Note one fact of the open span: the telemetry event ``type_``
+        with ``fields``, and the same pair in :attr:`facts` for the next
+        record's extras (:func:`~repro.fl.history.record_extras`)."""
+        self.facts.append((type_, fields))
+        algo.telemetry.emit(type_, **fields)
 
     def commit(
-        self, algo: "FederatedAlgorithm", spans: _Spans, idx: int, last: int,
-        arrived: int, updates: list,
+        self, algo: "FederatedAlgorithm", idx: int, last: int,
+        losses: list[float], updates: list,
     ) -> bool:
         """Close a boundary: :meth:`fold` it in, then record on the cadence.
 
         ``idx`` is the round (or buffered flush); ``last``, the run's
-        final boundary, always records.  ``arrived`` counts the uploads
-        that reached the server (a hierarchical sink hands over fewer
-        edge summaries as ``updates``).  An empty boundary — everyone
-        cut, unavailable or dropped out — changes nothing server-side,
-        but the federation still advances and the record still commits.
-        Returns whether a record was written.
+        final boundary, always records.  ``losses`` holds the training
+        loss of each upload that reached the server (a hierarchical sink
+        hands over fewer edge summaries as ``updates``); the record's
+        ``train_loss`` is their mean.  An empty boundary — everyone cut,
+        unavailable or dropped out — changes nothing server-side, but the
+        federation still advances and the record still commits.  A record
+        closes the open span: its extras are the span's facts, folded, and
+        the next span starts empty.  Returns whether a record was written.
         """
-        algo.telemetry.observe("arrivals_per_flush", arrived)
+        tele = algo.telemetry
+        tele.observe("arrivals_per_flush", len(losses))
         if updates:
-            self.fold(algo, spans, idx, updates)
+            self.fold(algo, idx, updates)
         if idx % algo.config.eval_every and idx != last:
             return False
-        spans.flush_record(idx, updates)
+        acc = algo.evaluate()
+        extras = record_extras(self.facts)
+        if tele.enabled:
+            resident = getattr(algo.fed, "resident_shards", None)
+            if resident is not None:
+                # the lazy dataset's materialized-shard count: the LRU's
+                # set is order-independent (pure keyed materialization),
+                # so the gauge is deterministic and may live in records
+                tele.gauge("resident_shards", int(resident()))
+            # deterministic per-record metric deltas (bytes, event
+            # counts, virtual-clock staleness — never wall clocks), so
+            # telemetry-enabled histories stay bit-for-bit reproducible
+            extras["metrics"] = tele.metrics_snapshot()
+        now, comm = time.perf_counter(), algo.comm
+        record = RoundRecord(
+            round=idx,
+            accuracy=acc,
+            train_loss=float(np.mean(losses)) if losses else 0.0,
+            cumulative_mb=comm.total_mb(),
+            seconds=now - self.mark,
+            upload_bytes=comm.total_up - self.last_up,
+            download_bytes=comm.total_down - self.last_down,
+            sim_seconds=self.sim,
+            extras=extras,
+        )
+        algo.history.append(record)
+        tele.record(record)
+        self.mark, self.sim, self.facts = now, 0.0, []
+        self.last_up, self.last_down = comm.total_up, comm.total_down
         return True
 
-    def fold(
-        self, algo: "FederatedAlgorithm", spans: _Spans, idx: int, updates: list
-    ) -> None:
+    def fold(self, algo: "FederatedAlgorithm", idx: int, updates: list) -> None:
         """Fold one round's delivered updates into the server state."""
         with algo.telemetry.span(
             "aggregate", cat="scheduler", updates=len(updates)
@@ -507,21 +436,14 @@ class Scheduler:
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-    def state_dict(self, completed: int, spans: _Spans) -> dict:
-        """Resume state at a completed round/flush boundary.
+    def state_dict(self, completed: int) -> dict:
+        """Resume state at a completed round/flush boundary: :attr:`STATE`
+        by name (the open span's facts as they stand), plus ``round``."""
+        state = {name: getattr(self, name) for name in self.STATE}
+        state["round"] = int(completed)
+        return state
 
-        Subclasses with a live event queue (``buffered``) extend this
-        with their in-flight state.
-        """
-        return {
-            "round": int(completed),
-            "pop_now": float(self.pop_now),
-            "spans": spans.state_dict(),
-        }
-
-    def maybe_checkpoint(
-        self, algo: "FederatedAlgorithm", spans: _Spans, completed: int
-    ) -> None:
+    def maybe_checkpoint(self, algo: "FederatedAlgorithm", completed: int) -> None:
         """Write a periodic checkpoint at a completed boundary (if enabled).
 
         Runs after the boundary's aggregation and any record are
@@ -532,7 +454,7 @@ class Scheduler:
         cp = self._checkpointer
         if cp is None or completed % cp.every != 0:
             return
-        path = cp.save(algo, self.state_dict(completed, spans))
+        path = cp.save(algo, self.state_dict(completed))
         if algo.on_checkpoint is not None:
             algo.on_checkpoint(completed, path)
 
@@ -540,7 +462,7 @@ class Scheduler:
     # round primitives
     # ------------------------------------------------------------------
     def advance_population(
-        self, algo: "FederatedAlgorithm", spans: _Spans, key_idx: int, now: float
+        self, algo: "FederatedAlgorithm", key_idx: int, now: float
     ) -> None:
         """Apply every population event due by virtual time ``now``.
 
@@ -549,8 +471,7 @@ class Scheduler:
         each to the federation (:meth:`FederatedAlgorithm.apply_population_event
         <repro.fl.server.FederatedAlgorithm.apply_population_event>` —
         eligibility changes, joiner attachment and cluster assignment),
-        and records the applied events for
-        ``RoundRecord.extras["population"]``.
+        and notes each applied event (``RoundRecord.extras["population"]``).
         """
         if not self.dynamic_population:
             return
@@ -558,15 +479,14 @@ class Scheduler:
         for event in algo.population.events_until(now):
             rec = algo.apply_population_event(event, key_idx)
             if rec is not None:
-                spans.pop_events.append(rec)
-                tele.emit("population", **rec)
+                self.note(algo, "population", **rec)
                 tele.count(f"population_{rec['kind']}")
         if tele.enabled and algo._eligible is not None:
             tele.gauge("roster_size", len(algo._eligible))
 
     def wire_down(
         self, algo: "FederatedAlgorithm", round_idx: int, selected: np.ndarray
-    ) -> tuple[list[int], dict[int, int], list[int]]:
+    ) -> tuple[list[int], dict[int, int]]:
         """Availability mask → download metering → dropout draw.
 
         Args:
@@ -575,10 +495,12 @@ class Scheduler:
                 (the sync round, or an async scheduler's dispatch cycle).
             selected: candidate client ids, in selection order.
 
+        Each client the availability draw skips is noted as an
+        ``unavailable`` fact (:meth:`note`).
+
         Returns:
-            ``(survivors, down_nbytes, unavailable)``: clients that will
-            execute, each selected client's metered download size, and the
-            ids the availability draw skipped.
+            ``(survivors, down_nbytes)``: clients that will execute, and
+            each selected client's metered download size.
         """
         cfg = algo.config
         tele = algo.telemetry
@@ -603,16 +525,14 @@ class Scheduler:
                 masks.append(
                     lambda sel: algo.network.available_mask(round_idx, sel)
                 )
-            unavailable: list[int] = []
             for mask_of in masks:
                 mask = mask_of(selected)
                 skipped = [int(c) for c in selected[~mask]]
                 selected = selected[mask]
                 for cid in skipped:
-                    tele.emit("unavailable", client=cid)
+                    self.note(algo, "unavailable", client=cid)
                 if skipped:
                     tele.count("unavailable", len(skipped))
-                    unavailable.extend(skipped)
             dropout_rng = (
                 algo.rngs.make("dropout", round_idx)
                 if cfg.dropout_rate > 0
@@ -634,7 +554,7 @@ class Scheduler:
                     tele.count("dropouts")
                     continue
                 survivors.append(int(cid))
-        return survivors, down_nbytes, unavailable
+        return survivors, down_nbytes
 
     def execute(
         self, algo: "FederatedAlgorithm", round_idx: int, survivors: Sequence[int]
@@ -834,13 +754,24 @@ class BufferedScheduler(Scheduler):
     """
 
     name = "buffered"
+    #: plus the event queue, sized at run start from the *initial*
+    #: roster (a resume must not re-size it after joins grew the
+    #: federation); the buffer is empty at every checkpoint
+    STATE = Scheduler.STATE + (
+        "_concurrency", "_k", "_total_flushes", "_heap", "_running",
+        "_cycle", "_seq", "_version", "_now", "_mark_sim",
+    )
 
     def run(self, algo: "FederatedAlgorithm", resume: dict | None = None) -> None:
         cfg = algo.config
-        spans = self.begin(algo, resume)
-        if resume is None:
-            self._cohort = nominal_cohort(algo.fed.num_clients, cfg.sample_rate)
-            concurrency = int(self.options["sched_concurrency"]) or self._cohort
+        self.begin(algo, resume)
+        self._buffer: list[tuple[int, int, int, float, "ClientUpdate"]] = []
+        if resume is not None:
+            self._running = set(self._running)
+        else:
+            concurrency = int(self.options["sched_concurrency"]) or nominal_cohort(
+                algo.fed.num_clients, cfg.sample_rate
+            )
             self._concurrency = concurrency
             self._k = int(self.options["buffer_size"]) or min(
                 concurrency, max(2, concurrency // 2)
@@ -850,15 +781,11 @@ class BufferedScheduler(Scheduler):
             )
             self._heap: list[tuple[float, int, int, int, WireItem]] = []
             self._running: set[int] = set()
-            self._buffer: list[tuple[int, int, int, float, "ClientUpdate"]] = []
-            self._cycle = 0
-            self._seq = 0
+            self._cycle = self._seq = 0
             self._version = 0  # completed flushes (the server's model version)
-            self._now = 0.0
-            self._mark_sim = 0.0  # virtual time at the last record
-            self._dispatch(algo, spans, self._now)
-        else:
-            self._load_resume(resume)
+            # virtual time: now, and at the last record
+            self._now = self._mark_sim = 0.0
+            self._dispatch(algo, self._now)
         while self._version < self._total_flushes:
             if self._heap:
                 t, seq, cycle, v_dispatch, item = heapq.heappop(self._heap)
@@ -874,24 +801,21 @@ class BufferedScheduler(Scheduler):
             self._version += 1
             self._buffer.sort(key=lambda b: b[0])
             merged = [b[4] for b in self._buffer]
-            spans.sim = self._now - self._mark_sim  # since the last record
-            if self.commit(
-                algo, spans, self._version, self._total_flushes,
-                len(merged), merged,
-            ):
+            self.sim = self._now - self._mark_sim  # since the last record
+            losses = [u.loss for u in merged]
+            last = self._total_flushes
+            if self.commit(algo, self._version, last, losses, merged):
                 self._mark_sim = self._now
             self._buffer = []
             if self._version < self._total_flushes:
-                self._dispatch(algo, spans, self._now)
+                self._dispatch(algo, self._now)
             # checkpoint after the re-dispatch: the snapshot's heap holds
             # the newly in-flight uploads, so resuming re-enters the loop
             # exactly where the unbroken run stood ("round" = flushes)
-            self.maybe_checkpoint(algo, spans, self._version)
+            self.maybe_checkpoint(algo, self._version)
 
-    def fold(
-        self, algo: "FederatedAlgorithm", spans: _Spans, version: int, merged: list
-    ) -> None:
-        """Merge the flushed buffer with per-update staleness, then log
+    def fold(self, algo: "FederatedAlgorithm", version: int, merged: list) -> None:
+        """Merge the flushed buffer with per-update staleness, then note
         its arrivals.
 
         A hierarchical topology pre-reduces the buffer here: staleness
@@ -910,10 +834,13 @@ class BufferedScheduler(Scheduler):
         ):
             algo.merge(version, folded, fold_stale)
         for (_, _, _, t_arr, u), s in zip(self._buffer, staleness):
-            spans.arrival(u.client_id, t_arr, s, version)
+            self.note(
+                algo, "arrival", client=int(u.client_id), t=float(t_arr),
+                staleness=int(s), flush=int(version),
+            )
             tele.observe("staleness", s)
 
-    def _dispatch(self, algo: "FederatedAlgorithm", spans: _Spans, t: float) -> None:
+    def _dispatch(self, algo: "FederatedAlgorithm", t: float) -> None:
         """Fill every free slot with a fresh client at virtual time t."""
         tele = algo.telemetry
         with tele.span("dispatch", cat="scheduler", cycle=self._cycle + 1):
@@ -921,7 +848,7 @@ class BufferedScheduler(Scheduler):
             # else one second per completed flush (mirrors sync's
             # one-second-per-round fallback)
             self.pop_now = t if self.simulate else float(self._version)
-            self.advance_population(algo, spans, self._cycle + 1, self.pop_now)
+            self.advance_population(algo, self._cycle + 1, self.pop_now)
             free = self._concurrency - len(self._running)
             if free <= 0:
                 return
@@ -937,10 +864,9 @@ class BufferedScheduler(Scheduler):
                     "sched.refill", cycle
                 ).permutation(len(picks))
                 picks = sorted(picks[i] for i in perm[:free])
-            survivors, down_nbytes, unavailable = self.wire_down(
+            survivors, down_nbytes = self.wire_down(
                 algo, cycle, np.asarray(picks, dtype=int)
             )
-            spans.unavailable.extend(unavailable)
             trips = [
                 self.trip_seconds(algo, cid, down_nbytes, cycle)
                 for cid in survivors
@@ -954,42 +880,14 @@ class BufferedScheduler(Scheduler):
                 self._running.add(int(u.client_id))
                 self._seq += 1
 
-    def state_dict(self, completed: int, spans: _Spans) -> dict:
-        state = super().state_dict(completed, spans)
-        state.update(
-            # sized at run start from the *initial* roster — a resumed
-            # run must not recompute them after joins grew the federation
-            cohort=self._cohort,
-            concurrency=self._concurrency,
-            k=self._k,
-            total_flushes=self._total_flushes,
-            # in-flight uploads; sorted (time, seq) is a valid min-heap
-            # and, unlike the heap's internal layout, byte-stable across
-            # save → load → save round-trips.  The buffer is always empty
-            # here (checkpoints happen right after a flush).
-            heap=sorted(self._heap, key=lambda h: (h[0], h[1])),
-            running=sorted(self._running),
-            cycle=self._cycle,
-            seq=self._seq,
-            version=self._version,
-            now=self._now,
-            mark_sim=self._mark_sim,
-        )
+    def state_dict(self, completed: int) -> dict:
+        state = super().state_dict(completed)
+        # in-flight uploads; sorted (time, seq) is a valid min-heap and,
+        # unlike the heap's internal layout, byte-stable across save →
+        # load → save round-trips
+        state["_heap"] = sorted(self._heap, key=lambda h: h[:2])
+        state["_running"] = sorted(self._running)
         return state
-
-    def _load_resume(self, resume: dict) -> None:
-        self._cohort = int(resume["cohort"])
-        self._concurrency = int(resume["concurrency"])
-        self._k = int(resume["k"])
-        self._total_flushes = int(resume["total_flushes"])
-        self._heap = list(resume["heap"])
-        self._running = {int(c) for c in resume["running"]}
-        self._buffer = []
-        self._cycle = int(resume["cycle"])
-        self._seq = int(resume["seq"])
-        self._version = int(resume["version"])
-        self._now = float(resume["now"])
-        self._mark_sim = float(resume["mark_sim"])
 
 
 def make_scheduler(config=None, scheduler: str | None = None) -> Scheduler:

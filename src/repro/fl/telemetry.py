@@ -1,13 +1,11 @@
 """Telemetry: structured spans, a metrics registry, and a replayable event log.
 
 The engine produces rich per-round facts — wire bytes, virtual-clock
-arrivals, staleness, deadline cuts, population churn — but before this
-module they were scattered across ad-hoc ``RoundRecord.extras`` keys and
-flat ``seconds`` fields, so "where did this round's time go?" and "what
-did the scheduler do at t=431.2s?" required a re-run.  One
+arrivals, staleness, deadline cuts, population churn.  One
 :class:`Telemetry` object, threaded through the engine by
 :meth:`FederatedAlgorithm.run <repro.fl.server.FederatedAlgorithm.run>`,
-now observes every phase:
+observes every phase, so "where did this round's time go?" and "what
+did the scheduler do at t=431.2s?" need no re-run:
 
 * **Span tracer** — nested wall-clock spans (``setup``, ``round``,
   ``wire_down``, ``execute``, ``encode``/``decode``, ``wire_up``,
@@ -24,20 +22,24 @@ now observes every phase:
   ["metrics"]`` (wall-clock phase seconds deliberately stay out of the
   record so telemetry-enabled histories remain reproducible); cumulative
   totals + per-phase seconds dump as JSON or CSV at run end.
-* **Replayable event log** — every fact the engine previously buried in
-  ``extras`` lists is emitted as a first-class typed event (``arrival``,
-  ``deadline_drop``, ``cancel``, ``unavailable``, ``population``,
-  ``record``, ...) to an in-memory list and, when configured, an
-  append-only JSONL sink.  :func:`replay_history` folds the events back
-  into a :class:`~repro.fl.history.History` that is **bit-identical** to
-  the live one — accuracy, losses, Mb, wire bytes, sim_seconds, extras —
-  without re-executing anything (the reconstruction the ROADMAP's
-  front-end work needs).
+* **Replayable event log** — every engine fact is a typed event
+  (``arrival``, ``deadline_drop``, ``cancel``, ``unavailable``,
+  ``population``, ``record``, ...) in an in-memory list and, when
+  configured, an append-only JSONL sink.  The scheduler notes each fact
+  a record folds into ``extras`` once, as the event and as an entry of
+  its open span (:meth:`Scheduler.note <repro.fl.scheduler.Scheduler.note>`).
+  :func:`replay_history` folds the events back through the live
+  record's own fold (:func:`~repro.fl.history.record_extras`) into a
+  :class:`~repro.fl.history.History` that is **bit-identical** to the
+  live one — accuracy, losses, Mb, wire bytes, sim_seconds, extras —
+  without re-executing anything.
 
 Telemetry is **off by default** and costs nothing when off: the engine
 holds the shared :data:`NULL_TELEMETRY` singleton whose methods are
 no-ops (``bench_telemetry.py`` gates the disabled-mode overhead at <2%
-and the enabled-mode overhead at <10% of a bench run).  Because
+of the plain run; its <10% enabled-mode gate applies only to a plain run
+of 1 s or more, so the sub-second CI smoke reports that overhead
+ungated).  Because
 observation never changes the trajectory, ``tele_*`` knobs are excluded
 from the checkpoint fingerprint — a run checkpointed without telemetry
 may resume with it, and vice versa.
@@ -63,7 +65,9 @@ from typing import IO, Any, Callable
 
 import numpy as np
 
-from repro.fl.history import History, RoundRecord
+from repro.fl.history import (
+    FACT_TYPES, RECORD_SCALARS, History, RoundRecord, record_extras,
+)
 from repro.fl.registry import opt, register, resolve
 
 __all__ = [
@@ -508,16 +512,7 @@ class Telemetry:
             # volatile: lands in metrics.json totals only, never in the
             # per-record snapshots (host measurements are unreproducible)
             self.gauge("peak_rss_mb", rss, volatile=True)
-        fields: dict[str, Any] = {
-            "round": int(rec.round),
-            "accuracy": float(rec.accuracy),
-            "train_loss": float(rec.train_loss),
-            "cumulative_mb": float(rec.cumulative_mb),
-            "seconds": float(rec.seconds),
-            "upload_bytes": int(rec.upload_bytes),
-            "download_bytes": int(rec.download_bytes),
-            "sim_seconds": float(rec.sim_seconds),
-        }
+        fields: dict[str, Any] = {k: getattr(rec, k) for k in RECORD_SCALARS}
         metrics = rec.extras.get("metrics")
         if metrics is not None:
             fields["metrics"] = metrics
@@ -600,13 +595,6 @@ def make_telemetry(config=None, telemetry: str | None = None):
 # ----------------------------------------------------------------------
 # replay
 # ----------------------------------------------------------------------
-#: extras keys reconstructed from granular events, in the exact order
-#: ``_Spans.flush_record`` inserts them
-_PENDING_KEYS = (
-    "deadline_dropped", "unavailable", "cancelled", "events", "population",
-)
-
-
 def load_events(path: str | Path) -> list[dict]:
     """Parse a JSONL event log written by :class:`Telemetry`."""
     out: list[dict] = []
@@ -621,23 +609,24 @@ def load_events(path: str | Path) -> list[dict]:
 def replay_history(events: list[dict]) -> History:
     """Reconstruct a :class:`~repro.fl.history.History` from events alone.
 
-    Granular events (``unavailable``/``deadline_drop``/``cancel``/
-    ``arrival``/``population``) accumulate between ``record`` events
-    exactly as the live ``_Spans`` accumulators do — including across
-    multiple rounds when ``eval_every > 1`` and across multiple buffered
-    flushes — and each ``record`` event carries the evaluated scalars
-    plus the metrics snapshot.  The result equals the live history
-    bit-for-bit (``history.as_dict()`` equality, wall-clock ``seconds``
-    included, since those are replayed from the log rather than
-    re-measured), whether the events come from ``Telemetry.events``
-    directly or from a JSONL file via :func:`load_events`.
+    The fact events (:data:`~repro.fl.history.FACT_TYPES`: ``unavailable``/
+    ``deadline_drop``/``cancel``/``arrival``/``population``) collect
+    between ``record`` events exactly as the scheduler's open span does,
+    across every round or buffered flush of a span when ``eval_every >
+    1``, and each ``record`` event folds them through the live record's
+    own :func:`~repro.fl.history.record_extras`, beside its scalars and
+    metrics snapshot.  The result equals the live history bit-for-bit
+    (``history.as_dict()`` equality, wall-clock ``seconds`` included,
+    since those are replayed from the log rather than re-measured),
+    whether the events come from ``Telemetry.events`` directly or from a
+    JSONL file via :func:`load_events`.
 
     Only applies to unbroken runs: a resumed run's event log starts at
     the resume point (its ``run_start`` carries ``resumed_from``), so it
     replays the post-resume tail only.
     """
     hist = History()
-    pending: dict[str, list] = {k: [] for k in _PENDING_KEYS}
+    facts: list[tuple[str, dict]] = []
     for event in events:
         kind = event.get("type")
         if kind == "run_start":
@@ -645,40 +634,14 @@ def replay_history(events: list[dict]) -> History:
             hist.dataset = event.get("dataset", "")
         elif kind == "setup":
             hist.setup_seconds = float(event.get("seconds", 0.0))
-        elif kind == "unavailable":
-            pending["unavailable"].append(int(event["client"]))
-        elif kind == "deadline_drop":
-            pending["deadline_dropped"].append(int(event["client"]))
-        elif kind == "cancel":
-            pending["cancelled"].append(int(event["client"]))
-        elif kind == "arrival":
-            pending["events"].append({
-                "client": int(event["client"]),
-                "t": float(event["t"]),
-                "staleness": int(event["staleness"]),
-                "flush": int(event["flush"]),
-            })
-        elif kind == "population":
-            pending["population"].append({
-                k: v for k, v in event.items() if k not in ("type", "seq")
-            })
+        elif kind in FACT_TYPES:
+            fields = {k: v for k, v in event.items() if k not in ("type", "seq")}
+            facts.append((kind, fields))
         elif kind == "record":
-            extras: dict = {}
-            for key in _PENDING_KEYS:
-                if pending[key]:
-                    extras[key] = pending[key]
+            extras = record_extras(facts)
             if "metrics" in event:
                 extras["metrics"] = event["metrics"]
-            hist.append(RoundRecord(
-                round=int(event["round"]),
-                accuracy=event["accuracy"],
-                train_loss=event["train_loss"],
-                cumulative_mb=event["cumulative_mb"],
-                seconds=event["seconds"],
-                upload_bytes=event["upload_bytes"],
-                download_bytes=event["download_bytes"],
-                sim_seconds=event["sim_seconds"],
-                extras=extras,
-            ))
-            pending = {k: [] for k in _PENDING_KEYS}
+            scalars = {k: event[k] for k in RECORD_SCALARS}
+            hist.append(RoundRecord(**scalars, extras=extras))
+            facts = []
     return hist

@@ -82,13 +82,15 @@ class TopologySink:
 
     def __init__(self):
         self._out: list = []
-        #: updates fed so far (the scheduler's arrival count — with a
-        #: hierarchical sink ``len(finish())`` is the edge count instead)
-        self.added = 0
+        #: the training loss of each update fed so far, in delivery order:
+        #: the round's reporting clients, whose mean is the record's
+        #: ``train_loss`` (a hierarchical sink's ``finish()`` returns one
+        #: summary per edge instead)
+        self.losses: list[float] = []
 
     def add(self, update: "ClientUpdate", weight: float | None = None) -> None:
         self._out.append(update)
-        self.added += 1
+        self.losses.append(update.loss)
 
     def finish(self) -> list:
         return self._out
@@ -201,7 +203,7 @@ class _HierSink(TopologySink):
         entry.steps += int(update.steps)
         entry.loss_sum += float(update.loss)
         entry.members += 1
-        self.added += 1
+        self.losses.append(update.loss)
 
     def finish(self):
         algo, tele = self._algo, self._algo.telemetry
@@ -279,7 +281,7 @@ class HierTopology(Topology):
             if d <= 0.0:
                 continue
             sink.add(u, weight=u.n_samples * d)
-        if not sink.added:
+        if not sink.losses:
             # every member discounted away: let merge() drop them (and
             # the flush record keep its member losses) exactly as flat
             return updates, list(staleness)

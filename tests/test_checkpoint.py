@@ -10,7 +10,8 @@ matches within the ``vector`` contract instead).  Four layers:
   SIGKILLed the instant a chosen checkpoint hits disk, then resumed
   in-process from ``latest.ckpt`` via the runner's provenance path.
 * ``TestResumeEquivalence`` — in-process sweep resuming from *every*
-  boundary of a run, plus cross-backend resume.
+  boundary of a run, also from boundaries inside a record span (a saved
+  open span with facts), plus cross-backend resume.
 * ``TestFormatProperties`` — Hypothesis: save→load→save is
   byte-identical; restored RNG streams emit the same next draws.
 * ``TestRejection`` — mismatched configuration, version skew, and
@@ -27,6 +28,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -66,15 +68,18 @@ def _cell(config_overrides=None, fl_options=None, method="fedavg", seed=0):
 _BASELINES: dict = {}
 
 
-def _baseline(method="fedavg", fl_options=None, seed=0):
-    key = (method, seed, tuple(sorted((fl_options or {}).items())))
+def _baseline(method="fedavg", fl_options=None, seed=0, config=None):
+    config = config or {"rounds": ROUNDS}
+    key = (method, seed, tuple(sorted(config.items())),
+           tuple(sorted((fl_options or {}).items())))
     if key not in _BASELINES:
-        algo = _cell({"rounds": ROUNDS}, fl_options, method=method, seed=seed)
+        algo = _cell(config, fl_options, method=method, seed=seed)
         _BASELINES[key] = canonical_history(algo.run())
     return _BASELINES[key]
 
 
-def _checkpointed_cell(tmp_path, fl_options=None, method="fedavg", seed=0):
+def _checkpointed_cell(tmp_path, fl_options=None, method="fedavg", seed=0,
+                       config=None):
     """A cell that checkpoints every boundary and copies each file aside.
 
     The Checkpointer prunes to the last few round files, so tests that
@@ -83,7 +88,7 @@ def _checkpointed_cell(tmp_path, fl_options=None, method="fedavg", seed=0):
     keep = tmp_path / "keep"
     keep.mkdir(exist_ok=True)
     algo = _cell(
-        {"rounds": ROUNDS, "checkpoint_every": 1,
+        {**(config or {"rounds": ROUNDS}), "checkpoint_every": 1,
          "checkpoint_dir": str(tmp_path / "cks")},
         fl_options, method=method, seed=seed,
     )
@@ -227,6 +232,67 @@ class TestResumeEquivalence:
             assert canonical_history(history) == base, (
                 f"{name}: resume at boundary {r} diverged"
             )
+
+    #: configurations whose facts fall between records: at
+    #: ``eval_every=3`` two of every three checkpoints sit inside a record
+    #: span, so the resumed run's next record must fold the open span's
+    #: saved facts.  Each case pins the facts its unbroken run records, by
+    #: extras key; together they cover all five keys.
+    MID_SPAN = {
+        "semisync-stragglers-deadline-churn": (
+            {"scheduler": "semisync", "network": "stragglers",
+             "deadline": 0.3, "population": "churn:session=2,gap=1"},
+            {"deadline_dropped": 9, "events": 13, "cancelled": 2,
+             "population": 2},
+        ),
+        "sync-flaky-deadline-churn": (
+            {"scheduler": "sync", "network": "flaky", "deadline": 0.2,
+             "population": "churn:session=2,gap=1"},
+            {"deadline_dropped": 6, "unavailable": 5},
+        ),
+        "buffered-stragglers-churn": (
+            {"scheduler": "buffered:bs=2,sa=0.5", "network": "stragglers",
+             "population": "churn:session=2,gap=1"},
+            {"events": 18, "population": 7},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MID_SPAN))
+    def test_resume_bitwise_inside_record_spans(self, name, tmp_path):
+        fl_options, facts = self.MID_SPAN[name]
+        config = {"rounds": 6, "eval_every": 3}
+        base = _baseline(fl_options=fl_options, config=config)
+        recorded = Counter()
+        for extras in base["extras"]:
+            recorded.update(
+                {k: len(v) for k, v in extras.items() if k != "metrics"}
+            )
+        assert recorded == facts
+        algo, saved = _checkpointed_cell(tmp_path, fl_options, config=config)
+        assert canonical_history(algo.run()) == base, (
+            "checkpointing perturbed the run"
+        )
+        boundaries = sorted(saved)[:-1]
+        assert any(r % 3 for r in boundaries), "no checkpoint inside a span"
+        for r in boundaries:
+            resumed = _cell(config, fl_options)
+            history = resumed.run(resume_from=str(saved[r]))
+            assert canonical_history(history) == base, (
+                f"{name}: resume at boundary {r} diverged"
+            )
+
+    def test_two_resumes_from_one_loaded_checkpoint(self, tmp_path):
+        """A resume leaves the checkpoint it starts from as loaded: the
+        run appends to copies of the saved open span's lists."""
+        fl_options, _ = self.MID_SPAN["semisync-stragglers-deadline-churn"]
+        config = {"rounds": 6, "eval_every": 3}
+        base = _baseline(fl_options=fl_options, config=config)
+        algo, saved = _checkpointed_cell(tmp_path, fl_options, config=config)
+        algo.run()
+        ckpt = load_checkpoint(saved[1])
+        for attempt in (1, 2):
+            history = _cell(config, fl_options).run(resume_from=ckpt)
+            assert canonical_history(history) == base, f"resume {attempt}"
 
     def test_ifca_checkpoint_holds_cluster_state_only(self):
         """IFCA's scorer cohort is infrastructure rebuilt from
@@ -400,13 +466,19 @@ class TestRejection:
         assert "lr" in str(err.value) and "sample_rate" in str(err.value)
 
     def test_rejects_version_skew(self, latest, tmp_path):
+        # version 1 nested the open span under "spans", with no facts list
         blob = latest.read_bytes()
-        skewed = (MAGIC + struct.pack(">I", FORMAT_VERSION + 1)
-                  + blob[len(MAGIC) + 4:])
-        bad = tmp_path / "skew.ckpt"
-        bad.write_bytes(skewed)
-        with pytest.raises(ValueError, match="format version"):
-            load_checkpoint(bad)
+        for version in (1, FORMAT_VERSION + 1):
+            skewed = (MAGIC + struct.pack(">I", version)
+                      + blob[len(MAGIC) + 4:])
+            bad = tmp_path / f"skew{version}.ckpt"
+            bad.write_bytes(skewed)
+            with pytest.raises(
+                ValueError,
+                match=f"format version {version}; this build supports "
+                      f"version {FORMAT_VERSION}",
+            ):
+                load_checkpoint(bad)
 
     def test_rejects_truncated_file(self, latest, tmp_path):
         bad = tmp_path / "short.ckpt"

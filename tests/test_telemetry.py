@@ -14,6 +14,8 @@ Layers:
   no metrics extras; resolution honors config field, spec, and env.
 * ``TestReplayEquivalence`` — schedulers x populations with telemetry
   on: off-vs-on canonical equality + exact replay (memory and file).
+* ``TestRecordExtras`` — the one fold of a record's facts into its
+  extras, shared by the live record and replay.
 * ``TestGoldenReplay`` — every pinned golden-registry case rerun with
   telemetry on still matches its capture, and replays exactly.
 * ``TestReplayProperty`` — Hypothesis: randomized short runs across
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +48,8 @@ from repro.experiments.configs import SMOKE_SCALE
 from repro.experiments.runner import build_cell, resume_cell
 from repro.fl.checkpoint import run_fingerprint
 from repro.fl.config import FLConfig
+from repro.fl.history import RoundRecord, record_extras
+from repro.fl.scheduler import SyncScheduler
 from repro.fl.telemetry import (
     EVENT_TYPES,
     NULL_TELEMETRY,
@@ -216,6 +221,56 @@ class TestReplayEquivalence:
         history = algo.run()
         assert len(history.records) == 2
         _assert_replays_exactly(history, algo.telemetry, tmp_path / "ev.jsonl")
+
+
+class TestRecordExtras:
+    """The one fold of a record's facts, shared by the live record
+    (``Scheduler.note`` then ``record_extras``) and ``replay_history``."""
+
+    FACTS = [
+        ("population", {"t": 2.0, "kind": "join", "client": 9, "cluster": 1}),
+        ("arrival", {"client": 4, "t": 1.5, "staleness": 0, "flush": 2}),
+        ("cancel", {"client": 7, "t": 3.0, "flush": 2}),
+        ("unavailable", {"client": 3}),
+        ("deadline_drop", {"client": 5, "t": 4.0, "flush": 2}),
+        ("unavailable", {"client": 1}),
+        ("arrival", {"client": 6, "t": 2.5, "staleness": 1, "flush": 2}),
+        ("population", {"t": 3.5, "kind": "leave", "client": 4}),
+        ("deadline_drop", {"client": 2, "t": 4.5, "flush": 3}),
+    ]
+
+    def test_folds_each_type_into_its_key_in_order(self):
+        extras = record_extras(self.FACTS)
+        assert list(extras) == [
+            "deadline_dropped", "unavailable", "cancelled", "events",
+            "population",
+        ]
+        # cuts, skips and cancels keep the client id only
+        assert extras["deadline_dropped"] == [5, 2]
+        assert extras["unavailable"] == [3, 1]
+        assert extras["cancelled"] == [7]
+        # arrivals and population events keep their whole fields
+        assert extras["events"] == [self.FACTS[1][1], self.FACTS[6][1]]
+        assert extras["population"] == [self.FACTS[0][1], self.FACTS[7][1]]
+        assert record_extras([]) == {}
+
+    def test_noted_facts_replay_to_the_live_extras(self):
+        tele = make_telemetry(telemetry="on")
+        algo = SimpleNamespace(telemetry=tele)
+        scheduler = SyncScheduler({})
+        scheduler.facts = []
+        for type_, fields in self.FACTS:
+            scheduler.note(algo, type_, **fields)
+        assert scheduler.facts == self.FACTS
+        assert [e["type"] for e in tele.events] == [t for t, _ in self.FACTS]
+        live = RoundRecord(1, 0.5, 0.0, 0.0, extras=record_extras(self.FACTS))
+        tele.record(live)
+        (replayed,) = replay_history(tele.events).records
+        assert replayed == live
+        for key in ("events", "population"):
+            assert all(
+                "type" not in f and "seq" not in f for f in replayed.extras[key]
+            )
 
 
 class TestGoldenReplay:

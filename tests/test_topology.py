@@ -141,6 +141,10 @@ class TestHierNumerics:
             assert list(a.extras.get("selected", ())) == list(
                 b.extras.get("selected", ())
             )
+        # train_loss is the mean over the reporting clients, not over the
+        # edge means: round 1 trains the same clients from the same model
+        assert hier_hist.records[0].train_loss == flat_hist.records[0].train_loss
+        np.testing.assert_allclose(hier_hist.losses, flat_hist.losses, rtol=1e-6)
 
     def test_edge_tier_meters_extra_wire_bytes(self):
         fed = _golden_fed()
